@@ -230,10 +230,12 @@ class Session:
     :class:`~repro.core.incremental.IncrementalAnalysis` (answers
     cached, footprints indexed for selective invalidation); batches run
     on persistent :class:`ParallelCFL` runners keyed by
-    ``(mode, n_threads, backend)`` whose committed jump maps survive
-    across :meth:`batch` calls.  :meth:`snapshot` folds *all* resident
-    jump state into a single compacted epoch-0 delta on disk, and
-    :meth:`warm_from_snapshot` replays one into every resident store.
+    ``(mode, n_threads, backend)`` whose committed jump maps and
+    schedule plans survive across :meth:`batch` calls until the next
+    edit through :attr:`seq`, which retires them.  :meth:`snapshot`
+    folds *all* resident jump state into a single compacted epoch-0
+    delta on disk, and :meth:`warm_from_snapshot` replays one into
+    every resident store.
     """
 
     def __init__(
@@ -264,6 +266,9 @@ class Session:
         self._runners: Dict[Tuple[str, int, str], ParallelCFL] = {}
         #: Warm-boot log replayed into every runner created later.
         self._warm_log: List[DeltaEntry] = []
+        #: ``seq.generation`` the runners and the warm log were made at;
+        #: an edit through :attr:`seq` moves it and retires them all.
+        self._runners_gen = 0
         if recorder:
             recorder.count("api.sessions")
 
@@ -457,6 +462,35 @@ class Session:
     # ------------------------------------------------------------------
     # batches (persistent parallel runners)
     # ------------------------------------------------------------------
+    def _runner_key(
+        self,
+        mode: Optional[str],
+        n_threads: Optional[int],
+        backend: Optional[str],
+    ) -> Tuple[str, int, str]:
+        rt = self.runtime
+        return (
+            mode or rt.mode,
+            n_threads if n_threads is not None else rt.n_threads,
+            backend or rt.backend,
+        )
+
+    def _live_runners(self) -> Dict[Tuple[str, int, str], ParallelCFL]:
+        """The resident runners, after retiring them if the PAG was
+        edited through :attr:`seq` since they were made.
+
+        A runner's committed jump map (and an mp runner's frozen PAG)
+        describe the program as it was; the warm-boot log does too.
+        Edits invalidate only the sequential map selectively, so every
+        runner and the warm log are dropped and rebuilt on demand
+        (runners hold no OS resources between batches)."""
+        gen = self._seq.generation if self._seq is not None else 0
+        if gen != self._runners_gen:
+            self._runners.clear()
+            self._warm_log = []
+            self._runners_gen = gen
+        return self._runners
+
     def runner(
         self,
         *,
@@ -466,18 +500,14 @@ class Session:
     ) -> ParallelCFL:
         """The persistent :class:`ParallelCFL` for a configuration
         (created on first use, jump map warmed from any warm-boot log,
-        resident afterwards)."""
-        rt = self.runtime
-        key = (
-            mode or rt.mode,
-            n_threads if n_threads is not None else rt.n_threads,
-            backend or rt.backend,
-        )
-        runner = self._runners.get(key)
+        resident afterwards until the next edit through :attr:`seq`)."""
+        key = self._runner_key(mode, n_threads, backend)
+        runners = self._live_runners()
+        runner = runners.get(key)
         if runner is None:
             runner = ParallelCFL.from_config(
                 self.build if self.build is not None else self.pag,
-                runtime=rt.with_(
+                runtime=self.runtime.with_(
                     mode=key[0], n_threads=key[1], backend=key[2]
                 ),
                 engine=self.engine_config,
@@ -489,7 +519,7 @@ class Session:
                 "matrix", "hybrid"
             ):
                 runner.warm_from(self._warm_log)
-            self._runners[key] = runner
+            runners[key] = runner
         return runner
 
     def batch(
@@ -516,13 +546,8 @@ class Session:
         """The committed jump map of a configuration's resident
         executor (``None`` before its first batch, for share-nothing
         modes, and for the stateless matrix kernel)."""
-        rt = self.runtime
-        key = (
-            mode or rt.mode,
-            n_threads if n_threads is not None else rt.n_threads,
-            backend or rt.backend,
-        )
-        runner = self._runners.get(key)
+        key = self._runner_key(mode, n_threads, backend)
+        runner = self._live_runners().get(key)
         if runner is None:
             return None
         return runner.resident_jumps()
@@ -534,7 +559,7 @@ class Session:
         if self._seq is not None:
             total += self._seq.jumps.n_finished_edges
             total += self._seq.jumps.n_unfinished_edges
-        for runner in self._runners.values():
+        for runner in self._live_runners().values():
             jumps = runner.resident_jumps()
             if jumps is not None:
                 total += jumps.n_finished_edges + jumps.n_unfinished_edges
@@ -589,7 +614,7 @@ class Session:
             log = self._seq.jumps.export_log()
             raw += len(log)
             merged.warm_from(log)
-        for runner in self._runners.values():
+        for runner in self._live_runners().values():
             runner.compact_resident_logs()
             for log in runner.export_resident_logs():
                 raw += len(log)
@@ -632,8 +657,9 @@ class Session:
             recorder=self.recorder,
         )
         accepted = self.seq.warm_from(snap.log, snap.footprints)
+        runners = self._live_runners()
         self._warm_log = list(snap.log)
-        for runner in self._runners.values():
+        for runner in runners.values():
             if runner.sharing and runner.backend not in ("matrix", "hybrid"):
                 runner.warm_from(self._warm_log)
         return accepted
@@ -659,7 +685,7 @@ class Session:
             "n_threads": self.runtime.n_threads,
             "budget": self.engine_config.budget,
             "grammar": self.engine_config.grammar,
-            "n_runners": len(self._runners),
+            "n_runners": len(self._live_runners()),
             "n_jump_entries": self.n_jump_entries(),
             "n_cached_queries": (
                 self._seq.n_cached_queries if self._seq is not None else 0

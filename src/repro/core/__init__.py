@@ -27,6 +27,7 @@ from repro.core.tracing import TracingEngine, Witness
 from repro.core.scheduling import (
     QueryGroup,
     ScheduleConfig,
+    SchedulePlan,
     connection_distances,
     dedupe_queries,
     schedule_queries,
@@ -40,6 +41,7 @@ __all__ = [
     "Witness",
     "QueryGroup",
     "ScheduleConfig",
+    "SchedulePlan",
     "connection_distances",
     "dedupe_queries",
     "schedule_queries",

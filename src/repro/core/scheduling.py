@@ -20,12 +20,18 @@ them, maximising early terminations:
 4. **Load balancing** — groups larger than the mean size ``M`` are
    split and smaller ones merged with their neighbours, so every work
    unit has roughly ``M`` queries.
+
+CD, the component of every variable and each component's DD are
+whole-program facts that no query in a batch changes.  They live in a
+:class:`SchedulePlan`, built once per ``(pag, types, relation knobs)``
+and rebuilt only when the add-only PAG grows; :func:`schedule_queries`
+then costs O(|batch| log |batch|) per batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.query import Query
 from repro.errors import SchedulingError
@@ -34,6 +40,7 @@ from repro.pag.graph import PAG
 
 __all__ = [
     "ScheduleConfig",
+    "SchedulePlan",
     "QueryGroup",
     "MERGED_COMPONENT",
     "DEFAULT_BULK_CROSSOVER",
@@ -170,16 +177,15 @@ def connection_distances(
     """
     succ = _direct_successors(pag, app_only=app_only, include_globals=include_globals)
     nodes = list(succ.keys())
-    str_succ = {str(n): [str(m) for m in ms] for n, ms in succ.items()}
-    comp_of, comps = _tarjan_scc([str(n) for n in nodes], str_succ)
+    comp_of, comps = _tarjan_scc(nodes, succ)
 
     n_comps = len(comps)
     comp_succ: List[Set[int]] = [set() for _ in range(n_comps)]
     comp_pred: List[Set[int]] = [set() for _ in range(n_comps)]
     for n, ms in succ.items():
-        cn = comp_of[str(n)]
+        cn = comp_of[n]
         for m in ms:
-            cm = comp_of[str(m)]
+            cm = comp_of[m]
             if cn != cm:
                 comp_succ[cn].add(cm)
                 comp_pred[cm].add(cn)
@@ -216,10 +222,105 @@ def connection_distances(
     cd: Dict[int, int] = {}
     group: Dict[int, int] = {}
     for n in nodes:
-        c = comp_of[str(n)]
+        c = comp_of[n]
         cd[n] = longest_in[c] + longest_out[c] + 1
         group[n] = find(n)
     return cd, group
+
+
+#: A PAG's mutation state.  The PAG is add-only, so every node or edge
+#: add moves it.
+Stamp = Tuple[int, int]
+
+
+def _stamp(pag: PAG) -> Stamp:
+    return (len(pag), pag.n_edges)
+
+
+class SchedulePlan:
+    """The query-independent half of scheduling: CD and the ``direct``
+    component of every variable, and the min-DD of every component.
+
+    A plan is bound to one ``(pag, types)`` pair and to the relation
+    knobs (``app_only``, ``include_globals``) of the config it was made
+    from; the grouping knobs stay per batch.  It starts empty and
+    :meth:`refresh` computes it whenever its stamp no longer matches
+    the PAG's ``(len(pag), pag.n_edges)`` — so a resident runner pays
+    the whole-program pass once, and again only after the PAG grew.
+    """
+
+    def __init__(
+        self,
+        pag: PAG,
+        types: Optional[TypeTable] = None,
+        config: Optional[ScheduleConfig] = None,
+    ) -> None:
+        cfg = config or ScheduleConfig()
+        self.pag = pag
+        self.types = types
+        self.app_only = cfg.app_only
+        self.include_globals = cfg.include_globals
+        #: PAG state the tables below were computed at (None: never).
+        self.stamp: Optional[Stamp] = None
+        self.cd: Dict[int, int] = {}
+        self.component_of: Dict[int, int] = {}
+        self.comp_dd: Dict[int, float] = {}
+
+    @property
+    def fresh(self) -> bool:
+        """Do the tables describe the PAG as it is now?"""
+        return self.stamp == _stamp(self.pag)
+
+    def covers(
+        self,
+        pag: PAG,
+        types: Optional[TypeTable],
+        config: Optional[ScheduleConfig],
+    ) -> bool:
+        """Was this plan made for ``pag``, ``types`` and the relation
+        knobs of ``config``?"""
+        cfg = config or ScheduleConfig()
+        return (
+            pag is self.pag
+            and types is self.types
+            and cfg.app_only == self.app_only
+            and cfg.include_globals == self.include_globals
+        )
+
+    def refresh(self, recorder=None) -> "SchedulePlan":
+        """(Re)compute the tables if the PAG moved since the last
+        build; counts ``sched.plan_builds`` on ``recorder`` when it
+        does."""
+        if self.fresh:
+            return self
+        pag, types = self.pag, self.types
+        stamp = _stamp(pag)
+        cd, component_of = connection_distances(
+            pag, app_only=self.app_only, include_globals=self.include_globals
+        )
+
+        def dd_of(var: int) -> float:
+            if types is None:
+                return 1.0
+            t = pag.type_name(var)
+            if t is None or t not in types:
+                return 1.0
+            level = types.level(t)
+            return 1.0 if level <= 0 else 1.0 / level
+
+        # Component -> DD over *all* its variables (the paper takes the
+        # min over the group, not just the queried members).
+        comp_dd: Dict[int, float] = {}
+        for var, comp in component_of.items():
+            d = dd_of(var)
+            if d < comp_dd.get(comp, float("inf")):
+                comp_dd[comp] = d
+
+        self.cd, self.component_of, self.comp_dd = cd, component_of, comp_dd
+        self.stamp = stamp
+        if recorder:
+            recorder.count("sched.plan_builds")
+        return self
 
 
 def schedule_queries(
@@ -228,14 +329,19 @@ def schedule_queries(
     types: Optional[TypeTable] = None,
     config: Optional[ScheduleConfig] = None,
     recorder=None,
+    plan: Optional[SchedulePlan] = None,
 ) -> List[QueryGroup]:
     """Group and order ``queries`` per Section III-C.
 
     ``types`` supplies the ``L(t)`` metric; without it every variable
     gets DD 1 (grouping and CD ordering still apply).  The returned
     groups are issued in order; each group's queries are CD-ascending.
+    ``plan`` is a :class:`SchedulePlan` for the same ``pag``, ``types``
+    and config, refreshed here if the PAG moved since it was built;
+    without one a throwaway plan is built.
     ``recorder`` (a :class:`repro.obs.Recorder`) gets the ``sched.*``
-    counters: queries/components seen, groups emitted, splits, merges.
+    counters: queries/components seen, groups emitted, splits, merges,
+    and plan builds.
     """
     cfg = config or ScheduleConfig()
     if not queries:
@@ -244,26 +350,15 @@ def schedule_queries(
         if not pag.is_variable(pag.rep(q.var)):
             raise SchedulingError(f"query target {q.var} is not a variable")
 
-    cd, component_of = connection_distances(
-        pag, app_only=cfg.app_only, include_globals=cfg.include_globals
-    )
-
-    def dd_of(var: int) -> float:
-        if types is None:
-            return 1.0
-        t = pag.type_name(var)
-        if t is None or t not in types:
-            return 1.0
-        level = types.level(t)
-        return 1.0 if level <= 0 else 1.0 / level
-
-    # Component -> DD over *all* its variables (the paper takes the min
-    # over the group, not just the queried members).
-    comp_dd: Dict[int, float] = {}
-    for var, comp in component_of.items():
-        d = dd_of(var)
-        if d < comp_dd.get(comp, float("inf")):
-            comp_dd[comp] = d
+    if plan is None:
+        plan = SchedulePlan(pag, types, cfg)
+    elif not plan.covers(pag, types, cfg):
+        raise SchedulingError(
+            "schedule plan was built for a different PAG, type table or "
+            "direct-relation config"
+        )
+    plan.refresh(recorder)
+    cd, component_of, comp_dd = plan.cd, plan.component_of, plan.comp_dd
 
     by_comp: Dict[int, List[Query]] = {}
     for q in queries:

@@ -14,7 +14,18 @@ Types matter to the analysis in three places:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from repro.errors import IRError, ValidationError
 
@@ -26,6 +37,8 @@ __all__ = [
     "ClassType",
     "TypeTable",
 ]
+
+_N = TypeVar("_N", bound=Hashable)
 
 #: Name of the collapsed array-element field ("Loads and stores to array
 #: elements are modeled by collapsing all elements into a special field,
@@ -308,25 +321,26 @@ class TypeTable:
 
 
 def _tarjan_scc(
-    nodes: Iterable[str], succ: Dict[str, List[str]]
-) -> tuple[Dict[str, int], List[List[str]]]:
-    """Iterative Tarjan SCC over string-keyed adjacency.
+    nodes: Iterable[_N], succ: Mapping[_N, Sequence[_N]]
+) -> tuple[Dict[_N, int], List[List[_N]]]:
+    """Iterative Tarjan SCC over an adjacency keyed by any hashable node
+    (type names, call-graph method names, PAG node ids).
 
     Returns (node → component id, component id → members).  Component
     ids are assigned in reverse topological order of the condensation.
     """
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    comp_of: Dict[str, int] = {}
-    comps: List[List[str]] = []
+    index: Dict[_N, int] = {}
+    low: Dict[_N, int] = {}
+    on_stack: Set[_N] = set()
+    stack: List[_N] = []
+    comp_of: Dict[_N, int] = {}
+    comps: List[List[_N]] = []
     counter = 0
 
     for root in nodes:
         if root in index:
             continue
-        work: List[tuple[str, int]] = [(root, 0)]
+        work: List[tuple[_N, int]] = [(root, 0)]
         while work:
             node, ei = work[-1]
             if ei == 0:
@@ -335,7 +349,7 @@ def _tarjan_scc(
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            children = succ.get(node, [])
+            children = succ.get(node, ())
             while ei < len(children):
                 child = children[ei]
                 ei += 1
@@ -350,7 +364,7 @@ def _tarjan_scc(
                 continue
             work.pop()
             if low[node] == index[node]:
-                members: List[str] = []
+                members: List[_N] = []
                 while True:
                     w = stack.pop()
                     on_stack.discard(w)

@@ -73,6 +73,7 @@ COUNTER_DOCS: Dict[str, str] = {
     "sched.groups": "work units emitted",
     "sched.splits": "oversized groups split",
     "sched.merges": "undersized groups merged into a neighbour",
+    "sched.plan_builds": "whole-program schedule plans built (CD, components, DD)",
     "mp.dispatches": "chunks dispatched to workers",
     "mp.epoch_ships": "non-empty commit-log suffixes shipped",
     "mp.delta_entries_shipped": "log entries shipped to workers",

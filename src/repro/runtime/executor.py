@@ -30,6 +30,11 @@ substrate :class:`repro.api.Session` and the ``repro serve`` daemon
 run on.  The default (``False``) constructs a fresh executor per run,
 the historic one-shot behaviour.
 
+Either way a runner keeps its
+:class:`~repro.core.scheduling.SchedulePlan` (CD, ``direct``
+components, per-component DD) across :meth:`run` calls, so a ``DQ``
+batch after the first pays only the per-batch grouping.
+
 Pass ``recorder=`` (:mod:`repro.obs`) to collect counters and spans;
 the batch's share lands in ``BatchResult.metrics``.
 """
@@ -42,7 +47,12 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.core.engine import EngineConfig
 from repro.core.jumpmap import DeltaEntry, JumpMapLifecycle
 from repro.core.query import Query
-from repro.core.scheduling import ScheduleConfig, prefer_bulk, schedule_queries
+from repro.core.scheduling import (
+    ScheduleConfig,
+    SchedulePlan,
+    prefer_bulk,
+    schedule_queries,
+)
 from repro.ir.types import TypeTable
 from repro.pag.build import BuildResult
 from repro.pag.graph import PAG
@@ -95,6 +105,10 @@ class ParallelCFL:
         #: committed jump map warms successive batches).
         self.persistent = persistent
         self._executors: Dict[str, object] = {}
+        #: The whole-program half of scheduling, made on the first
+        #: scheduled batch (never at construction) and kept for every
+        #: later one; it recomputes itself when the PAG grows.
+        self._plan: Optional[SchedulePlan] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -167,9 +181,13 @@ class ParallelCFL:
     def work_units(self, queries: Sequence[Query]) -> List[List[Query]]:
         """Materialise the shared work list for this mode."""
         if self.scheduling:
+            if self._plan is None:
+                self._plan = SchedulePlan(
+                    self.pag, self.types, self.schedule_config
+                )
             groups = schedule_queries(
                 self.pag, queries, self.types, self.schedule_config,
-                recorder=self.recorder,
+                recorder=self.recorder, plan=self._plan,
             )
             return [list(g.queries) for g in groups]
         # seq / naive / D: one query per fetch, in issue order.

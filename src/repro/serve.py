@@ -339,7 +339,8 @@ class AnalysisService:
         rec = self.recorder
         if rec is not None and hasattr(rec, "snapshot"):
             metrics = rec.snapshot()
-            for key in ("api.pag_builds", "serve.queries", "serve.batches",
+            for key in ("api.pag_builds", "sched.plan_builds",
+                        "serve.queries", "serve.batches",
                         "serve.multiplexed", "jumps.hits", "jumps.lookups"):
                 out[key] = metrics.get(key, 0)
         return out

@@ -22,7 +22,11 @@ from repro.api import (
     Query,
     RuntimeConfig,
     Session,
+    build_pag,
+    spec_of,
 )
+from repro.benchgen import synthesize_program
+from repro.ir.statements import Assign, Load, Store
 
 EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "box_clean.mj"
 
@@ -172,6 +176,104 @@ class TestBatchesAndResidency:
         box.close()
         assert box.stats()["n_runners"] == 0
         assert box.stats()["n_jump_entries"] == 0
+
+
+def _withheld(name, k):
+    """Suite ``name`` lowered with ``k`` of its reference-typed app
+    assign/load/store statements withheld (every ``len/k``-th in program
+    order); returns the build and the withheld statements as
+    ``(kind, method, dst, src, field)`` edits."""
+    program = synthesize_program(spec_of(name).params)
+    types = program.types
+
+    def ref(method, var):
+        local = method.locals.get(var)
+        return local is not None and types.resolve(local.type_name).is_reference
+
+    eligible = []
+    for m in program.methods():
+        if not m.is_app:
+            continue
+        for stmt in m.body:
+            kind = type(stmt)
+            if kind is Assign and ref(m, stmt.target) and ref(m, stmt.source):
+                edit = ("assign", stmt.target, stmt.source, "")
+            elif kind is Load and ref(m, stmt.target) and ref(m, stmt.base):
+                edit = ("load", stmt.target, stmt.base, stmt.field)
+            elif kind is Store and ref(m, stmt.base) and ref(m, stmt.source):
+                edit = ("store", stmt.base, stmt.source, stmt.field)
+            else:
+                continue
+            eligible.append((m, stmt, edit))
+    step = len(eligible) / k
+    chosen = [eligible[int(i * step)] for i in range(k)]
+    for m, stmt, _ in chosen:
+        m.body.remove(stmt)
+    edits = [(e[0], m.qualified_name) + e[1:] for m, _, e in chosen]
+    return build_pag(program), edits
+
+
+def _apply_edits(session, edits):
+    for kind, method, dst, src, field in edits:
+        d = session.resolve(f"{dst}@{method}")
+        s = session.resolve(f"{src}@{method}")
+        if kind == "assign":
+            session.seq.add_assign_edge(d, s)
+        elif kind == "load":
+            session.seq.add_load_edge(d, s, field)
+        else:
+            session.seq.add_store_edge(d, field, s)
+
+
+def _answers(batch):
+    return repr(sorted(
+        (key, sorted(r.points_to), r.exhausted)
+        for key, r in batch.results_by_query().items()
+    ))
+
+
+class TestEditsRetireRunners:
+    """An edit through ``session.seq`` must reach the batch runners: their
+    committed jump maps (and an mp runner's frozen PAG) predate it."""
+
+    @pytest.mark.parametrize("backend", ["sim", "threads", "mp"])
+    def test_batch_after_edits_matches_a_fresh_session(self, backend):
+        kw = dict(
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend=backend),
+            # Unlimited budget: there every backend is byte-identical.
+            engine=spec_of("_200_check").engine_config(budget=10**9),
+        )
+        build, edits = _withheld("_200_check", 30)
+        session = Session.from_build(build, **kw)
+        session.batch()
+        _apply_edits(session, edits)
+        after = session.batch()
+
+        fresh_build, _ = _withheld("_200_check", 30)
+        fresh = Session.from_build(fresh_build, **kw)
+        _apply_edits(fresh, edits)
+        assert _answers(after) == _answers(fresh.batch())
+
+    def test_edit_retires_runners_and_the_warm_log(self, tmp_path):
+        snap = tmp_path / "box.snap"
+        kw = dict(
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
+            engine=EngineConfig(tau_f=0, tau_u=0),
+        )
+        cold = Session.open(EXAMPLE, **kw)
+        cold.batch()
+        cold.snapshot(snap)
+
+        warm = Session.from_snapshot(snap, EXAMPLE, **kw)
+        runner = warm.runner()
+        assert runner.resident_jumps().n_finished_edges > 0  # warmed
+        warm.seq.add_local("fresh_local")
+        assert warm.resident_jumps() is None
+        retired = warm.runner()
+        assert retired is not runner
+        # The warm log describes the pre-edit program: nothing replayed.
+        assert retired.resident_jumps() is None
+        assert warm.runner() is retired  # resident until the next edit
 
 
 class TestCheckers:

@@ -3,11 +3,20 @@ Fig. 5 worked example's ordering."""
 
 import pytest
 
-from repro.core import Query, ScheduleConfig, connection_distances, schedule_queries
+from repro.api import load_benchmark, suite_names
+from repro.core import (
+    Query,
+    ScheduleConfig,
+    SchedulePlan,
+    connection_distances,
+    schedule_queries,
+)
 from repro.core.scheduling import MERGED_COMPONENT, QueryGroup
 from repro.errors import SchedulingError
 from repro.ir.types import TypeTable
+from repro.obs import MetricsRecorder
 from repro.pag import PAG
+from repro.runtime import ParallelCFL, RuntimeConfig
 
 
 def chain(pag, names):
@@ -224,3 +233,87 @@ class TestSplitMerge:
         groups = schedule_queries(pag, queries)
         seen = [(q.var, q.ctx) for g in groups for q in g.queries]
         assert sorted(seen) == [(v, ()), (v, (1,))]
+
+
+def _shape(groups):
+    return [(g.queries, g.dd, g.component) for g in groups]
+
+
+class TestSchedulePlan:
+    """The whole-program half of scheduling, built once and reused."""
+
+    @pytest.mark.parametrize("name", suite_names())
+    def test_cached_plan_matches_a_fresh_one(self, name):
+        build = load_benchmark(name)
+        pag, types = build.pag, build.program.types
+        plan = SchedulePlan(pag, types)
+        locals_ = pag.app_locals()
+        for n in (1, 17, len(locals_)):
+            queries = [Query(v) for v in locals_[:n]]
+            cached = schedule_queries(pag, queries, types, plan=plan)
+            fresh = schedule_queries(pag, queries, types)
+            assert _shape(cached) == _shape(fresh)
+
+    def test_stamp_goes_stale_when_components_join(self):
+        pag = PAG()
+        a, b = chain(pag, ["a", "b"])
+        c, d = chain(pag, ["c", "d"])
+        rec = MetricsRecorder()
+        plan = SchedulePlan(pag).refresh(rec)
+        assert plan.fresh
+        assert plan.component_of[a] != plan.component_of[c]
+        assert plan.cd[a] == plan.cd[d] == 2
+
+        pag.add_assign_edge(b, c)  # a <- b <- c <- d: one component
+        assert not plan.fresh
+        schedule_queries(pag, [Query(a)], plan=plan, recorder=rec)
+        assert plan.fresh
+        assert plan.component_of[a] == plan.component_of[d]
+        assert plan.cd[a] == plan.cd[d] == 4
+        assert plan.cd == connection_distances(pag, app_only=True,
+                                               include_globals=False)[0]
+        assert rec.snapshot()["sched.plan_builds"] == 2
+
+    def test_node_add_moves_the_stamp(self):
+        pag = PAG()
+        chain(pag, ["a", "b"])
+        plan = SchedulePlan(pag).refresh()
+        v = pag.add_local("v")
+        assert not plan.fresh
+        groups = schedule_queries(pag, [Query(v)], plan=plan)
+        assert [q.var for g in groups for q in g.queries] == [v]
+
+    def test_plan_for_another_pag_or_relation_is_rejected(self):
+        pag, other = PAG(), PAG()
+        v = pag.add_local("v")
+        other.add_local("v")
+        with pytest.raises(SchedulingError, match="different"):
+            schedule_queries(pag, [Query(v)], plan=SchedulePlan(other))
+        literal = ScheduleConfig(app_only=False, include_globals=True)
+        with pytest.raises(SchedulingError, match="different"):
+            schedule_queries(pag, [Query(v)], config=literal,
+                             plan=SchedulePlan(pag))
+
+    def test_one_build_per_persistent_runner(self):
+        build = load_benchmark("_200_check")
+        rec = MetricsRecorder()
+        runner = ParallelCFL.from_config(
+            build, runtime=RuntimeConfig(mode="DQ", backend="sim"),
+            recorder=rec, persistent=True,
+        )
+        assert "sched.plan_builds" not in rec.snapshot()  # lazy: no boot cost
+        locals_ = build.pag.app_locals()
+        for i in range(50):
+            batch = runner.run([Query(locals_[(7 * i) % len(locals_)])])
+            assert batch.metrics["sched.runs"] == 1
+        snap = rec.snapshot()
+        assert snap["sched.runs"] == 50
+        assert snap["sched.plan_builds"] == 1
+
+    def test_one_shot_schedule_builds_its_own_plan(self):
+        pag = PAG()
+        a, _ = chain(pag, ["a", "b"])
+        rec = MetricsRecorder()
+        schedule_queries(pag, [Query(a)], recorder=rec)
+        schedule_queries(pag, [Query(a)], recorder=rec)
+        assert rec.snapshot()["sched.plan_builds"] == 2

@@ -14,6 +14,7 @@ Two layers are exercised:
 """
 
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -167,8 +168,8 @@ class TestGracefulDrain:
 # ----------------------------------------------------------------------
 # the wire: a live in-process daemon on an ephemeral port
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def daemon():
+@contextmanager
+def live_daemon():
     rec = MetricsRecorder()
     session = Session.open(
         EXAMPLE,
@@ -189,6 +190,12 @@ def daemon():
     thread.join(10.0)
     server.server_close()
     assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def daemon():
+    with live_daemon() as live:
+        yield live
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +307,20 @@ class TestResidency:
         assert h2["jumps.lookups"] > h1["jumps.lookups"]
         assert h2["jumps.hits"] > h1["jumps.hits"]
         assert h2["n_runners"] == 1
+
+    def test_single_target_requests_build_one_schedule_plan(self):
+        # The scheduling plan (CD, components, DD) is whole-program and
+        # query-independent: the resident runner builds it on the first
+        # request and every later request pays only the grouping.
+        with live_daemon() as (client, session, _rec):
+            assert client.healthz()["sched.plan_builds"] == 0  # lazy
+            names = [session.name(v) for v in session.app_locals()]
+            for i in range(20):
+                client.points_to([names[i % len(names)]])
+            health = client.healthz()
+        assert health["sched.plan_builds"] == 1
+        assert health["api.pag_builds"] == 1
+        assert health["serve.batches"] >= 20
 
 
 class TestConcurrentClients:
