@@ -3,7 +3,7 @@
 
 For debugging clients (the paper's Section I motivation), an answer is
 only actionable with its provenance.  The :class:`TracingEngine`
-records how each points-to fact was derived and reconstructs the full
+keeps what each traversal visited and reconstructs from it the full
 ``flowsTo`` witness in the paper's grammar (2) — nested alias
 sub-derivations included — and certifies it against the executable
 grammar definitions (CYK) plus the realisability condition of

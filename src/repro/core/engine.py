@@ -39,15 +39,12 @@ from repro.core.context import Context, EMPTY_CTX
 from repro.core.grammar import DEFAULT_GRAMMAR, get_grammar
 from repro.core.jumpmap import JumpMapLifecycle
 from repro.core.query import Query, QueryResult, QueryState
+from repro.core.rules import FLOWS_TO, POINTS_TO
 from repro.errors import AnalysisError, BudgetExhausted
 from repro.pag.extended import FinishedJump
 from repro.pag.graph import PAG
 
 __all__ = ["EngineConfig", "CFLEngine", "FIELD_MODES", "POINTS_TO", "FLOWS_TO"]
-
-#: Direction tags (the ``direction`` component of jump-map keys).
-POINTS_TO = False
-FLOWS_TO = True
 
 # The alias rounds recurse POINTSTO -> REACHABLENODES -> POINTSTO; give
 # CPython room for realistically deep access-path chains.
@@ -167,8 +164,9 @@ class CFLEngine:
         #: skip provably fruitless store/load matches in alias rounds.
         self.prefilter = prefilter
         #: Optional witness recorder (see repro.core.tracing); set by
-        #: TracingEngine.  Adds provenance bookkeeping to every sweep.
-        self.tracer = None
+        #: TracingEngine.  Handed each sweep's visited set and each
+        #: alias round's products; the sweeps themselves are untouched.
+        self.tracer: Optional[Any] = None
         #: Optional footprint sink (see repro.core.incremental's
         #: FootprintCollector); set by IncrementalAnalysis.  Records,
         #: per query, the node/field/jump-entry surface the traversal
@@ -312,11 +310,9 @@ class CFLEngine:
         Hot path: pushes are inlined into the sweeps (a visited-set
         membership test and list append per edge, no per-push closure
         call) and call-string math goes through the interning caches.
-        The traced variant keeps the closure the provenance hooks need.
+        The sweeps hand-compile :mod:`repro.core.rules` (tested against it).
         """
         q.sweeps += 1
-        if self.tracer is not None:
-            return self._run_worklist_traced(direction, start, ctx0, q, result, key)
         if self.pag.is_global(start):
             ctx0 = EMPTY_CTX
         visited: Set[Tuple[int, Context]] = {(start, ctx0)}
@@ -335,6 +331,10 @@ class CFLEngine:
                 # entries published earlier in the query still need
                 # their touched surface attributed.
                 fp.add_nodes(visited)
+            tracer = self.tracer
+            if tracer is not None:
+                # Witnesses are rebuilt from this set after the query.
+                tracer.sweep(key, visited)
 
     def _ctx_push(self, c: Context, site: int) -> Context:
         """Interned ``ctx_push``: one tuple per distinct extension."""
@@ -351,52 +351,6 @@ class CFLEngine:
         if got is None:
             got = cache[c] = c[:-1]
         return got
-
-    def _run_worklist_traced(
-        self,
-        direction: bool,
-        start: int,
-        ctx0: Context,
-        q: QueryState,
-        result: Set[Tuple[int, Context]],
-        key: Tuple[bool, int, Context],
-    ) -> None:
-        """Sweep with provenance recording (TracingEngine path)."""
-        pag = self.pag
-        is_global = pag.is_global
-        tracer = self.tracer
-        tracer.begin_run(key)
-        visited: Set[Tuple[int, Context]] = set()
-        worklist: List[Tuple[int, Context]] = []
-
-        def push(n: int, c: Context, src=None, label=None, site=None) -> None:
-            if is_global(n):
-                c = EMPTY_CTX
-            item = (n, c)
-            if item not in visited:
-                visited.add(item)
-                q.note_live(1)
-                worklist.append(item)
-                tracer.parent(key, item, src, label, site)
-
-        push(start, ctx0)
-        try:
-            if direction == POINTS_TO:
-                self._sweep_backwards_traced(worklist, push, q, result, key)
-            else:
-                self._sweep_forwards_traced(worklist, push, q, result, key)
-        finally:
-            q.note_live(-len(visited))
-            fp = self.footprint
-            if fp is not None:
-                fp.add_nodes(visited)
-
-    def _step(self, q: QueryState) -> None:
-        """Algorithm 1 lines 5-6: count a node traversal, enforce budget."""
-        q.steps += 1
-        q.work += 1
-        if q.steps > q.budget:
-            self._out_of_budget(q, 0)
 
     def _sweep_backwards(
         self,
@@ -572,82 +526,6 @@ class CFLEngine:
                             visited_add(item)
                             note_live(1)
                             append(item)
-
-    def _sweep_backwards_traced(self, worklist, push, q: QueryState, result, key) -> None:
-        """Traced ``POINTSTO`` sweep (closure pushes feed the recorder)."""
-        pag = self.pag
-        cfg = self.cfg
-        cs = cfg.context_sensitive
-        tracer = self.tracer
-        while worklist:
-            q.frontier_sum += len(worklist)
-            x, c = worklist.pop()
-            cur = (x, c)
-            self._step(q)
-            for o in pag.new_in.get(x, ()):
-                if tracer is not None:
-                    tracer.obj_event(key, (o, c), cur)
-                result.add((o, c))
-            for y in pag.assign_in.get(x, ()):
-                push(y, c, cur, "assign")
-            for y in pag.gassign_in.get(x, ()):
-                push(y, EMPTY_CTX, cur, "gassign")
-            if self._field_mode != "none":
-                for y, cy in self._reachable_nodes(POINTS_TO, x, c, q):
-                    push(y, cy, cur, "heap")
-            if cs:
-                for y, i in pag.param_in.get(x, ()):
-                    # exit the callee back to call site i
-                    if not c:
-                        push(y, c, cur, "param", i)
-                    elif c[-1] == i:
-                        push(y, self._ctx_pop(c), cur, "param", i)
-                for y, i in pag.ret_in.get(x, ()):
-                    # enter the callee through its return
-                    push(y, self._ctx_push(c, i), cur, "ret", i)
-            else:
-                for y, i in pag.param_in.get(x, ()):
-                    push(y, c, cur, "param", i)
-                for y, i in pag.ret_in.get(x, ()):
-                    push(y, c, cur, "ret", i)
-
-    def _sweep_forwards_traced(self, worklist, push, q: QueryState, result, key) -> None:
-        """Traced ``FLOWSTO`` sweep (mirror of the above)."""
-        pag = self.pag
-        cfg = self.cfg
-        cs = cfg.context_sensitive
-        while worklist:
-            q.frontier_sum += len(worklist)
-            x, c = worklist.pop()
-            cur = (x, c)
-            self._step(q)
-            if pag.is_object(x):
-                for v in pag.new_out.get(x, ()):
-                    push(v, c, cur, "new")
-                continue
-            result.add((x, c))
-            for y in pag.assign_out.get(x, ()):
-                push(y, c, cur, "assign")
-            for y in pag.gassign_out.get(x, ()):
-                push(y, EMPTY_CTX, cur, "gassign")
-            if self._field_mode != "none":
-                for y, cy in self._reachable_nodes(FLOWS_TO, x, c, q):
-                    push(y, cy, cur, "heap")
-            if cs:
-                for y, i in pag.param_out.get(x, ()):
-                    # enter the callee through its formal
-                    push(y, self._ctx_push(c, i), cur, "param", i)
-                for y, i in pag.ret_out.get(x, ()):
-                    # exit to call site i through the return value
-                    if not c:
-                        push(y, c, cur, "ret", i)
-                    elif c[-1] == i:
-                        push(y, self._ctx_pop(c), cur, "ret", i)
-            else:
-                for y, i in pag.param_out.get(x, ()):
-                    push(y, c, cur, "param", i)
-                for y, i in pag.ret_out.get(x, ()):
-                    push(y, c, cur, "ret", i)
 
     # ------------------------------------------------------------------
     # REACHABLENODES — Algorithm 2 (Algorithm 1's version is the

@@ -18,15 +18,15 @@ declarative value:
   certification: CYK membership against the declarative productions
   plus (optionally) the R_CS realisability side condition.
 
-The hot-path contract, documented in DESIGN.md §4.14: the engine's
-sweeps remain *hand-compiled* for the ``flowsto`` traversal core, and
-every built-in grammar declares ``traversal="flowsto"`` — taint and
-escape are compositions over the same core (their extra productions
+How the PAG is traversed is stated once, in the rule table
+:mod:`repro.core.rules` builds from a grammar's edge-kind terminals
+(DESIGN.md §4.14); matrix state discovery and witness reconstruction
+read it, and the engine's hand-inlined sweeps are tested against it.
+Every built-in grammar declares ``traversal="flowsto"`` — taint and
+escape compose over the same traversal (their extra productions
 describe how *client* checkers stitch flowsTo witnesses together, not
 new traversal rules).  The declarative object is authoritative for
-certification; the conformance harness
-(:mod:`repro.core.conformance`) cross-checks the compiled sweeps
-against it on every suite.
+certification, which :mod:`repro.core.conformance` runs on every suite.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "get_grammar",
     "grammar_ids",
     "DEFAULT_GRAMMAR",
+    "project_terminal",
     "flowsto_productions",
     "taint_productions",
     "escape_productions",
@@ -160,18 +161,8 @@ class CFLGrammar:
         side condition handles the call-string structure, exactly as
         the paper splits grammar (2) from grammar (3).
         """
-        projected: List[str] = []
-        crosses_global = False
-        for t in terminals:
-            barred = t.startswith("~")
-            body = t[1:] if barred else t
-            head = body.partition(":")[0]
-            if head in ("param", "ret") or body == "reset":
-                if body == "reset":
-                    crosses_global = True
-                projected.append(bar("assign") if barred else "assign")
-            else:
-                projected.append(t)
+        projected = [project_terminal(t) for t in terminals]
+        crosses_global = any(t.lstrip("~") == "reset" for t in terminals)
         if not self.recognizes(projected, fields):
             return False
         if not self.context_condition or skip_context_condition or crosses_global:
@@ -179,6 +170,17 @@ class CFLGrammar:
             # single-stack R_CS does not apply across a reset.
             return True
         return is_realizable([bar(t) for t in terminals])
+
+
+def project_terminal(term: str) -> str:
+    """Grammar (2)'s view of a terminal: call-site terminals
+    (``param:i``/``ret:i``) and ``reset`` become (possibly barred)
+    ``assign``; the call-string structure is grammar (3)'s concern."""
+    barred = term.startswith("~")
+    body = term[1:] if barred else term
+    if body.partition(":")[0] in ("param", "ret") or body == "reset":
+        return bar("assign") if barred else "assign"
+    return term
 
 
 #: Per-grammar CFG cache (keyed by field alphabet).

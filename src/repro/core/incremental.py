@@ -290,7 +290,7 @@ class IncrementalAnalysis:
                     "grammars is unsound"
                 )
         self.jumps: JumpMapLifecycle = jumps
-        self._engine = CFLEngine(pag, self.cfg, jumps=jumps)
+        self._engine = CFLEngine(pag, self.cfg, jumps=jumps, recorder=recorder)
         self._collector = FootprintCollector()
         self._engine.footprint = self._collector
         self._index = _ReverseIndex()

@@ -12,8 +12,9 @@ query batch by reading rows of the closed answer matrix.
 Three design points make the answers byte-identical to ``SeqCFL``:
 
 * **States are ``(node, ctx)`` pairs**, discovered by closure from the
-  normalised query nodes under the same edge rules the engine's sweeps
-  implement (global variables pinned to the empty context, call-string
+  normalised query nodes under the rule table of
+  :mod:`repro.core.rules` — the one the engine's sweeps are checked
+  against (global variables pinned to the empty context, call-string
   push/pop at ``param``/``ret`` edges, ``reset`` clearing the context).
   Context-sensitivity is thereby compiled into the *graph*, so the
   grammar fixpoint itself needs no side condition.
@@ -21,8 +22,8 @@ Three design points make the answers byte-identical to ``SeqCFL``:
   is *not* the transpose of the forward family: exiting a callee
   backwards at an empty call string is allowed through any site
   (partially balanced parentheses), and the symmetric rule holds
-  forwards at ``ret`` edges.  Each family is built directly from the
-  corresponding engine sweep's rules.
+  forwards at ``ret`` edges.  Each family reads the table in its own
+  direction.
 * **The fixpoint is driven by the registered grammar's productions**
   (via :meth:`repro.core.cfl.CFG.cnf`), so flowsto, taint and escape
   run unchanged — their extra productions sit above ``flowsToBar``,
@@ -36,12 +37,15 @@ at an exhaustive budget (see DESIGN.md §4.15).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.cfl import CFG
 from repro.core.context import EMPTY_CTX, Context
 from repro.core.grammar import get_grammar
 from repro.core.query import Query, QueryCosts, QueryResult
+from repro.core.rules import FLOWS_TO, POINTS_TO, Rule, rules
 from repro.errors import AnalysisError, InputError
 from repro.pag.graph import PAG, FrozenPAG
 
@@ -283,6 +287,15 @@ class MatrixKernel:
                 f"{self.grammar.traversal!r}; the matrix kernel only "
                 "compiles the 'flowsto' core"
             )
+        #: (direction, rule, adjacency) for every table row the state
+        #: closure follows: heap rows are single steps only when
+        #: field-sensitive.
+        self._legs: List[Tuple[bool, Rule, Mapping[int, Sequence[object]]]] = [
+            (direction, rule, getattr(pag, rule.adjacency[direction]))
+            for direction in (POINTS_TO, FLOWS_TO)
+            for rule in rules(self.grammar)
+            if not rule.heap or config.field_mode == "sensitive"
+        ]
         self._fields = self.grammar.fields_of(pag)
         cfg_obj: CFG = self.grammar.cfg(self._fields)
         if self.ANSWER_SYMBOL not in cfg_obj.productions:
@@ -365,97 +378,26 @@ class MatrixKernel:
     def _edges_from(self, x: int, c: Context) -> List[Tuple[str, int, Context]]:
         """Out-edges of state ``(x, c)`` in both terminal families.
 
-        Mirrors ``_sweep_backwards`` / ``_sweep_forwards`` exactly:
-        ``param``/``ret``/``reset`` edges project onto the ``assign``
-        terminal (as :meth:`CFLGrammar.certify` does) with the
-        call-string transfer baked into the target state.
+        Every row of the rule table (:mod:`repro.core.rules`), read
+        backwards for the barred family and forwards for the plain one,
+        with the call-string transfer baked into the target state.  The
+        heap legs are the kernel's own choice: single ``ld``/``st``
+        steps when field-sensitive, the ``match`` fold below, or nothing
+        when field-insensitive.
         """
         pag = self.pag
         cs = self.cfg.context_sensitive
-        fmode = self.cfg.field_mode
-        is_global = pag.is_global
         out: List[Tuple[str, int, Context]] = []
-
-        def norm(y: int, cy: Context) -> Tuple[int, Context]:
-            return (y, EMPTY_CTX) if is_global(y) else (y, cy)
-
-        # ---- backward (barred) family: the POINTSTO sweep's rules ----
-        for o in pag.new_in.get(x, ()):
-            out.append(("~new", o, c))
-        for y in pag.assign_in.get(x, ()):
-            out.append(("~assign", *norm(y, c)))
-        for y in pag.gassign_in.get(x, ()):
-            out.append(("~assign", y, EMPTY_CTX))
-        if cs:
-            for y, i in pag.param_in.get(x, ()):
-                # exit the callee back to call site i (pop; empty stack
-                # is partially balanced and passes through any site)
-                if not c:
-                    cy = c
-                elif c[-1] == i:
-                    cy = c[:-1]
-                else:
-                    continue
-                out.append(("~assign", *norm(y, cy)))
-            for y, i in pag.ret_in.get(x, ()):
-                # enter the callee through its return (push)
-                if is_global(y):
-                    out.append(("~assign", y, EMPTY_CTX))
-                else:
-                    out.append(("~assign", y, c + (i,)))
-        else:
-            for y, _i in pag.param_in.get(x, ()):
-                out.append(("~assign", *norm(y, c)))
-            for y, _i in pag.ret_in.get(x, ()):
-                out.append(("~assign", *norm(y, c)))
-        if fmode == "sensitive":
-            for p, f in pag.load_in.get(x, ()):
-                out.append((f"~ld:{f}", *norm(p, c)))
-            for y, f in pag.store_in.get(x, ()):
-                # x is a store base: the barred heap step exits to the
-                # stored value (the ~st:f leg of stepBar)
-                out.append((f"~st:{f}", *norm(y, c)))
-        elif fmode == "match":
+        for direction, rule, adjacency in self._legs:
+            if adjacency.get(x):
+                for y, cy, label in rule.successors(pag, direction, x, c, cs):
+                    out.append((rule.symbol(direction, label), y, cy))
+        if self.cfg.field_mode == "match":
             # field-based matching folds st(f) alias ld(f) into one
             # context-free step, emitted on the assign terminal
             for _p, f in pag.load_in.get(x, ()):
                 for _qb, y in pag.stores_by_field.get(f, ()):
                     out.append(("~assign", y, EMPTY_CTX))
-
-        # ---- forward family: the FLOWSTO sweep's rules ----
-        for v in pag.new_out.get(x, ()):
-            out.append(("new", *norm(v, c)))
-        for y in pag.assign_out.get(x, ()):
-            out.append(("assign", *norm(y, c)))
-        for y in pag.gassign_out.get(x, ()):
-            out.append(("assign", y, EMPTY_CTX))
-        if cs:
-            for y, i in pag.param_out.get(x, ()):
-                # enter the callee through its formal (push)
-                if is_global(y):
-                    out.append(("assign", y, EMPTY_CTX))
-                else:
-                    out.append(("assign", y, c + (i,)))
-            for y, i in pag.ret_out.get(x, ()):
-                # exit to call site i through the return value (pop)
-                if not c:
-                    cy = c
-                elif c[-1] == i:
-                    cy = c[:-1]
-                else:
-                    continue
-                out.append(("assign", *norm(y, cy)))
-        else:
-            for y, _i in pag.param_out.get(x, ()):
-                out.append(("assign", *norm(y, c)))
-            for y, _i in pag.ret_out.get(x, ()):
-                out.append(("assign", *norm(y, c)))
-        if fmode == "sensitive":
-            for qb, f in pag.store_out.get(x, ()):
-                out.append((f"st:{f}", *norm(qb, c)))
-            for t, f in pag.load_out.get(x, ()):
-                out.append((f"ld:{f}", *norm(t, c)))
-        elif fmode == "match":
             for _qb, f in pag.store_out.get(x, ()):
                 for _p, t in pag.loads_by_field.get(f, ()):
                     out.append(("assign", t, EMPTY_CTX))

@@ -2,12 +2,14 @@
 
 The demand-driven analysis's client-facing virtue (debugging,
 Section I) is that every answer corresponds to a concrete
-``flowsTo``-path.  :class:`TracingEngine` records provenance during the
-traversal and reconstructs, for any ``(variable, object)`` answer, the
-full witness string in the paper's grammar (2) — alias sub-derivations
-recursively expanded — which the test suite then *certifies* with the
-CYK recogniser of :mod:`repro.core.cfl` and the realisability check of
-grammar (3).
+``flowsTo``-path.  :class:`TracingEngine` runs the engine's ordinary
+sweeps, keeping only each traversal's visited set and the alias
+rounds' products.  For any ``(variable, object)`` answer it then
+searches those sets under the rule table of :mod:`repro.core.rules`
+and rebuilds the full witness string in the paper's grammar (2) —
+alias sub-derivations recursively expanded — which the test suite
+*certifies* with the CYK recogniser of :mod:`repro.core.cfl` and the
+realisability check of grammar (3).
 
 Data sharing is disabled while tracing (``jmp`` shortcuts erase the
 paths they skip); budgets apply as usual.
@@ -25,54 +27,52 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar, Union,
+)
 
 from repro.core.cfl import bar
-from repro.core.context import Context
-from repro.core.engine import CFLEngine, EngineConfig, FLOWS_TO, POINTS_TO
+from repro.core.context import EMPTY_CTX, Context
+from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.grammar import CFLGrammar, DEFAULT_GRAMMAR, get_grammar
+from repro.core.query import QueryResult
+from repro.core.rules import FLOWS_TO, POINTS_TO, ROUND_KIND, Label, Rule, rules
 from repro.errors import AnalysisError
+from repro.pag.edges import EdgeKind
 from repro.pag.graph import PAG
 
 __all__ = ["TracingEngine", "Witness", "TraceRecorder"]
 
 Item = Tuple[int, Context]
 Key = Tuple[bool, int, Context]
+#: An alias round's record of one product: (field, pt_base, ft_target,
+#: witness object item).
+HeapAux = Tuple[str, int, int, Item]
+#: How the search reached an item: (source item, rule row, edge label);
+#: None for the traversal start.
+Hop = Optional[Tuple[Item, Rule, Optional[Label]]]
+_V = TypeVar("_V")
 
 #: A witness tree: terminals and nested sub-trees (alias derivations).
 Tree = List[Union[str, "Tree"]]
 
 
 class TraceRecorder:
-    """Provenance store filled by the engine's tracing hooks."""
+    """What the engine's tracing hooks record: each traversal key's
+    last visited set and every alias round's products.  Parent chains
+    are not recorded; :class:`TracingEngine` rebuilds them on demand."""
 
     def __init__(self) -> None:
-        #: per traversal key: item -> (source item | None, label, site)
-        self.parents: Dict[Key, Dict[Item, Tuple[Optional[Item], Optional[str], Optional[int]]]] = {}
-        #: per traversal key: (obj, ctx) -> the variable item whose
-        #: ``new`` edge discovered it
-        self.objs: Dict[Key, Dict[Item, Item]] = {}
-        #: (direction, round node, round ctx, produced item) ->
-        #: (field, pt_base, ft_target, witness object item)
-        self.heap_aux: Dict[Tuple[bool, int, Context, Item], Tuple[str, int, int, Item]] = {}
+        #: per traversal key: the items its last sweep visited
+        self.visited: Dict[Key, Set[Item]] = {}
+        #: (direction, round node, round ctx) -> {produced item:
+        #: (field, pt_base, ft_target, witness object item)}, latest
+        #: production last
+        self.heap_aux: Dict[Tuple[bool, int, Context], Dict[Item, HeapAux]] = {}
 
     # -- engine hooks ----------------------------------------------------
-    def begin_run(self, key: Key) -> None:
-        self.parents[key] = {}
-        self.objs[key] = {}
-
-    def parent(
-        self,
-        key: Key,
-        item: Item,
-        src: Optional[Item],
-        label: Optional[str],
-        site: Optional[int],
-    ) -> None:
-        self.parents[key][item] = (src, label, site)
-
-    def obj_event(self, key: Key, obj_item: Item, at: Item) -> None:
-        self.objs[key].setdefault(obj_item, at)
+    def sweep(self, key: Key, visited: Set[Item]) -> None:
+        self.visited[key] = visited
 
     def heap(
         self,
@@ -85,7 +85,11 @@ class TraceRecorder:
         ft_target: int,
         witness_obj: Item,
     ) -> None:
-        self.heap_aux[(direction, x, c, item)] = (f, pt_base, ft_target, witness_obj)
+        products = self.heap_aux.setdefault((direction, x, c), {})
+        # Re-inserting moves the item last: the order of the latest
+        # round is the order its sweep pushed the items in.
+        products.pop(item, None)
+        products[item] = (f, pt_base, ft_target, witness_obj)
 
 
 @dataclass
@@ -117,19 +121,6 @@ class Witness:
                     out.append(t)
 
         walk(self.tree)
-        return out
-
-    def grammar_terminals(self) -> List[str]:
-        """The string projected onto grammar (2)'s alphabet: call-site
-        and reset terminals become (possibly barred) ``assign``."""
-        out = []
-        for t in self.terminals():
-            barred = t.startswith("~")
-            body = t[1:] if barred else t
-            if body.partition(":")[0] in ("param", "ret") or body == "reset":
-                out.append(bar("assign") if barred else "assign")
-            else:
-                out.append(t)
         return out
 
     def has_global_crossing(self) -> bool:
@@ -172,14 +163,26 @@ class Witness:
 
 
 class TracingEngine(CFLEngine):
-    """A :class:`CFLEngine` that records witness provenance.
+    """A :class:`CFLEngine` that can explain its answers.
 
-    Sharing is rejected (shortcuts skip the paths being explained).
+    It runs the ordinary sweeps; its recorder keeps each traversal's
+    visited set and the alias rounds' products, and :meth:`explain`
+    rebuilds parent chains from them under the rule table of
+    :mod:`repro.core.rules`.  Sharing is rejected (shortcuts skip the
+    paths being explained).
     """
 
     def __init__(self, pag: PAG, config: Optional[EngineConfig] = None) -> None:
         super().__init__(pag, config, jumps=None)
-        self.tracer = TraceRecorder()
+        self.tracer: TraceRecorder = TraceRecorder()
+        self._rules = rules(self.grammar)
+        #: traversal key -> its replayed discovery order, built on
+        #: first use and dropped whenever a new query sweeps again
+        self._searched: Dict[Key, _Replay] = {}
+
+    def _query(self, direction: bool, node: int, ctx: Context) -> QueryResult:
+        self._searched.clear()
+        return super()._query(direction, node, ctx)
 
     # ------------------------------------------------------------------
     def explain(
@@ -194,82 +197,59 @@ class TracingEngine(CFLEngine):
         this engine already (``points_to`` fills the recorder)."""
         var = self.pag.rep(var)
         key: Key = (POINTS_TO, var, var_ctx)
-        if key not in self.tracer.parents:
+        if key not in self.tracer.visited:
             raise AnalysisError(
                 f"no trace for query ({self.pag.name(var)}, {var_ctx}); "
                 "run points_to() on this engine first"
             )
-        onstack: Set[Key] = set()
-        bar_tree = self._pt_tree(key, (obj, obj_ctx), onstack)
+        bar_tree = self._pt_tree(key, (obj, obj_ctx), set())
         tree = _reverse_bar(bar_tree)
         return Witness(
             self.pag, var, var_ctx, obj, obj_ctx, tree, self.cfg.grammar
         )
 
+    def _replay(self, key: Key) -> _Replay:
+        replay = self._searched.get(key)
+        if replay is None:
+            replay = self._searched[key] = _Replay(self, key)
+        return replay
+
     # ------------------------------------------------------------------
     # tree construction
     # ------------------------------------------------------------------
-    def _chain(self, key: Key, target: Item) -> List[Tuple[Item, Optional[str], Optional[int]]]:
-        """Hops from the traversal start to ``target``: a list of
-        (item, label-from-previous, site)."""
-        parents = self.tracer.parents.get(key)
-        if parents is None or target not in parents and target != (key[1], key[2]):
-            raise AnalysisError(
-                f"item {target} not reached in traversal {key}"
-            )
-        chain: List[Tuple[Item, Optional[str], Optional[int]]] = []
-        cur: Optional[Item] = target
-        guard = 0
-        while cur is not None:
-            src, label, site = parents.get(cur, (None, None, None))
-            chain.append((cur, label, site))
-            cur = src
-            guard += 1
-            if guard > len(parents) + 2:
-                raise AnalysisError("cyclic parent chain in trace")
-        chain.reverse()  # start ... target
-        return chain
-
     def _pt_tree(self, key: Key, obj_item: Item, onstack: Set[Key]) -> Tree:
         """``flowsToBar`` tree for the PT traversal ``key`` reaching the
         object ``obj_item`` — barred terminals in hop order, ending with
         ``~new``."""
-        if key in onstack:
-            raise AnalysisError("cyclic witness reconstruction (PT)")
-        onstack.add(key)
-        try:
-            at = self.tracer.objs.get(key, {}).get(obj_item)
-            if at is None:
-                raise AnalysisError(
-                    f"object {obj_item} not discovered by traversal {key}"
-                )
-            chain = self._chain(key, at)
-            tree: Tree = []
-            prev: Optional[Item] = None
-            for item, label, site in chain:
-                if label is not None:
-                    tree.extend(self._hop_terms(POINTS_TO, key, prev, item, label, site, onstack))
-                prev = item
-            tree.append(bar("new"))
-            return tree
-        finally:
-            onstack.discard(key)
+        replay = self._replay(key)
+        at = replay.advance(replay.objs, obj_item)
+        if at is None:
+            raise AnalysisError(
+                f"object {obj_item} not discovered by traversal {key}"
+            )
+        tree = self._tree(key, at, onstack)
+        tree.append(self.grammar.terminal(EdgeKind.NEW, barred=True))
+        return tree
 
-    def _ft_tree(self, key: Key, target: Item, onstack: Set[Key]) -> Tree:
-        """``flowsTo`` tree for the FT traversal ``key`` reaching the
-        variable ``target`` — plain terminals in hop order, starting
-        with ``new``."""
+    def _tree(self, key: Key, target: Item, onstack: Set[Key]) -> Tree:
+        """Terminals of the rebuilt chain from ``key``'s start to
+        ``target``, in the traversal's own reading direction (barred
+        for PT, plain for FT)."""
         if key in onstack:
-            raise AnalysisError("cyclic witness reconstruction (FT)")
+            raise AnalysisError(f"cyclic witness reconstruction at {key}")
+        replay = self._replay(key)
+        parents = replay.parents
+        replay.advance(parents, target)
+        if target not in parents:
+            raise AnalysisError(f"item {target} not reached in traversal {key}")
         onstack.add(key)
         try:
-            chain = self._chain(key, target)
             tree: Tree = []
-            prev: Optional[Item] = None
-            for item, label, site in chain:
-                if label is not None:
-                    tree.extend(self._hop_terms(FLOWS_TO, key, prev, item, label, site, onstack))
-                prev = item
+            item, hop = target, parents[target]
+            while hop is not None:
+                src, rule, label = hop
+                tree[:0] = self._hop_terms(key[0], src, item, rule, label, onstack)
+                item, hop = src, parents[src]
             return tree
         finally:
             onstack.discard(key)
@@ -277,52 +257,104 @@ class TracingEngine(CFLEngine):
     def _hop_terms(
         self,
         direction: bool,
-        key: Key,
-        src: Optional[Item],
+        src: Item,
         dst: Item,
-        label: str,
-        site: Optional[int],
+        rule: Rule,
+        label: Optional[Label],
         onstack: Set[Key],
     ) -> Tree:
         """Terminals for one traversal hop, in the traversal's own
         reading direction (barred for PT, plain for FT)."""
         barred = direction == POINTS_TO
+        terminal = self.grammar.terminal
+        if not rule.heap:
+            return [terminal(rule.kind, label, barred)]
+        x, c = src
+        aux = self.tracer.heap_aux.get((direction, x, c), {}).get(dst)
+        if aux is None:
+            raise AnalysisError(f"missing heap provenance at {src}->{dst}")
+        f, pt_base, ft_target, witness_obj = aux
+        # The alias sub-derivation: flowsToBar(pt_base ~> obj) then
+        # flowsTo(obj ~> ft_target).  PT bases are queried under the
+        # round's context c; the FT half under the object's context.
+        pt_base = self.pag.rep(pt_base)
+        pt_ctx = EMPTY_CTX if self.pag.is_global(pt_base) else c
+        pt_key: Key = (POINTS_TO, pt_base, pt_ctx)
+        ft_key: Key = (FLOWS_TO, witness_obj[0], witness_obj[1])
+        alias_tree: Tree = [
+            self._pt_tree(pt_key, witness_obj, onstack),
+            self._tree(ft_key, (self.pag.rep(ft_target), dst[1]), onstack),
+        ]
+        ld = terminal(EdgeKind.LOAD, f, barred)
+        st = terminal(EdgeKind.STORE, f, barred)
+        if barred:  # stepBar -> ~ld(f) alias ~st(f)
+            return [ld, alias_tree, st]
+        return [st, alias_tree, ld]  # step -> st(f) alias ld(f)
 
-        def t(name: str) -> str:
-            return bar(name) if barred else name
 
-        if label == "assign":
-            return [t("assign")]
-        if label == "gassign":
-            return [t("reset")]
-        if label == "new":
-            return [t("new")]
-        if label == "param":
-            return [t(f"param:{site}")]
-        if label == "ret":
-            return [t(f"ret:{site}")]
-        if label == "heap":
-            assert src is not None
-            x, c = src
-            aux = self.tracer.heap_aux.get((direction, x, c, dst))
-            if aux is None:
-                raise AnalysisError(f"missing heap provenance at {src}->{dst}")
-            f, pt_base, ft_target, witness_obj = aux
-            # The alias sub-derivation: flowsToBar(pt_base ~> obj) then
-            # flowsTo(obj ~> ft_target).  PT bases are queried under the
-            # round's context c; the FT half under the object's context.
-            pt_key: Key = (POINTS_TO, self.pag.rep(pt_base), c)
-            ft_key: Key = (FLOWS_TO, witness_obj[0], witness_obj[1])
-            alias_tree: Tree = [
-                self._pt_tree(pt_key, witness_obj, onstack),
-                self._ft_tree(ft_key, (self.pag.rep(ft_target), dst[1]), onstack),
-            ]
-            if direction == POINTS_TO:
-                # stepBar -> ~ld(f) alias ~st(f)
-                return [bar(f"ld:{f}"), alias_tree, bar(f"st:{f}")]
-            # step -> st(f) alias ld(f)
-            return [f"st:{f}", alias_tree, f"ld:{f}"]
-        raise AnalysisError(f"unknown hop label {label!r}")
+class _Replay:
+    """One traversal's discovery order, re-run over its visited set.
+
+    LIFO from the start, successors in table order (the round row
+    yields the recorded round products), kept inside the visited set —
+    so every item gets the parent its sweep discovered it from, and
+    each ``new`` answer of a ``POINTSTO`` traversal the first variable
+    item whose edge produced it.  Items are popped only as far as a
+    caller needs.
+    """
+
+    def __init__(self, engine: TracingEngine, key: Key) -> None:
+        visited = engine.tracer.visited.get(key)
+        if visited is None:
+            raise AnalysisError(f"traversal {key} was never swept")
+        root = (key[1], key[2])
+        #: item -> how the sweep reached it (None for the start)
+        self.parents: Dict[Item, Hop] = {root: None}
+        #: object answer -> the variable item whose ``new`` edge found it
+        self.objs: Dict[Item, Item] = {}
+        self._steps = self._run(engine, key[0], root, visited)
+
+    def advance(self, table: Mapping[Item, _V], item: Item) -> Optional[_V]:
+        """``table[item]`` (``table`` is :attr:`parents` or
+        :attr:`objs`), popping items until it appears; None when the
+        whole replay never reaches it."""
+        if item not in table:
+            for _ in self._steps:
+                if item in table:
+                    break
+        return table.get(item)
+
+    def _run(
+        self, engine: TracingEngine, direction: bool, root: Item, visited: Set[Item]
+    ) -> Iterator[None]:
+        pag = engine.pag
+        cs = engine.cfg.context_sensitive
+        round_kind = ROUND_KIND[direction] if engine.cfg.field_mode != "none" else None
+        answers = EdgeKind.NEW if direction == POINTS_TO else None
+        heap_aux = engine.tracer.heap_aux
+        parents = self.parents
+        objs = self.objs
+        worklist = [root]
+        while worklist:
+            cur = worklist.pop()
+            x, c = cur
+            for rule in engine._rules:
+                if not rule.heap:
+                    succ = rule.successors(pag, direction, x, c, cs)
+                elif rule.kind is round_kind:
+                    products = heap_aux.get((direction, x, c), ())
+                    succ = [(y, EMPTY_CTX if pag.is_global(y) else cy, None)
+                            for y, cy in products]
+                else:
+                    continue
+                for y, cy, label in succ:
+                    item = (y, cy)
+                    if rule.kind is answers:
+                        objs.setdefault(item, cur)
+                    elif item in visited and item not in parents:
+                        parents[item] = (cur, rule, label)
+                        worklist.append(item)
+            yield None
 
 
 def _reverse_bar(tree: Tree) -> Tree:

@@ -6,9 +6,11 @@ lives here: the paper-mode, the backend, the worker count, and the
 backend tuning/fault knobs that used to sprawl across
 :class:`~repro.runtime.executor.ParallelCFL`'s keyword surface.
 
-The facade accepts the old keywords through a deprecation shim; new
-code passes ``ParallelCFL.from_config(build, runtime=RuntimeConfig(...))``
-or ``ParallelCFL(build, runtime=...)``.
+Callers pass it whole: ``Session.open(path, runtime=RuntimeConfig(...))``
+through :mod:`repro.api`, or
+``ParallelCFL.from_config(build, runtime=...)`` inside the runtime
+layer.  There is no keyword shim: the pre-consolidation keywords raise
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class RuntimeConfig:
     mode: str = "DQ"
     #: Worker count (forced to 1 by ``mode="seq"`` at the facade).
     n_threads: int = 16
-    #: sim / threads / mp.
+    #: sim / threads / mp / matrix / hybrid (see :data:`BACKENDS`).
     backend: str = "sim"
     #: mp dispatch granularity: units per message (None: auto).
     chunk_size: Optional[int] = None

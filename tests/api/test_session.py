@@ -276,6 +276,23 @@ class TestEditsRetireRunners:
         assert warm.runner() is retired  # resident until the next edit
 
 
+class TestEditPathCounters:
+    def test_engine_counters_survive_edits(self):
+        # The resident sequential session's engine reports to the
+        # session's recorder, so edit workloads see engine.* counters.
+        rec = MetricsRecorder()
+        session = Session.open(EXAMPLE, recorder=rec)
+        a, b = session.app_locals()[:2]
+        session.points_to(a)
+        before = rec.snapshot()["engine.steps"]
+        assert before > 0
+        session.seq.add_assign_edge(a, b)
+        session.points_to(a)
+        snap = rec.snapshot()
+        assert snap["inc.edits"] == 1
+        assert snap["engine.steps"] > before
+
+
 class TestCheckers:
     def test_clean_fixture_has_no_findings(self, box):
         report = box.check(["null-deref", "downcast"])

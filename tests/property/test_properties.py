@@ -16,7 +16,9 @@ Core invariants:
 * **budget monotonicity** — a completed budgeted query equals the
   unlimited answer; partial results are subsets;
 * **scheduling partitions** — groups are an exact partition of the
-  query batch.
+  query batch;
+* **one rule table** — the engine's sweeps visit exactly the closure
+  of :mod:`repro.core.rules` from each traversal's start.
 """
 
 import pytest
@@ -208,3 +210,16 @@ class TestRoundTrip:
             names_a = {a.pag.name(o) for o in ea.points_to(va).objects}
             names_b = {b.pag.name(o) for o in eb.points_to(b.pag.rep(vb)).objects}
             assert names_a == names_b
+
+
+class TestRuleTable:
+    @settings(max_examples=15, **COMMON)
+    @given(small_params())
+    def test_sweeps_follow_rule_table(self, params):
+        # Every traversal's visited set is the rule table's closure of
+        # its start item, and its answers are what the table reads off.
+        from tests.core.test_rules import assert_sweeps_follow_table
+
+        build = build_from(params)
+        queries = [Query(v) for v in build.pag.app_locals()]
+        assert_sweeps_follow_table(build.pag, EngineConfig(budget=UNLIMITED), queries)

@@ -20,6 +20,8 @@ RUFF_TARGETS = [
     "src/repro/core/grammar.py",
     "src/repro/core/conformance.py",
     "src/repro/core/matrix.py",
+    "src/repro/core/rules.py",
+    "src/repro/core/tracing.py",
     "src/repro/core/snapshot.py",
     "src/repro/core/incremental.py",
     "src/repro/analyses/taint.py",
@@ -32,6 +34,8 @@ RUFF_TARGETS = [
 MYPY_STRICT_TARGETS = [
     "src/repro/core/cfl.py",
     "src/repro/core/matrix.py",
+    "src/repro/core/rules.py",
+    "src/repro/core/tracing.py",
     "src/repro/core/snapshot.py",
     "src/repro/core/incremental.py",
     "src/repro/analyses/taint.py",
