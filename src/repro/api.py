@@ -515,9 +515,7 @@ class Session:
                 recorder=self.recorder,
                 persistent=True,
             )
-            if self._warm_log and runner.sharing and key[2] not in (
-                "matrix", "hybrid"
-            ):
+            if self._warm_log:
                 runner.warm_from(self._warm_log)
             runners[key] = runner
         return runner
@@ -545,7 +543,8 @@ class Session:
     ) -> Optional[JumpMapLifecycle]:
         """The committed jump map of a configuration's resident
         executor (``None`` before its first batch, for share-nothing
-        modes, and for the stateless matrix kernel)."""
+        modes, and for the stateless matrix kernel; a hybrid
+        configuration's is its demand route's)."""
         key = self._runner_key(mode, n_threads, backend)
         runner = self._live_runners().get(key)
         if runner is None:
@@ -660,8 +659,7 @@ class Session:
         runners = self._live_runners()
         self._warm_log = list(snap.log)
         for runner in runners.values():
-            if runner.sharing and runner.backend not in ("matrix", "hybrid"):
-                runner.warm_from(self._warm_log)
+            runner.warm_from(self._warm_log)
         return accepted
 
     # ------------------------------------------------------------------
@@ -682,7 +680,7 @@ class Session:
             "n_edges": self.pag.n_edges,
             "mode": self.runtime.mode,
             "backend": self.runtime.backend,
-            "n_threads": self.runtime.n_threads,
+            "n_threads": self.runtime.effective_threads,
             "budget": self.engine_config.budget,
             "grammar": self.engine_config.grammar,
             "n_runners": len(self._live_runners()),

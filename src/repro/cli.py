@@ -25,9 +25,11 @@ Commands
     print the mode ladder (seq / naive / D / DQ), on any backend.
 
     * ``--mode`` — restrict the ladder to one parallel mode.
-    * ``--backend sim|threads|mp|matrix|hybrid`` — execution substrate
-      (default sim; ``matrix`` is the bulk all-pairs kernel, ``hybrid``
-      routes by batch size — see ``RuntimeConfig.hybrid_crossover``).
+    * ``--backend sim|local|threads|mp|matrix|hybrid`` — execution
+      substrate (default sim; ``local`` runs in-process on one thread
+      over one shared jump map, ``matrix`` is the bulk all-pairs
+      kernel, ``hybrid`` routes by batch size between ``matrix`` and
+      ``local`` — see ``RuntimeConfig.hybrid_crossover``).
     * ``--metrics`` / ``--metrics-json`` — observability counters
       (:mod:`repro.obs`) plus the top-N hot-query report.
     * ``--events out.jsonl`` — structured JSONL lifecycle log (one
@@ -53,6 +55,8 @@ Commands
     admission control and graceful drain on SIGTERM.
 
     * ``--host`` / ``--port`` — bind address (port 0 = ephemeral).
+    * ``--backend`` — default ``local``: each batch runs on the
+      dispatcher thread over the resident jump map.
     * ``--snapshot SNAP`` — warm-boot the resident state from a
       ``repro snapshot save`` file before serving.
     * ``--max-pending N`` — admission queue bound (429 beyond it).
@@ -103,7 +107,7 @@ Commands
       records appended to ``BENCH_history.jsonl`` by default.
     * ``--suite NAME`` (repeatable) / ``--workers 1,2,4`` /
       ``--repeat N`` / ``--mode naive|D|DQ`` /
-      ``--backend threads|mp|matrix`` / ``--out PATH``.  With
+      ``--backend local|threads|mp|matrix`` / ``--out PATH``.  With
       ``matrix`` both sides run at the exhaustive budget (the bulk
       kernel is exact) and the worker axis collapses to one lane.
     * With a positional experiment name (``table1``, ``fig6``, ...)
@@ -344,13 +348,13 @@ def _cmd_bench(args) -> int:
     if backend == "sim":
         raise ReproError(
             "bench measures wall-clock time; the sim backend's clock is "
-            "simulated — use --backend mp (or threads)"
+            "simulated — use --backend mp (or local)"
         )
     if backend == "hybrid":
         raise ReproError(
             "bench measures each engine separately; hybrid just routes "
             "between them by batch size — bench --backend matrix and "
-            "--backend mp (or threads) directly to locate the crossover"
+            "--backend mp (or local) directly to locate the crossover"
         )
     if args.workers:
         workers = _parse_workers(args.workers)

@@ -64,9 +64,10 @@ DeltaEntry = Tuple[str, JumpKey, object]
 class JumpMapLifecycle(Protocol):
     """The jump-map lifecycle: create / warm / invalidate / snapshot / ship.
 
-    Implemented by :class:`JumpMap` (seq engine, mp coordinator base),
-    :class:`LayeredJumpMap` (simulated executor's transactional view)
-    and :class:`~repro.runtime.threaded.ConcurrentJumpMap` (thread
+    Implemented by :class:`JumpMap` (seq engine, local executor, mp
+    coordinator base), :class:`LayeredJumpMap` (simulated executor's
+    transactional view) and
+    :class:`~repro.runtime.threaded.ConcurrentJumpMap` (thread
     backend), so every backend can warm-start from — and contribute to —
     the same on-disk artifact.  ``grammar`` labels the store; sharing
     entries across grammars is unsound and every implementation refuses
@@ -125,6 +126,9 @@ class JumpMap:
         self.grammar = grammar
         self._fin: Dict[JumpKey, Tuple[FinishedJump, ...]] = {}
         self._unf: Dict[JumpKey, int] = {}
+        #: Finished jmp edges currently stored, kept by every write so
+        #: the size views cost O(1): executors read them per batch.
+        self._n_fin_edges = 0
         self.stats = JumpMapStats()
 
     # -- reads ----------------------------------------------------------
@@ -146,6 +150,7 @@ class JumpMap:
             self.stats.rejected_inserts += 1
             return False
         self._fin[key] = edges
+        self._n_fin_edges += len(edges)
         self._unf.pop(key, None)
         self.stats.fin_inserts += 1
         self.stats.fin_edges += len(edges)
@@ -165,11 +170,11 @@ class JumpMap:
     @property
     def n_jumps(self) -> int:
         """Total jmp edges stored (Table I's ``#Jumps``)."""
-        return sum(len(v) for v in self._fin.values()) + len(self._unf)
+        return self._n_fin_edges + len(self._unf)
 
     @property
     def n_finished_edges(self) -> int:
-        return sum(len(v) for v in self._fin.values())
+        return self._n_fin_edges
 
     @property
     def n_unfinished_edges(self) -> int:
@@ -189,8 +194,9 @@ class JumpMap:
         certificate remains valid.  Returns the number of dropped
         entries (summed jmp edges, consistent with
         :attr:`n_finished_edges` — not the number of dropped keys)."""
-        n = sum(len(v) for v in self._fin.values())
+        n = self._n_fin_edges
         self._fin.clear()
+        self._n_fin_edges = 0
         return n
 
     def invalidate_keys(self, keys: Iterable[JumpKey]) -> int:
@@ -203,6 +209,7 @@ class JumpMap:
             edges = self._fin.pop(key, None)
             if edges is not None:
                 dropped += len(edges)
+        self._n_fin_edges -= dropped
         return dropped
 
     def export_log(self) -> List[DeltaEntry]:

@@ -89,16 +89,17 @@ def ensure_numpy() -> None:
     """Fail with a clear :class:`InputError` when numpy is missing.
 
     The matrix kernel is the only part of the system that needs numpy;
-    the demand backends (``sim``/``threads``/``mp``) never import it, so
-    a missing dependency must surface as a user-facing configuration
-    error, not an ImportError traceback.
+    the demand backends (``sim``/``local``/``threads``/``mp``) never
+    import it, so a missing dependency must surface as a user-facing
+    configuration error, not an ImportError traceback.
     """
     if np is None:
         raise InputError(
             "the matrix backend requires numpy (declared as "
             f"'{NUMPY_REQUIREMENT}' in pyproject.toml) but it is not "
             "importable in this environment; install numpy or pick one "
-            "of the demand backends (sim/threads/mp), which do not use it"
+            "of the demand backends (sim/local/threads/mp), which do not "
+            "use it"
         )
 
 

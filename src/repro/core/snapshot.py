@@ -8,8 +8,8 @@ authoritative jump-map commit log in the mp epoch
 :data:`~repro.core.jumpmap.DeltaEntry` wire format — so a restart or a
 new batch replays a prior session's summaries instead of rediscovering
 them.  Any :class:`~repro.core.jumpmap.JumpMapLifecycle` store can warm
-from the artifact, so seq, threads and mp sessions all share one
-snapshot format.
+from the artifact, so seq, local, threads and mp sessions all share
+one snapshot format.
 
 File layout (one file, three sections)::
 

@@ -1,6 +1,6 @@
 """Parallel runtime — the reproduction's multicore substrate.
 
-Three backends behind one facade:
+Backends behind one facade:
 
 * **sim** (:mod:`repro.runtime.simclock`) — a deterministic
   discrete-event simulator: workers own simulated clocks, query costs
@@ -8,12 +8,18 @@ Three backends behind one facade:
   calibrated :class:`~repro.runtime.contention.CostModel`, and jump-map
   visibility follows commit order.  Deterministic and measurable, the
   default for the paper's tables/figures.
+* **local** (:mod:`repro.runtime.local`) — the batch in order on the
+  calling thread, every query over one committed jump map: mode D x1
+  with no fan-out.  ``repro serve``'s default and ``hybrid``'s demand
+  route.
 * **threads** (:mod:`repro.runtime.threaded`) — genuine ``threading``
   threads against the lock-striped jump map; GIL-serialised, so it
   validates concurrency *semantics* rather than wall-clock speedup.
 * **mp** (:mod:`repro.runtime.mp`) — true OS processes over a frozen
   PAG snapshot with epoch-synchronised jump-map sharing: the backend
   that demonstrates real wall-clock parallel speedups.
+* **matrix** (:mod:`repro.runtime.matrix`) — the bulk all-pairs
+  kernel; **hybrid** routes each batch to it or to ``local`` by size.
 
 :class:`~repro.runtime.executor.ParallelCFL` is the user-facing facade
 with the paper's four configurations: ``seq`` (SeqCFL), ``naive``
@@ -26,6 +32,7 @@ from repro.runtime.contention import CostModel
 from repro.runtime.faults import FaultInjector, FaultPlan, FaultSpec, InjectedFault
 from repro.runtime.intraquery import intra_query_makespan, intra_query_speedup
 from repro.runtime.executor import ParallelCFL
+from repro.runtime.local import LocalExecutor
 from repro.runtime.mp import MPExecutor, WorkerCrash
 from repro.runtime.results import BatchResult
 from repro.runtime.simclock import SimulatedExecutor
@@ -42,6 +49,7 @@ __all__ = [
     "InjectedFault",
     "intra_query_makespan",
     "intra_query_speedup",
+    "LocalExecutor",
     "MODES",
     "MPExecutor",
     "ParallelCFL",

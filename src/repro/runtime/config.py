@@ -24,10 +24,12 @@ __all__ = ["RuntimeConfig", "MODES", "BACKENDS"]
 
 #: The paper's four analysis configurations (Section IV-C).
 MODES = ("seq", "naive", "D", "DQ")
-#: Execution substrates: deterministic simulator, real threads, real
+#: Execution substrates: deterministic simulator, in-process on the
+#: calling thread over one shared jump map, real threads, real
 #: processes, the bulk matrix kernel, and the size-routed hybrid of the
-#: last two (matrix for large batches, threads for sparse ones).
-BACKENDS = ("sim", "threads", "mp", "matrix", "hybrid")
+#: matrix kernel and the in-process runner (matrix for large batches,
+#: local for sparse ones).
+BACKENDS = ("sim", "local", "threads", "mp", "matrix", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class RuntimeConfig:
     mode: str = "DQ"
     #: Worker count (forced to 1 by ``mode="seq"`` at the facade).
     n_threads: int = 16
-    #: sim / threads / mp / matrix / hybrid (see :data:`BACKENDS`).
+    #: sim / local / threads / mp / matrix / hybrid (see :data:`BACKENDS`).
     backend: str = "sim"
     #: mp dispatch granularity: units per message (None: auto).
     chunk_size: Optional[int] = None
@@ -126,8 +128,11 @@ class RuntimeConfig:
 
     @property
     def effective_threads(self) -> int:
-        """The worker count actually used: seq means one worker."""
-        return 1 if self.mode == "seq" else self.n_threads
+        """The worker count actually used: seq and the in-process
+        ``local`` backend mean one worker."""
+        if self.mode == "seq" or self.backend == "local":
+            return 1
+        return self.n_threads
 
     def with_(self, **changes) -> "RuntimeConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -57,6 +57,7 @@ from repro.ir.types import TypeTable
 from repro.pag.build import BuildResult
 from repro.pag.graph import PAG
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig
+from repro.runtime.local import LocalExecutor
 from repro.runtime.matrix import MatrixExecutor
 from repro.runtime.mp import MPExecutor
 from repro.runtime.results import BatchResult
@@ -64,6 +65,9 @@ from repro.runtime.simclock import SimulatedExecutor
 from repro.runtime.threaded import ThreadedExecutor
 
 __all__ = ["ParallelCFL", "MODES", "BACKENDS"]
+
+#: The executor ``hybrid`` sends batches below its crossover to.
+HYBRID_DEMAND_BACKEND = "local"
 
 
 class ParallelCFL:
@@ -207,6 +211,14 @@ class ParallelCFL:
                 mode=self.mode,
                 recorder=self.recorder,
             )
+        if backend == "local":
+            return LocalExecutor(
+                self.pag,
+                engine_config=self.engine_config,
+                sharing=self.sharing,
+                mode=self.mode,
+                recorder=self.recorder,
+            )
         if backend == "mp":
             return MPExecutor(
                 self.pag,
@@ -249,13 +261,14 @@ class ParallelCFL:
         committed jump map survives across batches); one-shot runners
         construct a fresh executor every time, the historic behaviour.
         ``hybrid`` has no executor of its own — resolve it through
-        :meth:`run` (or ask for ``matrix``/``threads`` directly).
+        :meth:`run` (or ask for ``matrix``/``local`` directly).
         """
         backend = backend or self.runtime.backend
         if backend == "hybrid":
             raise ValueError(
                 "hybrid is a router, not an executor; ask for 'matrix' "
-                "or 'threads' (the backends it routes between)"
+                f"or {HYBRID_DEMAND_BACKEND!r} (the backends it routes "
+                "between)"
             )
         if not self.persistent:
             return self._make_executor(backend)
@@ -264,13 +277,21 @@ class ParallelCFL:
             ex = self._executors[backend] = self._make_executor(backend)
         return ex
 
+    def _stateful_backend(self) -> str:
+        """The backend whose executor holds this runner's jump map: the
+        configured one, or for ``hybrid`` its demand route (the matrix
+        kernel keeps no state between batches)."""
+        backend = self.runtime.backend
+        return HYBRID_DEMAND_BACKEND if backend == "hybrid" else backend
+
     def resident_jumps(
         self, backend: Optional[str] = None
     ) -> Optional[JumpMapLifecycle]:
         """The resident executor's committed jump map (``None`` for
-        share-nothing modes and the stateless matrix kernel).  Only
-        meaningful on a persistent runner."""
-        ex = self._executors.get(backend or self.runtime.backend)
+        share-nothing modes and the stateless matrix kernel; a hybrid
+        runner's is its demand route's).  Only meaningful on a
+        persistent runner."""
+        ex = self._executors.get(backend or self._stateful_backend())
         if ex is None:
             return None
         return getattr(ex, "jumps", None)
@@ -280,13 +301,16 @@ class ParallelCFL:
         commit log (:mod:`repro.core.snapshot` wire format).
 
         Requires ``persistent=True`` and a sharing mode; returns the
-        number of accepted entries (first-writer-wins, idempotent).
+        number of accepted entries (first-writer-wins, idempotent).  A
+        hybrid runner warms its demand route; the matrix kernel has no
+        map to warm.
         """
         if not self.persistent:
             raise ValueError("warm_from requires a persistent runner")
-        if not self.sharing or self.runtime.backend in ("matrix", "hybrid"):
+        backend = self._stateful_backend()
+        if not self.sharing or backend == "matrix":
             return 0
-        ex = self.executor()
+        ex = self.executor(backend)
         if isinstance(ex, MPExecutor):
             # Seeds the coordinator map *and* the commit log, so the
             # warmed entries ship to workers as the epoch-0 delta.
@@ -338,7 +362,7 @@ class ParallelCFL:
             # Route by batch size: large/dense batches amortise the bulk
             # kernel's all-pairs fixpoint, sparse interactive ones don't.
             bulk = prefer_bulk(len(queries), rt.hybrid_crossover)
-            backend = "matrix" if bulk else "threads"
+            backend = "matrix" if bulk else HYBRID_DEMAND_BACKEND
             if rec:
                 rec.count("matrix.routed_bulk" if bulk else "matrix.routed_demand")
                 rec.event("route", backend=backend, queries=len(queries))

@@ -17,10 +17,13 @@ Architecture — request intake is decoupled from analysis dispatch:
   greedily, coalescing many small client jobs into one deduplicated
   batch per wake-up (up to ``batch_window`` jobs), and pushes the
   merged query list through the ordinary ``schedule_queries`` →
-  executor pipeline via :meth:`Session.batch`.  Answers are fanned
-  back out to each waiting job keyed on the executed representative
-  query, so concurrent clients share the scheduler's locality wins and
-  every answer is byte-identical to a one-shot CLI run.
+  executor pipeline via :meth:`Session.batch`.  The default ``local``
+  backend runs that batch on the dispatcher thread itself, over the
+  runner's committed jump map: a request starts no thread.  Answers
+  are fanned back out to each waiting job keyed on the executed
+  representative query, so concurrent clients share the scheduler's
+  locality wins and every answer is byte-identical to a one-shot CLI
+  run.
 * **Graceful drain** on SIGTERM/SIGINT: new work is refused, every
   admitted job completes, the HTTP server stops, exit code 0.
 
@@ -96,7 +99,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8177
     mode: str = "DQ"
-    backend: str = "threads"
+    backend: str = "local"
     n_threads: int = 8
     budget: int = DEFAULT_BUDGET
     #: Admission queue bound: jobs beyond this are refused with 429.
@@ -645,7 +648,7 @@ def serve_command(args) -> int:
     runtime = RuntimeConfig(
         mode=args.mode or "DQ",
         n_threads=args.threads if args.threads is not None else 8,
-        backend=args.backend or "threads",
+        backend=args.backend or "local",
     )
     engine = EngineConfig(
         budget=args.budget if args.budget is not None else DEFAULT_BUDGET
@@ -665,7 +668,7 @@ def serve_command(args) -> int:
         port=args.port,
         mode=runtime.mode,
         backend=runtime.backend,
-        n_threads=runtime.n_threads,
+        n_threads=runtime.effective_threads,
         budget=engine.budget,
         max_pending=args.max_pending,
         batch_window=args.batch_window,
@@ -678,7 +681,7 @@ def serve_command(args) -> int:
         f"repro-serve {__version__}: serving {args.file} "
         f"on http://{host}:{port} "
         f"(mode {runtime.mode}, backend {runtime.backend} "
-        f"x{runtime.n_threads})",
+        f"x{runtime.effective_threads})",
         flush=True,
     )
 

@@ -23,6 +23,8 @@ from repro.api import (
     RuntimeConfig,
     Session,
     build_pag,
+    load_benchmark,
+    load_snapshot,
     spec_of,
 )
 from repro.benchgen import synthesize_program
@@ -380,6 +382,39 @@ class TestSnapshotRoundTrip:
         jumps = runner.resident_jumps()
         assert jumps is not None
         assert jumps.n_finished_edges + jumps.n_unfinished_edges > 0
+
+    def test_hybrid_session_warms_its_demand_route(self, tmp_path):
+        # hybrid's sparse batches run on its demand-route executor, so a
+        # warm boot must seed that executor's map, not skip it.
+        pytest.importorskip("numpy")
+        name = "_200_check"
+        build = load_benchmark(name)
+        engine = spec_of(name).engine_config()
+        snap = tmp_path / "check.snap"
+        cold = Session.from_build(build, engine=engine)
+        cold.batch(spec_of(name).workload(), mode="DQ", backend="local")
+        cold.snapshot(snap)
+        saved = {(kind, key) for kind, key, _ in load_snapshot(snap).log}
+        assert saved
+
+        warm = Session.from_build(
+            build,
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="hybrid"),
+            engine=engine,
+        )
+        warm.warm_from_snapshot(snap)
+        warm.runner()  # created after the warm boot, before any batch
+        demand = warm.resident_jumps()
+        assert demand is not None
+        held = {(kind, key) for kind, key, _ in demand.export_log()}
+        assert held == saved
+
+        queries = warm.queries(warm.app_locals()[:3])
+        batch = warm.batch(queries)
+        want = cold.batch(queries, mode="DQ", backend="local")
+        assert batch.points_to_map() == want.points_to_map()
+        assert warm.resident_jumps() is demand
+        assert len(demand.export_log()) >= len(saved)
 
 
 class TestStats:

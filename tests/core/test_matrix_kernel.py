@@ -144,7 +144,8 @@ def test_missing_numpy_is_input_error(box_build, monkeypatch):
         with pytest.raises(InputError, match="numpy"):
             RuntimeConfig(backend=backend)
     # The demand backends never touch numpy.
-    RuntimeConfig(backend="threads")
+    for backend in ("local", "threads"):
+        RuntimeConfig(backend=backend)
 
 
 class TestExecutorIntegration:

@@ -68,7 +68,9 @@ class TestRuntimeConfig:
 
     def test_mode_and_backend_vocabularies_exported(self):
         assert set(MODES) == {"seq", "naive", "D", "DQ"}
-        assert set(BACKENDS) == {"sim", "threads", "mp", "matrix", "hybrid"}
+        assert set(BACKENDS) == {
+            "sim", "local", "threads", "mp", "matrix", "hybrid",
+        }
 
 
 class TestParallelCFLConfigAPI:

@@ -173,7 +173,9 @@ def live_daemon():
     rec = MetricsRecorder()
     session = Session.open(
         EXAMPLE,
-        runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
+        runtime=RuntimeConfig(
+            mode="DQ", n_threads=2, backend=ServeConfig().backend
+        ),
         engine=EngineConfig(tau_f=0, tau_u=0),
         recorder=rec,
     )
@@ -212,7 +214,8 @@ class TestEndpoints:
         assert health["status"] == "serving"
         assert health["source"] == str(EXAMPLE)
         assert health["n_nodes"] == session.pag.n_nodes
-        assert health["backend"] == "threads"
+        assert health["backend"] == "local"
+        assert health["n_threads"] == 1  # the effective worker count
         assert "api.pag_builds" in health
         assert "jumps.hits" in health
 
@@ -321,6 +324,39 @@ class TestResidency:
         assert health["sched.plan_builds"] == 1
         assert health["api.pag_builds"] == 1
         assert health["serve.batches"] >= 20
+
+
+class TestNoFanOut:
+    @pytest.mark.parametrize(
+        "backend,fans_out", [(ServeConfig().backend, False), ("threads", True)]
+    )
+    def test_served_requests_start_no_thread(
+        self, monkeypatch, backend, fans_out
+    ):
+        # The default backend runs each batch on the dispatcher thread:
+        # once the daemon is up and warm, a one-target request must not
+        # start a thread anywhere on the analysis path.  The explicit
+        # threads backend shows the probe does see a fan-out.
+        session = make_session(
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend=backend)
+        )
+        svc = AnalysisService(session, ServeConfig(port=0))
+        nodes = [Query(v) for v in session.app_locals()]
+        svc.submit_queries("warmup", nodes)
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for i in range(50):
+            (res,) = svc.submit_queries("t", [nodes[i % len(nodes)]])
+            assert res.query.var == session.rep(nodes[i % len(nodes)].var)
+        monkeypatch.undo()
+        assert bool(started) == fans_out
+        assert svc.drain(10.0)
 
 
 class TestConcurrentClients:

@@ -27,6 +27,7 @@ RUFF_TARGETS = [
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
+    "src/repro/runtime/local.py",
     "src/repro/api.py",
     "src/repro/serve.py",
 ]
@@ -41,6 +42,7 @@ MYPY_STRICT_TARGETS = [
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
+    "src/repro/runtime/local.py",
 ]
 
 
