@@ -7,12 +7,13 @@
 * **forwards** (``FLOWSTO``): from an object toward the variables it
   flows to, along *outgoing* edges — the ``flowsTo`` direction.
 
-Field-sensitivity (grammar (2)) is the ``st(f) alias ld(f)`` matching
-done by ``REACHABLENODES``; context-sensitivity (grammar (3)) is the
-call-site stack matched at ``param_i``/``ret_i`` edges with partially
-balanced parentheses.  Data sharing (Algorithm 2) consults and extends
-a :class:`~repro.core.jumpmap.JumpMap` around every alias-matching
-round.
+Both run one sweep whose legs are compiled from the rule table of
+:mod:`repro.core.rules`.  Field-sensitivity (grammar (2)) is the
+``st(f) alias ld(f)`` matching done by ``REACHABLENODES``;
+context-sensitivity (grammar (3)) is the call-site stack matched at
+``param_i``/``ret_i`` edges with partially balanced parentheses.  Data
+sharing (Algorithm 2) consults and extends a
+:class:`~repro.core.jumpmap.JumpMap` around every alias-matching round.
 
 Deviations from the paper's pseudo-code, made for termination and
 exact-answer guarantees (documented in DESIGN.md §4):
@@ -27,19 +28,27 @@ exact-answer guarantees (documented in DESIGN.md §4):
   computation), and the τ_F threshold gates the whole round rather
   than individual edges — publishing a truncated shortcut set would
   make later queries silently incomplete.
+* Entering a callee through a call site already on the call string
+  resets it to the empty context, so call strings stay bounded on PAGs
+  whose edits added a recursion cycle that build-time collapse never
+  saw (see :mod:`repro.core.context`).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.context import Context, EMPTY_CTX
+from repro.core.context import Context, EMPTY_CTX, ctx_enter, ctx_exit
 from repro.core.grammar import DEFAULT_GRAMMAR, get_grammar
 from repro.core.jumpmap import JumpMapLifecycle
 from repro.core.query import Query, QueryResult, QueryState
-from repro.core.rules import FLOWS_TO, POINTS_TO
+from repro.core.rules import (
+    ANSWER_KIND, FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, CtxAction, rules,
+)
 from repro.errors import AnalysisError, BudgetExhausted
 from repro.pag.extended import FinishedJump
 from repro.pag.graph import PAG
@@ -55,6 +64,44 @@ if sys.getrecursionlimit() < 100_000:
 #: The validated heap-matching precision values (``field_mode``).
 FIELD_MODES = ("sensitive", "match", "none")
 
+#: How :meth:`CFLEngine._sweep` reads one compiled leg's entries: bare
+#: nodes keeping or resetting the call string (the ops ``<= _RESET``),
+#: ``(node, site)`` pairs entering or leaving a callee or
+#: (context-insensitive) keeping the string, and the alias round.
+_KEEP, _RESET, _ENTER, _EXIT, _KEEP_LABELLED, _ROUND = range(6)
+_OPS = {CtxAction.KEEP: _KEEP, CtxAction.RESET: _RESET,
+        CtxAction.PUSH: _ENTER, CtxAction.POP: _EXIT}
+#: How a labelled leg crosses its call edge (context-insensitive runs
+#: keep the call string).
+_CROSSINGS = {_ENTER: ctx_enter, _EXIT: ctx_exit,
+              _KEEP_LABELLED: lambda c, _site: c}
+
+
+@lru_cache(maxsize=None)
+def _compiled_legs(
+    grammar: str, direction: bool, context_sensitive: bool, heap: bool
+) -> Tuple[Optional[str], Callable[[PAG], Tuple[Any, ...]], Tuple[int, ...]]:
+    """The sweep in ``direction``, compiled from the rule table of the
+    registered ``grammar``: the adjacency its answers are read off
+    (``None``: the variable items themselves), then a leg per plain row
+    and for the round row (none when field-insensitive), in table order
+    — a getter of the legs' adjacencies and their ops."""
+    answer = None
+    legs = []
+    for rule in rules(get_grammar(grammar)):
+        name = rule.adjacency[direction]
+        if rule.kind is ANSWER_KIND[direction]:
+            answer = name
+        elif rule.heap:
+            if heap and rule.kind is ROUND_KIND[direction]:
+                legs.append((name, _ROUND))
+        elif rule.labelled and not context_sensitive:
+            legs.append((name, _KEEP_LABELLED))
+        else:
+            legs.append((name, _OPS[rule.action[direction]]))
+    names, ops = zip(*legs)
+    return answer, attrgetter(*names), ops
+
 
 @dataclass
 class EngineConfig:
@@ -68,10 +115,7 @@ class EngineConfig:
     (full alias tests, grammar (2)), ``"match"`` (field-based: every
     store of field f matches every load of f without an alias test —
     the sound, cheap over-approximation that refinement-based schemes
-    [18] start from), or ``"none"`` (field-insensitive).  The historic
-    ``field_sensitive`` boolean and runtime-layer ``faults`` shims were
-    removed with the ``repro.api`` consolidation — fault plans live on
-    :class:`repro.runtime.config.RuntimeConfig`.
+    [18] start from), or ``"none"`` (field-insensitive).
     """
 
     budget: int = 75_000
@@ -93,7 +137,7 @@ class EngineConfig:
     #: under.  Every built-in grammar shares the ``flowsto`` traversal
     #: core, so this selects certification semantics and metric labels,
     #: not different sweeps; the engine refuses grammars whose declared
-    #: ``traversal`` it has no compiled sweeps for.
+    #: ``traversal`` it has no compiled sweep for.
     grammar: str = DEFAULT_GRAMMAR
 
     def __post_init__(self) -> None:
@@ -133,9 +177,9 @@ class CFLEngine:
         self.cfg = config or EngineConfig()
         self._field_mode = self.cfg.field_mode
         #: The declarative grammar this engine analyses under (resolved
-        #: from the config's registered id).  The sweeps below are the
-        #: hand-compiled ``flowsto`` traversal core; a grammar declaring
-        #: any other core has no compiled implementation here.
+        #: from the config's registered id).  The sweep below is compiled
+        #: from its rule table for the ``flowsto`` traversal core; a
+        #: grammar declaring any other core has no implementation here.
         self.grammar = get_grammar(self.cfg.grammar)
         if self.grammar.traversal != "flowsto":
             raise AnalysisError(
@@ -165,7 +209,7 @@ class CFLEngine:
         self.prefilter = prefilter
         #: Optional witness recorder (see repro.core.tracing); set by
         #: TracingEngine.  Handed each sweep's visited set and each
-        #: alias round's products; the sweeps themselves are untouched.
+        #: alias round's products; the sweep itself is untouched.
         self.tracer: Optional[Any] = None
         #: Optional footprint sink (see repro.core.incremental's
         #: FootprintCollector); set by IncrementalAnalysis.  Records,
@@ -175,13 +219,10 @@ class CFLEngine:
         #: sweep/round granularity — never inside the inner edge loops —
         #: so a ``None`` run is the unchanged hot path.
         self.footprint: Optional[Any] = None
-        #: Context interning caches: the sweeps perform the same
-        #: call-string pushes/pops millions of times, so each distinct
-        #: extended context is materialised once and the same tuple
-        #: object is reused for every later push (cheaper allocation,
-        #: identity-fast-path equality in the visited/memo sets).
-        self._ctx_push_cache: Dict[Tuple[Context, int], Context] = {}
-        self._ctx_pop_cache: Dict[Context, Context] = {}
+        #: The sweep per direction (indexed by ``POINTS_TO``/``FLOWS_TO``).
+        cs, heap = self.cfg.context_sensitive, self._field_mode != "none"
+        self._compiled = [_compiled_legs(self.cfg.grammar, d, cs, heap)
+                          for d in (POINTS_TO, FLOWS_TO)]
 
     # ------------------------------------------------------------------
     # public API
@@ -305,24 +346,15 @@ class CFLEngine:
         result: Set[Tuple[int, Context]],
         key: Tuple[bool, int, Context],
     ) -> None:
-        """One worklist sweep of Algorithm 1, in the given direction.
-
-        Hot path: pushes are inlined into the sweeps (a visited-set
-        membership test and list append per edge, no per-push closure
-        call) and call-string math goes through the interning caches.
-        The sweeps hand-compile :mod:`repro.core.rules` (tested against it).
-        """
+        """One worklist sweep of Algorithm 1 in the given direction, its
+        legs compiled from the rule table (:func:`_compiled_legs`); the
+        hooks below run per sweep, never inside the edge loops."""
         q.sweeps += 1
-        if self.pag.is_global(start):
-            ctx0 = EMPTY_CTX
         visited: Set[Tuple[int, Context]] = {(start, ctx0)}
         worklist: List[Tuple[int, Context]] = [(start, ctx0)]
         q.note_live(1)
         try:
-            if direction == POINTS_TO:
-                self._sweep_backwards(worklist, visited, q, result)
-            else:
-                self._sweep_forwards(worklist, visited, q, result)
+            self._sweep(direction, worklist, visited, q, result)
         finally:
             q.note_live(-len(visited))
             fp = self.footprint
@@ -336,40 +368,24 @@ class CFLEngine:
                 # Witnesses are rebuilt from this set after the query.
                 tracer.sweep(key, visited)
 
-    def _ctx_push(self, c: Context, site: int) -> Context:
-        """Interned ``ctx_push``: one tuple per distinct extension."""
-        cache = self._ctx_push_cache
-        got = cache.get((c, site))
-        if got is None:
-            got = cache[(c, site)] = c + (site,)
-        return got
-
-    def _ctx_pop(self, c: Context) -> Context:
-        """Interned ``ctx_pop`` (callers guarantee ``c`` is non-empty)."""
-        cache = self._ctx_pop_cache
-        got = cache.get(c)
-        if got is None:
-            got = cache[c] = c[:-1]
-        return got
-
-    def _sweep_backwards(
+    def _sweep(
         self,
+        direction: bool,
         worklist: List[Tuple[int, Context]],
         visited: Set[Tuple[int, Context]],
         q: QueryState,
         result: Set[Tuple[int, Context]],
     ) -> None:
-        """``POINTSTO`` direction: incoming edges (Algorithm 1 lines
-        3-15), with pushes inlined and adjacency tables bound to locals."""
+        """Algorithm 1 lines 3-15 in either direction: pop an item, read
+        off its answers, then follow every compiled leg in table order,
+        with worklist pushes inlined."""
         pag = self.pag
-        cs = self.cfg.context_sensitive
-        heap = self._field_mode != "none"
+        answer, adjacencies, ops = self._compiled[direction]
+        # Resolved per sweep, not per engine: edits mutate the PAG.
+        answer_adj = getattr(pag, answer) if answer is not None else None
+        legs = list(zip(adjacencies(pag), ops))
         is_global = pag.is_global
-        new_in = pag.new_in
-        assign_in = pag.assign_in
-        gassign_in = pag.gassign_in
-        param_in = pag.param_in
-        ret_in = pag.ret_in
+        is_object = pag.is_object
         visited_add = visited.add
         append = worklist.append
         note_live = q.note_live
@@ -382,146 +398,37 @@ class CFLEngine:
             q.work += 1
             if q.steps > budget:
                 self._out_of_budget(q, 0)
-            for o in new_in.get(x, ()):
-                result_add((o, c))
-            for y in assign_in.get(x, ()):
-                item = (y, EMPTY_CTX) if is_global(y) else (y, c)
-                if item not in visited:
-                    visited_add(item)
-                    note_live(1)
-                    append(item)
-            for y in gassign_in.get(x, ()):
-                item = (y, EMPTY_CTX)
-                if item not in visited:
-                    visited_add(item)
-                    note_live(1)
-                    append(item)
-            if heap:
-                for y, cy in self._reachable_nodes(POINTS_TO, x, c, q):
-                    item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-            if cs:
-                for y, i in param_in.get(x, ()):
-                    # exit the callee back to call site i
-                    if not c:
-                        cy = c
-                    elif c[-1] == i:
-                        cy = self._ctx_pop(c)
-                    else:
-                        continue
-                    item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-                for y, i in ret_in.get(x, ()):
-                    # enter the callee through its return
-                    item = (
-                        (y, EMPTY_CTX) if is_global(y)
-                        else (y, self._ctx_push(c, i))
-                    )
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-            else:
-                for pairs in (param_in.get(x, ()), ret_in.get(x, ())):
-                    for y, _i in pairs:
-                        item = (y, EMPTY_CTX) if is_global(y) else (y, c)
+            if answer_adj is not None:
+                for o in answer_adj.get(x, ()):
+                    result_add((o, c))
+            elif not is_object(x):
+                result_add((x, c))
+            for adjacency, op in legs:
+                entries = adjacency.get(x)
+                if not entries:
+                    continue
+                if op <= _RESET:
+                    cy = c if op == _KEEP else EMPTY_CTX
+                    for y in entries:
+                        item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
                         if item not in visited:
                             visited_add(item)
                             note_live(1)
                             append(item)
-
-    def _sweep_forwards(
-        self,
-        worklist: List[Tuple[int, Context]],
-        visited: Set[Tuple[int, Context]],
-        q: QueryState,
-        result: Set[Tuple[int, Context]],
-    ) -> None:
-        """``FLOWSTO`` direction: outgoing edges (mirror of the above)."""
-        pag = self.pag
-        cs = self.cfg.context_sensitive
-        heap = self._field_mode != "none"
-        is_global = pag.is_global
-        is_object = pag.is_object
-        new_out = pag.new_out
-        assign_out = pag.assign_out
-        gassign_out = pag.gassign_out
-        param_out = pag.param_out
-        ret_out = pag.ret_out
-        visited_add = visited.add
-        append = worklist.append
-        note_live = q.note_live
-        result_add = result.add
-        budget = q.budget
-        while worklist:
-            q.frontier_sum += len(worklist)
-            x, c = worklist.pop()
-            q.steps += 1
-            q.work += 1
-            if q.steps > budget:
-                self._out_of_budget(q, 0)
-            if is_object(x):
-                for v in new_out.get(x, ()):
-                    item = (v, EMPTY_CTX) if is_global(v) else (v, c)
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-                continue
-            result_add((x, c))
-            for y in assign_out.get(x, ()):
-                item = (y, EMPTY_CTX) if is_global(y) else (y, c)
-                if item not in visited:
-                    visited_add(item)
-                    note_live(1)
-                    append(item)
-            for y in gassign_out.get(x, ()):
-                item = (y, EMPTY_CTX)
-                if item not in visited:
-                    visited_add(item)
-                    note_live(1)
-                    append(item)
-            if heap:
-                for y, cy in self._reachable_nodes(FLOWS_TO, x, c, q):
-                    item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-            if cs:
-                for y, i in param_out.get(x, ()):
-                    # enter the callee through its formal
-                    item = (
-                        (y, EMPTY_CTX) if is_global(y)
-                        else (y, self._ctx_push(c, i))
-                    )
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-                for y, i in ret_out.get(x, ()):
-                    # exit to call site i through the return value
-                    if not c:
-                        cy = c
-                    elif c[-1] == i:
-                        cy = self._ctx_pop(c)
-                    else:
-                        continue
-                    item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                    if item not in visited:
-                        visited_add(item)
-                        note_live(1)
-                        append(item)
-            else:
-                for pairs in (param_out.get(x, ()), ret_out.get(x, ())):
-                    for y, _i in pairs:
-                        item = (y, EMPTY_CTX) if is_global(y) else (y, c)
+                elif op == _ROUND:
+                    for y, cy in self._reachable_nodes(direction, x, c, q, entries):
+                        item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
+                        if item not in visited:
+                            visited_add(item)
+                            note_live(1)
+                            append(item)
+                else:
+                    cross = _CROSSINGS[op]
+                    for y, i in entries:
+                        cy = cross(c, i)
+                        if cy is None:
+                            continue  # the call string returns elsewhere
+                        item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
                         if item not in visited:
                             visited_add(item)
                             note_live(1)
@@ -532,15 +439,17 @@ class CFLEngine:
     # jumps=None special case)
     # ------------------------------------------------------------------
     def _reachable_nodes(
-        self, direction: bool, x: int, c: Context, q: QueryState
+        self,
+        direction: bool,
+        x: int,
+        c: Context,
+        q: QueryState,
+        heap_edges: Sequence[Tuple[int, str]],
     ) -> List[Tuple[int, Context]]:
-        pag = self.pag
-        if direction == POINTS_TO:
-            heap_edges = pag.load_in.get(x)
-        else:
-            heap_edges = pag.store_out.get(x)
-        if not heap_edges:
-            return []
+        """The alias round of ``x``'s round-row ``(base, f)`` entries:
+        ``x = p.f`` matched against every ``q.f = y`` backwards, ``q.f =
+        x`` against every ``t = p.f`` forwards."""
+        by_field = getattr(self.pag, MATCHED_BY_FIELD[direction])
         fp = self.footprint
         if fp is not None:
             # The round's answer depends on every store/load of these
@@ -556,16 +465,8 @@ class CFLEngine:
             # cheap over-approximation refinement starts from.  (The
             # empty context is maximally permissive downstream, so this
             # over-approximates the sensitive answer.)
-            out: List[Tuple[int, Context]] = []
-            if direction == POINTS_TO:
-                for _p, f in heap_edges:
-                    for _q_base, y in pag.stores_by_field.get(f, ()):
-                        out.append((y, EMPTY_CTX))
-            else:
-                for _q_base, f in heap_edges:
-                    for _p, t in pag.loads_by_field.get(f, ()):
-                        out.append((t, EMPTY_CTX))
-            return out
+            return [(y, EMPTY_CTX) for _b, f in heap_edges
+                    for _other, y in by_field.get(f, ())]
 
         jumps = self.jumps
         key = (x, c, direction)
@@ -609,60 +510,29 @@ class CFLEngine:
         seen: Set[Tuple[int, Context]] = set()
         try:
             prefilter = self.prefilter
-            if direction == POINTS_TO:
-                # x = p.f matched against every q.f = y
-                for p, f in heap_edges:
-                    stores = pag.stores_by_field.get(f)
-                    if not stores:
-                        continue
-                    classes = None
-                    if prefilter is not None:
-                        stores = [
-                            (qb, y) for qb, y in stores
-                            if prefilter.may_alias(p, qb)
-                        ]
-                        if not stores:
-                            continue  # all matches provably non-aliasing
-                        classes = {prefilter.class_id(qb) for qb, _y in stores}
-                    alias = self._alias_map(p, c, q, classes)
-                    for q_base, y in stores:
-                        for cv, witness_obj in alias.get(q_base, {}).items():
-                            item = (y, cv)
-                            if item not in seen:
-                                seen.add(item)
-                                rch.append((item, q.steps - s0))
-                                if tracer is not None:
-                                    tracer.heap(
-                                        direction, x, c, item,
-                                        f, p, q_base, witness_obj,
-                                    )
-            else:
-                # q.f = x matched against every t = p.f
-                for q_base, f in heap_edges:
-                    loads = pag.loads_by_field.get(f)
-                    if not loads:
-                        continue
-                    classes = None
-                    if prefilter is not None:
-                        loads = [
-                            (p, t) for p, t in loads
-                            if prefilter.may_alias(q_base, p)
-                        ]
-                        if not loads:
-                            continue
-                        classes = {prefilter.class_id(p) for p, _t in loads}
-                    alias = self._alias_map(q_base, c, q, classes)
-                    for p, t in loads:
-                        for cv, witness_obj in alias.get(p, {}).items():
-                            item = (t, cv)
-                            if item not in seen:
-                                seen.add(item)
-                                rch.append((item, q.steps - s0))
-                                if tracer is not None:
-                                    tracer.heap(
-                                        direction, x, c, item,
-                                        f, q_base, p, witness_obj,
-                                    )
+            for base, f in heap_edges:
+                matched = by_field.get(f)
+                if not matched:
+                    continue
+                classes = None
+                if prefilter is not None:
+                    matched = [
+                        (other, y) for other, y in matched
+                        if prefilter.may_alias(base, other)
+                    ]
+                    if not matched:
+                        continue  # all matches provably non-aliasing
+                    classes = {prefilter.class_id(other) for other, _y in matched}
+                alias = self._alias_map(base, c, q, classes)
+                for other, y in matched:
+                    for cv, witness_obj in alias.get(other, {}).items():
+                        item = (y, cv)
+                        if item not in seen:
+                            seen.add(item)
+                            rch.append((item, q.steps - s0))
+                            if tracer is not None:
+                                tracer.heap(direction, x, c, item,
+                                            f, base, other, witness_obj)
         finally:
             q.frames.pop()
 

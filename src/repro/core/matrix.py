@@ -13,8 +13,8 @@ Three design points make the answers byte-identical to ``SeqCFL``:
 
 * **States are ``(node, ctx)`` pairs**, discovered by closure from the
   normalised query nodes under the rule table of
-  :mod:`repro.core.rules` — the one the engine's sweeps are checked
-  against (global variables pinned to the empty context, call-string
+  :mod:`repro.core.rules` — the one the engine's sweep is compiled
+  from (global variables pinned to the empty context, call-string
   push/pop at ``param``/``ret`` edges, ``reset`` clearing the context).
   Context-sensitivity is thereby compiled into the *graph*, so the
   grammar fixpoint itself needs no side condition.
@@ -45,8 +45,11 @@ from repro.core.cfl import CFG
 from repro.core.context import EMPTY_CTX, Context
 from repro.core.grammar import get_grammar
 from repro.core.query import Query, QueryCosts, QueryResult
-from repro.core.rules import FLOWS_TO, POINTS_TO, Rule, rules
+from repro.core.rules import (
+    FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, Rule, rules,
+)
 from repro.errors import AnalysisError, InputError
+from repro.pag.edges import EdgeKind
 from repro.pag.graph import PAG, FrozenPAG
 
 try:
@@ -297,6 +300,15 @@ class MatrixKernel:
             for rule in rules(self.grammar)
             if not rule.heap or config.field_mode == "sensitive"
         ]
+        #: (assign symbol, round-row adjacency, matched field index) per
+        #: direction: the ``match`` fold pairs them as engine rounds do.
+        by_kind = {rule.kind: rule for rule in rules(self.grammar)}
+        self._match_legs = [
+            (by_kind[EdgeKind.ASSIGN].symbol(d),
+             getattr(pag, by_kind[ROUND_KIND[d]].adjacency[d]),
+             getattr(pag, MATCHED_BY_FIELD[d]))
+            for d in (POINTS_TO, FLOWS_TO) if config.field_mode == "match"
+        ]
         self._fields = self.grammar.fields_of(pag)
         cfg_obj: CFG = self.grammar.cfg(self._fields)
         if self.ANSWER_SYMBOL not in cfg_obj.productions:
@@ -393,15 +405,12 @@ class MatrixKernel:
             if adjacency.get(x):
                 for y, cy, label in rule.successors(pag, direction, x, c, cs):
                     out.append((rule.symbol(direction, label), y, cy))
-        if self.cfg.field_mode == "match":
-            # field-based matching folds st(f) alias ld(f) into one
-            # context-free step, emitted on the assign terminal
-            for _p, f in pag.load_in.get(x, ()):
-                for _qb, y in pag.stores_by_field.get(f, ()):
-                    out.append(("~assign", y, EMPTY_CTX))
-            for _qb, f in pag.store_out.get(x, ()):
-                for _p, t in pag.loads_by_field.get(f, ()):
-                    out.append(("assign", t, EMPTY_CTX))
+        # field-based matching folds st(f) alias ld(f) into one
+        # context-free step, emitted on the assign terminal
+        for symbol, round_edges, by_field in self._match_legs:
+            for _base, f in round_edges.get(x, ()):
+                for _other, y in by_field.get(f, ()):
+                    out.append((symbol, y, EMPTY_CTX))
         return out
 
     def _discover(self) -> Dict[str, List[Tuple[int, int]]]:

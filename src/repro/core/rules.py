@@ -9,15 +9,17 @@ it with an empty call string passing any site, or reset), and the
 terminal from :meth:`CFLGrammar.terminal`, projected onto grammar
 (2)'s alphabet.  Every row also obeys two rules: a global target gets
 the empty context, and a context-insensitive run keeps the call string
-where it would push or pop.
+where it would push or pop.  Push and pop are
+:func:`~repro.core.context.ctx_enter` and
+:func:`~repro.core.context.ctx_exit`.
 
-The matrix kernel discovers its states by closing the query seeds
-under the rows, witness reconstruction (:mod:`repro.core.tracing`)
-searches a sweep's visited set under them, and the engine's
-hand-inlined sweeps are tested against them.  In the demand engine
-the heap rows are the two ends of an alias round rather than single
-steps; :data:`ROUND_KIND` names the row that opens a round in each
-direction (``x = p.f`` backwards, ``q.f = x`` forwards).
+The engine compiles its one sweep from the rows, the matrix kernel
+discovers its states by closing the query seeds under them, and
+witness reconstruction (:mod:`repro.core.tracing`) searches a sweep's
+visited set under them.  In the demand engine the heap rows are the
+two ends of an alias round rather than single steps; :data:`ROUND_KIND`
+names the row that opens a round in each direction (``x = p.f``
+backwards, ``q.f = x`` forwards).
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 from repro.core.cfl import bar
-from repro.core.context import EMPTY_CTX, Context
+from repro.core.context import EMPTY_CTX, Context, ctx_enter, ctx_exit
 from repro.core.grammar import CFLGrammar, project_terminal
 from repro.pag.edges import EdgeKind
 from repro.pag.graph import PAG, FrozenPAG
 
-__all__ = ["POINTS_TO", "FLOWS_TO", "CtxAction", "Rule", "ROUND_KIND", "rules"]
+__all__ = ["POINTS_TO", "FLOWS_TO", "CtxAction", "Rule", "ROUND_KIND",
+           "MATCHED_BY_FIELD", "ANSWER_KIND", "rules"]
 
 #: Direction tags (the ``direction`` component of traversal and
 #: jump-map keys); they also index every per-direction pair below.
@@ -93,6 +96,7 @@ class Rule:
         labelled = self.labelled
         is_global = pag.is_global
         out: List[Tuple[int, Context, Optional[Label]]] = []
+        cy: Optional[Context]
         for entry in adjacent:
             if labelled:
                 y, label = entry
@@ -103,17 +107,25 @@ class Rule:
             elif action is CtxAction.RESET:
                 cy = EMPTY_CTX
             elif action is CtxAction.PUSH:
-                cy = c + (label,)
-            elif not c or c[-1] == label:
-                cy = c[:-1]
+                cy = ctx_enter(c, label)
             else:
-                continue  # POP: the call string returns elsewhere
+                cy = ctx_exit(c, label)
+                if cy is None:
+                    continue  # POP: the call string returns elsewhere
             out.append((y, EMPTY_CTX if is_global(y) else cy, label))
         return out
 
 
 #: The heap row whose adjacency opens an alias round, per direction.
 ROUND_KIND: Tuple[EdgeKind, EdgeKind] = (EdgeKind.LOAD, EdgeKind.STORE)
+
+#: The field index a round matches its row's ``(base, f)`` entries
+#: against, per direction: its ``(other base, target)`` pairs for ``f``.
+MATCHED_BY_FIELD: Tuple[str, str] = ("stores_by_field", "loads_by_field")
+
+#: The row whose targets are a traversal's answers, per direction
+#: (forwards the answers are the variable items themselves).
+ANSWER_KIND: Tuple[Optional[EdgeKind], Optional[EdgeKind]] = (EdgeKind.NEW, None)
 
 #: kind -> (action backwards, action forwards).  Entering a callee
 #: pushes its call site (``ret`` backwards, ``param`` forwards); leaving
@@ -132,7 +144,7 @@ _ACTIONS = {
 @lru_cache(maxsize=None)
 def rules(grammar: CFLGrammar) -> Tuple[Rule, ...]:
     """The table for ``grammar``, one row per :class:`EdgeKind` in enum
-    order — the order the engine's sweeps expand successors in."""
+    order — the order the engine's sweep expands successors in."""
     return tuple(
         Rule(
             kind,

@@ -36,7 +36,9 @@ from repro.core.context import EMPTY_CTX, Context
 from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.grammar import CFLGrammar, DEFAULT_GRAMMAR, get_grammar
 from repro.core.query import QueryResult
-from repro.core.rules import FLOWS_TO, POINTS_TO, ROUND_KIND, Label, Rule, rules
+from repro.core.rules import (
+    ANSWER_KIND, FLOWS_TO, POINTS_TO, ROUND_KIND, Label, Rule, rules,
+)
 from repro.errors import AnalysisError
 from repro.pag.edges import EdgeKind
 from repro.pag.graph import PAG
@@ -330,7 +332,7 @@ class _Replay:
         pag = engine.pag
         cs = engine.cfg.context_sensitive
         round_kind = ROUND_KIND[direction] if engine.cfg.field_mode != "none" else None
-        answers = EdgeKind.NEW if direction == POINTS_TO else None
+        answers = ANSWER_KIND[direction]
         heap_aux = engine.tracer.heap_aux
         parents = self.parents
         objs = self.objs

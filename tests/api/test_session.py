@@ -27,7 +27,8 @@ from repro.api import (
     load_snapshot,
     spec_of,
 )
-from repro.benchgen import synthesize_program
+from repro.andersen import AndersenSolver
+from repro.benchgen import SynthesisParams, synthesize_program
 from repro.ir.statements import Assign, Load, Store
 
 EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "box_clean.mj"
@@ -276,6 +277,38 @@ class TestEditsRetireRunners:
         # The warm log describes the pre-edit program: nothing replayed.
         assert retired.resident_jumps() is None
         assert warm.runner() is retired  # resident until the next edit
+
+
+class TestCrossMethodEdit:
+    """An edit that closes a recursion cycle through a call (here, a
+    callee local fed from its caller) after build-time collapse ran:
+    served batches must still finish at an unlimited budget, agree with
+    a from-scratch engine and stay Andersen-sound."""
+
+    @pytest.mark.parametrize("backend", ["local", "matrix"])
+    def test_batch_after_cross_method_assign(self, backend):
+        pytest.importorskip("numpy")
+        params = SynthesisParams(
+            seed=0, n_data_classes=1, containment_depth=2, n_boxes=2, n_vecs=1,
+            n_box_subclasses=0, n_util_chains=0, wrapper_chain_len=2,
+            n_app_classes=1, methods_per_app_class=1, actions_per_method=1,
+            n_globals=0, n_hub_containers=0, read_fanout=0,
+        )
+        cfg = EngineConfig(budget=10**9)
+        session = Session.from_build(build_pag(synthesize_program(params)), engine=cfg)
+        session.batch(backend=backend)
+        session.seq.add_assign_edge(
+            session.resolve("a@App0.help0"), session.resolve("v1@App0.run0")
+        )
+        after = session.batch(backend=backend).results_by_query()
+        engine = CFLEngine(session.pag, cfg)
+        oracle = AndersenSolver(session.pag).solve()
+        assert len(after) == len(session.app_locals())
+        for (var, ctx), got in after.items():
+            want = engine.points_to(var, ctx)
+            assert not got.exhausted
+            assert got.points_to == want.points_to, session.name(var)
+            assert got.objects <= oracle.points_to(var), session.name(var)
 
 
 class TestEditPathCounters:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.context import EMPTY_CTX, ctx_depth, ctx_pop, ctx_push, ctx_top
+from repro.core.context import (
+    EMPTY_CTX, ctx_depth, ctx_enter, ctx_exit, ctx_pop, ctx_push, ctx_top,
+)
 from repro.errors import (
     AnalysisError,
     BudgetExhausted,
@@ -47,6 +49,27 @@ class TestContextOps:
             assert ctx_top(c) == s
             c = ctx_pop(c)
         assert c == EMPTY_CTX
+
+    def test_enter_resets_on_a_repeated_site(self):
+        # an uncollapsed cycle: entering through a site already on the
+        # string resets it, so no string holds a site twice
+        c = ctx_enter(ctx_enter(EMPTY_CTX, 1), 2)
+        assert c == (1, 2)
+        assert ctx_enter(c, 1) == EMPTY_CTX
+        assert ctx_enter(c, 2) == EMPTY_CTX
+
+    @given(st.lists(st.integers(0, 5), max_size=20))
+    def test_entered_strings_stay_repeat_free(self, sites):
+        c = EMPTY_CTX
+        for s in sites:
+            c = ctx_enter(c, s)
+            assert len(set(c)) == len(c) <= 6
+
+    def test_exit_pops_only_the_top_site(self):
+        assert ctx_exit((1, 2), 2) == (1,)
+        assert ctx_exit((1, 2), 1) is None
+        # the empty string passes every site (partially balanced paths)
+        assert ctx_exit(EMPTY_CTX, 7) == EMPTY_CTX
 
     def test_contexts_are_hashable_values(self):
         a = ctx_push(EMPTY_CTX, 1)

@@ -1,7 +1,7 @@
-"""The engine's hand-inlined sweeps agree with the rule table.
+"""The engine's compiled sweep agrees with the rule table.
 
 :mod:`repro.core.rules` is the one statement of how each PAG edge kind
-is traversed; the engine's fast sweeps compile it by hand.  For every
+is traversed, and the engine compiles its sweep from it.  For every
 traversal a :class:`TracingEngine` query swept, the closure of its
 start item under the table rows (the round row following the recorded
 alias-round products) must be exactly the sweep's visited set, and the

@@ -17,6 +17,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 RUFF_TARGETS = [
     "src/repro/core/cfl.py",
+    "src/repro/core/context.py",
+    "src/repro/core/engine.py",
     "src/repro/core/grammar.py",
     "src/repro/core/conformance.py",
     "src/repro/core/matrix.py",
@@ -34,6 +36,7 @@ RUFF_TARGETS = [
 
 MYPY_STRICT_TARGETS = [
     "src/repro/core/cfl.py",
+    "src/repro/core/context.py",
     "src/repro/core/matrix.py",
     "src/repro/core/rules.py",
     "src/repro/core/tracing.py",
