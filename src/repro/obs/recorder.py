@@ -92,6 +92,7 @@ COUNTER_DOCS: Dict[str, str] = {
     "snapshot.log_compacted": "stale/duplicate entries folded out of exported logs",
     "api.sessions": "Session facades constructed",
     "api.pag_builds": "programs parsed and lowered to a PAG",
+    "serve.connections": "HTTP connections accepted by the daemon",
     "serve.requests": "HTTP requests accepted by the daemon",
     "serve.jobs": "analysis jobs admitted to the dispatch queue",
     "serve.queries": "client queries answered by the daemon",

@@ -9,10 +9,17 @@ maps, and the persistent per-backend executors of one
 
 Architecture — request intake is decoupled from analysis dispatch:
 
-* **Handler threads** (``ThreadingHTTPServer``) parse requests and
-  practise admission control: a bounded job queue (429 when full),
-  per-client cumulative step budgets (429 when exhausted), and a
-  draining flag (503 once shutdown has begun).
+* **Handler threads** (``ThreadingHTTPServer``, one per connection)
+  parse requests and practise admission control: a bounded job queue
+  (429 when full), per-client cumulative step budgets (429 when
+  exhausted), and a draining flag (503 once shutdown has begun).
+  Connections are kept alive (HTTP/1.1), so a client that reuses its
+  connection pays neither a TCP handshake nor a new handler thread per
+  request.  Sockets run with ``TCP_NODELAY`` and every response leaves
+  in one write; bodies are framed by ``Content-Length`` alone, and a
+  request whose body cannot be framed (chunked, malformed length, over
+  :data:`MAX_BODY_BYTES`) is refused and its connection closed, so it
+  cannot desynchronise the next request.
 * **One dispatcher thread** owns the session.  It drains the queue
   greedily, coalescing many small client jobs into one deduplicated
   batch per wake-up (up to ``batch_window`` jobs), and pushes the
@@ -24,8 +31,10 @@ Architecture — request intake is decoupled from analysis dispatch:
   representative query, so concurrent clients share the scheduler's
   locality wins and every answer is byte-identical to a one-shot CLI
   run.
-* **Graceful drain** on SIGTERM/SIGINT: new work is refused, every
-  admitted job completes, the HTTP server stops, exit code 0.
+* **Graceful drain** on SIGTERM/SIGINT: new work is refused, idle
+  kept-alive connections are closed, every admitted job completes and
+  its response carries ``Connection: close``, the HTTP server stops,
+  exit code 0.
 
 Endpoints::
 
@@ -49,12 +58,14 @@ import json
 import queue
 import signal
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro._version import __version__
 from repro.api import (
@@ -73,6 +84,7 @@ from repro.api import (
 )
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "ServeConfig",
     "ServeRejected",
     "AnalysisService",
@@ -114,6 +126,10 @@ class ServeConfig:
 
 
 _STOP = object()  # queue sentinel: begin draining
+
+#: Largest request body the daemon accepts; a larger one is refused
+#: with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass
@@ -366,8 +382,13 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP onto the service.  Analysis never runs here — only
     parsing, admission, and response encoding."""
 
+    server: "_Server"
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: Each response leaves in one write, so Nagle's algorithm has
+    #: nothing to coalesce; left on, it holds a kept-alive connection's
+    #: next reply until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; the daemon's
     # stdout/stderr contract is one ready-line plus errors.
@@ -376,29 +397,77 @@ class _Handler(BaseHTTPRequestHandler):
 
     @property
     def service(self) -> AnalysisService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.service
+
+    # -- connection lifetime -------------------------------------------
+    def handle_one_request(self) -> None:
+        # Between requests the connection is idle: a drain may close it.
+        self.server.park(self.connection)
+        super().handle_one_request()
+
+    def parse_request(self) -> bool:
+        self.server.unpark(self.connection)  # a request line arrived
+        return super().parse_request()
 
     # -- plumbing ------------------------------------------------------
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        if self.server.closing:
+            self.close_connection = True
+        head = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
         if status == 429:
-            self.send_header("Retry-After", "1")
-        self.end_headers()
-        try:
-            self.wfile.write(body)
+            head.append("Retry-After: 1")
+        if self.close_connection:
+            head.append("Connection: close")
+        head.append("\r\n")
+        try:  # status line, headers and body in one write
+            self.wfile.write("\r\n".join(head).encode("latin-1") + body)
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; the daemon keeps serving
+            self.close_connection = True  # client went away
 
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+    def _refuse_unframed(self, status: int, reason: str) -> ServeRejected:
+        # The body was not read, so the connection cannot be reused.
+        self.close_connection = True
+        return ServeRejected(status, reason)
+
+    def _read_body(self) -> bytes:
+        """The request body, framed by ``Content-Length`` alone.  On a
+        kept-alive connection, bytes left unread would be parsed as the
+        next request, so a body that cannot be framed is refused."""
+        if "Transfer-Encoding" in self.headers:
+            raise self._refuse_unframed(
+                411, "Transfer-Encoding is not supported; send Content-Length"
+            )
+        lengths = self.headers.get_all("Content-Length") or []
+        if not lengths:
+            return b""
+        text = lengths[0].strip()
+        if len(lengths) > 1 or not (text.isascii() and text.isdigit()):
+            raise self._refuse_unframed(
+                400, f"malformed Content-Length: {', '.join(lengths)!r}"
+            )
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            raise self._refuse_unframed(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        return self.rfile.read(length)
+
+    def _read_json(self) -> Dict[str, Any]:
+        raw = self._read_body()
+        if not raw:
             return {}
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
+            payload = json.loads(raw)
+        except ValueError as exc:  # not JSON, or not UTF-8/16/32
             raise ServeRejected(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise ServeRejected(400, "JSON body must be an object")
@@ -413,6 +482,7 @@ class _Handler(BaseHTTPRequestHandler):
         svc = self.service
         svc._count("serve.requests")
         try:
+            self._read_body()  # a GET body is ignored, but must be framed
             if self.path == "/healthz":
                 self._send_json(200, svc.stats())
             elif self.path == "/metricz":
@@ -435,7 +505,7 @@ class _Handler(BaseHTTPRequestHandler):
         svc = self.service
         svc._count("serve.requests")
         try:
-            payload = self._read_body()
+            payload = self._read_json()
             if self.path == "/v1/points_to":
                 self._points_to(payload)
             elif self.path == "/v1/flows_to":
@@ -589,14 +659,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _drain(self) -> None:
         server = self.server
+        self.close_connection = True  # the daemon is going away
         self._send_json(202, {"status": "draining"})
         # Drain off-thread: this handler must finish its response (and
         # serve_forever must keep polling) while the queue empties.
         threading.Thread(
-            target=server.initiate_shutdown,  # type: ignore[attr-defined]
+            target=server.initiate_shutdown,
             name="repro-serve-drain",
             daemon=True,
         ).start()
+
+
+def _stop_reading(conn: socket.socket) -> None:
+    """Wake a handler blocked reading ``conn`` with end-of-file.  Bytes
+    that already arrived stay readable and writes still work, so a
+    request caught in flight is still answered."""
+    try:
+        conn.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the peer already closed it
 
 
 class _Server(ThreadingHTTPServer):
@@ -604,19 +685,54 @@ class _Server(ThreadingHTTPServer):
     #: Close the listening socket promptly on restart cycles.
     allow_reuse_address = True
 
-    def __init__(self, addr, service: AnalysisService) -> None:
+    def __init__(
+        self, addr: Tuple[str, int], service: AnalysisService
+    ) -> None:
         super().__init__(addr, _Handler)
         self.service = service
-        self._shutdown_once = threading.Lock()
-        self._shutdown_started = False
+        self._conn_lock = threading.Lock()
+        #: Connections whose handler waits for the next request line.
+        self._idle: Set[socket.socket] = set()
+        #: Set once shutdown starts: every response then carries
+        #: ``Connection: close`` and no connection waits idle.
+        self.closing = False
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        self.service._count("serve.connections")
+        super().process_request(request, client_address)
+
+    def park(self, conn: socket.socket) -> None:
+        with self._conn_lock:
+            if not self.closing:
+                self._idle.add(conn)
+                return
+        _stop_reading(conn)
+
+    def unpark(self, conn: socket.socket) -> None:
+        with self._conn_lock:
+            self._idle.discard(conn)
+
+    def shutdown_request(self, request: Any) -> None:
+        self.unpark(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client resetting its kept-alive connection is not a fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def initiate_shutdown(self) -> None:
-        """Graceful stop, callable from any thread and idempotent:
-        drain the service, then break ``serve_forever``."""
-        with self._shutdown_once:
-            if self._shutdown_started:
+        """Graceful stop, callable from any thread and idempotent: close
+        the idle connections, drain the service, then break
+        ``serve_forever``.  ``server_close`` joins every handler thread,
+        so no kept-alive connection may be left waiting."""
+        with self._conn_lock:
+            if self.closing:
                 return
-            self._shutdown_started = True
+            self.closing = True
+            idle, self._idle = self._idle, set()
+        for conn in idle:
+            _stop_reading(conn)
         self.service.drain()
         self.shutdown()
 
@@ -713,9 +829,13 @@ def serve_command(args) -> int:
 class ServeClient:
     """Minimal wire client for the daemon (tests, scripts, CI smoke).
 
-    Each call opens a fresh connection, so one client instance may be
-    shared across threads.  Refusals (429/503) raise
-    :class:`ServeRejected` with the daemon's reason."""
+    Each calling thread keeps one kept-alive connection, so one client
+    instance may be shared across threads and only a thread's first
+    call pays the TCP handshake.  A reused connection the daemon has
+    since closed is reopened once and the request resent.  :meth:`close`
+    (or leaving a ``with`` block) closes the calling thread's
+    connection.  Refusals (429/503) raise :class:`ServeRejected` with
+    the daemon's reason."""
 
     def __init__(
         self,
@@ -729,41 +849,77 @@ class ServeClient:
         self.port = port
         self.client_id = client_id
         self.timeout = timeout
+        self._local = threading.local()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the calling thread's connection, if it has one."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
 
     # -- plumbing ------------------------------------------------------
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> Tuple[int, bytes]:
+        """One request/response on the calling thread's connection:
+        ``(status, body)``."""
+        while True:
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None
+            if conn is None:
+                conn = HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+                self._local.conn = conn
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+                raw = resp.read()
+            except OSError as exc:
+                self.close()
+                # The daemon closes idle connections (drain, restart),
+                # so a reused one can be dead before the request reached
+                # it: reopen once.  A timeout means slow, not dead.
+                if reused and not isinstance(exc, socket.timeout):
+                    continue
+                raise ServeRejected(
+                    503,
+                    f"daemon unreachable at {self.host}:{self.port}: {exc}",
+                ) from None
+            except BaseException:
+                self.close()  # a half-read response poisons the connection
+                raise
+            if resp.will_close:
+                self.close()
+            return resp.status, raw
+
     def _request(
         self,
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        body = None
+        headers = {"X-Repro-Client": self.client_id}
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            headers["Content-Type"] = "application/json"
+        status, raw = self._exchange(method, path, body, headers)
         try:
-            body = None
-            headers = {"X-Repro-Client": self.client_id}
-            if payload is not None:
-                body = json.dumps(payload).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            raw = resp.read()
-            try:
-                data = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                data = {"error": raw.decode(errors="replace")}
-            if resp.status >= 400:
-                raise ServeRejected(
-                    resp.status, data.get("error", f"HTTP {resp.status}")
-                )
-            return data
-        except (ConnectionError, socket.timeout, OSError) as exc:
-            if isinstance(exc, ServeRejected):
-                raise
-            raise ServeRejected(
-                503, f"daemon unreachable at {self.host}:{self.port}: {exc}"
-            ) from None
-        finally:
-            conn.close()
+            data = json.loads(raw) if raw else {}
+        except json.JSONDecodeError:
+            data = {"error": raw.decode(errors="replace")}
+        if status >= 400:
+            raise ServeRejected(status, data.get("error", f"HTTP {status}"))
+        return data
 
     # -- API -----------------------------------------------------------
     def healthz(self) -> Dict[str, Any]:

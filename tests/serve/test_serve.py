@@ -10,10 +10,20 @@ Two layers are exercised:
   to a one-shot :class:`Session` over the same file, the PAG must be
   built exactly once however many requests arrive (the residency
   acceptance criterion), and a concurrent client swarm must lose or
-  corrupt no answers.
+  corrupt no answers;
+* the connection lifecycle: one kept-alive connection per client
+  thread, ``TCP_NODELAY`` on the accepted socket, a drain that closes
+  idle connections, one reconnect after the daemon closed a reused
+  connection, and a defined refusal for each malformed request.
 """
 
+import http.client
+import json
+import socket
+import struct
+import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -168,8 +178,9 @@ class TestGracefulDrain:
 # ----------------------------------------------------------------------
 # the wire: a live in-process daemon on an ephemeral port
 # ----------------------------------------------------------------------
-@contextmanager
-def live_daemon():
+def start_daemon(port=0):
+    """A served session on ``port`` (ephemeral by default), running on
+    a background thread: ``(server, thread, session, recorder)``."""
     rec = MetricsRecorder()
     session = Session.open(
         EXAMPLE,
@@ -179,19 +190,41 @@ def live_daemon():
         engine=EngineConfig(tau_f=0, tau_u=0),
         recorder=rec,
     )
-    server = serve(session, ServeConfig(port=0, n_threads=2))
-    host, port = server.server_address[:2]
+    server = serve(session, ServeConfig(port=port, n_threads=2))
     thread = threading.Thread(
         target=server.serve_forever,
         kwargs={"poll_interval": 0.05},
         daemon=True,
     )
     thread.start()
-    yield ServeClient(host, port), session, rec
-    server.initiate_shutdown()
-    thread.join(10.0)
-    server.server_close()
+    return server, thread, session, rec
+
+
+def stop_daemon(server, thread, within=10.0):
+    """Graceful drain and close; fails if it takes over ``within`` s.
+    ``server_close`` joins every handler thread, so it runs on a
+    helper thread that a stuck drain cannot hang the test on."""
+    def stop():
+        server.initiate_shutdown()
+        thread.join(within)
+        server.server_close()
+
+    stopper = threading.Thread(target=stop, daemon=True)
+    t0 = time.monotonic()
+    stopper.start()
+    stopper.join(within)
+    assert not stopper.is_alive(), "drain blocked"
     assert not thread.is_alive()
+    return time.monotonic() - t0
+
+
+@contextmanager
+def live_daemon():
+    server, thread, session, rec = start_daemon()
+    host, port = server.server_address[:2]
+    with ServeClient(host, port) as client:
+        yield client, session, rec
+    stop_daemon(server, thread)
 
 
 @pytest.fixture(scope="module")
@@ -373,15 +406,15 @@ class TestConcurrentClients:
         answers = {}
 
         def worker(wid: int) -> None:
-            own = ServeClient(
-                client.host, client.port, client_id=f"swarm-{wid}"
-            )
             got = []
             try:
-                for _ in range(4):
-                    for res in own.points_to(specs):
-                        got.append((res["query"], tuple(res["objects"])))
-                    assert own.alias("b@Main.main", "same@Main.main")
+                with ServeClient(
+                    client.host, client.port, client_id=f"swarm-{wid}"
+                ) as own:
+                    for _ in range(4):
+                        for res in own.points_to(specs):
+                            got.append((res["query"], tuple(res["objects"])))
+                        assert own.alias("b@Main.main", "same@Main.main")
             except BaseException as exc:  # surfaced after the join
                 errors.append((wid, exc))
             answers[wid] = got
@@ -402,3 +435,259 @@ class TestConcurrentClients:
         metrics = rec.snapshot()
         assert metrics["serve.batches"] >= 1
         assert metrics.get("serve.multiplexed", 0) >= 0
+
+
+# ----------------------------------------------------------------------
+# connection lifecycle
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def fresh_daemon():
+    """A daemon of this test's own, stopped (and checked to stop)
+    unless the test already did."""
+    server, thread, session, rec = start_daemon()
+    yield server, thread, session, rec
+    if thread.is_alive():
+        stop_daemon(server, thread)
+
+
+def connections(rec):
+    return rec.snapshot().get("serve.connections", 0)
+
+
+class TestConnectionLifecycle:
+    def test_sequential_requests_share_one_connection(self, fresh_daemon):
+        server, _thread, _session, rec = fresh_daemon
+        host, port = server.server_address[:2]
+        with ServeClient(host, port) as client:
+            for _ in range(10):
+                (res,) = client.points_to(["b@Main.main"])
+                assert res["objects"] == ["o:Main.main:0"]
+            assert connections(rec) == 1
+            client.close()               # the next call reconnects
+            assert client.healthz()["status"] == "serving"
+        assert connections(rec) == 2
+
+    def test_shared_client_keeps_one_connection_per_thread(
+        self, fresh_daemon
+    ):
+        # One instance, many threads, a short switch interval: each
+        # thread must get its own connection and its own answers.
+        server, _thread, session, rec = fresh_daemon
+        host, port = server.server_address[:2]
+        specs = [session.name(v) for v in session.app_locals()]
+        client = ServeClient(host, port)
+        errors = []
+
+        def worker() -> None:
+            try:
+                for i in range(30):
+                    spec = specs[i % len(specs)]
+                    (res,) = client.points_to([spec])
+                    assert res["query"] == spec
+            except BaseException as exc:  # surfaced after the join
+                errors.append(exc)
+            finally:
+                client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert connections(rec) == 8
+
+    def test_accepted_socket_has_nodelay(self, fresh_daemon):
+        server, _thread, _session, _rec = fresh_daemon
+        host, port = server.server_address[:2]
+        accepted = []
+        real = server.process_request
+
+        def record(request, client_address):
+            accepted.append(request)
+            real(request, client_address)
+
+        server.process_request = record
+        with ServeClient(host, port) as client:
+            client.healthz()             # the handler's setup has run
+            (sock,) = accepted
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_drain_closes_idle_connections(self, fresh_daemon):
+        server, thread, _session, _rec = fresh_daemon
+        host, port = server.server_address[:2]
+        clients = [ServeClient(host, port) for _ in range(3)]
+        try:
+            for client in clients:
+                assert client.healthz()["status"] == "serving"
+            # Three idle kept-alive connections, each with a handler
+            # thread that server_close joins.
+            assert stop_daemon(server, thread, within=5.0) < 5.0
+            with pytest.raises(ServeRejected) as exc:
+                clients[0].healthz()
+            assert exc.value.status == 503
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_response_in_flight_during_drain_closes(self, fresh_daemon):
+        server, thread, _session, _rec = fresh_daemon
+        svc = server.service
+        host, port = server.server_address[:2]
+        gate = threading.Event()
+        svc._admit(_Job(kind="call", client="t", call=gate.wait))
+        while svc._queue.qsize():        # the dispatcher is now blocked
+            pass
+        replies = []
+
+        def ask() -> None:
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("POST", "/v1/points_to",
+                             body=b'{"targets": ["b@Main.main"]}')
+                resp = conn.getresponse()
+                replies.append((resp.status, resp.getheader("Connection"),
+                                resp.read()))
+            finally:
+                conn.close()
+
+        asker = threading.Thread(target=ask)
+        drainer = threading.Thread(target=server.initiate_shutdown)
+        try:
+            asker.start()
+            while not svc._queue.qsize():    # its job is admitted
+                time.sleep(0.001)
+            drainer.start()
+            while not server.closing:
+                time.sleep(0.001)
+        finally:
+            gate.set()
+        asker.join(10.0)
+        drainer.join(10.0)
+        assert not asker.is_alive() and not drainer.is_alive()
+        ((status, connection, body),) = replies
+        assert status == 200 and b"o:Main.main:0" in body
+        assert connection == "close"
+        stop_daemon(server, thread)
+
+    def test_client_reset_is_not_a_daemon_error(self, fresh_daemon, capsys):
+        # A client that drops its kept-alive connection abortively
+        # resets it under the handler's next read.
+        server, thread, _session, _rec = fresh_daemon
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert sock.recv(1)          # the reply arrived; rest unread
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        stop_daemon(server, thread)      # joins the handler thread
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_reused_connection_reconnects_once_after_restart(self):
+        server, thread, _session, _rec = start_daemon()
+        host, port = server.server_address[:2]
+        with ServeClient(host, port) as client:
+            client.healthz()
+            stop_daemon(server, thread)  # closes the client's connection
+            server, thread, _session, rec = start_daemon(port)
+            try:
+                assert client.healthz()["status"] == "serving"
+                assert connections(rec) == 1
+            finally:
+                stop_daemon(server, thread)
+
+    def test_dead_daemon_is_503_without_retry_loop(self, monkeypatch):
+        server, thread, _session, _rec = start_daemon()
+        host, port = server.server_address[:2]
+        connects = []
+        real = http.client.HTTPConnection.connect
+
+        def counting(conn):
+            connects.append(1)
+            real(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+        with ServeClient(host, port, timeout=5.0) as client:
+            client.healthz()
+            stop_daemon(server, thread)
+            for _ in range(2):           # reused dead, then fresh
+                del connects[:]
+                with pytest.raises(ServeRejected) as exc:
+                    client.healthz()
+                assert exc.value.status == 503
+                assert "unreachable" in exc.value.reason
+                assert len(connects) == 1
+
+
+def exchange(host, port, request: bytes) -> bytes:
+    """Send raw bytes; read until the daemon closes the connection."""
+    out = b""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                out += chunk
+        except ConnectionResetError:
+            pass  # closed with the unread body still queued
+    return out
+
+
+class TestMalformedRequests:
+    BODY = b'{"targets": ["b@Main.main"]}'
+
+    @pytest.mark.parametrize(
+        "headers,body,status",
+        [
+            (b"Content-Length: abc\r\n", BODY, 400),
+            (b"Content-Length: -5\r\n", BODY, 400),
+            (b"Transfer-Encoding: chunked\r\n",
+             b"%x\r\n%s\r\n0\r\n\r\n" % (len(BODY), BODY), 411),
+            (b"Content-Length: %d\r\n" % (2 << 20), BODY, 413),
+        ],
+        ids=["non-numeric", "negative", "chunked", "oversized"],
+    )
+    def test_refused_with_defined_status_and_closed(
+        self, fresh_daemon, capsys, headers, body, status
+    ):
+        server, _thread, _session, _rec = fresh_daemon
+        host, port = server.server_address[:2]
+        request = (b"POST /v1/points_to HTTP/1.1\r\nHost: t\r\n"
+                   + headers + b"\r\n" + body)
+        reply = exchange(host, port, request)
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), reply
+        assert b"\r\nConnection: close" in head
+        assert b"\r\nContent-Type: application/json" in head
+        # One response, then the connection closed: the unread body
+        # was never parsed as a second request.
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert "error" in json.loads(payload)
+        assert "Traceback" not in capsys.readouterr().err
+        with ServeClient(host, port) as client:   # the daemon serves on
+            assert client.healthz()["status"] == "serving"
+
+    def test_undecodable_body_is_400_and_keeps_the_connection(
+        self, fresh_daemon, capsys
+    ):
+        server, _thread, _session, _rec = fresh_daemon
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("POST", "/v1/points_to", body=b"\xff\xfe\xfd")
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "invalid JSON" in json.loads(resp.read())["error"]
+            conn.request("GET", "/healthz")  # framed, so still in sync
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+        assert "Traceback" not in capsys.readouterr().err
