@@ -1,13 +1,14 @@
-"""Bulk CFL-reachability over packed boolean matrices (``backend="matrix"``).
+"""Bulk CFL-reachability over sparse row bitsets (``backend="matrix"``).
 
 The demand engine (:mod:`repro.core.engine`) pays a traversal per query;
 when a checker batch effectively asks for all-pairs flowsTo that is the
-wrong hot path.  This kernel keeps **one boolean adjacency matrix per
-grammar symbol** — numpy ``uint64`` packed bitsets over the states of a
-context-expanded PAG — and runs the classic semiring-product fixpoint:
-for every Chomsky-normal-form production ``A -> B C``,
-``M_A |= M_B ⊗ M_C`` until nothing changes, then answers the *whole*
-query batch by reading rows of the closed answer matrix.
+wrong hot path.  This kernel keeps **one boolean relation per grammar
+symbol** over the states of a context-expanded PAG — one Python ``int``
+bitset per row, so an empty row costs nothing and a row OR is one
+C-level big-integer operation — and runs the classic semiring-product
+fixpoint: for every Chomsky-normal-form production ``A -> B C``,
+``A |= B ⊗ C`` until nothing changes, then answers the *whole* query
+batch by reading rows of the closed answer relation.
 
 Three design points make the answers byte-identical to ``SeqCFL``:
 
@@ -38,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 from typing import (
-    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+    TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.core.cfl import CFG
@@ -48,197 +50,25 @@ from repro.core.query import Query, QueryCosts, QueryResult
 from repro.core.rules import (
     FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, Rule, rules,
 )
-from repro.errors import AnalysisError, InputError
+from repro.errors import AnalysisError
 from repro.pag.edges import EdgeKind
 from repro.pag.graph import PAG, FrozenPAG
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by monkeypatching
-    np = None  # type: ignore[assignment]
-
 if TYPE_CHECKING:
-    from numpy.typing import NDArray
-
+    from repro.core.cfl import _CNF
     from repro.core.engine import EngineConfig
     from repro.obs.recorder import Recorder
 
-    BitMatrix = NDArray[np.uint64]
-
-__all__ = [
-    "MatrixKernel",
-    "ensure_numpy",
-    "WORD_BITS",
-    "n_words",
-    "zero_matrix",
-    "set_bit",
-    "get_bit",
-    "or_into",
-    "pack_rows",
-    "unpack_rows",
-    "row_indices",
-    "transpose",
-    "matmul",
-    "popcount",
-]
-
-#: What pyproject.toml declares; quoted in the missing-numpy error.
-NUMPY_REQUIREMENT = "numpy>=1.22"
-
-WORD_BITS = 64
+__all__ = ["MatrixKernel", "close_rows"]
 
 
-def ensure_numpy() -> None:
-    """Fail with a clear :class:`InputError` when numpy is missing.
-
-    The matrix kernel is the only part of the system that needs numpy;
-    the demand backends (``sim``/``local``/``threads``/``mp``) never
-    import it, so a missing dependency must surface as a user-facing
-    configuration error, not an ImportError traceback.
-    """
-    if np is None:
-        raise InputError(
-            "the matrix backend requires numpy (declared as "
-            f"'{NUMPY_REQUIREMENT}' in pyproject.toml) but it is not "
-            "importable in this environment; install numpy or pick one "
-            "of the demand backends (sim/local/threads/mp), which do not "
-            "use it"
-        )
-
-
-# ----------------------------------------------------------------------
-# packed-bitset primitives
-# ----------------------------------------------------------------------
-def n_words(n_cols: int) -> int:
-    """uint64 words needed for ``n_cols`` bit columns (at least 1)."""
-    return max(1, (n_cols + WORD_BITS - 1) // WORD_BITS)
-
-
-def zero_matrix(n_rows: int, n_cols: int) -> "BitMatrix":
-    """An all-zero packed boolean matrix of ``n_rows`` x ``n_cols``."""
-    ensure_numpy()
-    return np.zeros((n_rows, n_words(n_cols)), dtype=np.uint64)
-
-
-def set_bit(m: "BitMatrix", row: int, col: int) -> None:
-    m[row, col >> 6] |= np.uint64(1 << (col & 63))
-
-
-def get_bit(m: "BitMatrix", row: int, col: int) -> bool:
-    return bool(m[row, col >> 6] & np.uint64(1 << (col & 63)))
-
-
-def or_into(dst: "BitMatrix", src: "BitMatrix") -> bool:
-    """``dst |= src``; True when any bit of ``dst`` changed."""
-    changed = bool(np.any(src & ~dst))
-    if changed:
-        np.bitwise_or(dst, src, out=dst)
-    return changed
-
-
-def pack_rows(rows: Sequence[Set[int]], n_cols: int) -> "BitMatrix":
-    """Pack per-row column sets into a bit matrix."""
-    m = zero_matrix(len(rows), n_cols)
-    for i, cols in enumerate(rows):
-        for j in cols:
-            m[i, j >> 6] |= np.uint64(1 << (j & 63))
-    return m
-
-
-def row_indices(row: "BitMatrix") -> List[int]:
-    """The set bit positions of one packed row, ascending."""
-    out: List[int] = []
-    base = 0
-    for w in row.tolist():
-        bits = int(w)
-        while bits:
-            low = bits & -bits
-            out.append(base + low.bit_length() - 1)
-            bits &= bits - 1
-        base += WORD_BITS
-    return out
-
-
-def unpack_rows(m: "BitMatrix") -> List[Set[int]]:
-    """Inverse of :func:`pack_rows` (column bound rounded up to words)."""
-    return [set(row_indices(m[i])) for i in range(m.shape[0])]
-
-
-def transpose(m: "BitMatrix", n_rows: int, n_cols: int) -> "BitMatrix":
-    """Packed transpose: bit ``(i, j)`` of ``m`` becomes ``(j, i)``."""
-    out = zero_matrix(n_cols, n_rows)
-    for i in range(n_rows):
-        for j in row_indices(m[i]):
-            out[j, i >> 6] |= np.uint64(1 << (i & 63))
-    return out
-
-
-def matmul(
-    left: "BitMatrix",
-    right: "BitMatrix",
-    out: Optional["BitMatrix"] = None,
-    stats: Optional[Dict[str, int]] = None,
-    colmask: Optional["BitMatrix"] = None,
-    right_rows: Optional[List[int]] = None,
-) -> "BitMatrix":
-    """Boolean matrix product: ``out[i] = OR over j in left[i] of right[j]``.
-
-    Vectorised column-at-a-time: for each column ``j`` that is set
-    anywhere in ``left`` *and* whose ``right[j]`` row is non-empty, OR
-    ``right[j]`` into every row of ``out`` whose ``left`` row has bit
-    ``j`` — one masked word-wise OR over the whole row dimension per
-    contributing column, no per-bit Python loop.  The empty-right-row
-    skip is what makes semi-naive products against a sparse delta cheap
-    even when the left operand is a dense closed matrix.
-
-    ``stats`` (optional) accumulates ``"word_ops"``: uint64 words ORed.
-    ``colmask``/``right_rows`` (optional) are precomputed operand
-    summaries — the populated-column mask of ``left`` and the non-empty
-    row ids of ``right`` — so a caller multiplying the same operand in
-    several productions pays the scans once.
-    """
-    ensure_numpy()
-    if out is None:
-        out = np.zeros((left.shape[0], right.shape[1]), dtype=np.uint64)
-    if colmask is None:
-        colmask = np.bitwise_or.reduce(left, axis=0)
-    if right_rows is None:
-        right_rows = np.flatnonzero(right.any(axis=1)).tolist()
-    word_ops = 0
-    width = right.shape[1]
-    # Fancy indexing beats a full-height masked OR while the selected
-    # row set is small; the cutover is a coarse bandwidth heuristic.
-    dense_cut = max(1, left.shape[0] >> 3)
-    for j in right_rows:
-        w = j >> 6
-        if w >= colmask.shape[0]:
-            break
-        bit = np.uint64(1 << (j & 63))
-        if not colmask[w] & bit:
-            continue
-        rows = (left[:, w] & bit) != 0
-        idx = np.flatnonzero(rows)
-        word_ops += int(idx.size) * width
-        if idx.size <= dense_cut:
-            out[idx] |= right[j]
-        else:
-            np.bitwise_or(out, right[j], out=out, where=rows[:, None])
-    if stats is not None:
-        stats["word_ops"] = stats.get("word_ops", 0) + word_ops
-    return out
-
-
-def popcount(m: "BitMatrix") -> int:
-    """Total number of set bits in a packed matrix."""
-    ensure_numpy()
-    if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(m).sum())
-    flat = np.ascontiguousarray(m).view(np.uint8)  # pragma: no cover
-    return int(_POPCOUNT8[flat].sum())  # pragma: no cover
-
-
-if np is not None and not hasattr(np, "bitwise_count"):  # pragma: no cover
-    _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
+def _bits(x: int) -> Iterator[int]:
+    """The set bit positions of ``x``, highest first.  Clearing the top
+    bit shrinks ``x``, so each step is cheaper than the last."""
+    while x:
+        j = x.bit_length() - 1
+        yield j
+        x ^= 1 << j
 
 
 # ----------------------------------------------------------------------
@@ -253,9 +83,9 @@ class MatrixKernel:
 
     Build once per batch, call :meth:`run_batch` with the queries; the
     kernel discovers the reachable ``(node, ctx)`` state space, lowers
-    the PAG onto per-terminal bit matrices, closes them under the
+    the PAG onto per-terminal row bitsets, closes them under the
     grammar's CNF productions, and reads every answer from the closed
-    ``flowsToBar`` matrix.  Answers are byte-identical to the demand
+    ``flowsToBar`` rows.  Answers are byte-identical to the demand
     engine at an unlimited budget (``exhausted`` is always False).
     """
 
@@ -276,7 +106,6 @@ class MatrixKernel:
         config: Optional["EngineConfig"] = None,
         recorder: Optional["Recorder"] = None,
     ) -> None:
-        ensure_numpy()
         if config is None:
             from repro.core.engine import EngineConfig
 
@@ -319,18 +148,11 @@ class MatrixKernel:
             )
         self._cnf = cfg_obj.cnf()
         self._symbols = sorted(cfg_obj.productions)
-        # seed-terminal -> CNF symbols it initially populates: the
-        # nonterminals with a direct A -> t production plus t's proxy.
-        heads: Dict[str, Set[str]] = {}
-        for term, direct in self._cnf.term.items():
-            heads.setdefault(term, set()).update(direct)
-        for proxy, term in self._cnf.term_index.items():
-            heads.setdefault(term, set()).add(proxy)
-        self._terminal_heads = heads
         self._seeds: List[State] = []
         self._index: Dict[State, int] = {}
         self._states: List[State] = []
-        self._matrices: Dict[str, "BitMatrix"] = {}
+        #: symbol -> one bitset per state row (bit j = state j)
+        self._rows: Dict[str, List[int]] = {}
         self._solved = False
 
     # ------------------------------------------------------------------
@@ -358,15 +180,12 @@ class MatrixKernel:
         return (node, EMPTY_CTX if self.pag.is_global(node) else ctx)
 
     def _answer(self, seed: State) -> QueryResult:
-        answers = self._matrices.get(self.ANSWER_SYMBOL)
-        points_to: Set[State] = set()
-        if answers is not None:
-            states = self._states
-            for j in row_indices(answers[self._index[seed]]):
-                points_to.add(states[j])
+        answers = self._rows.get(self.ANSWER_SYMBOL)
+        row = answers[self._index[seed]] if answers is not None else 0
+        states = self._states
         result = QueryResult(
             query=Query(seed[0], seed[1]),
-            points_to=frozenset(points_to),
+            points_to=frozenset(states[j] for j in _bits(row)),
             exhausted=False,
             costs=QueryCosts(),
         )
@@ -465,91 +284,123 @@ class MatrixKernel:
     def _solve(self) -> None:
         term_edges = self._discover()
         n = len(self._states)
-        cnf = self._cnf
-        mats: Dict[str, "BitMatrix"] = {}
-        pending: Dict[str, "BitMatrix"] = {}
-        self._matrices = mats
-        stats = {"rounds": 0, "products": 0, "word_ops": 0, "frontier_bits": 0}
-        scratch = zero_matrix(n, n)
-
-        def merge(symbol: str, bits: "BitMatrix") -> None:
-            # fold new facts into `symbol` and every unit-production
-            # ancestor (the unit relation is transitively closed)
-            for sym in itertools.chain((symbol,), cnf.unit.get(symbol, ())):
-                tgt = mats.get(sym)
-                if tgt is None:
-                    tgt = mats[sym] = zero_matrix(n, n)
-                np.bitwise_not(tgt, out=scratch)
-                np.bitwise_and(scratch, bits, out=scratch)
-                if not scratch.any():
-                    continue
-                np.bitwise_or(tgt, scratch, out=tgt)
-                pend = pending.get(sym)
-                if pend is None:
-                    pending[sym] = scratch.copy()
-                else:
-                    np.bitwise_or(pend, scratch, out=pend)
-
-        # seed terminals: one edge matrix per terminal, folded into the
-        # symbols a single edge already derives
-        n_edges = 0
-        for term, pairs in term_edges.items():
-            heads = self._terminal_heads.get(term)
-            if not heads:
-                continue  # terminal unused by this grammar (e.g. jmp)
-            edge_matrix = zero_matrix(n, n)
-            for src, dst in pairs:
-                edge_matrix[src, dst >> 6] |= np.uint64(1 << (dst & 63))
-            n_edges += len(pairs)
-            for head in heads:
-                merge(head, edge_matrix)
-
-        # semi-naive closure: only deltas from the previous round are
-        # multiplied, against the full current matrices
-        while pending:
-            stats["rounds"] += 1
-            cur, pending = pending, {}
-            for bits in cur.values():
-                stats["frontier_bits"] += popcount(bits)
-            # per-round operand summaries, keyed by array identity; a
-            # summary going stale mid-round (a merge adding bits to a
-            # full matrix) is safe — the added bits are in `pending`
-            # and their products run next round (semi-naive invariant)
-            colmasks: Dict[int, "BitMatrix"] = {}
-            nz_rows: Dict[int, List[int]] = {}
-            for (b, c_sym), heads in cnf.pair.items():
-                for left, right in (
-                    (cur.get(b), mats.get(c_sym)),
-                    (mats.get(b), cur.get(c_sym)),
-                ):
-                    if left is None or right is None:
-                        continue
-                    cm = colmasks.get(id(left))
-                    if cm is None:
-                        cm = colmasks[id(left)] = np.bitwise_or.reduce(left, axis=0)
-                    rr = nz_rows.get(id(right))
-                    if rr is None:
-                        rr = nz_rows[id(right)] = np.flatnonzero(
-                            right.any(axis=1)
-                        ).tolist()
-                    product = matmul(left, right, stats=stats, colmask=cm, right_rows=rr)
-                    stats["products"] += 1
-                    if product.any():
-                        for head in heads:
-                            merge(head, product)
-
+        self._rows, stats = close_rows(self._cnf, n, term_edges)
         self._solved = True
         rec = self.recorder
         if rec:
-            counts: Dict[str, int] = {
-                "matrix.states": n,
-                "matrix.edges": n_edges,
-                "matrix.fixpoint_rounds": stats["rounds"],
-                "matrix.products": stats["products"],
-                "matrix.word_ops": stats["word_ops"],
-                "matrix.frontier_bits": stats["frontier_bits"],
-            }
+            counts = {f"matrix.{key}": value for key, value in stats.items()}
+            counts["matrix.states"] = n
             for sym in self._symbols:
-                m = mats.get(sym)
-                counts[f"matrix.nnz.{sym}"] = popcount(m) if m is not None else 0
+                full = self._rows.get(sym, ())
+                counts[f"matrix.nnz.{sym}"] = sum(r.bit_count() for r in full)
             rec.count_many(counts)
+
+
+def close_rows(
+    cnf: "_CNF", n: int, term_edges: Mapping[str, Sequence[Tuple[int, int]]],
+) -> Tuple[Dict[str, List[int]], Dict[str, int]]:
+    """Close labelled edges over states ``0..n-1`` under ``cnf``.
+
+    ``term_edges`` maps a terminal to its ``(src, dst)`` edges.  Returns
+    symbol -> one bitset per row (bit ``j`` of row ``i`` set iff the
+    symbol derives some path from ``i`` to ``j``), for every symbol
+    with a fact, plus the work counters ``edges``, ``fixpoint_rounds``,
+    ``products``, ``word_ops`` and ``frontier_bits``.
+    """
+    rows: Dict[str, List[int]] = {}
+    #: symbol -> column j -> bitset of the rows holding bit j, kept for
+    #: the left operands of a binary production (full x delta)
+    cols: Dict[str, List[int]] = {b: [0] * n for b, _c in cnf.pair}
+    pending: Dict[str, Dict[int, int]] = {}
+    #: every symbol a merge targets -> it plus its unit ancestors
+    closure = {
+        sym: (sym, *cnf.unit.get(sym, ()))
+        for heads in itertools.chain(cnf.term.values(), cnf.pair.values())
+        for sym in heads
+    }
+    rounds = products = word_ops = frontier_bits = 0
+
+    def merge(symbol: str, updates: Dict[int, int]) -> None:
+        # fold new facts into `symbol` and every unit-production
+        # ancestor (the unit relation is transitively closed)
+        for sym in closure[symbol]:
+            full = rows.get(sym)
+            if full is None:
+                full = rows[sym] = [0] * n
+            col = cols.get(sym)
+            pend = pending.get(sym)
+            for i, bits in updates.items():
+                new = bits & ~full[i]
+                if not new:
+                    continue
+                full[i] |= new
+                if pend is None:
+                    pend = pending[sym] = {}
+                pend[i] = pend.get(i, 0) | new
+                if col is not None:
+                    bit = 1 << i
+                    for j in _bits(new):
+                        col[j] |= bit
+
+    # seed terminals: one edge relation per terminal, folded into the
+    # symbols a single edge already derives (direct A -> t heads and
+    # t's CNF proxy)
+    n_edges = 0
+    for term, pairs in term_edges.items():
+        heads = cnf.term.get(term)
+        if not heads:
+            continue  # terminal unused by this grammar
+        edge_rows: Dict[int, int] = {}
+        for src, dst in pairs:
+            edge_rows[src] = edge_rows.get(src, 0) | (1 << dst)
+        n_edges += len(pairs)
+        for head in heads:
+            merge(head, edge_rows)
+
+    # semi-naive closure: only the previous round's delta rows are
+    # multiplied, against the full current relations.  Bits a merge
+    # adds mid-round are pending too, so a product that misses them
+    # now runs with them next round.
+    while pending:
+        rounds += 1
+        cur, pending = pending, {}
+        frontier_bits += sum(
+            d.bit_count() for delta in cur.values() for d in delta.values()
+        )
+        for (b, c), heads in cnf.pair.items():
+            out: Dict[int, int] = {}
+            delta_b, full_c = cur.get(b), rows.get(c)
+            if delta_b and full_c is not None:
+                # delta x full: row i gains C[j] for each bit j of dB[i]
+                products += 1
+                for i, d in delta_b.items():
+                    acc = 0
+                    for j in _bits(d):
+                        r = full_c[j]
+                        if r:
+                            acc |= r
+                            word_ops += (r.bit_length() + 63) >> 6
+                    if acc:
+                        out[i] = out.get(i, 0) | acc
+            delta_c = cur.get(c)
+            if delta_c and b in rows:
+                # full x delta: every row of B with bit j gains dC[j]
+                products += 1
+                col_b = cols[b]
+                for j, d in delta_c.items():
+                    users = col_b[j]
+                    if users:
+                        word_ops += users.bit_count() * ((d.bit_length() + 63) >> 6)
+                        for i in _bits(users):
+                            out[i] = out.get(i, 0) | d
+            if out:
+                for head in heads:
+                    merge(head, out)
+
+    return rows, {
+        "edges": n_edges,
+        "fixpoint_rounds": rounds,
+        "products": products,
+        "word_ops": word_ops,
+        "frontier_bits": frontier_bits,
+    }

@@ -114,8 +114,8 @@ COUNTER_DOCS: Dict[str, str] = {
     "matrix.states": "context-expanded (node, ctx) states discovered",
     "matrix.edges": "terminal edges lowered onto the state graph",
     "matrix.fixpoint_rounds": "semi-naive closure rounds to fixpoint",
-    "matrix.products": "boolean matrix products computed",
-    "matrix.word_ops": "uint64 words ORed by matrix products",
+    "matrix.products": "semi-naive relation products computed",
+    "matrix.word_ops": "64-bit words covered by the closure's row ORs",
     "matrix.frontier_bits": "delta bits entering each round (summed)",
     "matrix.routed_bulk": "hybrid batches routed to the bulk kernel",
     "matrix.routed_demand": "hybrid batches routed to the demand engine",

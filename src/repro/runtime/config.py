@@ -106,14 +106,6 @@ class RuntimeConfig:
             raise RuntimeConfigError(
                 f"hybrid_crossover must be >= 1, got {self.hybrid_crossover}"
             )
-        if self.backend in ("matrix", "hybrid"):
-            # Eager validation: a missing numpy should fail loudly at
-            # config construction with an InputError, not as an
-            # ImportError mid-batch.  Local import — the demand
-            # backends must never pull the numpy-backed module in.
-            from repro.core.matrix import ensure_numpy
-
-            ensure_numpy()
 
     # ------------------------------------------------------------------
     @property

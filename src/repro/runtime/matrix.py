@@ -3,10 +3,10 @@
 The other executors fan work units out to workers; the matrix backend
 inverts that: the whole batch is one unit, answered from a single
 closed all-pairs fixpoint (:class:`repro.core.matrix.MatrixKernel`).
-Parallelism comes from numpy's word-level bit operations rather than
-from worker concurrency, so ``n_workers`` only sizes the reported
-worker lanes (always 1) and ``sharing`` is meaningless here — the
-kernel shares *everything* by construction.
+The kernel runs on the calling thread (a row OR over Python-int
+bitsets is one C-level big-integer operation), so ``n_workers`` only
+sizes the reported worker lanes (always 1) and ``sharing`` is
+meaningless here — the kernel shares *everything* by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.core.engine import EngineConfig
-from repro.core.matrix import MatrixKernel, ensure_numpy
+from repro.core.matrix import MatrixKernel
 from repro.core.query import Query
 from repro.pag.graph import PAG, FrozenPAG
 from repro.runtime.results import BatchResult, QueryExecution
@@ -44,7 +44,6 @@ class MatrixExecutor:
         mode: str = "matrix",
         recorder: Optional["Recorder"] = None,
     ) -> None:
-        ensure_numpy()
         self.pag = pag
         self.n_workers = n_workers
         self.engine_config = engine_config or EngineConfig()

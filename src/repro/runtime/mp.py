@@ -48,10 +48,13 @@ kills workers still gets answered.  If every worker is gone and the
 respawn budget is spent, the remaining work is drained inline the same
 way — ``run_units`` completes the batch instead of aborting.
 
-Epoch safety under requeue: a worker's ``sent_epoch`` only advances
-after a dispatch **send succeeds**, a respawned slot restarts from
-epoch 0 (it receives the full log with its first chunk), and a
-requeued chunk simply re-ships the log suffix for its new owner.
+Epoch safety under requeue: a worker's ``sent_epoch`` advances only
+after a dispatch **send succeeds**, or past the entries its own
+returned delta just appended when it was current before that merge
+(it holds them already, so they are never shipped back to it).  A
+respawned slot restarts from epoch 0 (it receives the full log with
+its first chunk), and a requeued chunk simply re-ships the log suffix
+for its new owner.
 Re-executed or duplicated deltas are harmless because the merge is
 idempotent (first writer wins); at worst a retried chunk observes a
 *later* epoch than its first attempt did — still a valid commit-order
@@ -658,7 +661,12 @@ class MPExecutor:
             if self.sharing and delta:
                 # Merge even a straggler's delta: idempotent, and its
                 # entries are legitimate commits.
+                caught_up = sent_epoch[w] == len(self._log)
                 accepted = self._merge_delta(delta)
+                if caught_up:
+                    # The entries just appended are this worker's own,
+                    # already in its map: never ship them back to it.
+                    sent_epoch[w] = len(self._log)
                 if rec:
                     rec.count_many({
                         "mp.delta_entries_merged": accepted,

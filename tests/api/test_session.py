@@ -9,6 +9,9 @@ all covered here; the serving daemon built on top is covered in
 ``tests/serve``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,7 +290,6 @@ class TestCrossMethodEdit:
 
     @pytest.mark.parametrize("backend", ["local", "matrix"])
     def test_batch_after_cross_method_assign(self, backend):
-        pytest.importorskip("numpy")
         params = SynthesisParams(
             seed=0, n_data_classes=1, containment_depth=2, n_boxes=2, n_vecs=1,
             n_box_subclasses=0, n_util_chains=0, wrapper_chain_len=2,
@@ -419,7 +421,6 @@ class TestSnapshotRoundTrip:
     def test_hybrid_session_warms_its_demand_route(self, tmp_path):
         # hybrid's sparse batches run on its demand-route executor, so a
         # warm boot must seed that executor's map, not skip it.
-        pytest.importorskip("numpy")
         name = "_200_check"
         build = load_benchmark(name)
         engine = spec_of(name).engine_config()
@@ -462,3 +463,37 @@ class TestStats:
         after = box.stats()
         assert after["n_runners"] == 1
         assert after["n_cached_queries"] > 0
+
+
+NUMPY_FREE_SCRIPT = """
+import sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+from repro.api import EngineConfig, MetricsRecorder, RuntimeConfig, Session
+
+rec = MetricsRecorder()
+session = Session.open(
+    sys.argv[1],
+    runtime=RuntimeConfig(backend="hybrid", hybrid_crossover=1),
+    engine=EngineConfig(budget=10**9),
+    recorder=rec,
+)
+want = session.batch(mode="seq", backend="sim").points_to_map()
+assert want
+assert session.batch(backend="matrix").points_to_map() == want
+assert session.batch().points_to_map() == want
+assert rec.snapshot()["matrix.routed_bulk"] == 1
+print("ok")
+"""
+
+
+def test_matrix_and_hybrid_run_without_numpy():
+    # The bulk kernel is pure Python: with numpy made unimportable, a
+    # matrix batch and a hybrid batch routed to the bulk kernel still
+    # answer exactly what the sequential engine does.
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, str(EXAMPLE)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -10,17 +10,15 @@ sample); the full 20-suite sweep is tier-2
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro import build_pag, parse_program  # noqa: E402
-from repro.benchgen.suites import load_benchmark, spec_of  # noqa: E402
-from repro.core.engine import CFLEngine, EngineConfig  # noqa: E402
-from repro.core.grammar import grammar_ids  # noqa: E402
-from repro.core.matrix import MatrixKernel  # noqa: E402
-from repro.core.query import Query  # noqa: E402
-from repro.errors import AnalysisError, InputError  # noqa: E402
-from repro.runtime.config import RuntimeConfig  # noqa: E402
-from repro.runtime.executor import ParallelCFL  # noqa: E402
+from repro import build_pag, parse_program
+from repro.benchgen.suites import load_benchmark, spec_of
+from repro.core.engine import CFLEngine, EngineConfig
+from repro.core.grammar import grammar_ids
+from repro.core.matrix import MatrixKernel
+from repro.core.query import Query
+from repro.errors import AnalysisError
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.executor import ParallelCFL
 
 UNLIMITED = 10**9
 
@@ -130,22 +128,6 @@ def test_non_variable_query_rejected(box_build):
     obj = next(iter(pag.objects()))
     with pytest.raises(AnalysisError, match="not a variable"):
         kernel.points_to(obj)
-
-
-def test_missing_numpy_is_input_error(box_build, monkeypatch):
-    import repro.core.matrix as matrix_mod
-
-    monkeypatch.setattr(matrix_mod, "np", None)
-    with pytest.raises(InputError, match="numpy"):
-        MatrixKernel(box_build.pag, EngineConfig(budget=UNLIMITED))
-    # Eager config validation fails the same way, for both backends
-    # that can reach the kernel.
-    for backend in ("matrix", "hybrid"):
-        with pytest.raises(InputError, match="numpy"):
-            RuntimeConfig(backend=backend)
-    # The demand backends never touch numpy.
-    for backend in ("local", "threads"):
-        RuntimeConfig(backend=backend)
 
 
 class TestExecutorIntegration:

@@ -10,16 +10,13 @@ Two invariants over the benchmark generator's program space:
   oracle the demand engine is held to).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 
-np = pytest.importorskip("numpy")
+from repro.andersen import AndersenSolver
+from repro.core import CFLEngine, EngineConfig, Query
+from repro.core.matrix import MatrixKernel
 
-from repro.andersen import AndersenSolver  # noqa: E402
-from repro.core import CFLEngine, EngineConfig, Query  # noqa: E402
-from repro.core.matrix import MatrixKernel  # noqa: E402
-
-from .test_properties import build_from, small_params  # noqa: E402
+from .test_properties import build_from, small_params
 
 UNLIMITED = 10**9
 

@@ -162,10 +162,6 @@ class TestLocalExecutor:
 
 
 class TestHybridDemandRoute:
-    @pytest.fixture(autouse=True)
-    def _numpy(self):
-        pytest.importorskip("numpy")
-
     def test_small_batches_route_to_local(self, fig2):
         b, _ = fig2
         assert HYBRID_DEMAND_BACKEND == "local"

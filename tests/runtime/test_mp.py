@@ -86,6 +86,29 @@ class TestMPBackend:
         assert sum(e.result.costs.jmp_taken for e in batch.executions) > 0
         assert batch.total_saved > 0
 
+    def test_own_commits_not_shipped_back(self):
+        # One worker holds every entry it commits, so a sharing batch
+        # on mp x1 ships no delta at all, and answers like seq.
+        from repro.benchgen.suites import load_benchmark, spec_of
+        from repro.obs import MetricsRecorder
+
+        name = "_200_check"
+        build = load_benchmark(name)
+        queries = spec_of(name).workload()
+        engine = EngineConfig(budget=10**9)
+        rec = MetricsRecorder()
+        batch = ParallelCFL.from_config(
+            build, runtime=RuntimeConfig(mode="DQ", n_threads=1, backend="mp"),
+            engine=engine, recorder=rec,
+        ).run(queries)
+        seq = ParallelCFL.from_config(
+            build, runtime=RuntimeConfig(mode="seq"), engine=engine,
+        ).run(queries)
+        assert batch.points_to_map() == seq.points_to_map()
+        assert batch.metrics["mp.dispatches"] > 1
+        assert batch.metrics.get("mp.delta_entries_merged", 0) > 0
+        assert batch.metrics.get("mp.delta_entries_shipped", 0) == 0
+
     def test_invalid_config_rejected(self, fig2):
         b, _ = fig2
         with pytest.raises(RuntimeConfigError):

@@ -10,12 +10,10 @@ Excluded from tier-1 via the ``smoke`` marker::
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.benchgen.suites import load_benchmark, spec_of, suite_names  # noqa: E402
-from repro.core.engine import CFLEngine  # noqa: E402
-from repro.core.grammar import grammar_ids  # noqa: E402
-from repro.core.matrix import MatrixKernel  # noqa: E402
+from repro.benchgen.suites import load_benchmark, spec_of, suite_names
+from repro.core.engine import CFLEngine
+from repro.core.grammar import grammar_ids
+from repro.core.matrix import MatrixKernel
 
 pytestmark = pytest.mark.smoke
 
