@@ -25,7 +25,7 @@ from repro.analyses.base import Checker, Finding, Severity, make_checkers
 from repro.core.context import Context, EMPTY_CTX
 from repro.core.engine import EngineConfig
 from repro.core.query import Query, QueryResult
-from repro.core.scheduling import ScheduleConfig, dedupe_queries
+from repro.core.scheduling import dedupe_queries
 from repro.core.tracing import TracingEngine, Witness
 from repro.errors import AnalysisError, ValidationError
 from repro.ir.program import Method, Program, Variable
@@ -234,20 +234,21 @@ def run_checkers(
     checkers: Optional[Sequence[Union[Checker, str]]] = None,
     *,
     file: Optional[str] = None,
-    mode: str = "DQ",
-    n_threads: int = 8,
-    backend: str = "sim",
-    engine_config: Optional[EngineConfig] = None,
-    schedule_config: Optional[ScheduleConfig] = None,
-    recorder=None,
+    runner: Optional[ParallelCFL] = None,
 ) -> CheckReport:
     """Run checkers over a built program with one batched query pass.
 
     ``checkers`` may mix :class:`Checker` instances and registry ids;
-    None runs every registered checker.  ``mode``/``n_threads``/
-    ``backend`` select the batch configuration (Section IV-C's ladder;
-    ``DQ`` on the deterministic simulator by default).
+    None runs every registered checker.  The batch runs on ``runner``,
+    a :class:`ParallelCFL` over ``build`` whose engine configuration
+    and recorder the checkers share (default: a fresh runner, ``DQ``
+    with 8 workers on the deterministic simulator).
     """
+    if runner is None:
+        runner = ParallelCFL.from_config(
+            build,
+            runtime=RuntimeConfig(mode="DQ", n_threads=8, backend="sim"),
+        )
     resolved: List[Checker] = []
     ids: List[str] = []
     for c in checkers if checkers is not None else make_checkers():
@@ -259,7 +260,7 @@ def run_checkers(
     ctx = CheckContext(
         build=build,
         file=file,
-        engine_config=engine_config or EngineConfig(),
+        engine_config=runner.engine_config,
     )
 
     demanded: List[Query] = []
@@ -269,14 +270,7 @@ def run_checkers(
 
     batch: Optional[BatchResult] = None
     if unique:
-        batch = ParallelCFL.from_config(
-            build,
-            runtime=RuntimeConfig(mode=mode, n_threads=n_threads,
-                                  backend=backend),
-            engine=ctx.engine_config,
-            schedule=schedule_config,
-            recorder=recorder,
-        ).run(unique)
+        batch = runner.run(unique)
         ctx.answers = batch.results_by_query()
 
     findings: List[Finding] = []

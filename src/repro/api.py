@@ -22,7 +22,7 @@ Quick start::
 
 A session loads (or adopts) a program **once** and keeps every
 expensive artifact resident: the PAG, the sequential engine with its
-footprint-indexed jump map, and — through persistent
+footprint-indexed jump map, and — through resident
 :class:`~repro.runtime.executor.ParallelCFL` runners — one executor
 per backend whose committed jump map warms successive batches.  That
 residency is what the ``repro serve`` daemon multiplexes client
@@ -229,13 +229,13 @@ class Session:
     Single queries run on a sequential
     :class:`~repro.core.incremental.IncrementalAnalysis` (answers
     cached, footprints indexed for selective invalidation); batches run
-    on persistent :class:`ParallelCFL` runners keyed by
+    on resident :class:`ParallelCFL` runners keyed by
     ``(mode, n_threads, backend)`` whose committed jump maps and
-    schedule plans survive across :meth:`batch` calls until the next
-    edit through :attr:`seq`, which retires them.  :meth:`snapshot`
-    folds *all* resident jump state into a single compacted epoch-0
-    delta on disk, and :meth:`warm_from_snapshot` replays one into
-    every resident store.
+    schedule plans survive across :meth:`batch` and :meth:`check`
+    calls until the next edit through :attr:`seq`, which retires
+    them.  :meth:`snapshot` folds *all* resident jump state into a
+    single compacted epoch-0 delta on disk, and
+    :meth:`warm_from_snapshot` replays one into every resident store.
     """
 
     def __init__(
@@ -262,7 +262,7 @@ class Session:
         self.source = source
         self._seq: Optional[IncrementalAnalysis] = None
         self._tracer: Optional[TracingEngine] = None
-        #: (mode, n_threads, backend) -> persistent ParallelCFL runner.
+        #: (mode, n_threads, backend) -> resident ParallelCFL runner.
         self._runners: Dict[Tuple[str, int, str], ParallelCFL] = {}
         #: Warm-boot log replayed into every runner created later.
         self._warm_log: List[DeltaEntry] = []
@@ -460,7 +460,7 @@ class Session:
         return result, witnesses
 
     # ------------------------------------------------------------------
-    # batches (persistent parallel runners)
+    # batches (resident parallel runners)
     # ------------------------------------------------------------------
     def _runner_key(
         self,
@@ -498,7 +498,7 @@ class Session:
         n_threads: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> ParallelCFL:
-        """The persistent :class:`ParallelCFL` for a configuration
+        """The resident :class:`ParallelCFL` for a configuration
         (created on first use, jump map warmed from any warm-boot log,
         resident afterwards until the next edit through :attr:`seq`)."""
         key = self._runner_key(mode, n_threads, backend)
@@ -513,7 +513,6 @@ class Session:
                 engine=self.engine_config,
                 schedule=self.schedule_config,
                 recorder=self.recorder,
-                persistent=True,
             )
             if self._warm_log:
                 runner.warm_from(self._warm_log)
@@ -576,7 +575,8 @@ class Session:
         backend: Optional[str] = None,
     ) -> CheckReport:
         """Run the client checkers (default: all registered), all
-        demanded queries dispatched in one scheduled batch."""
+        demanded queries dispatched in one scheduled batch on the
+        resident runner for this configuration."""
         build = self._require_build("the checkers (they walk program "
                                     "statements)")
         if self.kind != "java":
@@ -584,17 +584,13 @@ class Session:
                 "the checkers require the mini-Java front-end; the C "
                 "front-end has no class/statement structure to walk"
             )
-        rt = self.runtime
         return run_checkers(
             build,
             list(checkers) if checkers else None,
             file=self.source,
-            mode=mode or rt.mode,
-            n_threads=n_threads if n_threads is not None else rt.n_threads,
-            backend=backend or rt.backend,
-            engine_config=self.engine_config,
-            schedule_config=self.schedule_config,
-            recorder=self.recorder,
+            runner=self.runner(
+                mode=mode, n_threads=n_threads, backend=backend
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -604,9 +600,7 @@ class Session:
         """The session's entire resident jump state as one compacted
         epoch-0 delta: the sequential map's log merged with every
         resident runner's, deduplicated first-writer-wins onto one
-        entry per key.  Resident mp coordinators are compacted in
-        place as a side effect (their logs never grow unbounded in a
-        long-lived daemon)."""
+        entry per key."""
         merged = JumpMap(self.engine_config.grammar)
         raw = 0
         if self._seq is not None:
@@ -614,10 +608,9 @@ class Session:
             raw += len(log)
             merged.warm_from(log)
         for runner in self._live_runners().values():
-            runner.compact_resident_logs()
-            for log in runner.export_resident_logs():
-                raw += len(log)
-                merged.warm_from(log)
+            log = runner.export_log()
+            raw += len(log)
+            merged.warm_from(log)
         compacted = merged.export_log()
         if self.recorder and raw > len(compacted):
             self.recorder.count(

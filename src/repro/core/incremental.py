@@ -45,11 +45,10 @@ edge edit.
 Removals are out of scope (as in [16]'s "preliminary experience", the
 additive case — loading code — is the common one).
 
-This session type drives the **sequential** engine only; parallel
-backends share summaries through the same lifecycle interface instead
-(``MPExecutor.warm_from`` / ``ConcurrentJumpMap.warm_from``), so
-``backend=`` values other than ``"seq"`` raise
-:class:`~repro.errors.InputError` rather than silently degrading.
+This session type drives the **sequential** engine only.  Batch
+runners share summaries with it through the same commit-log format
+(:meth:`IncrementalAnalysis.save_snapshot` /
+``ParallelCFL.warm_from``), not through this class.
 """
 
 from __future__ import annotations
@@ -86,9 +85,6 @@ from repro.pag.extended import FinishedJump, JumpKey
 from repro.pag.graph import PAG
 
 __all__ = ["FootprintCollector", "FootprintRecord", "IncrementalAnalysis"]
-
-#: Backends an IncrementalAnalysis session can drive directly.
-_SUPPORTED_BACKENDS = ("seq",)
 
 #: Cache key of a session query: (direction, representative node, ctx).
 _QueryKey = Tuple[bool, int, Context]
@@ -249,9 +245,6 @@ class IncrementalAnalysis:
     ``jumps`` may inject any :class:`~repro.core.jumpmap.JumpMapLifecycle`
     store (e.g. a :class:`~repro.runtime.threaded.ConcurrentJumpMap`
     also serving a thread pool) — it must carry the session's grammar.
-    ``backend`` documents the limitation that the session itself drives
-    the sequential engine; anything else raises
-    :class:`~repro.errors.InputError` instead of silently degrading.
     """
 
     def __init__(
@@ -260,17 +253,8 @@ class IncrementalAnalysis:
         config: Optional[EngineConfig] = None,
         *,
         jumps: Optional[JumpMapLifecycle] = None,
-        backend: str = "seq",
         recorder: Optional[Any] = None,
     ) -> None:
-        if backend not in _SUPPORTED_BACKENDS:
-            raise InputError(
-                f"IncrementalAnalysis drives the sequential engine only "
-                f"(got backend={backend!r}); to warm a parallel session, "
-                "export this session's state with save_snapshot()/"
-                "jumps.export_log() and replay it via "
-                "MPExecutor.warm_from() or ConcurrentJumpMap.warm_from()"
-            )
         self.pag = pag
         self.cfg = config or EngineConfig()
         if jumps is None:

@@ -85,7 +85,6 @@ COUNTER_DOCS: Dict[str, str] = {
     "mp.respawns": "worker slots respawned",
     "mp.quarantined_chunks": "chunks executed inline by the coordinator",
     "mp.warm_entries": "commit-log entries seeded by a warm start",
-    "mp.log_compacted": "commit-log entries dropped by epoch-0 compaction",
     "snapshot.bytes": "snapshot bytes written plus bytes read back",
     "snapshot.entries_saved": "jump-map log entries persisted to snapshots",
     "snapshot.entries_loaded": "jump-map log entries read from snapshots",

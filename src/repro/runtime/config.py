@@ -44,7 +44,7 @@ class RuntimeConfig:
 
     #: seq / naive / D / DQ (Section IV-C).
     mode: str = "DQ"
-    #: Worker count (forced to 1 by ``mode="seq"`` at the facade).
+    #: Worker count (see :attr:`effective_threads` for when it is 1).
     n_threads: int = 16
     #: sim / local / threads / mp / matrix / hybrid (see :data:`BACKENDS`).
     backend: str = "sim"
@@ -120,9 +120,10 @@ class RuntimeConfig:
 
     @property
     def effective_threads(self) -> int:
-        """The worker count actually used: seq and the in-process
-        ``local`` backend mean one worker."""
-        if self.mode == "seq" or self.backend == "local":
+        """The worker count actually used: seq mode, and the backends
+        that run on the calling thread (``local``, ``matrix`` and
+        ``hybrid``, which routes between them), mean one worker."""
+        if self.mode == "seq" or self.backend in ("local", "matrix", "hybrid"):
             return 1
         return self.n_threads
 

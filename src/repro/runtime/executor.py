@@ -11,29 +11,25 @@ mode       meaning (Section IV-C)
 ``DQ``     + query scheduling (PARCFL_DQ)
 =========  ==========================================================
 
-Execution knobs are consolidated in
-:class:`~repro.runtime.config.RuntimeConfig`:
+Execution knobs live in one
+:class:`~repro.runtime.config.RuntimeConfig`, read back as
+``runner.runtime``:
 
     runtime = RuntimeConfig(mode="D", n_threads=8, backend="mp")
     batch = ParallelCFL.from_config(build, runtime=runtime).run()
 
-``mode`` and ``n_threads`` stay available as direct conveniences (they
-override the runtime config's values).  The historic backend keyword
-shim (``backend=``, ``chunk_size=``, ``cost_model=``, ``faults=``,
-``unit_timeout=`` directly on the constructor) was removed with the
-``repro.api`` consolidation — pass a :class:`RuntimeConfig`.
+``mode`` and ``n_threads`` on the constructor are conveniences that
+override the runtime config's values.
 
-``persistent=True`` keeps one executor per backend resident across
-:meth:`run` calls, so the committed jump map (and the mp coordinator's
-commit log) warm successive batches instead of being rebuilt — the
-substrate :class:`repro.api.Session` and the ``repro serve`` daemon
-run on.  The default (``False``) constructs a fresh executor per run,
-the historic one-shot behaviour.
-
-Either way a runner keeps its
+A runner is resident: it keeps one executor per backend across
+:meth:`run` calls, so in the sharing modes the committed jump map (and
+the mp coordinator's commit log) warms every later batch, and its
 :class:`~repro.core.scheduling.SchedulePlan` (CD, ``direct``
-components, per-component DD) across :meth:`run` calls, so a ``DQ``
-batch after the first pays only the per-batch grouping.
+components, per-component DD) is built once, so a ``DQ`` batch after
+the first pays only the per-batch grouping.  :meth:`warm_from` seeds
+and :meth:`export_log` reads those maps the same way for every
+backend.  This is the substrate :class:`repro.api.Session`, the
+checkers and the ``repro serve`` daemon run on.
 
 Pass ``recorder=`` (:mod:`repro.obs`) to collect counters and spans;
 the batch's share lands in ``BatchResult.metrics``.
@@ -83,7 +79,6 @@ class ParallelCFL:
         schedule_config: Optional[ScheduleConfig] = None,
         types: Optional[TypeTable] = None,
         recorder=None,
-        persistent: bool = False,
     ) -> None:
         runtime = runtime or RuntimeConfig()
         overrides = {}
@@ -105,9 +100,7 @@ class ParallelCFL:
         self.schedule_config = schedule_config
         self.types = types
         self.recorder = recorder
-        #: Keep one executor per backend resident across runs (the
-        #: committed jump map warms successive batches).
-        self.persistent = persistent
+        #: One resident executor per backend, made on first use.
         self._executors: Dict[str, object] = {}
         #: The whole-program half of scheduling, made on the first
         #: scheduled batch (never at construction) and kept for every
@@ -125,7 +118,6 @@ class ParallelCFL:
         *,
         types: Optional[TypeTable] = None,
         recorder=None,
-        persistent: bool = False,
     ) -> "ParallelCFL":
         """The config-first constructor: every runtime decision in one
         :class:`RuntimeConfig`, every analysis decision in one
@@ -137,54 +129,16 @@ class ParallelCFL:
             schedule_config=schedule,
             types=types,
             recorder=recorder,
-            persistent=persistent,
         )
 
     # ------------------------------------------------------------------
-    # The historic attribute surface, served from the runtime config.
-    @property
-    def mode(self) -> str:
-        return self.runtime.mode
-
-    @property
-    def n_threads(self) -> int:
-        return self.runtime.effective_threads
-
-    @property
-    def backend(self) -> str:
-        return self.runtime.backend
-
-    @property
-    def cost_model(self):
-        return self.runtime.cost_model
-
-    @property
-    def chunk_size(self) -> Optional[int]:
-        return self.runtime.chunk_size
-
-    @property
-    def faults(self):
-        return self.runtime.faults
-
-    @property
-    def unit_timeout(self) -> Optional[float]:
-        return self.runtime.unit_timeout
-
-    @property
-    def sharing(self) -> bool:
-        return self.runtime.sharing
-
-    @property
-    def scheduling(self) -> bool:
-        return self.runtime.scheduling
-
     def default_queries(self) -> List[Query]:
         """The paper's batch workload: all application-code locals."""
         return [Query(v) for v in self.pag.app_locals()]
 
     def work_units(self, queries: Sequence[Query]) -> List[List[Query]]:
         """Materialise the shared work list for this mode."""
-        if self.scheduling:
+        if self.runtime.scheduling:
             if self._plan is None:
                 self._plan = SchedulePlan(
                     self.pag, self.types, self.schedule_config
@@ -205,27 +159,25 @@ class ParallelCFL:
         if backend == "matrix":
             return MatrixExecutor(
                 self.pag,
-                self.n_threads,
                 engine_config=self.engine_config,
-                sharing=self.sharing,
-                mode=self.mode,
+                mode=rt.mode,
                 recorder=self.recorder,
             )
         if backend == "local":
             return LocalExecutor(
                 self.pag,
                 engine_config=self.engine_config,
-                sharing=self.sharing,
-                mode=self.mode,
+                sharing=rt.sharing,
+                mode=rt.mode,
                 recorder=self.recorder,
             )
         if backend == "mp":
             return MPExecutor(
                 self.pag,
-                self.n_threads,
+                rt.effective_threads,
                 engine_config=self.engine_config,
-                sharing=self.sharing,
-                mode=self.mode,
+                sharing=rt.sharing,
+                mode=rt.mode,
                 chunk_size=rt.chunk_size,
                 start_method=rt.start_method,
                 max_chunk_retries=rt.max_chunk_retries,
@@ -238,30 +190,28 @@ class ParallelCFL:
         if backend == "threads":
             return ThreadedExecutor(
                 self.pag,
-                self.n_threads,
+                rt.effective_threads,
                 engine_config=self.engine_config,
-                sharing=self.sharing,
-                mode=self.mode,
+                sharing=rt.sharing,
+                mode=rt.mode,
                 recorder=self.recorder,
             )
         return SimulatedExecutor(
             self.pag,
-            self.n_threads,
+            rt.effective_threads,
             engine_config=self.engine_config,
             cost_model=rt.cost_model,
-            sharing=self.sharing,
-            mode=self.mode,
+            sharing=rt.sharing,
+            mode=rt.mode,
             recorder=self.recorder,
         )
 
     def executor(self, backend: Optional[str] = None):
-        """The executor a run on ``backend`` would use.
-
-        Persistent runners hand back the same instance per backend (its
-        committed jump map survives across batches); one-shot runners
-        construct a fresh executor every time, the historic behaviour.
-        ``hybrid`` has no executor of its own — resolve it through
-        :meth:`run` (or ask for ``matrix``/``local`` directly).
+        """The resident executor for ``backend`` (default: the
+        configured one), made on first use; its committed jump map
+        survives across batches.  ``hybrid`` has no executor of its own
+        — resolve it through :meth:`run` (or ask for ``matrix``/
+        ``local`` directly).
         """
         backend = backend or self.runtime.backend
         if backend == "hybrid":
@@ -270,8 +220,6 @@ class ParallelCFL:
                 f"or {HYBRID_DEMAND_BACKEND!r} (the backends it routes "
                 "between)"
             )
-        if not self.persistent:
-            return self._make_executor(backend)
         ex = self._executors.get(backend)
         if ex is None:
             ex = self._executors[backend] = self._make_executor(backend)
@@ -287,62 +235,30 @@ class ParallelCFL:
     def resident_jumps(
         self, backend: Optional[str] = None
     ) -> Optional[JumpMapLifecycle]:
-        """The resident executor's committed jump map (``None`` for
-        share-nothing modes and the stateless matrix kernel; a hybrid
-        runner's is its demand route's).  Only meaningful on a
-        persistent runner."""
+        """The resident executor's committed jump map (``None`` before
+        its first batch, for share-nothing modes and for the stateless
+        matrix kernel; a hybrid runner's is its demand route's)."""
         ex = self._executors.get(backend or self._stateful_backend())
-        if ex is None:
-            return None
-        return getattr(ex, "jumps", None)
+        return ex.jumps if ex is not None else None
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
-        """Seed the resident executor's jump map from an exported
-        commit log (:mod:`repro.core.snapshot` wire format).
+        """Seed the executor that holds this runner's jump map from an
+        exported commit log (:mod:`repro.core.snapshot` wire format);
+        returns the number of accepted entries (first-writer-wins,
+        idempotent).  Share-nothing modes and the matrix kernel have no
+        map to warm."""
+        ex = self.executor(self._stateful_backend())
+        return ex.warm_from(log) if ex.jumps is not None else 0
 
-        Requires ``persistent=True`` and a sharing mode; returns the
-        number of accepted entries (first-writer-wins, idempotent).  A
-        hybrid runner warms its demand route; the matrix kernel has no
-        map to warm.
-        """
-        if not self.persistent:
-            raise ValueError("warm_from requires a persistent runner")
-        backend = self._stateful_backend()
-        if not self.sharing or backend == "matrix":
-            return 0
-        ex = self.executor(backend)
-        if isinstance(ex, MPExecutor):
-            # Seeds the coordinator map *and* the commit log, so the
-            # warmed entries ship to workers as the epoch-0 delta.
-            return ex.warm_from(log)
-        jumps = getattr(ex, "jumps", None)
-        if jumps is None:
-            return 0
-        return jumps.warm_from(log)
-
-    def export_resident_logs(self) -> List[List[DeltaEntry]]:
-        """Every resident executor's commit log, one list per backend —
-        the mp coordinator's authoritative log where there is one, the
-        committed map's export elsewhere.  Empty for one-shot runners."""
-        out: List[List[DeltaEntry]] = []
+    def export_log(self) -> List[DeltaEntry]:
+        """Every resident executor's committed jump map as one commit
+        log (one executor's entries after another's; keys may repeat
+        across executors)."""
+        log: List[DeltaEntry] = []
         for ex in self._executors.values():
-            if isinstance(ex, MPExecutor):
-                out.append(ex.export_log())
-                continue
-            jumps = getattr(ex, "jumps", None)
-            if jumps is not None:
-                out.append(list(jumps.export_log()))
-        return out
-
-    def compact_resident_logs(self) -> int:
-        """Fold every resident mp coordinator's commit log into its
-        single epoch-0 delta (see :meth:`MPExecutor.compact_log`);
-        returns the total entries dropped."""
-        dropped = 0
-        for ex in self._executors.values():
-            if isinstance(ex, MPExecutor):
-                dropped += ex.compact_log()
-        return dropped
+            if ex.jumps is not None:
+                log.extend(ex.jumps.export_log())
+        return log
 
     # ------------------------------------------------------------------
     def run(self, queries: Optional[Sequence[Query]] = None) -> BatchResult:
@@ -377,15 +293,15 @@ class ParallelCFL:
             # timeline consumers (the progress report, the JSONL log)
             # see batch extents and totals uniformly.
             rec.event(
-                "batch_start", mode=self.mode, backend=backend,
-                n_workers=self.n_threads, total_queries=len(queries),
+                "batch_start", mode=rt.mode, backend=backend,
+                n_workers=rt.effective_threads, total_queries=len(queries),
                 n_units=len(units),
             )
         batch = self.executor(backend).run_units(units)
         if rec:
             batch.metrics = rec.since(mark)
             rec.event(
-                "batch_end", mode=self.mode, backend=backend,
+                "batch_end", mode=rt.mode, backend=backend,
                 queries=batch.n_queries, makespan=round(batch.makespan, 6),
                 crashes=batch.n_worker_crashes, retries=batch.n_chunk_retries,
             )

@@ -17,7 +17,7 @@ import time
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.jumpmap import JumpMap
+from repro.core.jumpmap import DeltaEntry, JumpMap
 from repro.core.query import Query
 from repro.pag.graph import PAG
 from repro.runtime.results import BatchResult, QueryExecution
@@ -46,6 +46,10 @@ class LocalExecutor:
         self.recorder = recorder
         #: Committed jump edges, shared by every query of every batch.
         self.jumps = JumpMap(self.engine_config.grammar) if sharing else None
+
+    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
+        """Seed the committed map from an exported commit log."""
+        return self.jumps.warm_from(log)
 
     def run(self, queries: Sequence[Query]) -> BatchResult:
         """One query per work unit."""

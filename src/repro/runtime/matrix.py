@@ -4,9 +4,9 @@ The other executors fan work units out to workers; the matrix backend
 inverts that: the whole batch is one unit, answered from a single
 closed all-pairs fixpoint (:class:`repro.core.matrix.MatrixKernel`).
 The kernel runs on the calling thread (a row OR over Python-int
-bitsets is one C-level big-integer operation), so ``n_workers`` only
-sizes the reported worker lanes (always 1) and ``sharing`` is
-meaningless here — the kernel shares *everything* by construction.
+bitsets is one C-level big-integer operation), so a batch reports one
+worker, and it keeps no jump map between batches: within one it shares
+*everything* by construction.
 """
 
 from __future__ import annotations
@@ -27,27 +27,21 @@ __all__ = ["MatrixExecutor"]
 
 
 class MatrixExecutor:
-    """Run query batches through the bulk matrix kernel.
+    """Run query batches through the bulk matrix kernel."""
 
-    Mirrors the other executors' construction surface
-    (``pag, n_workers, engine_config=, sharing=, mode=, recorder=``) so
-    the :class:`~repro.runtime.executor.ParallelCFL` facade can treat
-    it uniformly; the concurrency knobs are accepted and ignored.
-    """
+    #: The kernel is stateless between batches: no jump map to warm or
+    #: export.
+    jumps = None
 
     def __init__(
         self,
         pag: Union[PAG, FrozenPAG],
-        n_workers: int = 1,
         engine_config: Optional[EngineConfig] = None,
-        sharing: bool = False,
         mode: str = "matrix",
         recorder: Optional["Recorder"] = None,
     ) -> None:
         self.pag = pag
-        self.n_workers = n_workers
         self.engine_config = engine_config or EngineConfig()
-        self.sharing = sharing
         self.mode = mode
         self.recorder = recorder
 

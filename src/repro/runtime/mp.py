@@ -111,11 +111,7 @@ from repro.pag.graph import PAG, FrozenPAG
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.results import BatchResult, QueryExecution
 
-__all__ = ["MPExecutor", "WorkerCrash", "COORDINATOR", "DeltaEntry"]
-
-# DeltaEntry — ("fin", key, edges) / ("unf", key, steps) — now lives in
-# repro.core.jumpmap (it doubles as the snapshot payload format) and is
-# re-exported here for existing importers of the wire type.
+__all__ = ["MPExecutor", "WorkerCrash", "COORDINATOR"]
 
 #: Pseudo worker id recorded on executions the coordinator ran inline
 #: (quarantined chunks and the no-workers-left drain).
@@ -325,6 +321,9 @@ class MPExecutor:
             JumpMap(self.engine_config.grammar) if sharing else None
         )
         #: Append-only commit log backing the epochs; index == epoch.
+        #: The map is never invalidated (an edited program retires the
+        #: runner instead), so the log holds at most one ``unf`` and one
+        #: ``fin`` entry per key.
         self._log: List[DeltaEntry] = []
 
     # ------------------------------------------------------------------
@@ -354,28 +353,6 @@ class MPExecutor:
         """A copy of the authoritative commit log — the artifact
         :mod:`repro.core.snapshot` persists and warm starts replay."""
         return list(self._log)
-
-    def compact_log(self) -> int:
-        """Fold the commit log into a single epoch-0 delta: one entry
-        per key still live in the authoritative map.
-
-        A long-lived coordinator accumulates log entries forever (and
-        ``invalidate_keys`` drops entries from the *map* but not the
-        *log*, so a stale log can even ship entries the map no longer
-        holds).  Compaction is safe between batches because ``spawn()``
-        resets every worker's ``sent_epoch`` to 0 — the next dispatch
-        ships the full (now compacted) log, never a suffix of the old
-        numbering.  Returns the number of entries dropped.
-        """
-        if self.jumps is None:
-            return 0
-        before = len(self._log)
-        self._log = list(self.jumps.export_log())
-        dropped = before - len(self._log)
-        rec = self.recorder
-        if rec and dropped:
-            rec.count("mp.log_compacted", dropped)
-        return dropped
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the coordinator map *and* the commit log from a prior

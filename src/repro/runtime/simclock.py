@@ -20,7 +20,7 @@ import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.jumpmap import JumpMap, LayeredJumpMap
+from repro.core.jumpmap import DeltaEntry, JumpMap, LayeredJumpMap
 from repro.core.query import Query
 from repro.errors import RuntimeConfigError
 from repro.pag.graph import PAG
@@ -63,6 +63,10 @@ class SimulatedExecutor:
         self.recorder = recorder
         #: Committed jump edges (shared across batches run on this executor).
         self.jumps = JumpMap(self.engine_config.grammar) if sharing else None
+
+    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
+        """Seed the committed map from an exported commit log."""
+        return self.jumps.warm_from(log)
 
     # ------------------------------------------------------------------
     def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:

@@ -190,6 +190,10 @@ class ThreadedExecutor:
             if sharing else None
         )
 
+    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
+        """Seed the committed map from an exported commit log."""
+        return self.jumps.warm_from(log)
+
     def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
         """Drain the shared work list with ``n_threads`` threads.
 

@@ -4,7 +4,7 @@
 the program **once**, then answers pointer-analysis queries over HTTP
 (stdlib :mod:`http.server`, JSON bodies — no new dependencies).  All
 analysis state stays resident between requests: the PAG, the warm jump
-maps, and the persistent per-backend executors of one
+maps, and the per-backend executors of one
 :class:`repro.api.Session`.
 
 Architecture — request intake is decoupled from analysis dispatch:
@@ -84,6 +84,7 @@ from repro.api import (
 )
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "MAX_BODY_BYTES",
     "ServeConfig",
     "ServeRejected",
@@ -110,10 +111,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8177
-    mode: str = "DQ"
-    backend: str = "local"
-    n_threads: int = 8
-    budget: int = DEFAULT_BUDGET
     #: Admission queue bound: jobs beyond this are refused with 429.
     max_pending: int = 64
     #: Max jobs coalesced into one multiplexed batch per dispatch.
@@ -126,6 +123,10 @@ class ServeConfig:
 
 
 _STOP = object()  # queue sentinel: begin draining
+
+#: The backend ``repro serve`` runs batches on unless ``--backend``
+#: says otherwise: in-process on the dispatcher thread, no fan-out.
+DEFAULT_BACKEND = "local"
 
 #: Largest request body the daemon accepts; a larger one is refused
 #: with 413 before any of it is read.
@@ -170,7 +171,6 @@ class AnalysisService:
         self._draining = threading.Event()
         self._started = time.time()
         self.n_jobs_done = 0
-        self.n_batches = 0
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-serve-dispatch", daemon=True
         )
@@ -764,7 +764,7 @@ def serve_command(args) -> int:
     runtime = RuntimeConfig(
         mode=args.mode or "DQ",
         n_threads=args.threads if args.threads is not None else 8,
-        backend=args.backend or "local",
+        backend=args.backend or DEFAULT_BACKEND,
     )
     engine = EngineConfig(
         budget=args.budget if args.budget is not None else DEFAULT_BUDGET
@@ -782,10 +782,6 @@ def serve_command(args) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        mode=runtime.mode,
-        backend=runtime.backend,
-        n_threads=runtime.effective_threads,
-        budget=engine.budget,
         max_pending=args.max_pending,
         batch_window=args.batch_window,
         client_step_budget=args.client_budget,

@@ -5,10 +5,13 @@ import pytest
 
 from repro import build_pag, parse_program
 from repro.analyses import Severity, run_checkers
+from repro.runtime import ParallelCFL
 
 
-def check(src, checkers, **kw):
-    return run_checkers(build_pag(parse_program(src)), checkers, **kw)
+def check(src, checkers, engine=None):
+    build = build_pag(parse_program(src))
+    runner = ParallelCFL.from_config(build, engine=engine) if engine else None
+    return run_checkers(build, checkers, runner=runner)
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +62,7 @@ class TestNullDeref:
 
         report = check(
             NULLDEREF_CLEAN, ["null-deref"],
-            engine_config=EngineConfig(budget=1),
+            engine=EngineConfig(budget=1),
         )
         assert all(f.severity == Severity.NOTE for f in report.findings)
         assert all("budget" in f.message for f in report.findings)

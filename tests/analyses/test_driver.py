@@ -16,6 +16,7 @@ from repro.analyses import (
 from repro.analyses.base import _REGISTRY
 from repro.core.query import Query
 from repro.errors import AnalysisError
+from repro.runtime import ParallelCFL
 
 SRC = """
 class Account {
@@ -109,7 +110,8 @@ class TestBatchDispatch:
         assert lines == sorted(lines)
 
     def test_mode_and_threads_forwarded(self, build):
-        report = run_checkers(build, ["null-deref"], mode="seq")
+        runner = ParallelCFL(build, mode="seq")
+        report = run_checkers(build, ["null-deref"], runner=runner)
         assert report.batch.mode == "seq"
         assert report.batch.n_threads == 1
 

@@ -10,6 +10,7 @@ from repro import build_pag, parse_program
 from repro.analyses import render_sarif, run_checkers
 from repro.analyses.base import make_checkers
 from repro.core.grammar import get_grammar
+from repro.runtime import ParallelCFL, RuntimeConfig
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -170,7 +171,12 @@ class TestBackendStability:
         ]
         outputs = [
             render_sarif(
-                run_checkers(build, ["taint", "escape"], file="x.mj", **kw)
+                run_checkers(
+                    build, ["taint", "escape"], file="x.mj",
+                    runner=ParallelCFL.from_config(
+                        build, runtime=RuntimeConfig(**kw)
+                    ),
+                )
             )
             for kw in configs
         ]
@@ -184,7 +190,10 @@ class TestBackendStability:
         mp = render_sarif(
             run_checkers(
                 leak_build, ["taint", "escape"], file="x.mj",
-                backend="mp", n_threads=2,
+                runner=ParallelCFL.from_config(
+                    leak_build,
+                    runtime=RuntimeConfig(backend="mp", n_threads=2),
+                ),
             )
         )
         assert mp == ref

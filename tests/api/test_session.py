@@ -360,7 +360,7 @@ class TestSnapshotRoundTrip:
         session.batch()
         runner = session.runner()
         raw_logs = [session.seq.jumps.export_log()]
-        raw_logs.extend(runner.export_resident_logs())
+        raw_logs.append(runner.export_log())
         raw = sum(len(log) for log in raw_logs)
         unique = {(kind, key) for log in raw_logs for kind, key, _ in log}
 

@@ -173,8 +173,9 @@ class TestIncrementalEdits:
 
 class TestSessionConfiguration:
     def test_unsupported_backend_raises(self, fig2):
+        # The session drives the sequential engine and takes no backend.
         b, _n = fig2
-        with pytest.raises(InputError, match="sequential engine only"):
+        with pytest.raises(TypeError, match="backend"):
             IncrementalAnalysis(b.pag, backend="mp")
 
     def test_injected_lifecycle_map_is_used(self, fig2):

@@ -299,7 +299,7 @@ class TestSchedulePlan:
         rec = MetricsRecorder()
         runner = ParallelCFL.from_config(
             build, runtime=RuntimeConfig(mode="DQ", backend="sim"),
-            recorder=rec, persistent=True,
+            recorder=rec,
         )
         assert "sched.plan_builds" not in rec.snapshot()  # lazy: no boot cost
         locals_ = build.pag.app_locals()

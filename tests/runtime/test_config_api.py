@@ -14,6 +14,7 @@ import pytest
 from repro.core import CFLEngine, EngineConfig
 from repro.core.engine import FIELD_MODES
 from repro.errors import AnalysisError, RuntimeConfigError
+from repro.obs.timeline import TimelineRecorder
 from repro.runtime import BACKENDS, MODES, ParallelCFL, RuntimeConfig
 from repro.runtime.contention import CostModel
 from repro.runtime.faults import FaultPlan
@@ -50,6 +51,18 @@ class TestRuntimeConfig:
         with pytest.raises(RuntimeConfigError):
             RuntimeConfig(**kwargs)
 
+    @pytest.mark.parametrize("backend", ["matrix", "hybrid"])
+    def test_calling_thread_backends_use_one_worker(self, fig2, backend):
+        # Both of hybrid's routes, like local, run on the calling
+        # thread: the config, the batch_start event and the batch agree.
+        rt = RuntimeConfig(n_threads=16, backend=backend)
+        assert rt.effective_threads == 1
+        b, _ = fig2
+        rec = TimelineRecorder()
+        batch = ParallelCFL.from_config(b, runtime=rt, recorder=rec).run()
+        (start,) = rec.events_of("batch_start")
+        assert start["n_workers"] == batch.n_threads == 1
+
     def test_frozen(self):
         rt = RuntimeConfig()
         with pytest.raises(AttributeError):
@@ -79,9 +92,9 @@ class TestParallelCFLConfigAPI:
         runner = ParallelCFL.from_config(
             b, runtime=RuntimeConfig(mode="D", n_threads=4)
         )
-        assert runner.mode == "D"
-        assert runner.n_threads == 4
-        assert runner.backend == "sim"
+        assert runner.runtime.mode == "D"
+        assert runner.runtime.effective_threads == 4
+        assert runner.runtime.backend == "sim"
         batch = runner.run()
         assert batch.n_queries == len(b.pag.app_locals())
 
@@ -90,7 +103,8 @@ class TestParallelCFLConfigAPI:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             runner = ParallelCFL(b, mode="naive", n_threads=2)
-        assert runner.mode == "naive" and runner.n_threads == 2
+        rt = runner.runtime
+        assert rt.mode == "naive" and rt.effective_threads == 2
 
     def test_conveniences_override_runtime(self, fig2):
         b, _ = fig2
@@ -98,7 +112,8 @@ class TestParallelCFLConfigAPI:
             b, mode="D", n_threads=3,
             runtime=RuntimeConfig(mode="DQ", n_threads=8, backend="threads"),
         )
-        assert (runner.mode, runner.n_threads, runner.backend) == ("D", 3, "threads")
+        rt = runner.runtime
+        assert (rt.mode, rt.effective_threads, rt.backend) == ("D", 3, "threads")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -120,8 +135,8 @@ class TestParallelCFLConfigAPI:
             ParallelCFL(b, **kwargs)
 
     def test_runtime_config_carries_the_retired_kwargs(self, fig2):
-        # ...and the supported spelling still reaches the attribute
-        # surface the legacy kwargs used to feed.
+        # ...and the supported spelling reaches the runner's runtime
+        # config.
         b, _ = fig2
         plan = FaultPlan.parse("exc@0")
         runner = ParallelCFL.from_config(
@@ -130,10 +145,11 @@ class TestParallelCFLConfigAPI:
                 backend="mp", chunk_size=2, faults=plan, unit_timeout=1.5
             ),
         )
-        assert runner.backend == "mp"
-        assert runner.chunk_size == 2
-        assert runner.faults is plan
-        assert runner.unit_timeout == 1.5
+        rt = runner.runtime
+        assert rt.backend == "mp"
+        assert rt.chunk_size == 2
+        assert rt.faults is plan
+        assert rt.unit_timeout == 1.5
 
     def test_unknown_kwarg_is_a_type_error(self, fig2):
         b, _ = fig2

@@ -69,7 +69,6 @@ def assert_local_matches_sim_x1(name):
             build,
             runtime=RuntimeConfig(mode="DQ", n_threads=1, backend=backend),
             engine=cfg,
-            persistent=True,
         )
 
     sim, local = runner("sim"), runner("local")
@@ -96,7 +95,7 @@ class TestLocalExecutor:
         rt = RuntimeConfig(mode="DQ", n_threads=8, backend="local")
         assert rt.effective_threads == 1
         runner = ParallelCFL.from_config(b, runtime=rt)
-        assert runner.n_threads == 1
+        assert runner.runtime.effective_threads == 1
         assert isinstance(runner.executor(), LocalExecutor)
         batch = runner.run()
         assert batch.n_threads == 1
@@ -174,7 +173,6 @@ class TestHybridDemandRoute:
             ),
             engine=EngineConfig(tau_f=0, tau_u=0),
             recorder=rec,
-            persistent=True,
         )
         batch = runner.run()
         assert rec.snapshot()["matrix.routed_demand"] == 1

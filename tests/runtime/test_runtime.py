@@ -217,8 +217,40 @@ class TestParallelCFL:
     def test_seq_mode_forces_one_thread(self, fig2):
         b, _ = fig2
         runner = ParallelCFL(b, mode="seq", n_threads=16)
-        assert runner.n_threads == 1
-        assert not runner.sharing
+        assert runner.runtime.effective_threads == 1
+        assert not runner.runtime.sharing
+
+    @pytest.mark.parametrize("backend", ["sim", "local", "mp"])
+    def test_runs_share_the_resident_map(self, fig2, backend):
+        # A runner keeps its executor, so a second run of a query takes
+        # the shortcuts the first one committed.
+        b, n = fig2
+        runner = ParallelCFL.from_config(
+            b,
+            runtime=RuntimeConfig(mode="D", n_threads=2, backend=backend),
+            engine=EngineConfig(tau_f=0, tau_u=0),
+        )
+        first, second = (runner.run([Query(n["s1"])]) for _ in range(2))
+        assert first.executions[0].result.costs.jmp_taken == 0
+        assert second.executions[0].result.costs.jmp_taken > 0
+
+    @pytest.mark.parametrize("backend", ["sim", "local", "mp", "hybrid"])
+    def test_warm_from_without_a_session(self, fig2, backend):
+        b, _ = fig2
+        cfg = EngineConfig(tau_f=0, tau_u=0)
+        donor = ParallelCFL(b, mode="D", engine_config=cfg)
+        donor.run()
+        log = donor.export_log()
+        runner = ParallelCFL.from_config(
+            b,
+            runtime=RuntimeConfig(mode="D", n_threads=2, backend=backend),
+            engine=cfg,
+        )
+        assert runner.warm_from(log) == len(log) > 0
+        keys = {(tag, key) for tag, key, _ in log}
+        assert {(tag, key) for tag, key, _ in runner.export_log()} == keys
+        batch = runner.run()
+        assert sum(e.result.costs.jmp_taken for e in batch.executions) > 0
 
     def test_default_queries_are_app_locals(self, fig2):
         b, _ = fig2

@@ -35,8 +35,10 @@ from repro.api import (
     Query,
     RuntimeConfig,
     Session,
+    run_checkers,
 )
 from repro.serve import (
+    DEFAULT_BACKEND,
     AnalysisService,
     ServeClient,
     ServeConfig,
@@ -178,19 +180,20 @@ class TestGracefulDrain:
 # ----------------------------------------------------------------------
 # the wire: a live in-process daemon on an ephemeral port
 # ----------------------------------------------------------------------
-def start_daemon(port=0):
-    """A served session on ``port`` (ephemeral by default), running on
-    a background thread: ``(server, thread, session, recorder)``."""
+def start_daemon(port=0, path=EXAMPLE):
+    """A served session over ``path`` on ``port`` (ephemeral by
+    default), running on a background thread: ``(server, thread,
+    session, recorder)``."""
     rec = MetricsRecorder()
     session = Session.open(
-        EXAMPLE,
+        path,
         runtime=RuntimeConfig(
-            mode="DQ", n_threads=2, backend=ServeConfig().backend
+            mode="DQ", n_threads=2, backend=DEFAULT_BACKEND
         ),
         engine=EngineConfig(tau_f=0, tau_u=0),
         recorder=rec,
     )
-    server = serve(session, ServeConfig(port=port, n_threads=2))
+    server = serve(session, ServeConfig(port=port))
     thread = threading.Thread(
         target=server.serve_forever,
         kwargs={"poll_interval": 0.05},
@@ -219,8 +222,8 @@ def stop_daemon(server, thread, within=10.0):
 
 
 @contextmanager
-def live_daemon():
-    server, thread, session, rec = start_daemon()
+def live_daemon(path=EXAMPLE):
+    server, thread, session, rec = start_daemon(path=path)
     host, port = server.server_address[:2]
     with ServeClient(host, port) as client:
         yield client, session, rec
@@ -358,10 +361,34 @@ class TestResidency:
         assert health["api.pag_builds"] == 1
         assert health["serve.batches"] >= 20
 
+    @pytest.mark.parametrize("fixture", ["taint_leak.mj", "escape_pool.mj"])
+    def test_checks_run_on_the_resident_runner(self, fixture):
+        checkers = ["null-deref", "taint", "escape"]
+        # /check batches on the daemon's warm runner, so points-to and
+        # check traffic share one schedule plan, and the findings are
+        # those of a one-shot run_checkers.
+        path = EXAMPLE.parent / fixture
+        expected = [
+            {
+                "checker": f.checker,
+                "severity": f.severity.name.lower(),
+                "message": f.message,
+                "method": f.method,
+            }
+            for f in run_checkers(Session.open(path).build, checkers).findings
+        ]
+        assert expected
+        with live_daemon(path) as (client, session, _rec):
+            client.points_to([session.name(session.app_locals()[0])])
+            reports = [client.check(checkers) for _ in range(3)]
+            health = client.healthz()
+        assert health["sched.plan_builds"] == 1
+        assert [r["findings"] for r in reports] == [expected] * 3
+
 
 class TestNoFanOut:
     @pytest.mark.parametrize(
-        "backend,fans_out", [(ServeConfig().backend, False), ("threads", True)]
+        "backend,fans_out", [(DEFAULT_BACKEND, False), ("threads", True)]
     )
     def test_served_requests_start_no_thread(
         self, monkeypatch, backend, fans_out
