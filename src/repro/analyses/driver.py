@@ -241,14 +241,11 @@ def run_checkers(
     ``checkers`` may mix :class:`Checker` instances and registry ids;
     None runs every registered checker.  The batch runs on ``runner``,
     a :class:`ParallelCFL` over ``build`` whose engine configuration
-    and recorder the checkers share (default: a fresh runner, ``DQ``
-    with 8 workers on the deterministic simulator).
+    and recorder the checkers share (default: a fresh runner on
+    :class:`RuntimeConfig`'s defaults).
     """
     if runner is None:
-        runner = ParallelCFL.from_config(
-            build,
-            runtime=RuntimeConfig(mode="DQ", n_threads=8, backend="sim"),
-        )
+        runner = ParallelCFL.from_config(build, runtime=RuntimeConfig())
     resolved: List[Checker] = []
     ids: List[str] = []
     for c in checkers if checkers is not None else make_checkers():

@@ -115,7 +115,9 @@ Commands
 
 The run-configuration flags (``--mode``, ``--threads``, ``--backend``,
 ``--budget``) are shared by ``batch``/``check``/``serve``/``bench``
-through one parent parser; each command only sets its own defaults.
+through one parent parser; an unset flag keeps ``RuntimeConfig``'s
+default, except ``serve``'s backend (``local``) and ``bench``, which
+measures mode ``D`` on ``mp`` over its own worker axis.
 
 Exit codes: 0 success (for ``check``: no finding at/above the
 threshold), 1 analysis error or findings at/above the threshold, 2 the
@@ -234,17 +236,21 @@ def _close_recorder(recorder) -> None:
 def _cmd_batch(args) -> int:
     from repro.api import (
         EngineConfig,
+        RuntimeConfig,
         metrics_to_json,
         render_hot_queries,
         render_metrics_table,
     )
 
     # The run-config flags come from the shared parent parser with None
-    # defaults; each command resolves its own here (set_defaults would
-    # mutate the parent's shared actions and leak across subcommands).
-    n_threads = args.threads if args.threads is not None else 16
+    # defaults; an unset one keeps RuntimeConfig's default (set_defaults
+    # would mutate the parent's shared actions and leak across
+    # subcommands).
+    runtime = RuntimeConfig.from_flags(
+        n_threads=args.threads, backend=args.backend
+    )
+    n_threads, backend = runtime.n_threads, runtime.backend
     budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-    backend = args.backend or "sim"
     recorder = _make_recorder(args, args.metrics or args.metrics_json)
     session = _open_session(
         args, engine=EngineConfig(budget=budget), recorder=recorder
@@ -298,10 +304,8 @@ def _cmd_check(args) -> int:
     session = _open_session(
         args,
         engine=EngineConfig(budget=budget),
-        runtime=RuntimeConfig(
-            mode=args.mode or "DQ",
-            n_threads=args.threads if args.threads is not None else 8,
-            backend=args.backend or "sim",
+        runtime=RuntimeConfig.from_flags(
+            mode=args.mode, n_threads=args.threads, backend=args.backend
         ),
     )
     if session.kind != "java":
@@ -524,8 +528,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Shared parents: the file/front-end arguments, and the run
     # configuration repeated across batch/check/serve/bench.  Defaults
-    # are None here; each command sets its own via set_defaults, so
-    # adding a flag in one place surfaces it uniformly.
+    # are None here, so an unset run flag keeps RuntimeConfig's
+    # default, and adding a flag in one place surfaces it uniformly.
     common_file = argparse.ArgumentParser(add_help=False)
     common_file.add_argument("file", type=Path,
                              help="program source (.mj or .c)")

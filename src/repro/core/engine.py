@@ -40,11 +40,13 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.core.context import Context, EMPTY_CTX, ctx_enter, ctx_exit
 from repro.core.grammar import DEFAULT_GRAMMAR, get_grammar
-from repro.core.jumpmap import JumpMapLifecycle
+from repro.core.jumpmap import JumpMapLifecycle, LayeredJumpMap
 from repro.core.query import Query, QueryResult, QueryState
 from repro.core.rules import (
     ANSWER_KIND, FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, CtxAction, rules,
@@ -169,7 +171,7 @@ class CFLEngine:
         self,
         pag: PAG,
         config: Optional[EngineConfig] = None,
-        jumps: Optional[JumpMapLifecycle] = None,
+        jumps: Optional[Union[JumpMapLifecycle, LayeredJumpMap]] = None,
         prefilter=None,
         recorder=None,
     ) -> None:

@@ -264,7 +264,7 @@ class IncrementalAnalysis:
                 raise InputError(
                     "injected jump map does not implement the lifecycle "
                     "interface (finished/insert_finished/export_log/"
-                    "warm_from/invalidate_keys/clear_finished)"
+                    "warm_from/invalidate_keys)"
                 )
             if jumps.grammar != self.cfg.grammar:
                 raise InputError(

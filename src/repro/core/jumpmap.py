@@ -21,15 +21,19 @@ Concurrency semantics mirror Section IV-A:
 * a finished insertion clears any unfinished marker for the key (the
   round is now known to complete, so the marker's prediction is moot).
 
-:class:`LayeredJumpMap` gives the simulated parallel executor
+:class:`LayeredJumpMap` gives the simulated and mp executors
 transaction-like visibility: reads see a committed base plus the
-running query's own insertions; at query end the overlay is committed
-by the executor at the query's finish time.
+running query's own insertions; at query end the executor commits the
+overlay (at the query's finish time, for the simulator).
+
+Every write of one store's entries into another goes through one
+replay routine, :meth:`JumpMap.replay`, which returns the entries it
+accepted: a layer's commit, the mp worker's outgoing delta, the mp
+coordinator's merge and commit log, and warm starts from a snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Dict,
     Iterable,
@@ -48,7 +52,6 @@ __all__ = [
     "JumpMap",
     "JumpMapLifecycle",
     "LayeredJumpMap",
-    "JumpMapStats",
 ]
 
 #: One committed jump entry in transit or at rest: ``("fin", key,
@@ -56,7 +59,7 @@ __all__ = [
 #: epoch protocol's wire format (the coordinator's commit log is a
 #: ``List[DeltaEntry]``; workers receive log suffixes) and the payload
 #: format of warm-start snapshots (:mod:`repro.core.snapshot`), so one
-#: replay routine (:meth:`JumpMap.warm_from`) serves both.
+#: replay routine (:meth:`JumpMap.replay`) serves both.
 DeltaEntry = Tuple[str, JumpKey, object]
 
 
@@ -64,14 +67,13 @@ DeltaEntry = Tuple[str, JumpKey, object]
 class JumpMapLifecycle(Protocol):
     """The jump-map lifecycle: create / warm / invalidate / snapshot / ship.
 
-    Implemented by :class:`JumpMap` (seq engine, local executor, mp
-    coordinator base), :class:`LayeredJumpMap` (simulated executor's
-    transactional view) and
+    Implemented by :class:`JumpMap` (seq engine, local and simulated
+    executors, mp coordinator base) and
     :class:`~repro.runtime.threaded.ConcurrentJumpMap` (thread
     backend), so every backend can warm-start from — and contribute to —
     the same on-disk artifact.  ``grammar`` labels the store; sharing
-    entries across grammars is unsound and every implementation refuses
-    it at merge/engine-attach time.
+    entries across grammars is unsound and the engine refuses a store
+    labelled for another grammar.
     """
 
     grammar: str
@@ -98,19 +100,6 @@ class JumpMapLifecycle(Protocol):
 
     def invalidate_keys(self, keys: Iterable[JumpKey]) -> int: ...
 
-    def clear_finished(self) -> int: ...
-
-
-@dataclass
-class JumpMapStats:
-    """Operation counters (drive the runtime cost model)."""
-
-    lookups: int = 0
-    fin_inserts: int = 0       #: finished sets accepted
-    fin_edges: int = 0         #: total finished jmp edges stored
-    unf_inserts: int = 0       #: unfinished markers accepted
-    rejected_inserts: int = 0  #: lost first-writer-wins races / dup sets
-
 
 class JumpMap:
     """Single-writer jump store (sequential engine / committed base).
@@ -129,15 +118,12 @@ class JumpMap:
         #: Finished jmp edges currently stored, kept by every write so
         #: the size views cost O(1): executors read them per batch.
         self._n_fin_edges = 0
-        self.stats = JumpMapStats()
 
     # -- reads ----------------------------------------------------------
     def finished(self, key: JumpKey) -> Optional[Tuple[FinishedJump, ...]]:
-        self.stats.lookups += 1
         return self._fin.get(key)
 
     def unfinished(self, key: JumpKey) -> Optional[int]:
-        self.stats.lookups += 1
         return self._unf.get(key)
 
     # -- writes ---------------------------------------------------------
@@ -147,23 +133,18 @@ class JumpMap:
         Clears any unfinished marker: the round is proven completable.
         """
         if key in self._fin:
-            self.stats.rejected_inserts += 1
             return False
         self._fin[key] = edges
         self._n_fin_edges += len(edges)
         self._unf.pop(key, None)
-        self.stats.fin_inserts += 1
-        self.stats.fin_edges += len(edges)
         return True
 
     def insert_unfinished(self, key: JumpKey, steps: int) -> bool:
         """Insert an out-of-budget marker; first writer wins, and a
         finished entry for the key suppresses the marker entirely."""
         if key in self._unf or key in self._fin:
-            self.stats.rejected_inserts += 1
             return False
         self._unf[key] = steps
-        self.stats.unf_inserts += 1
         return True
 
     # -- aggregate views --------------------------------------------------
@@ -186,24 +167,15 @@ class JumpMap:
     def unfinished_items(self) -> Iterator[Tuple[JumpKey, int]]:
         return iter(self._unf.items())
 
-    def clear_finished(self) -> int:
-        """Drop every finished entry (incremental invalidation: edge
-        additions can extend completed rounds, so recorded shortcut
-        sets may have become incomplete).  Unfinished markers stay —
-        added edges only increase traversal costs, so an out-of-budget
-        certificate remains valid.  Returns the number of dropped
-        entries (summed jmp edges, consistent with
-        :attr:`n_finished_edges` — not the number of dropped keys)."""
-        n = self._n_fin_edges
-        self._fin.clear()
-        self._n_fin_edges = 0
-        return n
-
     def invalidate_keys(self, keys: Iterable[JumpKey]) -> int:
         """Selectively drop the finished entries stored under ``keys``
-        (absent keys are ignored).  Unfinished markers survive for the
-        same monotonicity reason as in :meth:`clear_finished`.  Returns
-        the number of dropped entries (summed jmp edges)."""
+        (absent keys are ignored): edge additions can extend completed
+        rounds, so their recorded shortcut sets may have become
+        incomplete.  Unfinished markers stay — added edges only
+        increase traversal costs, so an out-of-budget certificate
+        remains valid.  Returns the number of dropped entries (summed
+        jmp edges, consistent with :attr:`n_finished_edges` — not the
+        number of dropped keys)."""
         dropped = 0
         for key in keys:
             edges = self._fin.pop(key, None)
@@ -222,12 +194,15 @@ class JumpMap:
         log.extend(("unf", key, steps) for key, steps in self._unf.items())
         return log
 
-    def warm_from(self, log: Iterable[DeltaEntry]) -> int:
-        """Replay a commit log into this store (idempotent: entries the
-        store already owns lose first-writer-wins and are dropped).
-        Returns the number of accepted insertions."""
-        accepted = 0
-        for tag, key, payload in log:
+    def replay(self, log: Iterable[DeltaEntry]) -> List[DeltaEntry]:
+        """Insert a commit log's entries in order, first writer wins
+        (an entry whose key the store already owns is dropped, so a
+        replay is idempotent).  Returns the accepted entries — what a
+        copy of the store before the call would need replayed to equal
+        the store after it."""
+        accepted: List[DeltaEntry] = []
+        for entry in log:
+            tag, key, payload = entry
             if tag == "fin":
                 ok = self.insert_finished(key, payload)  # type: ignore[arg-type]
             elif tag == "unf":
@@ -235,25 +210,13 @@ class JumpMap:
             else:
                 raise ValueError(f"unknown delta entry tag {tag!r}")
             if ok:
-                accepted += 1
+                accepted.append(entry)
         return accepted
 
-    def merge_from(self, other: "JumpMap") -> int:
-        """Commit ``other``'s entries into this map (executor commit
-        step).  Returns the number of accepted insertions."""
-        if other.grammar != self.grammar:
-            raise ValueError(
-                f"cannot merge jump map for grammar {other.grammar!r} "
-                f"into one for {self.grammar!r}"
-            )
-        accepted = 0
-        for key, edges in other._fin.items():
-            if self.insert_finished(key, edges):
-                accepted += 1
-        for key, steps in other._unf.items():
-            if self.insert_unfinished(key, steps):
-                accepted += 1
-        return accepted
+    def warm_from(self, log: Iterable[DeltaEntry]) -> int:
+        """Seed the store from an exported commit log; returns the
+        number of accepted entries (see :meth:`replay`)."""
+        return len(self.replay(log))
 
     def __len__(self) -> int:
         return len(self._fin) + len(self._unf)
@@ -269,10 +232,11 @@ class LayeredJumpMap:
     """Read-through view: a committed ``base`` plus a private overlay.
 
     The running query reads both layers (its own discoveries included)
-    but writes only the overlay; the executor later merges the overlay
-    into the base at the query's simulated finish time.  This models the
-    paper's visibility conservatively: edges published by *concurrently
-    running* queries become visible only once those queries finish.
+    but writes only the overlay; the executor then commits the overlay
+    into the base (:meth:`commit`).  This models the paper's visibility
+    conservatively: edges published by *concurrently running* queries
+    become visible only once those queries finish.  A view lives for one
+    query: it is never exported, warmed or invalidated.
     """
 
     def __init__(self, base: JumpMap) -> None:
@@ -297,47 +261,16 @@ class LayeredJumpMap:
 
     def insert_finished(self, key: JumpKey, edges: Tuple[FinishedJump, ...]) -> bool:
         if self.base.finished(key) is not None:
-            self.base.stats.rejected_inserts += 1
             return False
         return self.overlay.insert_finished(key, edges)
 
     def insert_unfinished(self, key: JumpKey, steps: int) -> bool:
         if self.base.finished(key) is not None or self.base.unfinished(key) is not None:
-            self.base.stats.rejected_inserts += 1
             return False
         return self.overlay.insert_unfinished(key, steps)
 
-    @property
-    def n_jumps(self) -> int:
-        return self.base.n_jumps + self.overlay.n_jumps
-
-    @property
-    def n_finished_edges(self) -> int:
-        return self.base.n_finished_edges + self.overlay.n_finished_edges
-
-    @property
-    def n_unfinished_edges(self) -> int:
-        return self.base.n_unfinished_edges + self.overlay.n_unfinished_edges
-
-    def commit(self) -> int:
-        """Merge the overlay into the base; returns accepted insertions."""
-        return self.base.merge_from(self.overlay)
-
-    # -- lifecycle (JumpMapLifecycle) ----------------------------------
-    # The layered view participates in the lifecycle so a simulated
-    # session can be snapshotted/warmed like any other: exports cover
-    # both layers, replays land in the committed base (they are already
-    # committed state from elsewhere), invalidation must hit both
-    # layers to be sound.
-    def export_log(self) -> List[DeltaEntry]:
-        return self.base.export_log() + self.overlay.export_log()
-
-    def warm_from(self, log: Iterable[DeltaEntry]) -> int:
-        return self.base.warm_from(log)
-
-    def invalidate_keys(self, keys: Iterable[JumpKey]) -> int:
-        keys = list(keys)
-        return self.base.invalidate_keys(keys) + self.overlay.invalidate_keys(keys)
-
-    def clear_finished(self) -> int:
-        return self.base.clear_finished() + self.overlay.clear_finished()
+    def commit(self) -> List[DeltaEntry]:
+        """Replay the overlay into the base (finished entries before
+        unfinished ones); returns the entries the base accepted.  A
+        second commit returns ``[]``."""
+        return self.base.replay(self.overlay.export_log())

@@ -141,7 +141,8 @@ def save_snapshot(
     """Write a snapshot of ``pag`` + ``log`` to ``path``.
 
     ``log`` is a jump-map commit log as produced by
-    ``JumpMapLifecycle.export_log()`` / ``MPExecutor.export_log()``.
+    ``JumpMapLifecycle.export_log()`` (for an mp runner, its coordinator
+    map: ``MPExecutor.jumps``).
     Returns the written header.
     """
     frozen = pag.freeze() if isinstance(pag, PAG) else pag

@@ -38,8 +38,10 @@ class RuntimeConfig:
 
     ``cost_model`` applies to the ``sim`` backend only; ``chunk_size``,
     ``faults``, ``unit_timeout``, ``max_chunk_retries``,
-    ``max_respawns``, ``respawn_backoff`` and ``start_method`` apply to
-    the ``mp`` backend only (other backends ignore them).
+    ``max_respawns`` and ``respawn_backoff`` apply to the ``mp`` backend
+    only (other backends ignore them).  Every default is defined here
+    once: the command line leaves an unset flag to it
+    (:meth:`from_flags`).
     """
 
     #: seq / naive / D / DQ (Section IV-C).
@@ -62,8 +64,6 @@ class RuntimeConfig:
     max_respawns: Optional[int] = None
     #: Initial per-slot respawn delay, doubling per respawn (mp).
     respawn_backoff: float = 0.05
-    #: multiprocessing start method override (mp; None: fork if available).
-    start_method: Optional[str] = None
     #: Batch size at which the ``hybrid`` backend routes to the bulk
     #: matrix kernel instead of the demand engine (None: the measured
     #: default, :data:`repro.core.scheduling.DEFAULT_BULK_CROSSOVER`).
@@ -126,6 +126,12 @@ class RuntimeConfig:
         if self.mode == "seq" or self.backend in ("local", "matrix", "hybrid"):
             return 1
         return self.n_threads
+
+    @classmethod
+    def from_flags(cls, **flags) -> "RuntimeConfig":
+        """A config from command-line flags, where a flag left unset
+        (``None``) keeps this class's default."""
+        return cls(**{k: v for k, v in flags.items() if v is not None})
 
     def with_(self, **changes) -> "RuntimeConfig":
         """A copy with ``changes`` applied (re-validated)."""

@@ -179,7 +179,6 @@ class ParallelCFL:
                 sharing=rt.sharing,
                 mode=rt.mode,
                 chunk_size=rt.chunk_size,
-                start_method=rt.start_method,
                 max_chunk_retries=rt.max_chunk_retries,
                 max_respawns=rt.max_respawns,
                 unit_timeout=rt.unit_timeout,

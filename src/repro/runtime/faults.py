@@ -30,11 +30,11 @@ a fresh :class:`FaultInjector`, so a persistent spec models a
 reproducibly-crashy host while ``after_units`` models one-off failures.
 
 A :class:`FaultPlan` is an immutable, picklable bundle of specs.  It
-reaches workers three ways, in priority order: the ``faults=`` argument
-of :class:`~repro.runtime.mp.MPExecutor`, the ``faults`` field of
-:class:`~repro.core.engine.EngineConfig`, or the ``REPRO_FAULTS``
-environment variable (``mode[@worker][:afterN]``, comma-separated —
-e.g. ``REPRO_FAULTS="kill@0:after2,garbage@1"``).
+reaches workers one way: the ``faults`` field of
+:class:`~repro.runtime.config.RuntimeConfig` (the facade hands it to
+:class:`~repro.runtime.mp.MPExecutor`'s ``faults=`` argument).
+:meth:`FaultPlan.parse` reads the text form ``mode[@worker][:afterN]``,
+comma-separated — e.g. ``"kill@0:after2,garbage@1"``.
 """
 
 from __future__ import annotations
@@ -52,13 +52,9 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "InjectedFault",
-    "ENV_VAR",
 ]
 
 FAULT_MODES = ("kill", "hang", "exc", "garbage")
-
-#: Environment variable holding a default plan (see module docstring).
-ENV_VAR = "REPRO_FAULTS"
 
 
 class InjectedFault(RuntimeError):
@@ -95,7 +91,7 @@ class FaultSpec:
 
     @classmethod
     def parse(cls, token: str) -> "FaultSpec":
-        """Parse one env token: ``mode[@worker][:afterN]``."""
+        """Parse one token: ``mode[@worker][:afterN]``."""
         text = token.strip()
         after = 0
         if ":" in text:
@@ -145,18 +141,11 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
-        """Parse a comma-separated spec list (the ``REPRO_FAULTS`` syntax)."""
+        """Parse a comma-separated list of :meth:`FaultSpec.parse` tokens."""
         tokens = [t for t in text.split(",") if t.strip()]
         if not tokens:
             raise RuntimeConfigError(f"empty fault plan: {text!r}")
         return cls(tuple(FaultSpec.parse(t) for t in tokens))
-
-    @classmethod
-    def from_env(cls, environ=None) -> Optional["FaultPlan"]:
-        """The plan named by ``REPRO_FAULTS``, or ``None`` when unset."""
-        env = os.environ if environ is None else environ
-        text = env.get(ENV_VAR, "").strip()
-        return cls.parse(text) if text else None
 
 
 class FaultInjector:

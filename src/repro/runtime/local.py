@@ -88,10 +88,7 @@ class LocalExecutor:
             makespan=makespan,
             worker_busy=[sum(e.duration for e in executions)],
         )
-        if self.jumps is not None:
-            batch.n_jumps = self.jumps.n_jumps
-            batch.n_finished_jumps = self.jumps.n_finished_edges
-            batch.n_unfinished_jumps = self.jumps.n_unfinished_edges
+        batch.count_jumps(self.jumps)
         if rec:
             batch.metrics = rec.since(mark)
         return batch

@@ -4,8 +4,9 @@ This is the backend that escapes the GIL: each worker is an OS process
 owning a private :class:`~repro.core.engine.CFLEngine` over one
 :class:`~repro.pag.graph.FrozenPAG` snapshot.  The snapshot travels to
 each worker exactly once — inherited copy-on-write under the ``fork``
-start method, or pickled one time as a process argument under
-``spawn`` — and is never re-serialised per work unit.
+start method where the platform has it, else pickled one time as a
+process argument under ``spawn`` — and is never re-serialised per work
+unit.
 
 Data sharing (the paper's ``ConcurrentHashMap``, Section IV-A) becomes
 **epoch-based jump-map synchronisation**:
@@ -14,15 +15,19 @@ Data sharing (the paper's ``ConcurrentHashMap``, Section IV-A) becomes
   append-only **commit log** of accepted entries; the log length is the
   *epoch*;
 * each worker keeps a local base map and, per query, a
-  :class:`LayeredJumpMap` overlay; entries the worker accepts locally
-  are accumulated into an outgoing **delta**;
+  :class:`LayeredJumpMap` overlay; the entries each overlay commit
+  accepts into the worker's base are accumulated into an outgoing
+  **delta**;
 * a completed work unit ships its delta back with the results; the
-  coordinator merges it (:meth:`JumpMap.merge_from` semantics — the
+  coordinator replays it into its map (:meth:`JumpMap.replay` — the
   first writer wins, finished clears unfinished) and appends the
   *accepted* entries to the log;
 * the next unit dispatched to a worker carries the log suffix since
   that worker's last-seen epoch, growing its base to the coordinator's
   view before any new query runs.
+
+Every one of these writes is the same replay routine, so a worker's
+base, the coordinator's map and its log agree by construction.
 
 Visibility therefore matches the repo's conservative commit-order
 model (DESIGN.md §4): a query observes exactly the jump edges committed
@@ -118,15 +123,12 @@ __all__ = ["MPExecutor", "WorkerCrash", "COORDINATOR"]
 COORDINATOR = -1
 
 
-def _apply_delta(jumps: JumpMap, delta: Sequence[DeltaEntry]) -> None:
-    """Replay a log suffix into a local base map (idempotent: replayed
-    entries a worker already owns lose first-writer-wins and are
-    dropped)."""
-    for tag, key, payload in delta:
-        if tag == "fin":
-            jumps.insert_finished(key, payload)
-        else:
-            jumps.insert_unfinished(key, payload)
+#: ``fork`` where the platform has it (workers inherit the snapshot
+#: copy-on-write), else ``spawn``.
+try:
+    _MP_CONTEXT = multiprocessing.get_context("fork")
+except ValueError:
+    _MP_CONTEXT = multiprocessing.get_context("spawn")
 
 
 def _worker_main(conn, pag, engine_config, sharing: bool,
@@ -177,7 +179,9 @@ def _worker_main(conn, pag, engine_config, sharing: bool,
                 return
             _tag, chunk_id, unit_chunk, delta = msg
             if sharing and delta:
-                _apply_delta(jumps, delta)
+                # Idempotent: entries the worker already owns lose
+                # first-writer-wins and are dropped.
+                jumps.warm_from(delta)
             if hb_interval:
                 beat()
             wrec = MetricsRecorder() if collect_metrics else None
@@ -189,27 +193,18 @@ def _worker_main(conn, pag, engine_config, sharing: bool,
                 for query in unit:
                     if hb_interval and perf() - last_hb >= hb_interval:
                         beat()
-                    if sharing:
-                        layer = LayeredJumpMap(jumps)
-                        engine = CFLEngine(pag, engine_config, jumps=layer,
-                                           recorder=wrec)
-                    else:
-                        engine = CFLEngine(pag, engine_config, recorder=wrec)
+                    layer = LayeredJumpMap(jumps) if sharing else None
+                    engine = CFLEngine(pag, engine_config, jumps=layer,
+                                       recorder=wrec)
                     t0 = perf()
                     result = engine.run_query(query)
                     t1 = perf()
-                    if sharing:
-                        # Commit the overlay into the worker base and
-                        # collect the locally-accepted entries for the
-                        # coordinator (a rejected entry lost a local
-                        # first-writer-wins race; its winner already
-                        # shipped, or ships with this delta).
-                        for key, edges in layer.overlay.finished_items():
-                            if jumps.insert_finished(key, edges):
-                                out_delta.append(("fin", key, edges))
-                        for key, steps in layer.overlay.unfinished_items():
-                            if jumps.insert_unfinished(key, steps):
-                                out_delta.append(("unf", key, steps))
+                    if layer is not None:
+                        # Ship what the worker base accepted (a rejected
+                        # entry lost a local first-writer-wins race; its
+                        # winner already shipped, or ships with this
+                        # delta).
+                        out_delta.extend(layer.commit())
                     records.append((result, t0, t1))
                     queries_done += 1
                 units_done += 1
@@ -253,8 +248,7 @@ class MPExecutor:
         ``None`` (the default) disables the deadline.
     ``faults``
         A :class:`~repro.runtime.faults.FaultPlan` shipped to workers
-        for fault-injection runs; defaults to the ``REPRO_FAULTS``
-        env var.
+        for fault-injection runs (``None``: no faults).
     """
 
     def __init__(
@@ -265,7 +259,6 @@ class MPExecutor:
         sharing: bool = True,
         mode: str = "mp",
         chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
         max_chunk_retries: int = 2,
         max_respawns: Optional[int] = None,
         unit_timeout: Optional[float] = None,
@@ -295,19 +288,10 @@ class MPExecutor:
         self.sharing = sharing
         self.mode = mode
         self.chunk_size = chunk_size
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self.start_method = start_method
         self.max_chunk_retries = max_chunk_retries
         self.max_respawns = max_respawns
         self.unit_timeout = unit_timeout
         self.respawn_backoff = respawn_backoff
-        if faults is None:
-            faults = FaultPlan.from_env()
         self.faults = faults
         #: Optional :class:`repro.obs.Recorder`.  When set, workers run
         #: with per-chunk recorders and ship counter snapshots back with
@@ -333,26 +317,12 @@ class MPExecutor:
         return len(self._log)
 
     def _merge_delta(self, delta: Sequence[DeltaEntry]) -> int:
-        """Merge a worker delta into the authoritative map; accepted
-        entries (first writer wins) are appended to the commit log for
+        """Replay a worker delta into the authoritative map and append
+        the accepted entries (first writer wins) to the commit log for
         broadcast.  Returns the number accepted."""
-        jumps = self.jumps
-        accepted = 0
-        for entry in delta:
-            tag, key, payload = entry
-            if tag == "fin":
-                ok = jumps.insert_finished(key, payload)
-            else:
-                ok = jumps.insert_unfinished(key, payload)
-            if ok:
-                self._log.append(entry)
-                accepted += 1
-        return accepted
-
-    def export_log(self) -> List[DeltaEntry]:
-        """A copy of the authoritative commit log — the artifact
-        :mod:`repro.core.snapshot` persists and warm starts replay."""
-        return list(self._log)
+        accepted = self.jumps.replay(delta)
+        self._log.extend(accepted)
+        return len(accepted)
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the coordinator map *and* the commit log from a prior
@@ -403,7 +373,6 @@ class MPExecutor:
                 makespan=0.0, worker_busy=[],
             )
         n = min(self.n_workers, len(chunks))
-        ctx = multiprocessing.get_context(self.start_method)
         max_respawns = (
             self.max_respawns if self.max_respawns is not None else 2 * n
         )
@@ -444,8 +413,8 @@ class MPExecutor:
         stall_flagged: Set[Tuple[int, int]] = set()
 
         def spawn(w: int) -> None:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
+            parent, child = _MP_CONTEXT.Pipe()
+            proc = _MP_CONTEXT.Process(
                 target=_worker_main,
                 args=(child, self.pag, self.engine_config, self.sharing,
                       w, self.faults, bool(rec), hb_interval),
@@ -474,29 +443,21 @@ class MPExecutor:
                           queries=sum(len(u) for u in chunks[ci]))
             for unit in chunks[ci]:
                 for query in unit:
-                    if self.sharing:
-                        layer = LayeredJumpMap(self.jumps)
-                        engine = CFLEngine(self.pag, self.engine_config,
-                                           jumps=layer, recorder=rec)
-                    else:
-                        engine = CFLEngine(self.pag, self.engine_config,
-                                           recorder=rec)
+                    layer = LayeredJumpMap(self.jumps) if self.sharing else None
+                    engine = CFLEngine(self.pag, self.engine_config,
+                                       jumps=layer, recorder=rec)
                     q0 = perf()
                     result = engine.run_query(query)
                     q1 = perf()
-                    if self.sharing:
-                        delta = [
-                            ("fin", key, edges)
-                            for key, edges in layer.overlay.finished_items()
-                        ] + [
-                            ("unf", key, steps)
-                            for key, steps in layer.overlay.unfinished_items()
-                        ]
-                        accepted = self._merge_delta(delta)
+                    if layer is not None:
+                        accepted = layer.commit()
+                        self._log.extend(accepted)
                         if rec:
                             rec.count_many({
-                                "mp.delta_entries_merged": accepted,
-                                "mp.merge_conflicts": len(delta) - accepted,
+                                "mp.delta_entries_merged": len(accepted),
+                                "mp.merge_conflicts": (
+                                    len(layer.overlay) - len(accepted)
+                                ),
                             })
                     executions.append(
                         QueryExecution(result, COORDINATOR, q0 - t0, q1 - t0)
@@ -767,10 +728,7 @@ class MPExecutor:
             n_worker_respawns=respawns,
             errors=errors,
         )
-        if self.jumps is not None:
-            result.n_jumps = self.jumps.n_jumps
-            result.n_finished_jumps = self.jumps.n_finished_edges
-            result.n_unfinished_jumps = self.jumps.n_unfinished_edges
+        result.count_jumps(self.jumps)
         if rec:
             result.metrics = rec.since(mark)
         return result

@@ -71,6 +71,15 @@ class BatchResult:
     metrics: Dict[str, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    def count_jumps(self, jumps) -> None:
+        """Record the executor's committed map size after the batch
+        (``#Jumps`` and its finished/unfinished split); a share-nothing
+        run has no map (``None``) and keeps the zeros."""
+        if jumps is not None:
+            self.n_jumps = jumps.n_jumps
+            self.n_finished_jumps = jumps.n_finished_edges
+            self.n_unfinished_jumps = jumps.n_unfinished_edges
+
     @property
     def results(self) -> List[QueryResult]:
         return [e.result for e in self.executions]

@@ -95,13 +95,14 @@ class SimulatedExecutor:
                 heapq.heappush(heap, (now + fetch, w))
                 continue
             query = backlog[w].pop(0)
-            engine = self._make_engine()
-            result = engine.run_query(query)
+            layer = LayeredJumpMap(self.jumps) if self.sharing else None
+            result = CFLEngine(
+                self.pag, self.engine_config, jumps=layer, recorder=rec
+            ).run_query(query)
             duration = cm.query_time(result.costs, t)
             finish = now + duration
-            if self.sharing:
-                assert isinstance(engine.jumps, LayeredJumpMap)
-                engine.jumps.commit()
+            if layer is not None:
+                layer.commit()
             busy[w] += duration
             executions.append(QueryExecution(result, w, now, finish))
             if rec:
@@ -128,12 +129,6 @@ class SimulatedExecutor:
         return self.run_units([[q] for q in queries])
 
     # ------------------------------------------------------------------
-    def _make_engine(self) -> CFLEngine:
-        jumps = LayeredJumpMap(self.jumps) if self.sharing else None
-        return CFLEngine(
-            self.pag, self.engine_config, jumps=jumps, recorder=self.recorder
-        )
-
     def _finalise(
         self, executions: List[QueryExecution], busy: List[float]
     ) -> BatchResult:
@@ -145,10 +140,7 @@ class SimulatedExecutor:
             makespan=makespan,
             worker_busy=busy,
         )
-        if self.jumps is not None:
-            result.n_jumps = self.jumps.n_jumps
-            result.n_finished_jumps = self.jumps.n_finished_edges
-            result.n_unfinished_jumps = self.jumps.n_unfinished_edges
+        result.count_jumps(self.jumps)
         result.peak_memory_proxy = self._peak_memory(executions)
         return result
 

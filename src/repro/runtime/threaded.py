@@ -117,19 +117,6 @@ class ConcurrentJumpMap:
         finally:
             self._unlock_all()
 
-    def stats_snapshot(self) -> Tuple[int, int, int]:
-        """(n_jumps, n_finished_edges, n_unfinished_edges) read under
-        one consistent all-stripes lock acquisition."""
-        self._lock_all()
-        try:
-            return (
-                self._inner.n_jumps,
-                self._inner.n_finished_edges,
-                self._inner.n_unfinished_edges,
-            )
-        finally:
-            self._unlock_all()
-
     # -- lifecycle (JumpMapLifecycle) ----------------------------------
     # Rare whole-map operations (session start, edit, snapshot); each
     # takes the stop-the-world all-stripes lock so exports are
@@ -152,13 +139,6 @@ class ConcurrentJumpMap:
         self._lock_all()
         try:
             return self._inner.invalidate_keys(keys)
-        finally:
-            self._unlock_all()
-
-    def clear_finished(self) -> int:
-        self._lock_all()
-        try:
-            return self._inner.clear_finished()
         finally:
             self._unlock_all()
 
@@ -381,12 +361,7 @@ class ThreadedExecutor:
             n_chunk_retries=n_retries,
             errors=errors,
         )
-        if self.jumps is not None:
-            (
-                result.n_jumps,
-                result.n_finished_jumps,
-                result.n_unfinished_jumps,
-            ) = self.jumps.stats_snapshot()
+        result.count_jumps(self.jumps)
         if rec:
             result.metrics = rec.since(mark)
         return result

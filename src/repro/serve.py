@@ -761,9 +761,9 @@ def serve(
 def serve_command(args) -> int:
     """``repro serve`` — boot the daemon and run until drained."""
     recorder = MetricsRecorder()
-    runtime = RuntimeConfig(
-        mode=args.mode or "DQ",
-        n_threads=args.threads if args.threads is not None else 8,
+    runtime = RuntimeConfig.from_flags(
+        mode=args.mode,
+        n_threads=args.threads,
         backend=args.backend or DEFAULT_BACKEND,
     )
     engine = EngineConfig(

@@ -142,10 +142,6 @@ class TestEnginePlumbing:
             b.pag, EngineConfig(grammar="taint"), jumps=JumpMap("taint")
         )
 
-    def test_jumpmap_merge_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="grammar"):
-            JumpMap("flowsto").merge_from(JumpMap("taint"))
-
     def test_layered_jumpmap_inherits_grammar(self):
         layered = LayeredJumpMap(JumpMap("escape"))
         assert layered.grammar == "escape"

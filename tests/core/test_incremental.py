@@ -198,18 +198,3 @@ class TestSessionConfiguration:
         b, _n = fig2
         with pytest.raises(InputError, match="lifecycle"):
             IncrementalAnalysis(b.pag, jumps=object())
-
-    def test_clear_finished_counts_entries_not_keys(self):
-        # Regression: clear_finished() used to report dropped *keys*;
-        # it must report summed jmp edges, same unit as
-        # n_finished_edges (multi-edge sets undercounted before).
-        from repro.pag.extended import FinishedJump
-
-        jm = JumpMap()
-        edges = tuple(
-            FinishedJump(target=t, target_ctx=(), steps=5) for t in (1, 2, 3)
-        )
-        jm.insert_finished((0, (), False), edges)
-        jm.insert_finished((1, (), False), (edges[0],))
-        assert jm.n_finished_edges == 4
-        assert jm.clear_finished() == 4

@@ -129,7 +129,9 @@ class TestJumpMapSemantics:
         assert m.insert_unfinished(key, 100)
         assert not m.insert_unfinished(key, 200)
         assert m.unfinished(key) == 100
-        assert m.stats.rejected_inserts == 1
+        # the same two writes replayed: exactly one is rejected
+        log = [("unf", key, 100), ("unf", key, 200)]
+        assert JumpMap().replay(log) == [("unf", key, 100)]
 
     def test_first_writer_wins_finished(self):
         m = JumpMap()
@@ -165,10 +167,10 @@ class TestJumpMapSemantics:
         a, b = JumpMap(), JumpMap()
         b.insert_finished((1, (), POINTS_TO), (FinishedJump(2, (), 5),))
         b.insert_unfinished((3, (), POINTS_TO), 10)
-        assert a.merge_from(b) == 2
+        assert a.replay(b.export_log()) == b.export_log()
         assert a.n_jumps == 2
         # re-merge is fully rejected
-        assert a.merge_from(b) == 0
+        assert a.replay(b.export_log()) == []
 
 
 class TestLayeredJumpMap:
@@ -184,10 +186,36 @@ class TestLayeredJumpMap:
     def test_commit_publishes(self):
         base = JumpMap()
         view = LayeredJumpMap(base)
-        view.insert_finished((9, (), POINTS_TO), (FinishedJump(4, (), 7),))
+        edges = (FinishedJump(4, (), 7),)
         view.insert_unfinished((5, (), POINTS_TO), 50)
-        assert view.commit() == 2
+        view.insert_finished((9, (), POINTS_TO), edges)
+        assert view.commit() == [
+            ("fin", (9, (), POINTS_TO), edges),
+            ("unf", (5, (), POINTS_TO), 50),
+        ]
         assert base.n_jumps == 2
+
+    def test_commit_returns_only_accepted(self):
+        # Two concurrent views over one base: the second to commit
+        # loses every key the first published, and its commit returns
+        # exactly the entries the base took, finished before unfinished.
+        base = JumpMap()
+        first, second = LayeredJumpMap(base), LayeredJumpMap(base)
+        won = (FinishedJump(2, (), 5),)
+        first.insert_finished((1, (), POINTS_TO), won)
+        first.insert_unfinished((2, (), POINTS_TO), 40)
+        second.insert_unfinished((4, (), POINTS_TO), 70)
+        second.insert_finished((1, (), POINTS_TO), (FinishedJump(3, (), 6),))
+        second.insert_unfinished((2, (), POINTS_TO), 99)
+        late = (FinishedJump(7, (), 8),)
+        second.insert_finished((3, (), POINTS_TO), late)
+        assert len(first.commit()) == 2
+        assert second.commit() == [
+            ("fin", (3, (), POINTS_TO), late),
+            ("unf", (4, (), POINTS_TO), 70),
+        ]
+        assert base.finished((1, (), POINTS_TO)) == won
+        assert base.unfinished((2, (), POINTS_TO)) == 40
 
     def test_base_entry_blocks_overlay_insert(self):
         base = JumpMap()

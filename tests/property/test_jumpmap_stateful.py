@@ -3,7 +3,8 @@
 Models the jump map against a simple reference implementation and
 checks the concurrency-relevant invariants of Section IV-A under
 arbitrary operation sequences: first-writer-wins, finished-supersedes-
-unfinished, layered read-through and commit idempotence.
+unfinished, layered read-through, and a commit whose returned entries
+are its whole effect and which is idempotent.
 """
 
 from hypothesis import strategies as st
@@ -67,13 +68,6 @@ class JumpMapMachine(RuleBasedStateMachine):
     def read(self, key):
         assert self.map.finished(key) == self.fin.get(key)
         assert self.map.unfinished(key) == self.unf.get(key)
-
-    @rule()
-    def clear_finished(self):
-        dropped = self.map.clear_finished()
-        # dropped counts *entries* (summed jmp edges), not keys
-        assert dropped == sum(len(v) for v in self.fin.values())
-        self.fin.clear()
 
     @rule(ks=st.lists(keys, max_size=4))
     def invalidate_keys(self, ks):
@@ -150,11 +144,21 @@ class LayeredMachine(RuleBasedStateMachine):
     @rule()
     def commit_folds(self):
         overlay_fin = dict(self.view.overlay._fin)
-        self.view.commit()
+        before = JumpMap()
+        before.warm_from(self.base.export_log())
+        accepted = self.view.commit()
         for key, edges in overlay_fin.items():
             assert self.base.finished(key) is not None
+        # The returned entries are the commit's whole effect: replayed
+        # into a copy of the pre-commit base, they give the post-commit
+        # base (the contract the mp worker's outgoing delta relies on).
+        assert before.replay(accepted) == accepted
+        assert dict(before.finished_items()) == dict(self.base.finished_items())
+        assert dict(before.unfinished_items()) == dict(
+            self.base.unfinished_items()
+        )
         # recommitting is harmless (all rejected)
-        self.view.commit()
+        assert self.view.commit() == []
 
 
 TestLayeredStateful = LayeredMachine.TestCase

@@ -16,7 +16,7 @@ from repro.core import CFLEngine, EngineConfig, Query
 from repro.errors import RuntimeConfigError, WorkerCrash
 from repro.pag import build_pag
 from repro.runtime import FaultPlan, FaultSpec, MPExecutor
-from repro.runtime.faults import ENV_VAR, FaultInjector
+from repro.runtime.faults import FaultInjector
 from repro.runtime.mp import COORDINATOR
 
 TERMINAL = {"completed", "retried", "quarantined"}
@@ -71,18 +71,18 @@ class TestFaultPlan:
         assert [s.mode for s in plan.for_worker(0)] == ["kill", "garbage"]
         assert [s.mode for s in plan.for_worker(3)] == ["garbage"]
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(ENV_VAR, "kill@1:after3")
-        plan = FaultPlan.from_env()
-        assert plan.specs == (FaultSpec("kill", worker=1, after_units=3),)
-
-    def test_env_reaches_executor(self, bench, monkeypatch):
-        build, _, _ = bench
-        monkeypatch.setenv(ENV_VAR, "exc@0")
+    def test_environment_plan_ignored(self, bench, monkeypatch):
+        # Plans arrive only through RuntimeConfig.faults (or faults=):
+        # a plan-shaped environment variable arms nothing.
+        build, queries, expected = bench
+        monkeypatch.setenv("REPRO_FAULTS", "kill@0")
         ex = MPExecutor(build.pag, 2, sharing=False)
-        assert ex.faults == FaultPlan((FaultSpec("exc", worker=0),))
+        assert ex.faults is None
+        batch = ex.run(queries)
+        assert batch.n_worker_crashes == 0
+        assert batch.n_queries == len(queries)
+        for e in batch.executions:
+            assert e.result.objects == expected[e.result.query.var]
 
     def test_engine_config_channel_retired(self, bench):
         # The legacy core->runtime channel (EngineConfig(faults=...)) is

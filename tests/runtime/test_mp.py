@@ -12,7 +12,6 @@ import pytest
 from repro.core import CFLEngine, EngineConfig, Query
 from repro.errors import RuntimeConfigError
 from repro.runtime import MPExecutor, ParallelCFL, RuntimeConfig
-from repro.runtime.mp import _apply_delta
 from repro.core.jumpmap import JumpMap
 from repro.pag.extended import FinishedJump
 
@@ -131,8 +130,8 @@ class TestDeltaProtocol:
         key = (1, (), False)
         edges = (FinishedJump(2, (), 5),)
         delta = [("fin", key, edges), ("unf", (3, (), True), 40)]
-        _apply_delta(base, delta)
-        _apply_delta(base, delta)  # replay: first-writer-wins drops dups
+        base.warm_from(delta)
+        base.warm_from(delta)  # replay: first-writer-wins drops dups
         assert base.finished(key) == edges
         assert base.unfinished((3, (), True)) == 40
         assert base.n_finished_edges == 1
@@ -141,8 +140,8 @@ class TestDeltaProtocol:
     def test_finished_clears_unfinished_across_deltas(self):
         base = JumpMap()
         key = (1, (), False)
-        _apply_delta(base, [("unf", key, 99)])
-        _apply_delta(base, [("fin", key, (FinishedJump(2, (), 5),))])
+        base.warm_from([("unf", key, 99)])
+        base.warm_from([("fin", key, (FinishedJump(2, (), 5),))])
         assert base.unfinished(key) is None
         assert base.finished(key) is not None
 
@@ -169,7 +168,7 @@ class TestWarmStart:
             b.pag, n_workers=2, engine_config=cfg, sharing=True, chunk_size=1,
         )
         cold = first.run(queries)
-        log = first.export_log()
+        log = first.jumps.export_log()
         assert log
 
         warm_ex = MPExecutor(

@@ -217,6 +217,60 @@ class TestCheck:
         assert main(["check", str(tmp_path / "gone.mj")]) == 2
 
 
+class _Stop(Exception):
+    """Raised by a spy once it has seen the runtime it checks."""
+
+
+class TestRunDefaults:
+    """An unset run flag (or an omitted runner) resolves to
+    RuntimeConfig's own default at every entry point."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        from repro.api import Session
+
+        seen = []
+
+        def spy(cls, *args, **kw):
+            seen.append(kw["runtime"])
+            raise _Stop
+
+        monkeypatch.setattr(Session, "open", classmethod(spy))
+        return seen
+
+    def test_check_uses_runtime_defaults(self, java_file, opened):
+        from repro.api import RuntimeConfig
+
+        with pytest.raises(_Stop):
+            main(["check", str(java_file)])
+        assert opened == [RuntimeConfig()]
+
+    def test_serve_uses_runtime_defaults(self, java_file, opened):
+        from repro.api import RuntimeConfig
+        from repro.serve import DEFAULT_BACKEND
+
+        with pytest.raises(_Stop):
+            main(["serve", str(java_file), "--port", "0"])
+        assert opened == [RuntimeConfig(backend=DEFAULT_BACKEND)]
+
+    def test_run_checkers_uses_runtime_defaults(self, monkeypatch):
+        from repro.analyses.driver import ParallelCFL, run_checkers
+        from repro.api import RuntimeConfig
+        from repro.ir.parser import parse_program
+        from repro.pag import build_pag
+
+        seen = []
+
+        def spy(cls, target, runtime=None, *args, **kw):
+            seen.append(runtime)
+            raise _Stop
+
+        monkeypatch.setattr(ParallelCFL, "from_config", classmethod(spy))
+        with pytest.raises(_Stop):
+            run_checkers(build_pag(parse_program(JAVA_SRC)))
+        assert seen == [RuntimeConfig()]
+
+
 class TestBatchAndGraph:
     def test_batch(self, java_file, capsys):
         assert main(["batch", str(java_file), "--threads", "4"]) == 0
