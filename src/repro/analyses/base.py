@@ -134,8 +134,9 @@ class Checker:
     description: str = ""
     paper_section: str = ""
     default_severity: Severity = Severity.WARNING
-    #: Registered :mod:`repro.core.grammar` id this checker certifies
-    #: its witnesses against (surfaced in SARIF rule properties).
+    #: The :mod:`repro.core.grammar` id (``flowsto``/``taint``/
+    #: ``escape``) this checker certifies its witnesses against
+    #: (surfaced in SARIF rule properties).
     grammar: str = "flowsto"
     #: Whether a bare ``repro check`` (no ``--checker``) runs this
     #: checker.  Report-style analyses that flag correct-but-interesting

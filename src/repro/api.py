@@ -394,8 +394,25 @@ class Session:
             return [Query(v, ctx) for v in self.app_locals()]
         return [self._query(t, ctx) for t in targets]
 
+    def node_id(self, node: Any) -> int:
+        """``node`` itself when it is a node id of this PAG: an ``int``
+        (not a ``bool``) in ``[0, n_nodes)``; else :class:`InputError`."""
+        n_nodes = self.pag.n_nodes
+        if (
+            isinstance(node, bool)
+            or not isinstance(node, int)
+            or not 0 <= node < n_nodes
+        ):
+            raise InputError(
+                f"bad node id {node!r}: expected an int in [0, {n_nodes})"
+            )
+        return node
+
     def _query(self, target: Union[int, str], ctx: Context) -> Query:
-        node = self.resolve(target) if isinstance(target, str) else target
+        node = (
+            self.resolve(target) if isinstance(target, str)
+            else self.node_id(target)
+        )
         return Query(node, ctx)
 
     # ------------------------------------------------------------------
@@ -424,7 +441,8 @@ class Session:
         """Demand flows-to query from an object node (id or
         allocation-site label)."""
         node = (
-            self.resolve_obj(target) if isinstance(target, str) else target
+            self.resolve_obj(target) if isinstance(target, str)
+            else self.node_id(target)
         )
         return self.seq.flows_to(node, ctx)
 
@@ -601,7 +619,7 @@ class Session:
         epoch-0 delta: the sequential map's log merged with every
         resident runner's, deduplicated first-writer-wins onto one
         entry per key."""
-        merged = JumpMap(self.engine_config.grammar)
+        merged = JumpMap()
         raw = 0
         if self._seq is not None:
             log = self._seq.jumps.export_log()
@@ -632,7 +650,6 @@ class Session:
             path,
             self.pag,
             self.export_log(),
-            grammar=self.engine_config.grammar,
             footprints=footprints,
             recorder=self.recorder,
         )
@@ -643,10 +660,7 @@ class Session:
         (existing sharing runners are seeded too).  Returns entries
         accepted by the sequential store."""
         snap = load_snapshot(
-            path,
-            expect_pag=self.pag,
-            expect_grammar=self.engine_config.grammar,
-            recorder=self.recorder,
+            path, expect_pag=self.pag, recorder=self.recorder
         )
         accepted = self.seq.warm_from(snap.log, snap.footprints)
         runners = self._live_runners()
@@ -675,7 +689,6 @@ class Session:
             "backend": self.runtime.backend,
             "n_threads": self.runtime.effective_threads,
             "budget": self.engine_config.budget,
-            "grammar": self.engine_config.grammar,
             "n_runners": len(self._live_runners()),
             "n_jump_entries": self.n_jump_entries(),
             "n_cached_queries": (

@@ -462,7 +462,6 @@ def _cmd_snapshot_save(args) -> int:
     print(
         f"[snapshot {out}: {header.n_entries} entries, "
         f"{header.n_nodes} nodes / {header.n_edges} edges, "
-        f"grammar {header.grammar}, "
         f"fingerprint {header.pag_fingerprint[:12]}]"
     )
     return 0
@@ -481,7 +480,7 @@ def _cmd_snapshot_load(args) -> int:
     h = snap.header
     print(
         f"[snapshot {args.snapshot}: format v{h.format_version}, "
-        f"grammar {h.grammar}, {h.n_entries} entries, "
+        f"{h.n_entries} entries, "
         f"{h.n_nodes} nodes / {h.n_edges} edges, "
         f"fingerprint {h.pag_fingerprint[:12]}"
         + (", matches program" if session is not None else "")

@@ -1,18 +1,18 @@
 """Grammar-conformance harness: certify engine witnesses against the
-declarative grammar, independently, via CYK.
+declarative flowsTo grammar, independently, via CYK.
 
 The engine (:mod:`repro.core.engine`) *implements* a CFL-reachability
-traversal; the declarative :class:`~repro.core.grammar.CFLGrammar` it
-is parameterised by *specifies* one.  This harness closes the loop
-between the two: it re-runs demanded queries under the
+traversal; the declarative :data:`~repro.core.grammar.FLOWSTO` grammar
+*specifies* it.  This harness closes the loop between the two: it
+re-runs demanded queries under the
 :class:`~repro.core.tracing.TracingEngine`, extracts a witness path for
 every ``(variable, object)`` answer, and checks each witness string for
 
 * **membership** — CYK (:mod:`repro.core.cfl`) accepts the terminal
   string under the grammar built for the PAG's field alphabet, and
 * **realisability** — the call-string projection is in R_CS (grammar
-  (3) of the paper), when the grammar declares the context condition
-  and the path does not cross a context-clearing global.
+  (3) of the paper), when the path does not cross a context-clearing
+  global.
 
 A conforming engine produces only certified witnesses; any failure is
 reported with the exact terminal string so the divergence between
@@ -54,7 +54,6 @@ class ConformanceReport:
     """Outcome of one conformance run."""
 
     name: str
-    grammar: str
     n_queries: int = 0
     n_exhausted: int = 0
     n_witnesses: int = 0
@@ -69,7 +68,7 @@ class ConformanceReport:
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
         return (
-            f"{self.name}[{self.grammar}]: {self.n_certified}/"
+            f"{self.name}: {self.n_certified}/"
             f"{self.n_witnesses} witnesses certified over "
             f"{self.n_queries} queries ({self.n_exhausted} exhausted) "
             f"- {status}"
@@ -85,7 +84,7 @@ def certify_queries(
     max_objects_per_query: Optional[int] = None,
 ) -> ConformanceReport:
     """Run ``queries`` under a :class:`TracingEngine` and certify every
-    reachable object's witness against the engine's declarative grammar.
+    reachable object's witness against the declarative flowsTo grammar.
 
     Exhausted queries still contribute whatever objects they found
     (their witnesses are complete derivations even when the answer set
@@ -93,9 +92,8 @@ def certify_queries(
     variables with huge points-to sets; the cap picks the smallest
     object ids for determinism.
     """
-    cfg = engine_config or EngineConfig()
-    engine = TracingEngine(pag, cfg)
-    report = ConformanceReport(name=name, grammar=cfg.grammar)
+    engine = TracingEngine(pag, engine_config or EngineConfig())
+    report = ConformanceReport(name=name)
     fields = sorted(set(pag.stores_by_field) | set(pag.loads_by_field))
     for query in queries:
         var = pag.rep(query.var)

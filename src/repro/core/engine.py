@@ -8,8 +8,10 @@
   flows to, along *outgoing* edges — the ``flowsTo`` direction.
 
 Both run one sweep whose legs are compiled from the rule table of
-:mod:`repro.core.rules`.  Field-sensitivity (grammar (2)) is the
-``st(f) alias ld(f)`` matching done by ``REACHABLENODES``;
+:mod:`repro.core.rules`: the engine answers one language, the paper's
+flowsTo, and its witnesses certify under
+:data:`repro.core.grammar.FLOWSTO`.  Field-sensitivity (grammar (2))
+is the ``st(f) alias ld(f)`` matching done by ``REACHABLENODES``;
 context-sensitivity (grammar (3)) is the call-site stack matched at
 ``param_i``/``ret_i`` edges with partially balanced parentheses.  Data
 sharing (Algorithm 2) consults and extends a
@@ -45,11 +47,11 @@ from typing import (
 )
 
 from repro.core.context import Context, EMPTY_CTX, ctx_enter, ctx_exit
-from repro.core.grammar import DEFAULT_GRAMMAR, get_grammar
 from repro.core.jumpmap import JumpMapLifecycle, LayeredJumpMap
 from repro.core.query import Query, QueryResult, QueryState
 from repro.core.rules import (
-    ANSWER_KIND, FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, CtxAction, rules,
+    ANSWER_KIND, FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, RULES,
+    CtxAction,
 )
 from repro.errors import AnalysisError, BudgetExhausted
 from repro.pag.extended import FinishedJump
@@ -81,16 +83,16 @@ _CROSSINGS = {_ENTER: ctx_enter, _EXIT: ctx_exit,
 
 @lru_cache(maxsize=None)
 def _compiled_legs(
-    grammar: str, direction: bool, context_sensitive: bool, heap: bool
+    direction: bool, context_sensitive: bool, heap: bool
 ) -> Tuple[Optional[str], Callable[[PAG], Tuple[Any, ...]], Tuple[int, ...]]:
-    """The sweep in ``direction``, compiled from the rule table of the
-    registered ``grammar``: the adjacency its answers are read off
-    (``None``: the variable items themselves), then a leg per plain row
-    and for the round row (none when field-insensitive), in table order
-    — a getter of the legs' adjacencies and their ops."""
+    """The sweep in ``direction``, compiled from the rule table: the
+    adjacency its answers are read off (``None``: the variable items
+    themselves), then a leg per plain row and for the round row (none
+    when field-insensitive), in table order — a getter of the legs'
+    adjacencies and their ops."""
     answer = None
     legs = []
-    for rule in rules(get_grammar(grammar)):
+    for rule in RULES:
         name = rule.adjacency[direction]
         if rule.kind is ANSWER_KIND[direction]:
             answer = name
@@ -124,8 +126,6 @@ class EngineConfig:
     context_sensitive: bool = True
     #: Heap-matching precision (one of :data:`FIELD_MODES`).
     field_mode: str = "sensitive"
-    #: Honour unfinished-jump early termination (Algorithm 2 line 3).
-    early_termination: bool = True
     #: Minimum round cost for publishing finished jmp edges (τ_F).
     tau_f: int = 100
     #: Minimum certified cost for publishing unfinished jmp edges (τ_U).
@@ -135,21 +135,12 @@ class EngineConfig:
     record_empty_rounds: bool = False
     #: Safety valve for the chaotic-iteration loop.
     max_passes: int = 64
-    #: Registered :mod:`repro.core.grammar` id the engine analyses
-    #: under.  Every built-in grammar shares the ``flowsto`` traversal
-    #: core, so this selects certification semantics and metric labels,
-    #: not different sweeps; the engine refuses grammars whose declared
-    #: ``traversal`` it has no compiled sweep for.
-    grammar: str = DEFAULT_GRAMMAR
 
     def __post_init__(self) -> None:
         if self.field_mode not in FIELD_MODES:
             raise AnalysisError(
                 f"field_mode must be sensitive/match/none, got {self.field_mode!r}"
             )
-        # Validate eagerly: a typo'd grammar id should fail at config
-        # construction, not at first query.
-        get_grammar(self.grammar)
 
     def with_(self, **changes) -> "EngineConfig":
         """A copy with ``changes`` applied and re-validated."""
@@ -178,25 +169,6 @@ class CFLEngine:
         self.pag = pag
         self.cfg = config or EngineConfig()
         self._field_mode = self.cfg.field_mode
-        #: The declarative grammar this engine analyses under (resolved
-        #: from the config's registered id).  The sweep below is compiled
-        #: from its rule table for the ``flowsto`` traversal core; a
-        #: grammar declaring any other core has no implementation here.
-        self.grammar = get_grammar(self.cfg.grammar)
-        if self.grammar.traversal != "flowsto":
-            raise AnalysisError(
-                f"grammar {self.grammar.name!r} declares traversal core "
-                f"{self.grammar.traversal!r}; this engine only compiles "
-                "the 'flowsto' core"
-            )
-        if jumps is not None:
-            jumps_grammar = getattr(jumps, "grammar", DEFAULT_GRAMMAR)
-            if jumps_grammar != self.cfg.grammar:
-                raise AnalysisError(
-                    f"jump map is labelled for grammar {jumps_grammar!r} "
-                    f"but the engine runs {self.cfg.grammar!r}; sharing "
-                    "summaries across grammars is unsound"
-                )
         self.jumps = jumps
         #: Optional :class:`repro.obs.Recorder`.  The engine's only
         #: instrumentation point is a single per-query bulk flush in
@@ -223,7 +195,7 @@ class CFLEngine:
         self.footprint: Optional[Any] = None
         #: The sweep per direction (indexed by ``POINTS_TO``/``FLOWS_TO``).
         cs, heap = self.cfg.context_sensitive, self._field_mode != "none"
-        self._compiled = [_compiled_legs(self.cfg.grammar, d, cs, heap)
+        self._compiled = [_compiled_legs(d, cs, heap)
                           for d in (POINTS_TO, FLOWS_TO)]
 
     # ------------------------------------------------------------------
@@ -297,7 +269,7 @@ class CFLEngine:
         )
         rec = self.recorder
         if rec:
-            rec.record_query(answer, self.cfg.grammar)
+            rec.record_query(answer)
         return answer
 
     # ------------------------------------------------------------------
@@ -478,7 +450,7 @@ class CFLEngine:
             if s_unf is not None:
                 # Fig. 3(b): a prior query certified that s_unf steps are
                 # needed from here; terminate early if we cannot afford them.
-                if self.cfg.early_termination and q.budget - q.steps < s_unf:
+                if q.budget - q.steps < s_unf:
                     q.early_terminations += 1
                     self._out_of_budget(q, s_unf)
                 # enough budget: recompute in full (paper Section III-B2)

@@ -1,38 +1,32 @@
-"""Declarative CFL grammar objects — the analysis-family axis.
+"""The declarative grammars witnesses are certified under.
 
-The paper hard-codes one grammar into the engine's traversal sweeps:
-``flowsTo`` with field-balanced parentheses (grammars (1)-(4)).  But
-CFL-reachability is a *family* of static analyses — FlowCFL-style
-taint tracking and escape analysis are the same traversal shape with a
-different grammar.  This module makes the grammar a first-class,
-declarative value:
+The engine answers one language: the paper's ``flowsTo`` with
+field-balanced parentheses and ``jmp`` shortcuts (grammars (2)-(4)).
+How it traverses the PAG is stated once, in the rule table of
+:mod:`repro.core.rules`, built from this module's PAG terminals
+(:func:`terminal`); the demand engine, the matrix kernel and witness
+reconstruction all read that table (DESIGN.md §4.14).  This module
+states three languages declaratively, for certification only:
 
-* a :class:`CFLGrammar` names the symbols, carries the productions (as
-  a :class:`~repro.core.cfl.CFG` factory over the program's field
-  alphabet), maps PAG edge kinds onto terminals, and names the
-  jump/summary nonterminals the data-sharing scheme shortcuts;
-* a registry (:func:`register_grammar` / :func:`get_grammar`) lets
-  engines, checkers, the jump map and the observability layer refer to
-  grammars by id (``"flowsto"``, ``"taint"``, ``"escape"``);
-* :meth:`CFLGrammar.certify` is the single entry point for witness
-  certification: CYK membership against the declarative productions
-  plus (optionally) the R_CS realisability side condition.
+* :data:`FLOWSTO` — grammar (4), the traversal's own language: every
+  engine witness and every conformance run is certified under it, and
+  the matrix kernel closes its CNF;
+* :data:`TAINT` and :data:`ESCAPE` — the taint and escape checkers'
+  certification grammars.  Their extra productions describe how those
+  checkers stitch flowsTo witnesses together; they add no traversal.
 
-How the PAG is traversed is stated once, in the rule table
-:mod:`repro.core.rules` builds from a grammar's edge-kind terminals
-(DESIGN.md §4.14); matrix state discovery and witness reconstruction
-read it, and the engine's hand-inlined sweeps are tested against it.
-Every built-in grammar declares ``traversal="flowsto"`` — taint and
-escape compose over the same traversal (their extra productions
-describe how *client* checkers stitch flowsTo witnesses together, not
-new traversal rules).  The declarative object is authoritative for
-certification, which :mod:`repro.core.conformance` runs on every suite.
+A :class:`CFLGrammar` carries the productions (a
+:class:`~repro.core.cfl.CFG` factory over the program's field
+alphabet); :meth:`CFLGrammar.certify` is the single entry point for
+witness certification: CYK membership plus, where the grammar declares
+it, the R_CS realisability side condition.  :func:`get_grammar` looks
+the three up by id (a checker's ``grammar`` attribute).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cfl import CFG, bar, is_realizable, lfs_with_jumps
 from repro.errors import AnalysisError
@@ -40,21 +34,18 @@ from repro.pag.edges import EdgeKind
 
 __all__ = [
     "CFLGrammar",
-    "register_grammar",
+    "FLOWSTO",
+    "TAINT",
+    "ESCAPE",
     "get_grammar",
-    "grammar_ids",
-    "DEFAULT_GRAMMAR",
+    "terminal",
     "project_terminal",
     "flowsto_productions",
     "taint_productions",
     "escape_productions",
 ]
 
-#: The grammar every engine runs unless told otherwise.
-DEFAULT_GRAMMAR = "flowsto"
-
-#: Edge-kind -> terminal templates shared by every built-in grammar
-#: (they all read the same PAG).  ``{label}`` is the field name for
+#: Edge-kind -> terminal templates.  ``{label}`` is the field name for
 #: LOAD/STORE and the call-site id for PARAM/RET.
 _PAG_TERMINALS: Mapping[EdgeKind, str] = {
     EdgeKind.NEW: "new",
@@ -67,19 +58,22 @@ _PAG_TERMINALS: Mapping[EdgeKind, str] = {
 }
 
 
+def terminal(
+    kind: EdgeKind, label: Optional[object] = None, barred: bool = False
+) -> str:
+    """The terminal symbol a PAG edge of ``kind`` contributes."""
+    template = _PAG_TERMINALS[kind]
+    term = template.format(label=label) if "{label}" in template else template
+    return bar(term) if barred else term
+
+
 @dataclass(frozen=True)
 class CFLGrammar:
-    """One CFL-reachability analysis, declaratively.
+    """One certification language, declaratively.
 
     ``productions`` is a factory building the full :class:`CFG` for a
     given field alphabet (field-sensitive grammars have two productions
-    per field).  ``start`` is the certification start symbol;
-    ``summary`` is the nonterminal whose completed derivation rounds
-    the data-sharing scheme publishes as ``jump_symbol`` shortcut
-    edges.  ``traversal`` names the compiled sweep family implementing
-    the grammar in the engine hot path — only ``"flowsto"`` exists
-    today, and :class:`~repro.core.engine.CFLEngine` refuses grammars
-    it has no compiled sweeps for.
+    per field); ``start`` is the certification start symbol.
     """
 
     name: str
@@ -87,20 +81,8 @@ class CFLGrammar:
     #: Certification start symbol (e.g. ``flowsTo`` / ``taint`` /
     #: ``escapes``).
     start: str
-    #: Summary nonterminal shortcut by the data-sharing scheme.
-    summary: str
-    #: Terminal the sharing scheme records for a published summary.
-    jump_symbol: str
-    #: How queries against this grammar are phrased (README catalog).
-    query_shape: str
     #: CFG factory: field alphabet -> full grammar.
     productions: Callable[[Tuple[str, ...]], CFG] = field(compare=False)
-    #: Edge kind -> terminal template (``{label}`` substituted).
-    edge_terminals: Mapping[EdgeKind, str] = field(
-        default_factory=lambda: _PAG_TERMINALS, compare=False
-    )
-    #: Compiled sweep family implementing this grammar's traversal.
-    traversal: str = "flowsto"
     #: Apply the R_CS call-string realisability side condition
     #: (grammar (3)) during certification.
     context_condition: bool = True
@@ -115,21 +97,6 @@ class CFLGrammar:
         if got is None:
             got = cache[key] = self.productions(key)
         return got
-
-    def terminal(
-        self,
-        kind: EdgeKind,
-        label: Optional[object] = None,
-        barred: bool = False,
-    ) -> str:
-        """The terminal symbol a PAG edge of ``kind`` contributes."""
-        template = self.edge_terminals.get(kind)
-        if template is None:
-            raise AnalysisError(
-                f"grammar {self.name!r} maps no terminal for edge kind {kind!r}"
-            )
-        term = template.format(label=label) if "{label}" in template else template
-        return bar(term) if barred else term
 
     def fields_of(self, pag: object) -> Tuple[str, ...]:
         """The field alphabet of a PAG (store/load field names)."""
@@ -148,8 +115,6 @@ class CFLGrammar:
         self,
         terminals: Sequence[str],
         fields: Iterable[str] = (),
-        *,
-        skip_context_condition: bool = False,
     ) -> bool:
         """Full certification of a witness string: CYK membership plus
         (when this grammar enforces it and the string does not cross a
@@ -165,7 +130,7 @@ class CFLGrammar:
         crosses_global = any(t.lstrip("~") == "reset" for t in terminals)
         if not self.recognizes(projected, fields):
             return False
-        if not self.context_condition or skip_context_condition or crosses_global:
+        if not self.context_condition or crosses_global:
             # Globals are analysed context-insensitively; the flat
             # single-stack R_CS does not apply across a reset.
             return True
@@ -225,78 +190,49 @@ def escape_productions(fields: Tuple[str, ...]) -> CFG:
 
 
 # ----------------------------------------------------------------------
-# registry
+# the three grammars
 # ----------------------------------------------------------------------
-_REGISTRY: Dict[str, CFLGrammar] = {}
+FLOWSTO = CFLGrammar(
+    name="flowsto",
+    description=(
+        "The paper's pointer-analysis grammar: flowsTo with "
+        "field-balanced parentheses and jmp shortcuts (grammars (2)/(4))."
+    ),
+    start="flowsTo",
+    productions=flowsto_productions,
+)
 
+TAINT = CFLGrammar(
+    name="taint",
+    description=(
+        "Source-to-sink value-flow: source and sink share an object "
+        "(taint -> flowsToBar flowsTo), FlowCFL-style."
+    ),
+    start="taint",
+    productions=taint_productions,
+)
 
-def register_grammar(grammar: CFLGrammar) -> CFLGrammar:
-    """Add a grammar to the global registry (unique by name)."""
-    if grammar.name in _REGISTRY:
-        raise AnalysisError(f"duplicate grammar id {grammar.name!r}")
-    _REGISTRY[grammar.name] = grammar
-    return grammar
+ESCAPE = CFLGrammar(
+    name="escape",
+    description=(
+        "Object reachability from static or parameter roots: "
+        "escapes -> flowsTo | flowsTo st:f flowsToBar escapes."
+    ),
+    start="escapes",
+    # Heap-transitive escape chains splice independently-derived
+    # flowsTo witnesses whose call strings need not compose into
+    # one realisable stack; membership alone certifies the chain.
+    context_condition=False,
+    productions=escape_productions,
+)
+
+_GRAMMARS: Dict[str, CFLGrammar] = {g.name: g for g in (FLOWSTO, TAINT, ESCAPE)}
 
 
 def get_grammar(name: str) -> CFLGrammar:
     """Look a grammar up by id."""
-    got = _REGISTRY.get(name)
+    got = _GRAMMARS.get(name)
     if got is None:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(_GRAMMARS)
         raise AnalysisError(f"unknown grammar {name!r} (known: {known})")
     return got
-
-
-def grammar_ids() -> List[str]:
-    """Registered grammar ids, in registration order."""
-    return list(_REGISTRY)
-
-
-FLOWSTO = register_grammar(
-    CFLGrammar(
-        name="flowsto",
-        description=(
-            "The paper's pointer-analysis grammar: flowsTo with "
-            "field-balanced parentheses and jmp shortcuts (grammars (2)/(4))."
-        ),
-        start="flowsTo",
-        summary="alias",
-        jump_symbol="jmp",
-        query_shape="points_to(var, ctx) / flows_to(obj, ctx)",
-        productions=flowsto_productions,
-    )
-)
-
-TAINT = register_grammar(
-    CFLGrammar(
-        name="taint",
-        description=(
-            "Source-to-sink value-flow: source and sink share an object "
-            "(taint -> flowsToBar flowsTo), FlowCFL-style."
-        ),
-        start="taint",
-        summary="alias",
-        jump_symbol="jmp",
-        query_shape="taints(source_var, sink_var) via shared object",
-        productions=taint_productions,
-    )
-)
-
-ESCAPE = register_grammar(
-    CFLGrammar(
-        name="escape",
-        description=(
-            "Object reachability from static or parameter roots: "
-            "escapes -> flowsTo | flowsTo st:f flowsToBar escapes."
-        ),
-        start="escapes",
-        summary="alias",
-        jump_symbol="jmp",
-        query_shape="escapes(obj) to a global/parameter root",
-        # Heap-transitive escape chains splice independently-derived
-        # flowsTo witnesses whose call strings need not compose into
-        # one realisable stack; membership alone certifies the chain.
-        context_condition=False,
-        productions=escape_productions,
-    )
-)

@@ -72,7 +72,7 @@ from typing import (
 
 from repro.core.context import Context, EMPTY_CTX
 from repro.core.engine import CFLEngine, EngineConfig, FLOWS_TO, POINTS_TO
-from repro.core.jumpmap import DeltaEntry, JumpMap, JumpMapLifecycle
+from repro.core.jumpmap import DeltaEntry, JumpMap
 from repro.core.query import QueryResult
 from repro.core.snapshot import (
     FootprintData,
@@ -80,8 +80,7 @@ from repro.core.snapshot import (
     load_snapshot as _load_snapshot,
     save_snapshot as _save_snapshot,
 )
-from repro.errors import InputError
-from repro.pag.extended import FinishedJump, JumpKey
+from repro.pag.extended import JumpKey
 from repro.pag.graph import PAG
 
 __all__ = ["FootprintCollector", "FootprintRecord", "IncrementalAnalysis"]
@@ -240,41 +239,22 @@ class _ReverseIndex:
 
 
 class IncrementalAnalysis:
-    """A long-lived analysis session over an evolving (growing) PAG.
-
-    ``jumps`` may inject any :class:`~repro.core.jumpmap.JumpMapLifecycle`
-    store (e.g. a :class:`~repro.runtime.threaded.ConcurrentJumpMap`
-    also serving a thread pool) — it must carry the session's grammar.
-    """
+    """A long-lived analysis session over an evolving (growing) PAG,
+    owning its jump map."""
 
     def __init__(
         self,
         pag: PAG,
         config: Optional[EngineConfig] = None,
         *,
-        jumps: Optional[JumpMapLifecycle] = None,
         recorder: Optional[Any] = None,
     ) -> None:
         self.pag = pag
         self.cfg = config or EngineConfig()
-        if jumps is None:
-            jumps = JumpMap(self.cfg.grammar)
-        else:
-            if not isinstance(jumps, JumpMapLifecycle):
-                raise InputError(
-                    "injected jump map does not implement the lifecycle "
-                    "interface (finished/insert_finished/export_log/"
-                    "warm_from/invalidate_keys)"
-                )
-            if jumps.grammar != self.cfg.grammar:
-                raise InputError(
-                    f"injected jump map is labelled for grammar "
-                    f"{jumps.grammar!r} but the session runs "
-                    f"{self.cfg.grammar!r}; sharing summaries across "
-                    "grammars is unsound"
-                )
-        self.jumps: JumpMapLifecycle = jumps
-        self._engine = CFLEngine(pag, self.cfg, jumps=jumps, recorder=recorder)
+        self.jumps = JumpMap()
+        self._engine = CFLEngine(
+            pag, self.cfg, jumps=self.jumps, recorder=recorder
+        )
         self._collector = FootprintCollector()
         self._engine.footprint = self._collector
         self._index = _ReverseIndex()
@@ -437,35 +417,25 @@ class IncrementalAnalysis:
         sound, but the first edge edit drops them.  Returns the number
         of accepted insertions."""
         fps: FootprintData = footprints or {}
-        accepted = 0
-        for tag, key, payload in log:
-            if tag == "fin":
-                if self.jumps.insert_finished(
-                    key, cast(Tuple[FinishedJump, ...], payload)
-                ):
-                    accepted += 1
-                    fp = fps.get(key)
-                    if fp is not None:
-                        nodes, fields, consumed = fp
-                        self._index.register(
-                            ("jmp", key),
-                            FootprintRecord(
-                                frozenset(nodes),
-                                frozenset(fields),
-                                tuple(consumed),
-                            ),
-                        )
-                    else:
-                        self._index.register_unindexed(("jmp", key))
-            elif tag == "unf":
-                if self.jumps.insert_unfinished(key, cast(int, payload)):
-                    accepted += 1
+        accepted = self.jumps.replay(log)
+        for tag, key, _payload in accepted:
+            if tag != "fin":
+                continue
+            fp = fps.get(key)
+            if fp is not None:
+                nodes, fields, consumed = fp
+                self._index.register(
+                    ("jmp", key),
+                    FootprintRecord(
+                        frozenset(nodes), frozenset(fields), tuple(consumed)
+                    ),
+                )
             else:
-                raise ValueError(f"unknown delta entry tag {tag!r}")
+                self._index.register_unindexed(("jmp", key))
         rec = self.recorder
         if rec and accepted:
-            rec.count("inc.entries_warmed", accepted)
-        return accepted
+            rec.count("inc.entries_warmed", len(accepted))
+        return len(accepted)
 
     def save_snapshot(self, path: Union[str, Path]) -> SnapshotHeader:
         """Persist the session (FrozenPAG + commit log + footprints)."""
@@ -473,20 +443,16 @@ class IncrementalAnalysis:
             path,
             self.pag,
             self.jumps.export_log(),
-            grammar=self.cfg.grammar,
             footprints=self._index.export_footprints(),
             recorder=self.recorder,
         )
 
     def warm_from_snapshot(self, path: Union[str, Path]) -> int:
-        """Load a snapshot saved for *this* program/grammar and replay
-        it; stale or mismatched snapshots raise
+        """Load a snapshot saved for *this* program and replay it;
+        stale or corrupt snapshots raise
         :class:`~repro.errors.SnapshotError`."""
         snap = _load_snapshot(
-            path,
-            expect_pag=self.pag,
-            expect_grammar=self.cfg.grammar,
-            recorder=self.recorder,
+            path, expect_pag=self.pag, recorder=self.recorder
         )
         return self.warm_from(snap.log, snap.footprints)
 

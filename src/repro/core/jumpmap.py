@@ -30,6 +30,9 @@ Every write of one store's entries into another goes through one
 replay routine, :meth:`JumpMap.replay`, which returns the entries it
 accepted: a layer's commit, the mp worker's outgoing delta, the mp
 coordinator's merge and commit log, and warm starts from a snapshot.
+
+Entries summarise rounds of the engine's one traversal (flowsTo), so a
+store carries no grammar label: any store's entries may warm any other.
 """
 
 from __future__ import annotations
@@ -71,12 +74,8 @@ class JumpMapLifecycle(Protocol):
     executors, mp coordinator base) and
     :class:`~repro.runtime.threaded.ConcurrentJumpMap` (thread
     backend), so every backend can warm-start from — and contribute to —
-    the same on-disk artifact.  ``grammar`` labels the store; sharing
-    entries across grammars is unsound and the engine refuses a store
-    labelled for another grammar.
+    the same on-disk artifact.
     """
-
-    grammar: str
 
     def finished(self, key: JumpKey) -> Optional[Tuple[FinishedJump, ...]]: ...
 
@@ -102,17 +101,9 @@ class JumpMapLifecycle(Protocol):
 
 
 class JumpMap:
-    """Single-writer jump store (sequential engine / committed base).
+    """Single-writer jump store (sequential engine / committed base)."""
 
-    ``grammar`` labels the store with the :mod:`repro.core.grammar` id
-    whose summary edges it holds; the engine refuses to share a map
-    labelled for a different grammar (mixing summaries across analyses
-    would be unsound), and the observability layer uses the label to
-    split its jump-map metrics per grammar.
-    """
-
-    def __init__(self, grammar: str = "flowsto") -> None:
-        self.grammar = grammar
+    def __init__(self) -> None:
         self._fin: Dict[JumpKey, Tuple[FinishedJump, ...]] = {}
         self._unf: Dict[JumpKey, int] = {}
         #: Finished jmp edges currently stored, kept by every write so
@@ -241,8 +232,7 @@ class LayeredJumpMap:
 
     def __init__(self, base: JumpMap) -> None:
         self.base = base
-        self.grammar = base.grammar
-        self.overlay = JumpMap(base.grammar)
+        self.overlay = JumpMap()
 
     def finished(self, key: JumpKey) -> Optional[Tuple[FinishedJump, ...]]:
         got = self.overlay.finished(key)

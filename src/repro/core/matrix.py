@@ -25,10 +25,10 @@ Three design points make the answers byte-identical to ``SeqCFL``:
   (partially balanced parentheses), and the symmetric rule holds
   forwards at ``ret`` edges.  Each family reads the table in its own
   direction.
-* **The fixpoint is driven by the registered grammar's productions**
-  (via :meth:`repro.core.cfl.CFG.cnf`), so flowsto, taint and escape
-  run unchanged — their extra productions sit above ``flowsToBar``,
-  which is the single symbol points-to answers are read from.
+* **The fixpoint is driven by the flowsTo grammar's productions**
+  (:data:`repro.core.grammar.FLOWSTO`, via
+  :meth:`repro.core.cfl.CFG.cnf`); points-to answers are read from the
+  closed ``flowsToBar`` rows.
 
 The kernel computes the *exact* (unlimited-budget) CFL fixpoint; every
 result carries ``exhausted=False``.  Compare against the demand engine
@@ -45,10 +45,10 @@ from typing import (
 
 from repro.core.cfl import CFG
 from repro.core.context import EMPTY_CTX, Context
-from repro.core.grammar import get_grammar
+from repro.core.grammar import FLOWSTO
 from repro.core.query import Query, QueryCosts, QueryResult
 from repro.core.rules import (
-    FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, Rule, rules,
+    FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, RULES, Rule,
 )
 from repro.errors import AnalysisError
 from repro.pag.edges import EdgeKind
@@ -79,18 +79,17 @@ State = Tuple[int, Context]
 
 
 class MatrixKernel:
-    """All-pairs CFL-reachability over one PAG and one grammar.
+    """All-pairs CFL-reachability over one PAG.
 
     Build once per batch, call :meth:`run_batch` with the queries; the
     kernel discovers the reachable ``(node, ctx)`` state space, lowers
     the PAG onto per-terminal row bitsets, closes them under the
-    grammar's CNF productions, and reads every answer from the closed
-    ``flowsToBar`` rows.  Answers are byte-identical to the demand
+    flowsTo grammar's CNF productions, and reads every answer from the
+    closed ``flowsToBar`` rows.  Answers are byte-identical to the demand
     engine at an unlimited budget (``exhausted`` is always False).
     """
 
-    #: Points-to answers are rows of this closed nonterminal; every
-    #: built-in grammar (flowsto, taint, escape) contains it.
+    #: Points-to answers are rows of this closed nonterminal.
     ANSWER_SYMBOL = "flowsToBar"
 
     #: Safety valves: the state closure is precise for well-formed PAGs
@@ -113,39 +112,26 @@ class MatrixKernel:
         self.pag = pag
         self.cfg = config
         self.recorder = recorder
-        self.grammar = get_grammar(config.grammar)
-        if self.grammar.traversal != "flowsto":
-            raise AnalysisError(
-                f"grammar {self.grammar.name!r} declares traversal core "
-                f"{self.grammar.traversal!r}; the matrix kernel only "
-                "compiles the 'flowsto' core"
-            )
         #: (direction, rule, adjacency) for every table row the state
         #: closure follows: heap rows are single steps only when
         #: field-sensitive.
         self._legs: List[Tuple[bool, Rule, Mapping[int, Sequence[object]]]] = [
             (direction, rule, getattr(pag, rule.adjacency[direction]))
             for direction in (POINTS_TO, FLOWS_TO)
-            for rule in rules(self.grammar)
+            for rule in RULES
             if not rule.heap or config.field_mode == "sensitive"
         ]
         #: (assign symbol, round-row adjacency, matched field index) per
         #: direction: the ``match`` fold pairs them as engine rounds do.
-        by_kind = {rule.kind: rule for rule in rules(self.grammar)}
+        by_kind = {rule.kind: rule for rule in RULES}
         self._match_legs = [
             (by_kind[EdgeKind.ASSIGN].symbol(d),
              getattr(pag, by_kind[ROUND_KIND[d]].adjacency[d]),
              getattr(pag, MATCHED_BY_FIELD[d]))
             for d in (POINTS_TO, FLOWS_TO) if config.field_mode == "match"
         ]
-        self._fields = self.grammar.fields_of(pag)
-        cfg_obj: CFG = self.grammar.cfg(self._fields)
-        if self.ANSWER_SYMBOL not in cfg_obj.productions:
-            raise AnalysisError(
-                f"grammar {self.grammar.name!r} has no "
-                f"{self.ANSWER_SYMBOL!r} nonterminal; the matrix kernel "
-                "reads points-to answers from its closed rows"
-            )
+        self._fields = FLOWSTO.fields_of(pag)
+        cfg_obj: CFG = FLOWSTO.cfg(self._fields)
         self._cnf = cfg_obj.cnf()
         self._symbols = sorted(cfg_obj.productions)
         self._seeds: List[State] = []
@@ -191,7 +177,7 @@ class MatrixKernel:
         )
         rec = self.recorder
         if rec:
-            rec.record_query(result, self.cfg.grammar)
+            rec.record_query(result)
         return result
 
     def _require_solved(self, seeds: Sequence[State]) -> None:

@@ -1,13 +1,14 @@
 """The PAG traversal rule table: one row per edge kind of Fig. 1.
 
 Pointer analysis here is one CFL-reachability problem over the PAG
-under grammars (2)/(3); this table is its one statement of how each
-edge kind is read.  Per traversal direction a row gives the adjacency
-to read (``*_in`` backwards for ``POINTSTO``, ``*_out`` forwards for
-``FLOWSTO``), the context action (keep, push the edge's call site, pop
-it with an empty call string passing any site, or reset), and the
-terminal from :meth:`CFLGrammar.terminal`, projected onto grammar
-(2)'s alphabet.  Every row also obeys two rules: a global target gets
+under grammars (2)/(3); :data:`RULES` is its one statement of how each
+edge kind is read, built once from the PAG terminals of
+:func:`repro.core.grammar.terminal`.  Per traversal direction a row
+gives the adjacency to read (``*_in`` backwards for ``POINTSTO``,
+``*_out`` forwards for ``FLOWSTO``), the context action (keep, push the
+edge's call site, pop it with an empty call string passing any site, or
+reset), and the edge's terminal projected onto grammar (2)'s
+alphabet.  Every row also obeys two rules: a global target gets
 the empty context, and a context-insensitive run keeps the call string
 where it would push or pop.  Push and pop are
 :func:`~repro.core.context.ctx_enter` and
@@ -26,17 +27,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 from repro.core.cfl import bar
 from repro.core.context import EMPTY_CTX, Context, ctx_enter, ctx_exit
-from repro.core.grammar import CFLGrammar, project_terminal
+from repro.core.grammar import project_terminal, terminal
 from repro.pag.edges import EdgeKind
 from repro.pag.graph import PAG, FrozenPAG
 
 __all__ = ["POINTS_TO", "FLOWS_TO", "CtxAction", "Rule", "ROUND_KIND",
-           "MATCHED_BY_FIELD", "ANSWER_KIND", "rules"]
+           "MATCHED_BY_FIELD", "ANSWER_KIND", "RULES"]
 
 #: Direction tags (the ``direction`` component of traversal and
 #: jump-map keys); they also index every per-direction pair below.
@@ -141,18 +141,16 @@ _ACTIONS = {
 }
 
 
-@lru_cache(maxsize=None)
-def rules(grammar: CFLGrammar) -> Tuple[Rule, ...]:
-    """The table for ``grammar``, one row per :class:`EdgeKind` in enum
-    order — the order the engine's sweep expands successors in."""
-    return tuple(
-        Rule(
-            kind,
-            (f"{kind.name.lower()}_in", f"{kind.name.lower()}_out"),
-            _ACTIONS[kind],
-            project_terminal(grammar.terminal(kind, "{label}")),
-            heap=kind in (EdgeKind.LOAD, EdgeKind.STORE),
-            labelled=kind not in (EdgeKind.NEW, EdgeKind.ASSIGN, EdgeKind.GASSIGN),
-        )
-        for kind in EdgeKind
+#: The table, one row per :class:`EdgeKind` in enum order — the order
+#: the engine's sweep expands successors in.
+RULES: Tuple[Rule, ...] = tuple(
+    Rule(
+        kind,
+        (f"{kind.name.lower()}_in", f"{kind.name.lower()}_out"),
+        _ACTIONS[kind],
+        project_terminal(terminal(kind, "{label}")),
+        heap=kind in (EdgeKind.LOAD, EdgeKind.STORE),
+        labelled=kind not in (EdgeKind.NEW, EdgeKind.ASSIGN, EdgeKind.GASSIGN),
     )
+    for kind in EdgeKind
+)

@@ -18,13 +18,19 @@ File layout (one file, three sections)::
     <pickle>                            payload: FrozenPAG + log (+ footprints)
 
 The header is validated **before** the payload is unpickled: wrong
-magic, a future ``format_version``, a different ``grammar`` (sharing
-summaries across grammars is unsound) or a stale ``pag_fingerprint``
-(the program changed since the snapshot) all raise
+magic, a future ``format_version`` or a stale ``pag_fingerprint`` (the
+program changed since the snapshot) all raise
 :class:`~repro.errors.SnapshotError` without touching the pickle.  The
 fingerprint is a SHA-256 over a canonical encoding of the frozen
 graph's structure — node kinds, union-find representatives, names and
-every inbound adjacency list — not Python's randomised ``hash``.
+every inbound adjacency list — not Python's randomised ``hash``.  After
+unpickling, every log entry's shape is checked in one pass, so a
+corrupt entry is a :class:`~repro.errors.SnapshotError` too, never a
+crash mid-replay.
+
+The summaries are rounds of the engine's one traversal (flowsTo), so
+the header names no grammar; a ``grammar`` key written by earlier
+versions of this format is ignored.
 
 The optional ``footprints`` section carries the reverse-index records
 of :mod:`repro.core.incremental` so a warmed session keeps *selective*
@@ -43,7 +49,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.jumpmap import DeltaEntry
 from repro.errors import SnapshotError
-from repro.pag.extended import JumpKey
+from repro.pag.extended import FinishedJump, JumpKey
 from repro.pag.graph import PAG, FrozenPAG
 
 __all__ = [
@@ -90,7 +96,6 @@ class SnapshotHeader:
     """The JSON integrity header (everything checked before unpickling)."""
 
     format_version: int
-    grammar: str
     pag_fingerprint: str
     n_entries: int
     n_nodes: int
@@ -134,7 +139,6 @@ def save_snapshot(
     pag: Union[PAG, FrozenPAG],
     log: Sequence[DeltaEntry],
     *,
-    grammar: str,
     footprints: Optional[FootprintData] = None,
     recorder: Optional[Any] = None,
 ) -> SnapshotHeader:
@@ -149,7 +153,6 @@ def save_snapshot(
     entries = list(log)
     header = SnapshotHeader(
         format_version=FORMAT_VERSION,
-        grammar=grammar,
         pag_fingerprint=pag_fingerprint(frozen),
         n_entries=len(entries),
         n_nodes=frozen.n_nodes,
@@ -174,6 +177,31 @@ def save_snapshot(
     return header
 
 
+def _well_formed(entry: object) -> bool:
+    """A ``("fin", key, edges)`` or ``("unf", key, steps)`` entry whose
+    key is a ``(node, ctx, direction)`` jump key and whose edges are a
+    tuple of :class:`FinishedJump`."""
+    if not (isinstance(entry, tuple) and len(entry) == 3):
+        return False
+    tag, key, payload = entry
+    if tag == "fin":
+        payload_ok = isinstance(payload, tuple) and all(
+            isinstance(edge, FinishedJump) for edge in payload
+        )
+    elif tag == "unf":
+        payload_ok = isinstance(payload, int)
+    else:
+        return False
+    return (
+        payload_ok
+        and isinstance(key, tuple)
+        and len(key) == 3
+        and isinstance(key[0], int)
+        and isinstance(key[1], tuple)
+        and isinstance(key[2], bool)
+    )
+
+
 def _parse_header(raw: bytes, path: Path) -> SnapshotHeader:
     try:
         obj = json.loads(raw.decode("ascii"))
@@ -184,7 +212,6 @@ def _parse_header(raw: bytes, path: Path) -> SnapshotHeader:
     try:
         header = SnapshotHeader(
             format_version=int(obj["format_version"]),
-            grammar=str(obj["grammar"]),
             pag_fingerprint=str(obj["pag_fingerprint"]),
             n_entries=int(obj["n_entries"]),
             n_nodes=int(obj["n_nodes"]),
@@ -199,17 +226,15 @@ def load_snapshot(
     path: Union[str, Path],
     *,
     expect_pag: Optional[Union[PAG, FrozenPAG]] = None,
-    expect_grammar: Optional[str] = None,
     recorder: Optional[Any] = None,
 ) -> Snapshot:
     """Read and validate a snapshot.
 
     Validation order (each failure is a :class:`SnapshotError`, mapped
-    to CLI exit 2): magic -> format version -> grammar -> PAG
-    fingerprint -> payload integrity.  ``expect_pag`` guards against
-    warming a session for a *different or edited* program;
-    ``expect_grammar`` against mixing summaries across analyses.  Both
-    checks run on the header alone, so a stale snapshot is rejected
+    to CLI exit 2): magic -> format version -> PAG fingerprint ->
+    payload integrity -> log entry shapes.  ``expect_pag`` guards
+    against warming a session for a *different or edited* program; the
+    check runs on the header alone, so a stale snapshot is rejected
     without unpickling its payload.
     """
     p = Path(path)
@@ -232,12 +257,6 @@ def load_snapshot(
     if header.format_version < 1:
         raise SnapshotError(
             f"{p}: invalid snapshot format version {header.format_version}"
-        )
-    if expect_grammar is not None and header.grammar != expect_grammar:
-        raise SnapshotError(
-            f"{p}: snapshot holds {header.grammar!r} summaries but the "
-            f"session runs {expect_grammar!r}; sharing summaries across "
-            "grammars is unsound"
         )
     if expect_pag is not None and pag_fingerprint(expect_pag) != header.pag_fingerprint:
         raise SnapshotError(
@@ -266,6 +285,11 @@ def load_snapshot(
             f"{p}: snapshot payload holds {len(log)} log entries, "
             f"header promises {header.n_entries}"
         )
+    for i, entry in enumerate(log):
+        if not _well_formed(entry):
+            raise SnapshotError(
+                f"{p}: corrupt snapshot log entry {i}: {entry!r:.80}"
+            )
     if recorder:
         recorder.count("snapshot.bytes", len(data))
         recorder.count("snapshot.entries_loaded", len(log))

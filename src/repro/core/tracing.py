@@ -34,10 +34,10 @@ from typing import (
 from repro.core.cfl import bar
 from repro.core.context import EMPTY_CTX, Context
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.grammar import CFLGrammar, DEFAULT_GRAMMAR, get_grammar
+from repro.core.grammar import FLOWSTO, terminal
 from repro.core.query import QueryResult
 from repro.core.rules import (
-    ANSWER_KIND, FLOWS_TO, POINTS_TO, ROUND_KIND, Label, Rule, rules,
+    ANSWER_KIND, FLOWS_TO, POINTS_TO, ROUND_KIND, RULES, Label, Rule,
 )
 from repro.errors import AnalysisError
 from repro.pag.edges import EdgeKind
@@ -105,8 +105,6 @@ class Witness:
     obj_ctx: Context
     #: nested terminal tree (alias derivations as sub-trees)
     tree: Tree = field(default_factory=list)
-    #: Registered grammar id this witness certifies against by default.
-    grammar: str = DEFAULT_GRAMMAR
 
     # ------------------------------------------------------------------
     def terminals(self) -> List[str]:
@@ -128,26 +126,17 @@ class Witness:
     def has_global_crossing(self) -> bool:
         return any(t.lstrip("~") == "reset" for t in self.terminals())
 
-    def certify(
-        self,
-        fields: Optional[Sequence[str]] = None,
-        grammar: Optional[Union[str, CFLGrammar]] = None,
-    ) -> bool:
+    def certify(self, fields: Optional[Sequence[str]] = None) -> bool:
         """Check the witness against the formal languages: CYK
-        membership under its declarative grammar (default: the grammar
-        the producing engine ran, usually ``flowsto`` — grammar (2))
-        and, when the grammar enforces it and the path does not cross a
+        membership under flowsTo (:data:`~repro.core.grammar.FLOWSTO`,
+        grammar (2)) and, when the path does not cross a
         context-clearing global, realisability R_CS (grammar (3)).
         """
         if fields is None:
             fields = sorted(
                 set(self.pag.stores_by_field) | set(self.pag.loads_by_field)
             )
-        if grammar is None:
-            grammar = self.grammar
-        if isinstance(grammar, str):
-            grammar = get_grammar(grammar)
-        return grammar.certify(self.terminals(), fields)
+        return FLOWSTO.certify(self.terminals(), fields)
 
     def pretty(self) -> str:
         """Readable one-line rendering with nested alias brackets."""
@@ -177,7 +166,6 @@ class TracingEngine(CFLEngine):
     def __init__(self, pag: PAG, config: Optional[EngineConfig] = None) -> None:
         super().__init__(pag, config, jumps=None)
         self.tracer: TraceRecorder = TraceRecorder()
-        self._rules = rules(self.grammar)
         #: traversal key -> its replayed discovery order, built on
         #: first use and dropped whenever a new query sweeps again
         self._searched: Dict[Key, _Replay] = {}
@@ -206,9 +194,7 @@ class TracingEngine(CFLEngine):
             )
         bar_tree = self._pt_tree(key, (obj, obj_ctx), set())
         tree = _reverse_bar(bar_tree)
-        return Witness(
-            self.pag, var, var_ctx, obj, obj_ctx, tree, self.cfg.grammar
-        )
+        return Witness(self.pag, var, var_ctx, obj, obj_ctx, tree)
 
     def _replay(self, key: Key) -> _Replay:
         replay = self._searched.get(key)
@@ -230,7 +216,7 @@ class TracingEngine(CFLEngine):
                 f"object {obj_item} not discovered by traversal {key}"
             )
         tree = self._tree(key, at, onstack)
-        tree.append(self.grammar.terminal(EdgeKind.NEW, barred=True))
+        tree.append(terminal(EdgeKind.NEW, barred=True))
         return tree
 
     def _tree(self, key: Key, target: Item, onstack: Set[Key]) -> Tree:
@@ -268,7 +254,6 @@ class TracingEngine(CFLEngine):
         """Terminals for one traversal hop, in the traversal's own
         reading direction (barred for PT, plain for FT)."""
         barred = direction == POINTS_TO
-        terminal = self.grammar.terminal
         if not rule.heap:
             return [terminal(rule.kind, label, barred)]
         x, c = src
@@ -340,7 +325,7 @@ class _Replay:
         while worklist:
             cur = worklist.pop()
             x, c = cur
-            for rule in engine._rules:
+            for rule in RULES:
                 if not rule.heap:
                     succ = rule.successors(pag, direction, x, c, cs)
                 elif rule.kind is round_kind:

@@ -35,8 +35,8 @@ class InputError(ReproError):
 
 class SnapshotError(InputError):
     """A warm-start snapshot could not be used: not a snapshot file,
-    written by a newer format version, produced under a different
-    grammar, or stale (its PAG fingerprint no longer matches the
+    written by a newer format version, corrupt (including a malformed
+    log entry), or stale (its PAG fingerprint no longer matches the
     program).  A subtype of :class:`InputError` so the CLI's exit-2
     handling covers it."""
 

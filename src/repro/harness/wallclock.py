@@ -335,7 +335,7 @@ def warm_bench(
         tau_f=0, tau_u=0,
     )
 
-    cold_map = JumpMap(cfg.grammar)
+    cold_map = JumpMap()
     cold_engine = CFLEngine(build.pag, cfg, jumps=cold_map)
     t0 = time.perf_counter()
     cold = {(q.var, q.ctx): cold_engine.run_query(q) for q in queries}
@@ -344,16 +344,14 @@ def warm_bench(
     with tempfile.TemporaryDirectory() as tmp:
         snap_path = Path(tmp) / f"{name}.snap"
         save_snapshot(
-            snap_path, build.pag, cold_map.export_log(),
-            grammar=cfg.grammar, recorder=recorder,
+            snap_path, build.pag, cold_map.export_log(), recorder=recorder,
         )
         snapshot_bytes = snap_path.stat().st_size
         snap = load_snapshot(
-            snap_path, expect_pag=build.pag, expect_grammar=cfg.grammar,
-            recorder=recorder,
+            snap_path, expect_pag=build.pag, recorder=recorder,
         )
 
-    warm_map = JumpMap(cfg.grammar)
+    warm_map = JumpMap()
     entries_loaded = warm_map.warm_from(snap.log)
     warm_engine = CFLEngine(build.pag, cfg, jumps=warm_map)
     t0 = time.perf_counter()

@@ -57,9 +57,6 @@ COUNTER_DOCS: Dict[str, str] = {
     "engine.saved_steps": "steps charged via jmp shortcuts (R_S numerator)",
     "engine.sweeps": "worklist sweeps run",
     "engine.exhausted": "queries whose budget ran out",
-    "engine.queries.grammar.flowsto": "queries answered under the flowsto grammar",
-    "engine.queries.grammar.taint": "queries answered under the taint grammar",
-    "engine.queries.grammar.escape": "queries answered under the escape grammar",
     "jumps.lookups": "jump-map reads",
     "jumps.hits": "finished-shortcut hits taken",
     "jumps.misses": "lookups that found no usable entry",
@@ -149,12 +146,10 @@ class Recorder:
     def merge(self, counters: Mapping[str, int]) -> None:
         """Fold another recorder's snapshot in (mp aggregation)."""
 
-    def record_query(self, result, grammar: Optional[str] = None) -> None:
+    def record_query(self, result) -> None:
         """Flush one :class:`~repro.core.query.QueryResult`'s cost
         accounting into the engine counters — the engine's single
-        per-query instrumentation point.  ``grammar`` optionally labels
-        the query with the :mod:`repro.core.grammar` id it ran under
-        (``engine.queries.grammar.<id>``)."""
+        per-query instrumentation point."""
 
     # -- timeline ------------------------------------------------------
     def event(self, kind: str, **fields) -> None:
@@ -251,26 +246,23 @@ class MetricsRecorder(Recorder):
     def merge(self, counters: Mapping[str, int]) -> None:
         self.count_many(counters)
 
-    def record_query(self, result, grammar: Optional[str] = None) -> None:
+    def record_query(self, result) -> None:
         costs = result.costs
-        counts = {
-                "engine.queries": 1,
-                "engine.steps": costs.steps,
-                "engine.work": costs.work,
-                "engine.saved_steps": costs.saved,
-                "engine.sweeps": costs.sweeps,
-                "engine.exhausted": 1 if result.exhausted else 0,
-                "jumps.lookups": costs.jmp_lookups,
-                "jumps.hits": costs.jmp_taken,
-                "jumps.misses": costs.jmp_lookups - costs.jmp_taken,
-                "jumps.inserts": costs.jmp_inserts,
-                "jumps.early_terminations": costs.early_terminations,
-                "jumps.publish_suppressed.tau_f": costs.tau_f_suppressed,
-                "jumps.publish_suppressed.tau_u": costs.tau_u_suppressed,
-        }
-        if grammar is not None:
-            counts[f"engine.queries.grammar.{grammar}"] = 1
-        self.count_many(counts)
+        self.count_many({
+            "engine.queries": 1,
+            "engine.steps": costs.steps,
+            "engine.work": costs.work,
+            "engine.saved_steps": costs.saved,
+            "engine.sweeps": costs.sweeps,
+            "engine.exhausted": 1 if result.exhausted else 0,
+            "jumps.lookups": costs.jmp_lookups,
+            "jumps.hits": costs.jmp_taken,
+            "jumps.misses": costs.jmp_lookups - costs.jmp_taken,
+            "jumps.inserts": costs.jmp_inserts,
+            "jumps.early_terminations": costs.early_terminations,
+            "jumps.publish_suppressed.tau_f": costs.tau_f_suppressed,
+            "jumps.publish_suppressed.tau_u": costs.tau_u_suppressed,
+        })
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:

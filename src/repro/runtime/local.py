@@ -45,7 +45,7 @@ class LocalExecutor:
         self.mode = mode
         self.recorder = recorder
         #: Committed jump edges, shared by every query of every batch.
-        self.jumps = JumpMap(self.engine_config.grammar) if sharing else None
+        self.jumps = JumpMap() if sharing else None
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the committed map from an exported commit log."""

@@ -153,7 +153,7 @@ def _worker_main(conn, pag, engine_config, sharing: bool,
     worker simply goes silent, which is exactly the signal the
     coordinator's stall detection consumes.
     """
-    jumps = JumpMap(engine_config.grammar) if sharing else None
+    jumps = JumpMap() if sharing else None
     injector = FaultInjector(faults, worker_id, conn) if faults else None
     perf = time.perf_counter
     chunk_id: Optional[int] = None
@@ -301,9 +301,7 @@ class MPExecutor:
         self.recorder = recorder
         #: The coordinator's authoritative jump map (reusable across
         #: batches, like the other executors' shared maps).
-        self.jumps: Optional[JumpMap] = (
-            JumpMap(self.engine_config.grammar) if sharing else None
-        )
+        self.jumps: Optional[JumpMap] = JumpMap() if sharing else None
         #: Append-only commit log backing the epochs; index == epoch.
         #: The map is never invalidated (an edited program retires the
         #: runner instead), so the log holds at most one ``unf`` and one

@@ -62,7 +62,7 @@ class SimulatedExecutor:
         #: per query, plus per-query spans on the simulated-clock lane.
         self.recorder = recorder
         #: Committed jump edges (shared across batches run on this executor).
-        self.jumps = JumpMap(self.engine_config.grammar) if sharing else None
+        self.jumps = JumpMap() if sharing else None
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the committed map from an exported commit log."""

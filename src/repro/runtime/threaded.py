@@ -49,11 +49,10 @@ class ConcurrentJumpMap:
     key guarded by one of ``n_stripes`` locks.
     """
 
-    def __init__(self, n_stripes: int = 32, grammar: str = "flowsto") -> None:
+    def __init__(self, n_stripes: int = 32) -> None:
         if n_stripes < 1:
             raise RuntimeConfigError("n_stripes must be >= 1")
-        self.grammar = grammar
-        self._inner = JumpMap(grammar)
+        self._inner = JumpMap()
         self._locks = [threading.Lock() for _ in range(n_stripes)]
 
     def _lock(self, key: JumpKey) -> threading.Lock:
@@ -166,8 +165,7 @@ class ThreadedExecutor:
         #: thread-safe, so worker threads share it directly).
         self.recorder = recorder
         self.jumps: Optional[ConcurrentJumpMap] = (
-            ConcurrentJumpMap(grammar=self.engine_config.grammar)
-            if sharing else None
+            ConcurrentJumpMap() if sharing else None
         )
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:

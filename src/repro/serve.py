@@ -372,7 +372,7 @@ def _parse_ctx(raw: Any) -> Context:
     if raw in (None, (), []):
         return EMPTY_CTX
     if not isinstance(raw, list) or not all(
-        isinstance(x, int) for x in raw
+        isinstance(x, int) and not isinstance(x, bool) for x in raw
     ):
         raise ServeRejected(400, "ctx must be a list of call-site ids")
     return tuple(raw)
@@ -546,14 +546,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
         out: List[Tuple[str, int]] = []
         for item in raw:
-            if isinstance(item, int):
-                out.append((session.name(item), item))
-            elif isinstance(item, str):
+            if isinstance(item, str):
                 out.append((item, session.resolve(item)))
             else:
-                raise ServeRejected(
-                    400, f"bad target {item!r}: expected spec or node id"
-                )
+                node = session.node_id(item)
+                out.append((session.name(node), node))
         return out
 
     def _points_to(self, payload: Dict[str, Any]) -> None:
@@ -590,12 +587,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeRejected(
                 400, "objects must be a non-empty list of labels/node ids"
             )
+        labels = [
+            item if isinstance(item, str)
+            else session.name(session.node_id(item))
+            for item in raw
+        ]
         client = self._client_id(payload)
 
         def run() -> List[Dict[str, Any]]:
             out = []
-            for item in raw:
-                label = item if isinstance(item, str) else session.name(item)
+            for item, label in zip(raw, labels):
                 res = session.flows_to(item, ctx)
                 out.append(
                     {

@@ -455,7 +455,7 @@ class TestStats:
     def test_stats_reports_resident_state(self, box):
         stats = box.stats()
         for key in ("source", "kind", "n_nodes", "n_edges", "mode",
-                    "backend", "n_threads", "budget", "grammar",
+                    "backend", "n_threads", "budget",
                     "n_runners", "n_jump_entries", "n_cached_queries"):
             assert key in stats
         box.points_to("b@Main.main")

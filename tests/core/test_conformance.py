@@ -6,7 +6,7 @@ import pytest
 from repro import build_pag, parse_program
 from repro.benchgen.suites import suite_names
 from repro.core.conformance import certify_benchmark, certify_queries
-from repro.core.engine import EngineConfig
+from repro.core.grammar import TAINT
 from repro.core.query import Query
 
 SRC = """
@@ -50,17 +50,15 @@ class TestCertifyQueries:
         assert report.ok
         assert report.n_witnesses > 0
         assert report.n_certified == report.n_witnesses
-        assert report.grammar == "flowsto"
         assert "OK" in report.summary()
 
-    def test_wrong_grammar_is_detected(self, build):
+    def test_wrong_grammar_is_detected(self, build, monkeypatch):
         # flowsTo witnesses are NOT taint derivations: certifying them
         # under the taint grammar must fail, proving the harness
         # discriminates rather than rubber-stamping.
+        monkeypatch.setattr("repro.core.tracing.FLOWSTO", TAINT)
         queries = [Query(v) for v in build.pag.app_locals()]
-        report = certify_queries(
-            build.pag, queries, EngineConfig(grammar="taint"), name="box"
-        )
+        report = certify_queries(build.pag, queries, name="box")
         assert not report.ok
         assert report.failures
         assert all(f.reason == "rejected" for f in report.failures)

@@ -1,5 +1,5 @@
-"""Declarative grammar tests: the registry, certification semantics,
-and the grammar plumbing through engine / jump maps / tracing."""
+"""Declarative grammar tests: the lookup table, certification
+semantics, the PAG terminals, and witnesses certifying under flowsTo."""
 
 import dataclasses
 
@@ -7,39 +7,27 @@ import pytest
 
 from repro.core.cfl import bar
 from repro.core.context import EMPTY_CTX
-from repro.core.engine import CFLEngine, EngineConfig
+from repro.core.engine import EngineConfig
 from repro.core.grammar import (
-    DEFAULT_GRAMMAR,
-    CFLGrammar,
     ESCAPE,
     FLOWSTO,
     TAINT,
     get_grammar,
-    grammar_ids,
-    register_grammar,
+    terminal,
 )
-from repro.core.jumpmap import JumpMap, LayeredJumpMap
 from repro.core.tracing import TracingEngine
 from repro.errors import AnalysisError
 
 
 class TestRegistry:
     def test_builtin_grammars_registered(self):
-        assert grammar_ids() == ["flowsto", "taint", "escape"]
         assert get_grammar("flowsto") is FLOWSTO
         assert get_grammar("taint") is TAINT
         assert get_grammar("escape") is ESCAPE
-        assert DEFAULT_GRAMMAR == "flowsto"
 
     def test_unknown_grammar_raises(self):
         with pytest.raises(AnalysisError, match="unknown grammar"):
             get_grammar("points-to-but-wrong")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(AnalysisError, match="duplicate"):
-            register_grammar(
-                dataclasses.replace(FLOWSTO, description="impostor")
-            )
 
     def test_cfg_is_cached_per_field_alphabet(self):
         assert FLOWSTO.cfg(("f",)) is FLOWSTO.cfg(("f",))
@@ -72,9 +60,12 @@ class TestCertification:
         assert FLOWSTO.certify(["new", "param:0", "reset", "ret:1"], [])
 
     def test_skip_context_condition_flag(self):
+        # The grammar's context_condition flag is the one switch that
+        # skips R_CS (escape turns it off).
         bad = ["new", "param:0", "ret:1"]
         assert not FLOWSTO.certify(bad, [])
-        assert FLOWSTO.certify(bad, [], skip_context_condition=True)
+        unchecked = dataclasses.replace(FLOWSTO, context_condition=False)
+        assert unchecked.certify(bad, [])
 
     def test_taint_is_spliced_alias(self):
         # source <-flowsToBar- obj -flowsTo-> sink, reversed+barred on
@@ -105,59 +96,22 @@ class TestCertification:
 
 class TestEnginePlumbing:
     def test_typoed_grammar_fails_at_config_construction(self):
-        with pytest.raises(AnalysisError, match="unknown grammar"):
+        # The engine runs one grammar: any grammar setting, typo'd or
+        # not, is an unknown field of the config.
+        with pytest.raises(TypeError, match="grammar"):
             EngineConfig(grammar="flowto")
 
-    def test_engine_refuses_unimplemented_traversal(self, fig2):
-        b, _ = fig2
-        exotic = dataclasses.replace(
-            FLOWSTO, name="graph-reach-test", traversal="dyck"
-        )
-        register_grammar(exotic)
-        try:
-            with pytest.raises(AnalysisError, match="traversal"):
-                CFLEngine(b.pag, EngineConfig(grammar="graph-reach-test"))
-        finally:
-            from repro.core import grammar as _g
-
-            del _g._REGISTRY["graph-reach-test"]
-
-    def test_taint_grammar_shares_flowsto_traversal(self, fig2):
-        # Every built-in grammar rides the same sweeps: answers match.
+    def test_witness_certifies_under_flowsto(self, fig2):
         b, n = fig2
-        base = CFLEngine(b.pag, EngineConfig()).points_to(n["s1"])
-        taint = CFLEngine(
-            b.pag, EngineConfig(grammar="taint")
-        ).points_to(n["s1"])
-        assert base.points_to == taint.points_to
-
-    def test_engine_rejects_mismatched_jumpmap(self, fig2):
-        b, _ = fig2
-        with pytest.raises(AnalysisError, match="unsound"):
-            CFLEngine(
-                b.pag, EngineConfig(grammar="taint"), jumps=JumpMap()
-            )
-        # Matching label is accepted.
-        CFLEngine(
-            b.pag, EngineConfig(grammar="taint"), jumps=JumpMap("taint")
-        )
-
-    def test_layered_jumpmap_inherits_grammar(self):
-        layered = LayeredJumpMap(JumpMap("escape"))
-        assert layered.grammar == "escape"
-        assert layered.overlay.grammar == "escape"
-
-    def test_witness_carries_engine_grammar(self, fig2):
-        b, n = fig2
-        eng = TracingEngine(b.pag, EngineConfig(grammar="taint"))
+        eng = TracingEngine(b.pag)
         res = eng.points_to(n["s1"])
         obj, obj_ctx = sorted(res.points_to)[0]
         w = eng.explain(n["s1"], EMPTY_CTX, obj, obj_ctx)
-        assert w.grammar == "taint"
-        # flowsTo strings are not taint derivations: certification under
-        # the witness's own grammar refuses, under flowsto it accepts.
-        assert not w.certify()
-        assert w.certify(grammar="flowsto")
+        # Witnesses certify under flowsTo; a flowsTo string is not a
+        # taint derivation, so the taint grammar refuses the same one.
+        fields = FLOWSTO.fields_of(b.pag)
+        assert w.certify(fields)
+        assert not TAINT.certify(w.terminals(), fields)
 
 
 class TestGrammarValue:
@@ -168,6 +122,6 @@ class TestGrammarValue:
     def test_terminal_templates(self):
         from repro.pag.graph import EdgeKind
 
-        assert FLOWSTO.terminal(EdgeKind.NEW, "") == "new"
-        assert FLOWSTO.terminal(EdgeKind.LOAD, "f") == "ld:f"
-        assert FLOWSTO.terminal(EdgeKind.STORE, "f", barred=True) == bar("st:f")
+        assert terminal(EdgeKind.NEW, "") == "new"
+        assert terminal(EdgeKind.LOAD, "f") == "ld:f"
+        assert terminal(EdgeKind.STORE, "f", barred=True) == bar("st:f")

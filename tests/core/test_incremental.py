@@ -4,8 +4,6 @@ import pytest
 
 from repro.core import CFLEngine, EngineConfig
 from repro.core.incremental import IncrementalAnalysis
-from repro.core.jumpmap import JumpMap
-from repro.errors import InputError
 from repro.obs import MetricsRecorder
 from repro.pag import PAG
 
@@ -177,24 +175,3 @@ class TestSessionConfiguration:
         b, _n = fig2
         with pytest.raises(TypeError, match="backend"):
             IncrementalAnalysis(b.pag, backend="mp")
-
-    def test_injected_lifecycle_map_is_used(self, fig2):
-        from repro.runtime.threaded import ConcurrentJumpMap
-
-        b, n = fig2
-        shared = ConcurrentJumpMap()
-        inc = IncrementalAnalysis(
-            b.pag, EngineConfig(tau_f=0, tau_u=0), jumps=shared
-        )
-        inc.points_to(n["s1"])
-        assert shared.n_finished_edges > 0  # published into the store
-
-    def test_injected_wrong_grammar_raises(self, fig2):
-        b, _n = fig2
-        with pytest.raises(InputError, match="unsound"):
-            IncrementalAnalysis(b.pag, jumps=JumpMap(grammar="taint"))
-
-    def test_injected_non_lifecycle_raises(self, fig2):
-        b, _n = fig2
-        with pytest.raises(InputError, match="lifecycle"):
-            IncrementalAnalysis(b.pag, jumps=object())

@@ -2,7 +2,7 @@
 
 The matrix backend's contract is *exact* equality with SeqCFL at an
 unlimited budget — same ``points_to`` state sets, same context
-handling, for every registered grammar and every heap-precision mode.
+handling, for every heap-precision mode.
 These are the tier-1 checks (hand programs + a small benchmark
 sample); the full 20-suite sweep is tier-2
 (``tests/smoke/test_matrix_sweep.py``).
@@ -13,7 +13,6 @@ import pytest
 from repro import build_pag, parse_program
 from repro.benchgen.suites import load_benchmark, spec_of
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.grammar import grammar_ids
 from repro.core.matrix import MatrixKernel
 from repro.core.query import Query
 from repro.errors import AnalysisError
@@ -72,10 +71,8 @@ def assert_identical(pag, cfg, queries=None):
         assert got.points_to == want.points_to, pag.name(pag.rep(q.var))
 
 
-@pytest.mark.parametrize("grammar", sorted(grammar_ids()))
-def test_box_identical_per_grammar(box_build, grammar):
-    cfg = EngineConfig(budget=UNLIMITED, grammar=grammar)
-    assert_identical(box_build.pag, cfg)
+def test_box_identical(box_build):
+    assert_identical(box_build.pag, EngineConfig(budget=UNLIMITED))
 
 
 def test_fig2_context_sensitivity(fig2_build):
@@ -99,11 +96,9 @@ def test_box_field_modes(box_build, field_mode):
 
 
 @pytest.mark.parametrize("name", SAMPLE)
-@pytest.mark.parametrize("grammar", sorted(grammar_ids()))
-def test_benchmark_sample_identical(name, grammar):
+def test_benchmark_sample_identical(name):
     build = load_benchmark(name)
     cfg = spec_of(name).engine_config(budget=UNLIMITED)
-    cfg.grammar = grammar
     assert_identical(build.pag, cfg, spec_of(name).workload())
 
 

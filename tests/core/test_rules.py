@@ -14,9 +14,8 @@ import pytest
 from repro.benchgen.suites import load_benchmark, spec_of, suite_names
 from repro.core.context import EMPTY_CTX
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.grammar import get_grammar
 from repro.core.query import Query
-from repro.core.rules import FLOWS_TO, POINTS_TO, ROUND_KIND, rules
+from repro.core.rules import FLOWS_TO, POINTS_TO, ROUND_KIND, RULES
 from repro.core.tracing import TracingEngine
 from repro.ir import parse_program
 from repro.pag import build_pag
@@ -39,7 +38,7 @@ def table_closure(engine, key):
     work = [(start, ctx0)]
     while work:
         x, c = work.pop()
-        for rule in rules(engine.grammar):
+        for rule in RULES:
             if not rule.heap:
                 steps = [(y, cy) for y, cy, _ in rule.successors(pag, direction, x, c, cs)]
             elif heap and rule.kind is ROUND_KIND[direction]:
@@ -92,12 +91,12 @@ def suite_case(name):
 
 class TestTable:
     def test_one_row_per_edge_kind_in_sweep_order(self):
-        table = rules(get_grammar("flowsto"))
+        table = RULES
         assert [r.kind for r in table] == list(EdgeKind)
         assert [r.kind for r in table if r.heap] == [EdgeKind.LOAD, EdgeKind.STORE]
 
     def test_terminals_projected_onto_assign(self):
-        by_kind = {r.kind: r for r in rules(get_grammar("flowsto"))}
+        by_kind = {r.kind: r for r in RULES}
         assert by_kind[EdgeKind.NEW].symbol(FLOWS_TO) == "new"
         assert by_kind[EdgeKind.NEW].symbol(POINTS_TO) == "~new"
         for kind in (EdgeKind.ASSIGN, EdgeKind.GASSIGN, EdgeKind.PARAM, EdgeKind.RET):
@@ -108,7 +107,7 @@ class TestTable:
     def test_successors_push_and_pop(self, fig2):
         build, n = fig2
         pag = build.pag
-        by_kind = {r.kind: r for r in rules(get_grammar("flowsto"))}
+        by_kind = {r.kind: r for r in RULES}
         param, ret = by_kind[EdgeKind.PARAM], by_kind[EdgeKind.RET]
 
         def targets(rule, direction, x, c, cs=True):
@@ -141,7 +140,7 @@ class TestTable:
         ))
         pag = build.pag
         g = next(v for v in range(pag.n_nodes) if pag.is_global(v))
-        table = rules(get_grammar("flowsto"))
+        table = RULES
         targets = [
             (y, cy)
             for rule in table if not rule.heap

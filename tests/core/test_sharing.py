@@ -98,15 +98,6 @@ class TestUnfinishedJumps:
         # ET keeps the re-run cheaper than the original failing attempt.
         assert res.costs.work <= eng.cfg.budget
 
-    def test_early_termination_can_be_disabled(self, fig2):
-        b, n = fig2
-        jumps = JumpMap()
-        cfg = EngineConfig(budget=10, tau_f=0, tau_u=0, early_termination=False)
-        eng = CFLEngine(b.pag, cfg, jumps=jumps)
-        eng.points_to(n["s1"])
-        res = eng.points_to(n["s1"])
-        assert res.costs.early_terminations == 0
-
     def test_finished_insert_clears_unfinished(self, fig2):
         b, n = fig2
         # Fail with a small budget, then succeed with a big one: the

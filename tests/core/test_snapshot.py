@@ -144,14 +144,39 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="newer than this reader"):
             load_snapshot(path)
 
-    def test_wrong_grammar_rejected(self, fig2, tmp_path):
+    @pytest.mark.parametrize("label", ["flowsto", "taint"])
+    def test_legacy_grammar_key_ignored(self, fig2, tmp_path, label):
+        # Earlier writers of format v1 put a grammar id in the header;
+        # their summaries come from the same traversal, so they load.
         b, path = self.make_snap(fig2, tmp_path)
-        with pytest.raises(SnapshotError, match="grammars is unsound"):
-            load_snapshot(path, expect_grammar="taint")
-        # ...and through the session API, which always pins its grammar
-        taint = IncrementalAnalysis(b.pag, EngineConfig(grammar="taint"))
+        want = load_snapshot(path, expect_pag=b.pag).log
+        self._tamper_header(path, grammar=label)
+        assert load_snapshot(path, expect_pag=b.pag).log == want
+        fresh = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        assert fresh.warm_from_snapshot(path) == len(want)
+
+    @pytest.mark.parametrize("entry", [
+        ("zzz", (0, (), False), 3),   # unknown tag
+        42,                           # not a tuple
+        ("fin", (0, (), False)),      # not a 3-tuple
+        ("fin", "notakey", "x"),      # key not a jump key
+        ("fin", (0, [], False), ()),  # ctx not a tuple
+        ("unf", (0, (), 1), 5),       # direction not a bool
+        ("unf", ("0", (), True), 5),  # node not an int
+        ("fin", (0, (), False), 3),   # fin payload not a tuple
+        ("fin", (0, (), False), (1,)),  # fin edge not a FinishedJump
+        ("unf", (0, (), False), ()),  # unf payload not an int
+    ])
+    def test_malformed_log_entry_rejected(self, fig2, tmp_path, entry):
+        b, _n = fig2
+        path = tmp_path / "bad.snap"
+        save_snapshot(path, b.pag, [entry])
+        with pytest.raises(SnapshotError, match="corrupt snapshot log entry 0"):
+            load_snapshot(path, expect_pag=b.pag)
+        fresh = IncrementalAnalysis(b.pag)
         with pytest.raises(SnapshotError):
-            taint.warm_from_snapshot(path)
+            fresh.warm_from_snapshot(path)
+        assert len(fresh.jumps) == 0  # nothing seeded
 
     def test_stale_fingerprint_rejected(self, fig2, tmp_path):
         b, path = self.make_snap(fig2, tmp_path)
@@ -277,8 +302,7 @@ class TestFootprintPersistence:
         inc.points_to(x)
         path = tmp_path / "bare.snap"
         save_snapshot(
-            path, pag, inc.jumps.export_log(),
-            grammar="flowsto", footprints=None,
+            path, pag, inc.jumps.export_log(), footprints=None,
         )
         fresh = IncrementalAnalysis(pag, EngineConfig(tau_f=0, tau_u=0))
         fresh.warm_from_snapshot(path)

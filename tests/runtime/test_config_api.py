@@ -207,38 +207,3 @@ class TestNoDeprecatedUsageInPackage:
                 if needle in text:
                     offenders.append((py.name, needle))
         assert not offenders
-
-
-class TestGrammarComposition:
-    """Grammar selection must compose with ``with_`` (tier-1 runs with
-    ``error::DeprecationWarning``, so everything here must be
-    warning-free)."""
-
-    def test_default_grammar(self):
-        assert EngineConfig().grammar == "flowsto"
-
-    def test_with_grammar_is_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = EngineConfig().with_(grammar="taint")
-        assert cfg.grammar == "taint"
-        assert cfg.field_mode == "sensitive"
-
-    def test_with_preserves_grammar_across_other_changes(self):
-        cfg = EngineConfig(grammar="escape").with_(budget=7)
-        assert cfg.grammar == "escape"
-        assert cfg.budget == 7
-
-    def test_with_revalidates_grammar(self):
-        with pytest.raises(AnalysisError, match="unknown grammar"):
-            EngineConfig().with_(grammar="flowto")
-
-    def test_grammar_survives_pickling(self):
-        cfg = pickle.loads(pickle.dumps(EngineConfig(grammar="taint")))
-        assert cfg.grammar == "taint"
-
-    def test_grammar_config_runs(self, fig2):
-        b, n = fig2
-        cfg = EngineConfig(field_mode="sensitive").with_(grammar="taint")
-        eng = CFLEngine(b.pag, cfg)
-        assert eng.points_to(n["s1"]).objects == {n["o_n1"]}

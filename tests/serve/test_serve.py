@@ -31,6 +31,7 @@ import pytest
 
 from repro.api import (
     EngineConfig,
+    InputError,
     MetricsRecorder,
     Query,
     RuntimeConfig,
@@ -307,6 +308,44 @@ class TestEndpoints:
         with pytest.raises(ServeRejected) as exc:
             client.points_to(["zzz@No.where"])
         assert exc.value.status == 400
+
+    @pytest.mark.parametrize("path, payload", [
+        ("/v1/points_to", {"targets": [99999]}),
+        ("/v1/points_to", {"targets": [-1]}),
+        ("/v1/points_to", {"targets": [True]}),
+        ("/v1/points_to", {"targets": [1.0]}),
+        ("/v1/points_to", {"targets": ["b@Main.main"], "ctx": [True]}),
+        ("/v1/flows_to", {"objects": [99999]}),
+        ("/v1/flows_to", {"objects": [-1]}),
+        ("/v1/flows_to", {"objects": [False]}),
+        ("/v1/flows_to", {"objects": [{}]}),
+        ("/v1/alias", {"a": "b@Main.main", "b": 99999}),
+    ], ids=["pt-too-big", "pt-negative", "pt-bool", "pt-float", "pt-ctx-bool",
+            "ft-too-big", "ft-negative", "ft-bool", "ft-object",
+            "alias-too-big"])
+    def test_bad_node_id_is_400_and_daemon_keeps_serving(
+        self, daemon, oneshot, path, payload
+    ):
+        client, _session, _rec = daemon
+        with pytest.raises(ServeRejected) as exc:
+            client._request("POST", path, payload)
+        assert exc.value.status == 400
+        (res,) = client.points_to(["b@Main.main"])
+        assert res["objects"] == sorted(
+            oneshot.name(o) for o in oneshot.points_to("b@Main.main").objects
+        )
+
+    def test_session_rejects_bad_node_ids(self, oneshot):
+        n = oneshot.pag.n_nodes
+        for bad in (n, -1, True, 1.0, "0", None):
+            with pytest.raises(InputError, match="bad node id"):
+                oneshot.node_id(bad)
+        for method in (oneshot.points_to, oneshot.flows_to):
+            with pytest.raises(InputError, match="bad node id"):
+                method(-1)
+        with pytest.raises(InputError, match="bad node id"):
+            oneshot.queries([n])
+        assert oneshot.node_id(n - 1) == n - 1
 
     def test_empty_targets_is_400(self, daemon):
         client, _session, _rec = daemon

@@ -1,8 +1,8 @@
 """Tier-2 byte-identity sweep: the matrix kernel vs SeqCFL on all 20
-benchmark suites, for every registered grammar.
+benchmark suites.
 
 This is the acceptance bar of the matrix backend — exact state-set
-equality at an unlimited budget, per query, per suite, per grammar.
+equality at an unlimited budget, per query, per suite.
 Excluded from tier-1 via the ``smoke`` marker::
 
     PYTHONPATH=src python -m pytest tests/smoke/test_matrix_sweep.py -m smoke -q
@@ -12,7 +12,6 @@ import pytest
 
 from repro.benchgen.suites import load_benchmark, spec_of, suite_names
 from repro.core.engine import CFLEngine
-from repro.core.grammar import grammar_ids
 from repro.core.matrix import MatrixKernel
 
 pytestmark = pytest.mark.smoke
@@ -20,13 +19,11 @@ pytestmark = pytest.mark.smoke
 UNLIMITED = 10**9
 
 
-@pytest.mark.parametrize("grammar", sorted(grammar_ids()))
 @pytest.mark.parametrize("name", suite_names())
-def test_suite_identical(name, grammar):
+def test_suite_identical(name):
     build = load_benchmark(name)
     spec = spec_of(name)
     cfg = spec.engine_config(budget=UNLIMITED)
-    cfg.grammar = grammar
     queries = spec.workload()
 
     engine = CFLEngine(build.pag, cfg)
@@ -39,6 +36,6 @@ def test_suite_identical(name, grammar):
         if got.points_to != want.points_to:
             mismatches.append(build.pag.name(build.pag.rep(q.var)))
     assert not mismatches, (
-        f"{name}/{grammar}: {len(mismatches)} diverging queries, "
+        f"{name}: {len(mismatches)} diverging queries, "
         f"e.g. {mismatches[:5]}"
     )

@@ -385,7 +385,7 @@ class TestSnapshotCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "format v1" in out
-        assert "grammar flowsto" in out
+        assert "grammar" not in out  # the engine runs one grammar
 
     def test_load_verifies_against_program(self, java_file, tmp_path, capsys):
         _, snap = self._save(java_file, tmp_path)
@@ -413,6 +413,27 @@ class TestSnapshotCommand:
         code = main(["snapshot", "load", str(junk)])
         assert code == 2
         assert "bad magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        ("zzz", (0, (), False), 3), 42, ("fin", "notakey", "x"),
+    ])
+    def test_malformed_log_entry_exits_two(
+        self, java_file, tmp_path, capsys, entry
+    ):
+        from repro.api import Session, save_snapshot
+
+        snap = tmp_path / "bad.snap"
+        save_snapshot(snap, Session.open(java_file).pag, [entry])
+        for extra in ([], ["--file", str(java_file)]):
+            code = main(["snapshot", "load", str(snap), *extra])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "corrupt snapshot log entry 0" in err
+        # A daemon refuses to warm-boot from it before serving.
+        code = main(["serve", str(java_file), "--port", "0",
+                     "--snapshot", str(snap)])
+        assert code == 2
+        assert "corrupt snapshot log entry 0" in capsys.readouterr().err
 
     def test_verify_without_file_is_an_error(self, java_file, tmp_path):
         _, snap = self._save(java_file, tmp_path)
