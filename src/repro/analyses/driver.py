@@ -19,7 +19,7 @@ inherit the paper's batch machinery for free:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.analyses.base import Checker, Finding, Severity, make_checkers
 from repro.core.context import Context, EMPTY_CTX

@@ -24,7 +24,7 @@ The solver runs union-find over the PAG:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.pag.graph import PAG
 

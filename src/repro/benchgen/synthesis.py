@@ -26,8 +26,8 @@ Everything is driven by one ``random.Random(seed)``: identical params
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.ir.builder import MethodBuilder, ProgramBuilder

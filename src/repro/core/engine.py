@@ -7,15 +7,21 @@
 * **forwards** (``FLOWSTO``): from an object toward the variables it
   flows to, along *outgoing* edges — the ``flowsTo`` direction.
 
-Both run one sweep whose legs are compiled from the rule table of
-:mod:`repro.core.rules`: the engine answers one language, the paper's
-flowsTo, and its witnesses certify under
-:data:`repro.core.grammar.FLOWSTO`.  Field-sensitivity (grammar (2))
-is the ``st(f) alias ld(f)`` matching done by ``REACHABLENODES``;
-context-sensitivity (grammar (3)) is the call-site stack matched at
-``param_i``/``ret_i`` edges with partially balanced parentheses.  Data
-sharing (Algorithm 2) consults and extends a
-:class:`~repro.core.jumpmap.JumpMap` around every alias-matching round.
+Both run one sweep compiled from the rule table of
+:mod:`repro.core.rules` into one op per edge kind: the engine answers
+one language, the paper's flowsTo, and its witnesses certify under
+:data:`repro.core.grammar.FLOWSTO`.  Each sweep step reads all of its
+node's adjacency rows with one lookup in the PAG's leg index
+(:meth:`~repro.pag.graph.PAG.rows`), which the PAG keeps current
+through edits, and keeps its step, work and live-entry counts in
+locals between the points where other code reads them.
+
+Field-sensitivity (grammar (2)) is the ``st(f) alias ld(f)`` matching
+done by ``REACHABLENODES``; context-sensitivity (grammar (3)) is the
+call-site stack matched at ``param_i``/``ret_i`` edges with partially
+balanced parentheses.  Data sharing (Algorithm 2) consults and extends
+a :class:`~repro.core.jumpmap.JumpMap` around every alias-matching
+round.
 
 Deviations from the paper's pseudo-code, made for termination and
 exact-answer guarantees (documented in DESIGN.md §4):
@@ -41,10 +47,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
-from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.context import Context, EMPTY_CTX, ctx_enter, ctx_exit
 from repro.core.jumpmap import JumpMapLifecycle, LayeredJumpMap
@@ -56,6 +59,7 @@ from repro.core.rules import (
 from repro.errors import AnalysisError, BudgetExhausted
 from repro.pag.extended import FinishedJump
 from repro.pag.graph import PAG
+from repro.pag.nodes import NodeKind
 
 __all__ = ["EngineConfig", "CFLEngine", "FIELD_MODES", "POINTS_TO", "FLOWS_TO"]
 
@@ -68,43 +72,43 @@ if sys.getrecursionlimit() < 100_000:
 #: The validated heap-matching precision values (``field_mode``).
 FIELD_MODES = ("sensitive", "match", "none")
 
-#: How :meth:`CFLEngine._sweep` reads one compiled leg's entries: bare
-#: nodes keeping or resetting the call string (the ops ``<= _RESET``),
-#: ``(node, site)`` pairs entering or leaving a callee or
-#: (context-insensitive) keeping the string, and the alias round.
-_KEEP, _RESET, _ENTER, _EXIT, _KEEP_LABELLED, _ROUND = range(6)
+#: How :meth:`CFLEngine._sweep` reads one row of the PAG's leg index:
+#: bare nodes keeping or resetting the call string (the ops
+#: ``<= _RESET``), ``(node, site)`` pairs entering or leaving a callee
+#: or (context-insensitive) keeping the string, the alias round, and the
+#: backwards ``new`` row whose targets are answers.
+_KEEP, _RESET, _ENTER, _EXIT, _KEEP_LABELLED, _ROUND, _ANSWER = range(7)
 _OPS = {CtxAction.KEEP: _KEEP, CtxAction.RESET: _RESET,
         CtxAction.PUSH: _ENTER, CtxAction.POP: _EXIT}
 #: How a labelled leg crosses its call edge (context-insensitive runs
 #: keep the call string).
 _CROSSINGS = {_ENTER: ctx_enter, _EXIT: ctx_exit,
               _KEEP_LABELLED: lambda c, _site: c}
+_GLOBAL, _OBJECT = int(NodeKind.GLOBAL), int(NodeKind.OBJECT)
 
 
 @lru_cache(maxsize=None)
 def _compiled_legs(
     direction: bool, context_sensitive: bool, heap: bool
-) -> Tuple[Optional[str], Callable[[PAG], Tuple[Any, ...]], Tuple[int, ...]]:
-    """The sweep in ``direction``, compiled from the rule table: the
-    adjacency its answers are read off (``None``: the variable items
-    themselves), then a leg per plain row and for the round row (none
-    when field-insensitive), in table order — a getter of the legs'
-    adjacencies and their ops."""
-    answer = None
-    legs = []
+) -> Tuple[bool, Tuple[Optional[int], ...]]:
+    """The sweep in ``direction``, compiled from the rule table: whether
+    the variable items themselves are its answers (forwards), then one
+    op per edge kind, indexed by :class:`EdgeKind` — ``_ANSWER`` for the
+    row answers are read off (backwards ``new``), ``_ROUND`` for the
+    round row (none when field-insensitive), ``None`` for a row that is
+    no leg (the other heap row)."""
+    ops: List[Optional[int]] = []
     for rule in RULES:
-        name = rule.adjacency[direction]
         if rule.kind is ANSWER_KIND[direction]:
-            answer = name
+            ops.append(_ANSWER)
         elif rule.heap:
-            if heap and rule.kind is ROUND_KIND[direction]:
-                legs.append((name, _ROUND))
+            ops.append(_ROUND if heap and rule.kind is ROUND_KIND[direction]
+                       else None)
         elif rule.labelled and not context_sensitive:
-            legs.append((name, _KEEP_LABELLED))
+            ops.append(_KEEP_LABELLED)
         else:
-            legs.append((name, _OPS[rule.action[direction]]))
-    names, ops = zip(*legs)
-    return answer, attrgetter(*names), ops
+            ops.append(_OPS[rule.action[direction]])
+    return ANSWER_KIND[direction] is None, tuple(ops)
 
 
 @dataclass
@@ -351,62 +355,84 @@ class CFLEngine:
         result: Set[Tuple[int, Context]],
     ) -> None:
         """Algorithm 1 lines 3-15 in either direction: pop an item, read
-        off its answers, then follow every compiled leg in table order,
-        with worklist pushes inlined."""
+        off its answers, then follow each row of its node's leg index
+        (:meth:`PAG.rows`, kept current by the PAG through edits) by its
+        compiled op, in table order, with worklist pushes inlined.
+
+        ``steps``, ``work``, ``frontier_sum`` and the live-entry count
+        run in locals and reach ``q`` only where other code reads them:
+        before an alias round (which reads and advances ``q.steps`` and
+        counts its own live entries), before :meth:`_out_of_budget`, and
+        at exit.  ``steps`` is written back on normal exit and before
+        raising only — a round that exhausted the budget has already
+        advanced ``q.steps`` past this sweep's local."""
         pag = self.pag
-        answer, adjacencies, ops = self._compiled[direction]
-        # Resolved per sweep, not per engine: edits mutate the PAG.
-        answer_adj = getattr(pag, answer) if answer is not None else None
-        legs = list(zip(adjacencies(pag), ops))
-        is_global = pag.is_global
-        is_object = pag.is_object
+        items_answer, ops = self._compiled[direction]
+        row_of = pag.rows(direction).get
+        kinds = pag.kinds
         visited_add = visited.add
         append = worklist.append
-        note_live = q.note_live
         result_add = result.add
         budget = q.budget
-        while worklist:
-            q.frontier_sum += len(worklist)
-            x, c = worklist.pop()
-            q.steps += 1
-            q.work += 1
-            if q.steps > budget:
-                self._out_of_budget(q, 0)
-            if answer_adj is not None:
-                for o in answer_adj.get(x, ()):
-                    result_add((o, c))
-            elif not is_object(x):
-                result_add((x, c))
-            for adjacency, op in legs:
-                entries = adjacency.get(x)
-                if not entries:
+        steps = q.steps
+        work = frontier = live = 0
+        try:
+            while worklist:
+                frontier += len(worklist)
+                x, c = worklist.pop()
+                steps += 1
+                work += 1
+                if steps > budget:
+                    q.steps = steps
+                    self._out_of_budget(q, 0)
+                if items_answer and kinds[x] != _OBJECT:
+                    result_add((x, c))
+                row = row_of(x)
+                if row is None:
                     continue
-                if op <= _RESET:
-                    cy = c if op == _KEEP else EMPTY_CTX
-                    for y in entries:
-                        item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                        if item not in visited:
-                            visited_add(item)
-                            note_live(1)
-                            append(item)
-                elif op == _ROUND:
-                    for y, cy in self._reachable_nodes(direction, x, c, q, entries):
-                        item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                        if item not in visited:
-                            visited_add(item)
-                            note_live(1)
-                            append(item)
-                else:
-                    cross = _CROSSINGS[op]
-                    for y, i in entries:
-                        cy = cross(c, i)
-                        if cy is None:
-                            continue  # the call string returns elsewhere
-                        item = (y, EMPTY_CTX) if is_global(y) else (y, cy)
-                        if item not in visited:
-                            visited_add(item)
-                            note_live(1)
-                            append(item)
+                for kind, entries in row:
+                    op = ops[kind]
+                    if op is None:
+                        continue
+                    if op <= _RESET:
+                        cy = c if op == _KEEP else EMPTY_CTX
+                        for y in entries:
+                            item = (y, EMPTY_CTX) if kinds[y] == _GLOBAL else (y, cy)
+                            if item not in visited:
+                                visited_add(item)
+                                live += 1
+                                append(item)
+                    elif op == _ANSWER:
+                        for o in entries:
+                            result_add((o, c))
+                    elif op == _ROUND:
+                        q.steps = steps
+                        q.note_live(live)
+                        live = 0
+                        products = self._reachable_nodes(direction, x, c, q, entries)
+                        steps = q.steps
+                        for y, cy in products:
+                            item = (y, EMPTY_CTX) if kinds[y] == _GLOBAL else (y, cy)
+                            if item not in visited:
+                                visited_add(item)
+                                live += 1
+                                append(item)
+                    else:
+                        cross = _CROSSINGS[op]
+                        for y, i in entries:
+                            cy = cross(c, i)
+                            if cy is None:
+                                continue  # the call string returns elsewhere
+                            item = (y, EMPTY_CTX) if kinds[y] == _GLOBAL else (y, cy)
+                            if item not in visited:
+                                visited_add(item)
+                                live += 1
+                                append(item)
+            q.steps = steps
+        finally:
+            q.work += work
+            q.frontier_sum += frontier
+            q.note_live(live)
 
     # ------------------------------------------------------------------
     # REACHABLENODES — Algorithm 2 (Algorithm 1's version is the

@@ -10,7 +10,7 @@ memo tables and cost accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.context import Context, EMPTY_CTX
@@ -153,7 +153,13 @@ class QueryState:
         self.peak_visited = 0
 
     def note_live(self, delta: int) -> None:
-        """Track the memory-usage proxy's high-water mark."""
+        """Track the memory-usage proxy's high-water mark.
+
+        Callers may batch increments: the engine's sweep counts the
+        items it pushes in a local and reports them before anything
+        else changes the live count (an alias round, its own exit).
+        Between those points the count only grows, so the batched
+        high-water mark equals the per-item one."""
         self.live_entries += delta
         if self.live_entries > self.peak_visited:
             self.peak_visited = self.live_entries

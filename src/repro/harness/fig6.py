@@ -7,7 +7,7 @@ the AVERAGE entry.  Paper averages: 1.0 / 7.3 / 13.4 / 16.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.api import suite_names
 from repro.harness.report import ascii_table, to_csv

@@ -12,7 +12,7 @@ the paper observes the average dropping 16.2× → 12.4× without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 __all__ = ["ascii_table", "ascii_bars", "ascii_histogram", "to_csv"]
 

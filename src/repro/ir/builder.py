@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.errors import IRError
 from repro.ir.program import Clazz, Method, Program, THIS_VAR
 from repro.ir.statements import Alloc, Assign, Call, Cast, Load, Return, Store
 from repro.ir.types import OBJECT

@@ -14,7 +14,7 @@ event stream.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.obs.recorder import COUNTER_DOCS
 

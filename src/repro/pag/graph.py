@@ -11,6 +11,14 @@ Design notes
   ``POINTSTO`` consumes incoming edges while its inverse ``FLOWSTO``
   consumes outgoing edges, and each branch of Algorithm 1 touches
   exactly one kind.
+* The **leg index** (:meth:`PAG.rows`) maps a node to its non-empty
+  adjacency rows in one direction, in :class:`EdgeKind` order, so a
+  traversal step reads every row of its node with one lookup.  Its
+  entries are the same list objects the per-kind dicts hold.  It is
+  built on first use; after that every ``add_*_edge`` refreshes the
+  rows of its two endpoints, and SCC collapse drops it.
+  :class:`FrozenPAG` builds its own on first use too, and leaves it
+  out of its pickle.
 * ``stores_by_field``/``loads_by_field`` are the global indexes used by
   ``REACHABLENODES`` to match a load ``x = p.f`` against *every* store
   ``q.f = y`` in the program (Algorithm 1, lines 18-19).
@@ -22,13 +30,40 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import PAGError
 from repro.pag.edges import Edge, EdgeKind
 from repro.pag.nodes import NodeInfo, NodeKind
 
 __all__ = ["PAG", "FrozenPAG"]
+
+#: ``(int(kind), adjacency attribute)`` per :class:`EdgeKind` in enum
+#: order, per direction (``False``: inbound ``*_in``, ``True``: outbound
+#: ``*_out``).
+_ADJACENCIES = tuple(
+    tuple((int(kind), f"{kind.name.lower()}_{side}") for kind in EdgeKind)
+    for side in ("in", "out")
+)
+
+#: One node's leg-index row: ``(int(edge kind), entries)`` per non-empty
+#: adjacency row, in :class:`EdgeKind` order.  Plain ints, not enum
+#: members, so the sweep's op-table index takes the interpreter's fast
+#: path.
+Row = Tuple[Tuple[int, Sequence[Any]], ...]
+
+
+def _leg_index(graph: Any) -> Tuple[Dict[int, Row], Dict[int, Row]]:
+    """Build the leg index of ``graph``, inbound then outbound."""
+    index = []
+    for adjacencies in _ADJACENCIES:
+        rows: Dict[int, List[Tuple[int, Sequence[Any]]]] = {}
+        for kind, name in adjacencies:
+            for node, entries in getattr(graph, name).items():
+                if entries:
+                    rows.setdefault(node, []).append((kind, entries))
+        index.append({node: tuple(row) for node, row in rows.items()})
+    return index[0], index[1]
 
 
 class PAG:
@@ -77,6 +112,10 @@ class PAG:
         # ret: result <- (retvar, site)
         self.ret_in: Dict[int, List[Tuple[int, int]]] = {}
         self.ret_out: Dict[int, List[Tuple[int, int]]] = {}
+
+        #: The leg index per direction (see :meth:`rows`); None until
+        #: first use.
+        self._rows: Optional[Tuple[Dict[int, Row], Dict[int, Row]]] = None
 
         self._n_edges = 0
         self._edge_set: Set[Tuple[int, int, int, Optional[Union[str, int]]]] = set()
@@ -171,6 +210,24 @@ class PAG:
     def is_global(self, nid: int) -> bool:
         return self._kind[nid] == NodeKind.GLOBAL
 
+    @property
+    def kinds(self) -> Sequence[int]:
+        """The node-kind array: ``int(NodeKind)`` per node id.  The live
+        table, grown by every node add; read it, never write it."""
+        return self._kind
+
+    def rows(self, outgoing: bool) -> Dict[int, Row]:
+        """The leg index in one direction: node -> ``((int(edge kind),
+        entries), ...)`` for each of its non-empty inbound
+        (``outgoing=False``, the ``*_in`` dicts) or outbound (``*_out``)
+        adjacency rows, in :class:`EdgeKind` order.  ``entries`` is the
+        very list the per-kind dict holds.  Built on first use and kept
+        current by every later edge add; read it, never write it."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _leg_index(self)
+        return rows[outgoing]
+
     def info(self, nid: int) -> NodeInfo:
         return NodeInfo(
             nid,
@@ -236,6 +293,20 @@ class PAG:
         if want_var and not self.is_variable(nid):
             raise PAGError(f"{role}: node {self._name[nid]!r} is not a variable")
 
+    def _reindex(self, dst: int, src: int) -> None:
+        """Refresh the leg-index rows a new edge touched: ``dst``'s
+        inbound row and ``src``'s outbound row (no-op before the index
+        is built)."""
+        rows = self._rows
+        if rows is None:
+            return
+        for outgoing, node in ((False, dst), (True, src)):
+            rows[outgoing][node] = tuple(
+                (kind, entries)
+                for kind, name in _ADJACENCIES[outgoing]
+                if (entries := getattr(self, name).get(node))
+            )
+
     def add_new_edge(self, var: int, obj: int) -> None:
         """``var <-new- obj``."""
         self._check(var, "new dst", want_var=True)
@@ -244,6 +315,7 @@ class PAG:
         if self._record(EdgeKind.NEW, var, obj, None):
             self.new_in.setdefault(var, []).append(obj)
             self.new_out.setdefault(obj, []).append(var)
+            self._reindex(var, obj)
 
     def add_assign_edge(self, dst: int, src: int) -> None:
         """``dst <-assign_l- src`` (both locals)."""
@@ -252,6 +324,7 @@ class PAG:
         if self._record(EdgeKind.ASSIGN, dst, src, None):
             self.assign_in.setdefault(dst, []).append(src)
             self.assign_out.setdefault(src, []).append(dst)
+            self._reindex(dst, src)
 
     def add_gassign_edge(self, dst: int, src: int) -> None:
         """``dst <-assign_g- src`` (at least one side global)."""
@@ -262,6 +335,7 @@ class PAG:
         if self._record(EdgeKind.GASSIGN, dst, src, None):
             self.gassign_in.setdefault(dst, []).append(src)
             self.gassign_out.setdefault(src, []).append(dst)
+            self._reindex(dst, src)
 
     def add_load_edge(self, target: int, base: int, field: str) -> None:
         """``target <-ld(field)- base`` for ``target = base.field``."""
@@ -271,6 +345,7 @@ class PAG:
             self.load_in.setdefault(target, []).append((base, field))
             self.load_out.setdefault(base, []).append((target, field))
             self.loads_by_field.setdefault(field, []).append((base, target))
+            self._reindex(target, base)
 
     def add_store_edge(self, base: int, field: str, value: int) -> None:
         """``base <-st(field)- value`` for ``base.field = value``."""
@@ -280,6 +355,7 @@ class PAG:
             self.store_in.setdefault(base, []).append((value, field))
             self.store_out.setdefault(value, []).append((base, field))
             self.stores_by_field.setdefault(field, []).append((base, value))
+            self._reindex(base, value)
 
     def add_param_edge(self, formal: int, actual: int, site: int) -> None:
         """``formal <-param_site- actual``."""
@@ -288,6 +364,7 @@ class PAG:
         if self._record(EdgeKind.PARAM, formal, actual, site):
             self.param_in.setdefault(formal, []).append((actual, site))
             self.param_out.setdefault(actual, []).append((formal, site))
+            self._reindex(formal, actual)
 
     def add_ret_edge(self, result: int, retvar: int, site: int) -> None:
         """``result <-ret_site- retvar``."""
@@ -296,6 +373,7 @@ class PAG:
         if self._record(EdgeKind.RET, result, retvar, site):
             self.ret_in.setdefault(result, []).append((retvar, site))
             self.ret_out.setdefault(retvar, []).append((result, site))
+            self._reindex(result, retvar)
 
     # ------------------------------------------------------------------
     # iteration / export
@@ -345,15 +423,14 @@ class PAG:
         in terms of representatives; self-loop assigns are dropped.
         """
         nodes = [n for n in self.node_ids() if self.is_variable(n)]
-        succ = {n: [str(m) for m in self.assign_out.get(n, ())] for n in nodes}
         from repro.ir.types import _tarjan_scc
 
-        comp_of, comps = _tarjan_scc([str(n) for n in nodes], {str(k): v for k, v in succ.items()})
+        _comp_of, comps = _tarjan_scc(nodes, self.assign_out)
         merged = 0
         for comp in comps:
             if len(comp) < 2:
                 continue
-            members = sorted(int(s) for s in comp)
+            members = sorted(comp)
             root = members[0]
             for m in members[1:]:
                 self._parent[m] = root
@@ -364,8 +441,10 @@ class PAG:
 
     def _rewrite_edges(self) -> None:
         """Re-index all adjacency through representatives, dropping
-        duplicate and self-loop assign edges."""
+        duplicate and self-loop assign edges (and the leg index, which
+        holds the old lists)."""
         rep = self.rep
+        self._rows = None
 
         def remap_pairs_int(index: Dict[int, List[int]], drop_self: bool) -> Dict[int, List[int]]:
             out: Dict[int, List[int]] = {}
@@ -458,17 +537,18 @@ class FrozenPAG:
     """Read-only, pickle-once snapshot of a :class:`PAG`.
 
     Exposes exactly the surface the :class:`~repro.core.engine.CFLEngine`
-    traversals touch — per-kind adjacency maps (values are tuples), the
-    global field indexes, resolved :meth:`rep`, and the node-kind
-    predicates — plus enough metadata (:meth:`name`, :meth:`app_locals`,
-    ``n_nodes``/``n_edges``) for workloads and reporting.  It never
+    traversals touch — per-kind adjacency maps (values are tuples) and
+    their leg index, the global field indexes, resolved :meth:`rep`, and
+    the node-kind array and predicates — plus enough metadata
+    (:meth:`name`, :meth:`app_locals`, ``n_nodes``/``n_edges``) for
+    workloads and reporting.  It never
     changes after construction, so worker processes can traverse it
     without locks, and ``fork``-started workers share the coordinator's
     copy via copy-on-write.
     """
 
     __slots__ = (
-        "_kind", "_rep", "_names", "_app_locals",
+        "_kind", "_rep", "_names", "_app_locals", "_rows",
         "new_in", "new_out",
         "assign_in", "assign_out",
         "gassign_in", "gassign_out",
@@ -504,10 +584,41 @@ class FrozenPAG:
         self.ret_out = _freeze_adj(pag.ret_out)
         self.n_nodes = pag.n_nodes
         self.n_edges = pag.n_edges
+        #: The leg index per direction (see :meth:`rows`); None until
+        #: first use.
+        self._rows: Optional[Tuple[Dict[int, Row], Dict[int, Row]]] = None
 
     # -- engine surface -------------------------------------------------
     def rep(self, nid: int) -> int:
         return self._rep[nid]
+
+    @property
+    def kinds(self) -> Sequence[int]:
+        """The node-kind array (see :attr:`PAG.kinds`)."""
+        return self._kind
+
+    def rows(self, outgoing: bool) -> Dict[int, Row]:
+        """The leg index in one direction (see :meth:`PAG.rows`), over
+        this snapshot's tuples; built on first use.  The mp executor
+        builds it before starting workers, so fork-started workers
+        inherit it."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _leg_index(self)
+        return rows[outgoing]
+
+    # -- pickling -------------------------------------------------------
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # The leg index is derived data: leaving it out keeps snapshots
+        # and spawn-started workers' arguments as small as before, and
+        # rows() rebuilds it on first use.
+        return None, {name: getattr(self, name)
+                      for name in self.__slots__ if name != "_rows"}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._rows = None
 
     def is_variable(self, nid: int) -> bool:
         return self._kind[nid] in (NodeKind.LOCAL, NodeKind.GLOBAL)

@@ -283,6 +283,9 @@ class MPExecutor:
                 f"unit_timeout must be > 0, got {unit_timeout}"
             )
         self.pag = pag if isinstance(pag, FrozenPAG) else pag.freeze()
+        # Build the engine's leg index once here, so fork-started
+        # workers inherit it instead of each building their own.
+        self.pag.rows(False)
         self.n_workers = n_workers
         self.engine_config = engine_config or EngineConfig()
         self.sharing = sharing

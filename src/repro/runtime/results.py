@@ -9,7 +9,7 @@ simulated makespan, total steps (``#S``), steps saved / ratio saved
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.query import QueryResult
 

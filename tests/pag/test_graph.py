@@ -1,5 +1,7 @@
 """Unit tests for the raw PAG data structure."""
 
+import pickle
+
 import pytest
 
 from repro.errors import PAGError
@@ -199,6 +201,33 @@ class TestCycleCollapsing:
         pag.collapse_assign_sccs()
         rep = pag.rep(a)
         assert pag.assign_in[rep] == [s]
+
+
+class TestLegIndex:
+    def test_rows_in_kind_order_sharing_the_dict_lists(self, pag):
+        x, p, o = pag.add_local("x"), pag.add_local("p"), pag.add_obj("o")
+        pag.add_load_edge(x, p, "f")
+        pag.add_new_edge(x, o)
+        (new_row, load_row) = pag.rows(False)[x]
+        assert new_row == (EdgeKind.NEW, [o]) and new_row[1] is pag.new_in[x]
+        assert load_row == (EdgeKind.LOAD, [(p, "f")])
+        assert pag.rows(True)[p] == ((EdgeKind.LOAD, [(x, "f")]),)
+        y = pag.add_local("y")
+        pag.add_assign_edge(x, y)  # a new row, added after first use
+        assert [k for k, _ in pag.rows(False)[x]] == [
+            EdgeKind.NEW, EdgeKind.ASSIGN, EdgeKind.LOAD]
+
+    def test_frozen_pickle_leaves_the_index_out(self, pag):
+        a, b, o = pag.add_local("a"), pag.add_local("b"), pag.add_obj("o")
+        pag.add_new_edge(a, o)
+        pag.add_assign_edge(b, a)
+        frozen = pag.freeze()
+        _none, state = frozen.__getstate__()
+        assert "_rows" not in state
+        thawed = pickle.loads(pickle.dumps(frozen, protocol=pickle.HIGHEST_PROTOCOL))
+        for outgoing in (False, True):
+            assert thawed.rows(outgoing) == frozen.rows(outgoing)
+        assert thawed.rows(False)[b] == ((EdgeKind.ASSIGN, (a,)),)
 
 
 class TestDot:
