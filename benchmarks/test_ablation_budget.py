@@ -6,7 +6,7 @@ more; early terminations only exist because budgets run out.  This
 bench sweeps B around the benchmark default."""
 
 from repro.benchgen.suites import load_benchmark, spec_of
-from repro.runtime import ParallelCFL
+from repro.runtime import ParallelCFL, RuntimeConfig
 
 BENCH = "_228_jack"
 
@@ -21,8 +21,16 @@ def test_budget_sweep(once):
         for factor in (0.25, 0.5, 1.0, 2.0, 8.0):
             budget = max(10, int(spec.budget * factor))
             cfg = spec.engine_config(budget=budget)
-            seq = ParallelCFL(build, mode="seq", engine_config=cfg).run(queries)
-            dq = ParallelCFL(build, mode="DQ", n_threads=16, engine_config=cfg).run(queries)
+            seq = ParallelCFL(
+                build,
+                runtime=RuntimeConfig(mode="seq"),
+                engine=cfg,
+            ).run(queries)
+            dq = ParallelCFL(
+                build,
+                runtime=RuntimeConfig(mode="DQ", n_threads=16),
+                engine=cfg,
+            ).run(queries)
             out[factor] = (seq, dq)
         return out
 

@@ -18,7 +18,7 @@ def _speedups(cost_model):
     cfg = spec.engine_config()
 
     def run(mode, t):
-        return ParallelCFL.from_config(
+        return ParallelCFL(
             build,
             runtime=RuntimeConfig(mode=mode, n_threads=t,
                                   cost_model=cost_model),

@@ -6,7 +6,7 @@ pay fetch overhead, oversized units hurt tail latency."""
 
 from repro.benchgen.suites import load_benchmark, spec_of
 from repro.core.scheduling import ScheduleConfig
-from repro.runtime import ParallelCFL
+from repro.runtime import ParallelCFL, RuntimeConfig
 
 BENCH = "fop"
 
@@ -18,13 +18,19 @@ def test_group_size_sweep(once):
     cfg = spec.engine_config()
 
     def sweep():
-        seq = ParallelCFL(build, mode="seq", engine_config=cfg).run(queries)
+        seq = ParallelCFL(
+            build,
+            runtime=RuntimeConfig(mode="seq"),
+            engine=cfg,
+        ).run(queries)
         out = {}
         for target in (1, 4, 16, 64, None):
             sched = ScheduleConfig(target_group_size=target)
             runner = ParallelCFL(
-                build, mode="DQ", n_threads=16, engine_config=cfg,
-                schedule_config=sched,
+                build,
+                runtime=RuntimeConfig(mode="DQ", n_threads=16),
+                engine=cfg,
+                schedule=sched,
             )
             units = runner.work_units(queries)
             batch = runner.run(queries)

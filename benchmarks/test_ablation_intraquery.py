@@ -7,7 +7,7 @@ balance within the traversal frontier, standard contention) and shows
 it losing decisively to every inter-query configuration."""
 
 from repro.benchgen.suites import load_benchmark, spec_of
-from repro.runtime import ParallelCFL
+from repro.runtime import ParallelCFL, RuntimeConfig
 from repro.runtime.intraquery import intra_query_speedup
 
 BENCHES = ["_202_jess", "batik", "_209_db"]
@@ -21,9 +21,21 @@ def test_intra_vs_inter(once):
             build = load_benchmark(name)
             queries = spec.workload()
             cfg = spec.engine_config()
-            seq = ParallelCFL(build, mode="seq", engine_config=cfg).run(queries)
-            naive = ParallelCFL(build, mode="naive", n_threads=16, engine_config=cfg).run(queries)
-            dq = ParallelCFL(build, mode="DQ", n_threads=16, engine_config=cfg).run(queries)
+            seq = ParallelCFL(
+                build,
+                runtime=RuntimeConfig(mode="seq"),
+                engine=cfg,
+            ).run(queries)
+            naive = ParallelCFL(
+                build,
+                runtime=RuntimeConfig(mode="naive", n_threads=16),
+                engine=cfg,
+            ).run(queries)
+            dq = ParallelCFL(
+                build,
+                runtime=RuntimeConfig(mode="DQ", n_threads=16),
+                engine=cfg,
+            ).run(queries)
             frontier = (
                 sum(e.result.costs.frontier_mean for e in seq.executions)
                 / len(seq.executions)

@@ -10,7 +10,7 @@ filtering pays insertion overhead, oversized filtering loses sharing.
 import pytest
 
 from repro.benchgen.suites import load_benchmark, spec_of
-from repro.runtime import ParallelCFL
+from repro.runtime import ParallelCFL, RuntimeConfig
 
 BENCH = "_213_javac"
 
@@ -22,8 +22,16 @@ def _speedup(tau_f, tau_u, record_empty=False):
     cfg = spec.engine_config(
         tau_f=tau_f, tau_u=tau_u, record_empty_rounds=record_empty
     )
-    seq = ParallelCFL(build, mode="seq", engine_config=cfg).run(queries)
-    dq = ParallelCFL(build, mode="DQ", n_threads=16, engine_config=cfg).run(queries)
+    seq = ParallelCFL(
+        build,
+        runtime=RuntimeConfig(mode="seq"),
+        engine=cfg,
+    ).run(queries)
+    dq = ParallelCFL(
+        build,
+        runtime=RuntimeConfig(mode="DQ", n_threads=16),
+        engine=cfg,
+    ).run(queries)
     return dq.speedup_over(seq), dq
 
 

@@ -11,7 +11,7 @@ Run:  python examples/parallel_batch.py [benchmark-name]
 
 import sys
 
-from repro import ParallelCFL
+from repro import ParallelCFL, RuntimeConfig
 from repro.benchgen import load_benchmark
 from repro.benchgen.suites import spec_of, suite_names
 
@@ -30,7 +30,11 @@ def main() -> None:
     print(f"queries    : {len(queries)} (all application locals)")
     print(f"budget     : {cfg.budget} steps/query   tau_F={cfg.tau_f} tau_U={cfg.tau_u}\n")
 
-    seq = ParallelCFL(build, mode="seq", engine_config=cfg).run(queries)
+    seq = ParallelCFL(
+        build,
+        runtime=RuntimeConfig(mode="seq"),
+        engine=cfg,
+    ).run(queries)
     print(f"{'config':12s} {'speedup':>8s} {'work':>9s} {'saved':>8s} "
           f"{'jumps':>6s} {'ETs':>5s} {'unanswered':>10s}")
     print("-" * 64)
@@ -39,7 +43,9 @@ def main() -> None:
 
     for mode, threads in (("naive", 1), ("naive", 16), ("D", 16), ("DQ", 16)):
         batch = ParallelCFL(
-            build, mode=mode, n_threads=threads, engine_config=cfg
+            build,
+            runtime=RuntimeConfig(mode=mode, n_threads=threads),
+            engine=cfg,
         ).run(queries)
         label = f"{mode} x{threads}"
         print(

@@ -6,7 +6,11 @@ for the paper-to-module map.
 
 The supported public surface is :mod:`repro.api` — one resident
 :class:`Session` facade fronting queries, batches, checkers and
-snapshots — and this package re-exports it.
+snapshots, plus the configs, records, recorders, renderers and loaders
+it takes and returns.  This package re-exports :class:`Session` and
+``DEFAULT_BUDGET`` from there, and a smaller set of the lower-level
+pieces listed in ``__all__``; import anything else from
+:mod:`repro.api`.
 
 Quick start::
 
@@ -21,7 +25,10 @@ Batch-parallel (simulated multicore)::
     batch = session.batch(mode="DQ", n_threads=16)
 
 The underlying pieces (``CFLEngine``, ``ParallelCFL``, ``build_pag``,
-...) remain importable here for share-nothing baselines and tests.
+...) remain importable here for share-nothing baselines and tests.  A
+runner takes its settings whole, as on :class:`Session`::
+
+    batch = ParallelCFL(build, runtime=RuntimeConfig(mode="DQ")).run()
 """
 
 from repro._version import __version__

@@ -31,7 +31,6 @@ from repro.errors import AnalysisError, ValidationError
 from repro.ir.program import Method, Program, Variable
 from repro.ir.statements import Alloc, Load, Statement, Store
 from repro.pag.build import BuildResult
-from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import ParallelCFL
 from repro.runtime.results import BatchResult
 
@@ -245,7 +244,7 @@ def run_checkers(
     :class:`RuntimeConfig`'s defaults).
     """
     if runner is None:
-        runner = ParallelCFL.from_config(build, runtime=RuntimeConfig())
+        runner = ParallelCFL(build)
     resolved: List[Checker] = []
     ids: List[str] = []
     for c in checkers if checkers is not None else make_checkers():

@@ -31,7 +31,8 @@ traffic onto.
 Everything listed in ``__all__`` (configs, result records, error
 types, renderers, benchmark loaders, recorders) is re-exported here so
 downstream code never reaches into internal module paths; the
-top-level ``repro`` package re-exports the same names.
+top-level ``repro`` package re-exports :class:`Session` and a subset
+of the rest.
 """
 
 from __future__ import annotations
@@ -230,10 +231,10 @@ class Session:
     :class:`~repro.core.incremental.IncrementalAnalysis` (answers
     cached, footprints indexed for selective invalidation); batches run
     on resident :class:`ParallelCFL` runners keyed by
-    ``(mode, n_threads, backend)`` whose committed jump maps and
-    schedule plans survive across :meth:`batch` and :meth:`check`
-    calls until the next edit through :attr:`seq`, which retires
-    them.  :meth:`snapshot` folds *all* resident jump state into a
+    ``(mode, effective worker count, backend)`` whose committed jump
+    maps and schedule plans survive across :meth:`batch` and
+    :meth:`check` calls until the next edit through :attr:`seq`, which
+    retires them.  :meth:`snapshot` folds *all* resident jump state into a
     single compacted epoch-0 delta on disk, and
     :meth:`warm_from_snapshot` replays one into every resident store.
     """
@@ -262,7 +263,7 @@ class Session:
         self.source = source
         self._seq: Optional[IncrementalAnalysis] = None
         self._tracer: Optional[TracingEngine] = None
-        #: (mode, n_threads, backend) -> resident ParallelCFL runner.
+        #: (mode, effective threads, backend) -> resident runner.
         self._runners: Dict[Tuple[str, int, str], ParallelCFL] = {}
         #: Warm-boot log replayed into every runner created later.
         self._warm_log: List[DeltaEntry] = []
@@ -396,15 +397,18 @@ class Session:
 
     def node_id(self, node: Any) -> int:
         """``node`` itself when it is a node id of this PAG: an ``int``
-        (not a ``bool``) in ``[0, n_nodes)``; else :class:`InputError`."""
-        n_nodes = self.pag.n_nodes
+        (not a ``bool``) in ``[0, len(pag))`` other than the synthetic
+        unfinished node ``O``; else :class:`InputError`."""
+        pag = self.pag
         if (
             isinstance(node, bool)
             or not isinstance(node, int)
-            or not 0 <= node < n_nodes
+            or not 0 <= node < len(pag)
+            or node == pag.unfinished_node
         ):
             raise InputError(
-                f"bad node id {node!r}: expected an int in [0, {n_nodes})"
+                f"bad node id {node!r}: expected an int in "
+                f"[0, {len(pag)}) other than {pag.unfinished_node} (O)"
             )
         return node
 
@@ -413,6 +417,10 @@ class Session:
             self.resolve(target) if isinstance(target, str)
             else self.node_id(target)
         )
+        if not self.pag.is_variable(node):
+            raise InputError(
+                f"node {node} ({self.pag.name(node)}) is not a variable"
+            )
         return Query(node, ctx)
 
     # ------------------------------------------------------------------
@@ -444,6 +452,10 @@ class Session:
             self.resolve_obj(target) if isinstance(target, str)
             else self.node_id(target)
         )
+        if not self.pag.is_object(node):
+            raise InputError(
+                f"node {node} ({self.pag.name(node)}) is not an object"
+            )
         return self.seq.flows_to(node, ctx)
 
     def may_alias(
@@ -480,18 +492,25 @@ class Session:
     # ------------------------------------------------------------------
     # batches (resident parallel runners)
     # ------------------------------------------------------------------
-    def _runner_key(
+    def _runner_runtime(
         self,
         mode: Optional[str],
         n_threads: Optional[int],
         backend: Optional[str],
-    ) -> Tuple[str, int, str]:
-        rt = self.runtime
-        return (
-            mode or rt.mode,
-            n_threads if n_threads is not None else rt.n_threads,
-            backend or rt.backend,
-        )
+    ) -> RuntimeConfig:
+        """The session's runtime with a configuration's overrides."""
+        return self.runtime.with_(**{
+            k: v for k, v in
+            (("mode", mode), ("n_threads", n_threads), ("backend", backend))
+            if v is not None
+        })
+
+    @staticmethod
+    def _runner_key(rt: RuntimeConfig) -> Tuple[str, int, str]:
+        """Configurations that run identically share one runner: the
+        key holds the worker count actually used, not the raw
+        ``n_threads``."""
+        return (rt.mode, rt.effective_threads, rt.backend)
 
     def _live_runners(self) -> Dict[Tuple[str, int, str], ParallelCFL]:
         """The resident runners, after retiring them if the PAG was
@@ -519,15 +538,14 @@ class Session:
         """The resident :class:`ParallelCFL` for a configuration
         (created on first use, jump map warmed from any warm-boot log,
         resident afterwards until the next edit through :attr:`seq`)."""
-        key = self._runner_key(mode, n_threads, backend)
+        rt = self._runner_runtime(mode, n_threads, backend)
+        key = self._runner_key(rt)
         runners = self._live_runners()
         runner = runners.get(key)
         if runner is None:
-            runner = ParallelCFL.from_config(
+            runner = ParallelCFL(
                 self.build if self.build is not None else self.pag,
-                runtime=self.runtime.with_(
-                    mode=key[0], n_threads=key[1], backend=key[2]
-                ),
+                runtime=rt,
                 engine=self.engine_config,
                 schedule=self.schedule_config,
                 recorder=self.recorder,
@@ -562,7 +580,9 @@ class Session:
         executor (``None`` before its first batch, for share-nothing
         modes, and for the stateless matrix kernel; a hybrid
         configuration's is its demand route's)."""
-        key = self._runner_key(mode, n_threads, backend)
+        key = self._runner_key(
+            self._runner_runtime(mode, n_threads, backend)
+        )
         runner = self._live_runners().get(key)
         if runner is None:
             return None

@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import ParallelCFL, load_benchmark, spec_of, suite_names
+from repro.api import (
+    ParallelCFL,
+    RuntimeConfig,
+    load_benchmark,
+    spec_of,
+    suite_names,
+)
 from repro.harness.report import ascii_table, to_csv
 
 __all__ = ["Fig8Row", "THREAD_COUNTS", "run", "render", "averages"]
@@ -41,11 +47,15 @@ def run(names: Optional[Sequence[str]] = None) -> List[Fig8Row]:
         build = load_benchmark(name)
         queries = spec.workload()
         cfg = spec.engine_config()
-        seq = ParallelCFL(build, mode="seq", engine_config=cfg).run(queries)
+        seq = ParallelCFL(
+            build, runtime=RuntimeConfig(mode="seq"), engine=cfg
+        ).run(queries)
         speedups: Dict[int, float] = {}
         for t in THREAD_COUNTS:
             batch = ParallelCFL(
-                build, mode="DQ", n_threads=t, engine_config=cfg
+                build,
+                runtime=RuntimeConfig(mode="DQ", n_threads=t),
+                engine=cfg,
             ).run(queries)
             speedups[t] = batch.speedup_over(seq)
         rows.append(Fig8Row(name, speedups))

@@ -70,7 +70,7 @@ def run_benchmark_modes(
     cm = cost_model or CostModel()
 
     def run(mode: str, t: int) -> BatchResult:
-        return ParallelCFL.from_config(
+        return ParallelCFL(
             build,
             runtime=RuntimeConfig(mode=mode, n_threads=t, cost_model=cm),
             engine=cfg,

@@ -208,10 +208,10 @@ def bench_suite(
     )
 
     if verify:
-        seq_map = ParallelCFL.from_config(
+        seq_map = ParallelCFL(
             build, runtime=RuntimeConfig(mode="seq"), engine=cfg
         ).run(queries).points_to_map()
-        mp_map = ParallelCFL.from_config(
+        mp_map = ParallelCFL(
             build,
             runtime=RuntimeConfig(mode="naive", n_threads=max(workers),
                                   backend=backend),
@@ -223,7 +223,7 @@ def bench_suite(
         best = float("inf")
         batch = None
         for _ in range(repeat):
-            runner = ParallelCFL.from_config(
+            runner = ParallelCFL(
                 build,
                 runtime=RuntimeConfig(mode=mode, n_threads=w, backend=backend),
                 engine=cfg,
@@ -276,7 +276,7 @@ def fault_drill(name: str, workers: int = FAULT_DRILL_WORKERS) -> dict:
     plan = FaultPlan.single("kill", worker=0, after_units=1)
     # mode="naive" is the share-nothing one-query-per-fetch
     # configuration the drill's loss accounting assumes.
-    batch = ParallelCFL.from_config(
+    batch = ParallelCFL(
         build,
         runtime=RuntimeConfig(
             mode="naive", backend="mp", n_threads=workers,

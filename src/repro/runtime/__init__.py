@@ -24,7 +24,12 @@ Backends behind one facade:
 :class:`~repro.runtime.executor.ParallelCFL` is the user-facing facade
 with the paper's four configurations: ``seq`` (SeqCFL), ``naive``
 (shared work list only), ``D`` (+ data sharing), ``DQ`` (+ query
-scheduling).
+scheduling).  Everything about how a batch runs is one
+:class:`~repro.runtime.config.RuntimeConfig`, which holds every
+default and range check; a runner takes it as
+``ParallelCFL(target, runtime=..., engine=..., schedule=...)`` and
+builds each backend's executor from it, every executor class taking
+``(pag, runtime, engine_config, recorder)``.
 """
 
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig

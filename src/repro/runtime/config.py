@@ -7,10 +7,12 @@ backend tuning/fault knobs that used to sprawl across
 :class:`~repro.runtime.executor.ParallelCFL`'s keyword surface.
 
 Callers pass it whole: ``Session.open(path, runtime=RuntimeConfig(...))``
-through :mod:`repro.api`, or
-``ParallelCFL.from_config(build, runtime=...)`` inside the runtime
-layer.  There is no keyword shim: the pre-consolidation keywords raise
-``TypeError``.
+through :mod:`repro.api`, ``ParallelCFL(build, runtime=...)`` inside
+the runtime layer, and the runner passes it on to each executor it
+makes (``MPExecutor(pag, runtime, ...)`` and so on), which reads what
+it needs from it.  Every runtime default and range check is defined
+here and nowhere else.  There is no keyword shim: the
+pre-consolidation keywords raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class RuntimeConfig:
     ``max_respawns`` and ``respawn_backoff`` apply to the ``mp`` backend
     only (other backends ignore them).  Every default is defined here
     once: the command line leaves an unset flag to it
-    (:meth:`from_flags`).
+    (:meth:`from_flags`), and the executors read the values from the
+    config they are made with instead of restating them.
     """
 
     #: seq / naive / D / DQ (Section IV-C).

@@ -11,15 +11,21 @@ mode       meaning (Section IV-C)
 ``DQ``     + query scheduling (PARCFL_DQ)
 =========  ==========================================================
 
-Execution knobs live in one
-:class:`~repro.runtime.config.RuntimeConfig`, read back as
-``runner.runtime``:
+A runner has one constructor, keyword-only and spelled like
+:class:`repro.api.Session`: every runtime decision (mode, worker count,
+backend and the backend knobs) in one
+:class:`~repro.runtime.config.RuntimeConfig`, every analysis decision
+in one :class:`~repro.core.engine.EngineConfig`, read back as
+``runner.runtime`` and ``runner.engine_config``:
 
     runtime = RuntimeConfig(mode="D", n_threads=8, backend="mp")
-    batch = ParallelCFL.from_config(build, runtime=runtime).run()
+    batch = ParallelCFL(build, runtime=runtime).run()
 
-``mode`` and ``n_threads`` on the constructor are conveniences that
-override the runtime config's values.
+Defaults live in those two config classes and nowhere else.  Each
+backend's executor is made the same way, from :data:`EXECUTORS`: every
+executor class takes ``(pag, runtime, engine_config, recorder)`` and
+reads its worker count, sharing, ``BatchResult.mode`` label and
+backend knobs from ``runtime``.
 
 A runner is resident: it keeps one executor per backend across
 :meth:`run` calls, so in the sharing modes the committed jump map (and
@@ -37,7 +43,6 @@ the batch's share lands in ``BatchResult.metrics``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.engine import EngineConfig
@@ -62,6 +67,16 @@ from repro.runtime.threaded import ThreadedExecutor
 
 __all__ = ["ParallelCFL", "MODES", "BACKENDS"]
 
+#: The executor class of each backend but ``hybrid``, which routes
+#: each batch to ``matrix`` or to :data:`HYBRID_DEMAND_BACKEND`.
+EXECUTORS = {
+    "sim": SimulatedExecutor,
+    "local": LocalExecutor,
+    "threads": ThreadedExecutor,
+    "mp": MPExecutor,
+    "matrix": MatrixExecutor,
+}
+
 #: The executor ``hybrid`` sends batches below its crossover to.
 HYBRID_DEMAND_BACKEND = "local"
 
@@ -72,32 +87,22 @@ class ParallelCFL:
     def __init__(
         self,
         target: Union[PAG, BuildResult],
-        mode: Optional[str] = None,
-        n_threads: Optional[int] = None,
-        engine_config: Optional[EngineConfig] = None,
+        *,
         runtime: Optional[RuntimeConfig] = None,
-        schedule_config: Optional[ScheduleConfig] = None,
+        engine: Optional[EngineConfig] = None,
+        schedule: Optional[ScheduleConfig] = None,
         types: Optional[TypeTable] = None,
         recorder=None,
     ) -> None:
-        runtime = runtime or RuntimeConfig()
-        overrides = {}
-        if mode is not None:
-            overrides["mode"] = mode
-        if n_threads is not None:
-            overrides["n_threads"] = n_threads
-        if overrides:
-            runtime = replace(runtime, **overrides)
-
         if isinstance(target, BuildResult):
             self.pag = target.pag
             if types is None:
                 types = target.program.types
         else:
             self.pag = target
-        self.runtime = runtime
-        self.engine_config = engine_config or EngineConfig()
-        self.schedule_config = schedule_config
+        self.runtime = runtime or RuntimeConfig()
+        self.engine_config = engine or EngineConfig()
+        self.schedule_config = schedule
         self.types = types
         self.recorder = recorder
         #: One resident executor per backend, made on first use.
@@ -106,30 +111,6 @@ class ParallelCFL:
         #: scheduled batch (never at construction) and kept for every
         #: later one; it recomputes itself when the PAG grows.
         self._plan: Optional[SchedulePlan] = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        target: Union[PAG, BuildResult],
-        runtime: Optional[RuntimeConfig] = None,
-        engine: Optional[EngineConfig] = None,
-        schedule: Optional[ScheduleConfig] = None,
-        *,
-        types: Optional[TypeTable] = None,
-        recorder=None,
-    ) -> "ParallelCFL":
-        """The config-first constructor: every runtime decision in one
-        :class:`RuntimeConfig`, every analysis decision in one
-        :class:`EngineConfig`."""
-        return cls(
-            target,
-            engine_config=engine,
-            runtime=runtime,
-            schedule_config=schedule,
-            types=types,
-            recorder=recorder,
-        )
 
     # ------------------------------------------------------------------
     def default_queries(self) -> List[Query]:
@@ -154,57 +135,6 @@ class ParallelCFL:
     # ------------------------------------------------------------------
     # executor construction / residency
     # ------------------------------------------------------------------
-    def _make_executor(self, backend: str):
-        rt = self.runtime
-        if backend == "matrix":
-            return MatrixExecutor(
-                self.pag,
-                engine_config=self.engine_config,
-                mode=rt.mode,
-                recorder=self.recorder,
-            )
-        if backend == "local":
-            return LocalExecutor(
-                self.pag,
-                engine_config=self.engine_config,
-                sharing=rt.sharing,
-                mode=rt.mode,
-                recorder=self.recorder,
-            )
-        if backend == "mp":
-            return MPExecutor(
-                self.pag,
-                rt.effective_threads,
-                engine_config=self.engine_config,
-                sharing=rt.sharing,
-                mode=rt.mode,
-                chunk_size=rt.chunk_size,
-                max_chunk_retries=rt.max_chunk_retries,
-                max_respawns=rt.max_respawns,
-                unit_timeout=rt.unit_timeout,
-                respawn_backoff=rt.respawn_backoff,
-                faults=rt.faults,
-                recorder=self.recorder,
-            )
-        if backend == "threads":
-            return ThreadedExecutor(
-                self.pag,
-                rt.effective_threads,
-                engine_config=self.engine_config,
-                sharing=rt.sharing,
-                mode=rt.mode,
-                recorder=self.recorder,
-            )
-        return SimulatedExecutor(
-            self.pag,
-            rt.effective_threads,
-            engine_config=self.engine_config,
-            cost_model=rt.cost_model,
-            sharing=rt.sharing,
-            mode=rt.mode,
-            recorder=self.recorder,
-        )
-
     def executor(self, backend: Optional[str] = None):
         """The resident executor for ``backend`` (default: the
         configured one), made on first use; its committed jump map
@@ -221,7 +151,9 @@ class ParallelCFL:
             )
         ex = self._executors.get(backend)
         if ex is None:
-            ex = self._executors[backend] = self._make_executor(backend)
+            ex = self._executors[backend] = EXECUTORS[backend](
+                self.pag, self.runtime, self.engine_config, self.recorder
+            )
         return ex
 
     def _stateful_backend(self) -> str:

@@ -20,6 +20,7 @@ from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.jumpmap import DeltaEntry, JumpMap
 from repro.core.query import Query
 from repro.pag.graph import PAG
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.results import BatchResult, QueryExecution
 
 if TYPE_CHECKING:
@@ -34,32 +35,25 @@ class LocalExecutor:
     def __init__(
         self,
         pag: PAG,
+        runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
-        sharing: bool = True,
-        mode: str = "local",
         recorder: Optional["Recorder"] = None,
     ) -> None:
         self.pag = pag
+        self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
-        self.sharing = sharing
-        self.mode = mode
         self.recorder = recorder
         #: Committed jump edges, shared by every query of every batch.
-        self.jumps = JumpMap() if sharing else None
+        self.jumps = JumpMap() if runtime.sharing else None
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the committed map from an exported commit log."""
         return self.jumps.warm_from(log)
 
-    def run(self, queries: Sequence[Query]) -> BatchResult:
-        """One query per work unit."""
-        return self.run_units([[q] for q in queries])
-
     def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
         """Run every unit's queries in order; times are real, relative
         to the batch start."""
         rec = self.recorder
-        mark = rec.mark() if rec else {}
         perf = time.perf_counter
         executions: List[QueryExecution] = []
         t0 = perf()
@@ -82,13 +76,11 @@ class LocalExecutor:
                     rec.event("done", worker=0, queries=1, query=query.var)
         makespan = perf() - t0
         batch = BatchResult(
-            mode=self.mode,
+            mode=self.runtime.mode,
             n_threads=1,
             executions=executions,
             makespan=makespan,
             worker_busy=[sum(e.duration for e in executions)],
         )
         batch.count_jumps(self.jumps)
-        if rec:
-            batch.metrics = rec.since(mark)
         return batch

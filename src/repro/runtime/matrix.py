@@ -18,6 +18,7 @@ from repro.core.engine import EngineConfig
 from repro.core.matrix import MatrixKernel
 from repro.core.query import Query
 from repro.pag.graph import PAG, FrozenPAG
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.results import BatchResult, QueryExecution
 
 if TYPE_CHECKING:
@@ -36,17 +37,14 @@ class MatrixExecutor:
     def __init__(
         self,
         pag: Union[PAG, FrozenPAG],
+        runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
-        mode: str = "matrix",
         recorder: Optional["Recorder"] = None,
     ) -> None:
         self.pag = pag
+        self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
-        self.mode = mode
         self.recorder = recorder
-
-    def run(self, queries: Sequence[Query]) -> BatchResult:
-        return self.run_units([list(queries)])
 
     def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
         """Flatten the units and answer them from one closed fixpoint."""
@@ -68,7 +66,7 @@ class MatrixExecutor:
             for r in results
         ]
         return BatchResult(
-            mode=self.mode,
+            mode=self.runtime.mode,
             n_threads=1,
             executions=executions,
             makespan=wall,

@@ -113,6 +113,7 @@ from repro.core.query import Query
 from repro.errors import RuntimeConfigError, WorkerCrash
 from repro.obs.recorder import MetricsRecorder
 from repro.pag.graph import PAG, FrozenPAG
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.results import BatchResult, QueryExecution
 
@@ -224,78 +225,41 @@ def _worker_main(conn, pag, engine_config, sharing: bool,
 
 
 class MPExecutor:
-    """Runs query batches on ``n_workers`` OS processes.
+    """Runs query batches on ``runtime.effective_threads`` OS processes.
 
     ``units`` is the shared work list (one query list per fetch, as for
-    the other executors); units are dispatched in order, ``chunk_size``
-    per message, to whichever worker is idle.  Timing is real:
-    ``BatchResult.makespan`` is wall-clock seconds for the whole batch
-    and each :class:`QueryExecution` carries the worker's measured
-    per-query times.
+    the other executors); units are dispatched in order,
+    ``runtime.chunk_size`` per message, to whichever worker is idle.
+    Timing is real: ``BatchResult.makespan`` is wall-clock seconds for
+    the whole batch and each :class:`QueryExecution` carries the
+    worker's measured per-query times.
 
-    Recovery knobs (see the module docstring for the state machine):
-
-    ``max_chunk_retries``
-        Requeues a chunk survives before it is quarantined and run
-        inline by the coordinator.
-    ``max_respawns``
-        Total worker respawns across the batch (default
-        ``2 * n_workers``); respawn delay backs off exponentially from
-        ``respawn_backoff`` seconds per slot, capped at 1 s.
-    ``unit_timeout``
-        Per-chunk deadline in seconds; a worker past it is treated as
-        wedged — killed, respawned, its chunk reassigned to a survivor.
-        ``None`` (the default) disables the deadline.
-    ``faults``
-        A :class:`~repro.runtime.faults.FaultPlan` shipped to workers
-        for fault-injection runs (``None``: no faults).
+    The recovery knobs (see the module docstring for the state machine)
+    are :class:`~repro.runtime.config.RuntimeConfig` fields, read from
+    ``runtime``: ``max_chunk_retries`` (requeues a chunk survives
+    before it is quarantined and run inline by the coordinator),
+    ``max_respawns`` (total worker respawns across the batch, ``None``:
+    twice the spawned workers; the per-slot delay backs off
+    exponentially from ``respawn_backoff`` seconds, capped at 1 s),
+    ``unit_timeout`` (per-chunk deadline in seconds past which a worker
+    is treated as wedged, ``None``: no deadline) and ``faults`` (a
+    :class:`~repro.runtime.faults.FaultPlan` shipped to workers for
+    fault-injection runs).
     """
 
     def __init__(
         self,
         pag: Union[PAG, FrozenPAG],
-        n_workers: int,
+        runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
-        sharing: bool = True,
-        mode: str = "mp",
-        chunk_size: Optional[int] = None,
-        max_chunk_retries: int = 2,
-        max_respawns: Optional[int] = None,
-        unit_timeout: Optional[float] = None,
-        respawn_backoff: float = 0.05,
-        faults: Optional[FaultPlan] = None,
         recorder=None,
     ) -> None:
-        if n_workers < 1:
-            raise RuntimeConfigError(f"n_workers must be >= 1, got {n_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise RuntimeConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_chunk_retries < 0:
-            raise RuntimeConfigError(
-                f"max_chunk_retries must be >= 0, got {max_chunk_retries}"
-            )
-        if max_respawns is not None and max_respawns < 0:
-            raise RuntimeConfigError(
-                f"max_respawns must be >= 0, got {max_respawns}"
-            )
-        if unit_timeout is not None and unit_timeout <= 0:
-            raise RuntimeConfigError(
-                f"unit_timeout must be > 0, got {unit_timeout}"
-            )
         self.pag = pag if isinstance(pag, FrozenPAG) else pag.freeze()
         # Build the engine's leg index once here, so fork-started
         # workers inherit it instead of each building their own.
         self.pag.rows(False)
-        self.n_workers = n_workers
+        self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
-        self.sharing = sharing
-        self.mode = mode
-        self.chunk_size = chunk_size
-        self.max_chunk_retries = max_chunk_retries
-        self.max_respawns = max_respawns
-        self.unit_timeout = unit_timeout
-        self.respawn_backoff = respawn_backoff
-        self.faults = faults
         #: Optional :class:`repro.obs.Recorder`.  When set, workers run
         #: with per-chunk recorders and ship counter snapshots back with
         #: their results; the coordinator merges them and adds the mp.*
@@ -304,7 +268,7 @@ class MPExecutor:
         self.recorder = recorder
         #: The coordinator's authoritative jump map (reusable across
         #: batches, like the other executors' shared maps).
-        self.jumps: Optional[JumpMap] = JumpMap() if sharing else None
+        self.jumps: Optional[JumpMap] = JumpMap() if runtime.sharing else None
         #: Append-only commit log backing the epochs; index == epoch.
         #: The map is never invalidated (an edited program retires the
         #: runner instead), so the log holds at most one ``unf`` and one
@@ -333,7 +297,7 @@ class MPExecutor:
         (first-writer-wins); returns the number of accepted entries."""
         if self.jumps is None:
             raise RuntimeConfigError(
-                "warm start requires a shared jump map (sharing=True)"
+                "warm start requires data sharing (mode D or DQ)"
             )
         accepted = self._merge_delta(log)
         rec = self.recorder
@@ -342,7 +306,7 @@ class MPExecutor:
         return accepted
 
     def _chunks(
-        self, units: Sequence[Sequence[Query]], n_workers: int
+        self, units: Sequence[Sequence[Query]]
     ) -> List[List[List[Query]]]:
         """Group consecutive units into dispatch chunks.  The default
         aims for several fetches per worker (work stealing smooths load
@@ -350,7 +314,8 @@ class MPExecutor:
         units = [list(u) for u in units if u]
         if not units:
             return []
-        size = self.chunk_size or max(1, len(units) // (n_workers * 8))
+        rt = self.runtime
+        size = rt.chunk_size or max(1, len(units) // (rt.effective_threads * 8))
         return [units[i:i + size] for i in range(0, len(units), size)]
 
     # ------------------------------------------------------------------
@@ -363,19 +328,20 @@ class MPExecutor:
         crash/retry/respawn counters; a clean run has every chunk
         ``completed`` and all counters at zero.
         """
-        chunks = self._chunks(units, self.n_workers)
+        rt = self.runtime
+        chunks = self._chunks(units)
         if not chunks:
             # No workers are spawned for an empty batch; report that
             # honestly (n_threads=0, no busy slots) so utilisation
             # comparisons are not skewed against the non-empty path,
             # which reports the spawned count min(n_workers, n_chunks).
             return BatchResult(
-                mode=self.mode, n_threads=0, executions=[],
+                mode=rt.mode, n_threads=0, executions=[],
                 makespan=0.0, worker_busy=[],
             )
-        n = min(self.n_workers, len(chunks))
+        n = min(rt.effective_threads, len(chunks))
         max_respawns = (
-            self.max_respawns if self.max_respawns is not None else 2 * n
+            rt.max_respawns if rt.max_respawns is not None else 2 * n
         )
 
         n_chunks = len(chunks)
@@ -396,7 +362,6 @@ class MPExecutor:
         executions: List[QueryExecution] = []
         errors: List[str] = []
         rec = self.recorder
-        mark = rec.mark() if rec else None
         #: worker -> absolute dispatch stamp of its in-flight chunk
         #: (span bookkeeping only; ownership lives in ``inflight``).
         sent_at: Dict[int, float] = {}
@@ -417,8 +382,8 @@ class MPExecutor:
             parent, child = _MP_CONTEXT.Pipe()
             proc = _MP_CONTEXT.Process(
                 target=_worker_main,
-                args=(child, self.pag, self.engine_config, self.sharing,
-                      w, self.faults, bool(rec), hb_interval),
+                args=(child, self.pag, self.engine_config, rt.sharing,
+                      w, rt.faults, bool(rec), hb_interval),
                 daemon=True,
             )
             proc.start()
@@ -444,7 +409,7 @@ class MPExecutor:
                           queries=sum(len(u) for u in chunks[ci]))
             for unit in chunks[ci]:
                 for query in unit:
-                    layer = LayeredJumpMap(self.jumps) if self.sharing else None
+                    layer = LayeredJumpMap(self.jumps) if rt.sharing else None
                     engine = CFLEngine(self.pag, self.engine_config,
                                        jumps=layer, recorder=rec)
                     q0 = perf()
@@ -484,7 +449,7 @@ class MPExecutor:
             if rec:
                 rec.count("mp.requeues")
                 rec.event("requeue", chunk=ci, retries=retries[ci])
-            if retries[ci] > self.max_chunk_retries:
+            if retries[ci] > rt.max_chunk_retries:
                 run_inline(ci)
             else:
                 pending.appendleft(ci)
@@ -518,13 +483,13 @@ class MPExecutor:
                     rec.count("mp.respawns")
                     rec.event("respawn", worker=w, attempt=slot_respawns[w])
                 delay = min(
-                    self.respawn_backoff * (2 ** (slot_respawns[w] - 1)), 1.0
+                    rt.respawn_backoff * (2 ** (slot_respawns[w] - 1)), 1.0
                 )
                 time.sleep(delay)
                 spawn(w)
 
         def dispatch(w: int, ci: int) -> None:
-            delta = tuple(self._log[sent_epoch[w]:]) if self.sharing else ()
+            delta = tuple(self._log[sent_epoch[w]:]) if rt.sharing else ()
             try:
                 conns[w].send(("unit", ci, chunks[ci], delta))
             except (BrokenPipeError, OSError, ValueError) as exc:
@@ -553,7 +518,7 @@ class MPExecutor:
                 # this ownership starts now.
                 last_beat[w] = perf()
             deadline = (
-                perf() + self.unit_timeout if self.unit_timeout else float("inf")
+                perf() + rt.unit_timeout if rt.unit_timeout else float("inf")
             )
             inflight[w] = (ci, deadline)
 
@@ -597,7 +562,7 @@ class MPExecutor:
             _tag, ci, records, delta, worker_metrics = msg
             inflight.pop(w, None)
             dispatched_at = sent_at.pop(w, None)
-            if self.sharing and delta:
+            if rt.sharing and delta:
                 # Merge even a straggler's delta: idempotent, and its
                 # entries are legitimate commits.
                 caught_up = sent_epoch[w] == len(self._log)
@@ -662,7 +627,7 @@ class MPExecutor:
                     conns[w]: w for w in range(n) if alive[w]
                 }
                 timeout = None
-                if self.unit_timeout and inflight:
+                if rt.unit_timeout and inflight:
                     now = perf()
                     soonest = min(dl for _ci, dl in inflight.values())
                     timeout = max(0.0, soonest - now) + 0.01
@@ -686,14 +651,14 @@ class MPExecutor:
                             stall_flagged.add((w, ci))
                             rec.event("stall", worker=w, chunk=ci,
                                       silent_s=round(silent, 3))
-                if self.unit_timeout:
+                if rt.unit_timeout:
                     now = perf()
                     for w, (ci, dl) in list(inflight.items()):
                         if now > dl and alive[w]:
                             fail_worker(
                                 w,
                                 f"unit deadline exceeded "
-                                f"({self.unit_timeout}s) on chunk {ci}",
+                                f"({rt.unit_timeout}s) on chunk {ci}",
                             )
         finally:
             for w in range(n):
@@ -718,7 +683,7 @@ class MPExecutor:
 
         makespan = perf() - t0
         result = BatchResult(
-            mode=self.mode,
+            mode=rt.mode,
             n_threads=n,
             executions=executions,
             makespan=makespan,
@@ -730,10 +695,4 @@ class MPExecutor:
             errors=errors,
         )
         result.count_jumps(self.jumps)
-        if rec:
-            result.metrics = rec.since(mark)
         return result
-
-    def run(self, queries: Sequence[Query]) -> BatchResult:
-        """Convenience: one query per work unit, in the given order."""
-        return self.run_units([[q] for q in queries])

@@ -22,9 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.jumpmap import DeltaEntry, JumpMap, LayeredJumpMap
 from repro.core.query import Query
-from repro.errors import RuntimeConfigError
 from repro.pag.graph import PAG
 from repro.obs.recorder import SIM_PID
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.contention import CostModel
 from repro.runtime.results import BatchResult, QueryExecution
 
@@ -32,37 +32,31 @@ __all__ = ["SimulatedExecutor"]
 
 
 class SimulatedExecutor:
-    """Runs query batches on ``n_threads`` simulated workers.
+    """Runs query batches on ``runtime.effective_threads`` simulated
+    workers.
 
     ``units`` is the shared work list: a sequence of query lists (one
-    list per fetch).  Data sharing is enabled by ``sharing=True``; the
+    list per fetch).  Data sharing follows ``runtime.sharing``; the
     committed :class:`JumpMap` is owned by the executor and reusable
-    across batches.
+    across batches.  Query costs come from ``runtime.cost_model``
+    (default :class:`CostModel`).
     """
 
     def __init__(
         self,
         pag: PAG,
-        n_threads: int,
+        runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
-        cost_model: Optional[CostModel] = None,
-        sharing: bool = True,
-        mode: str = "sim",
         recorder=None,
     ) -> None:
-        if n_threads < 1:
-            raise RuntimeConfigError(f"n_threads must be >= 1, got {n_threads}")
         self.pag = pag
-        self.n_threads = n_threads
+        self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
-        self.cost_model = cost_model or CostModel()
-        self.sharing = sharing
-        self.mode = mode
         #: Optional :class:`repro.obs.Recorder`: engine counters flushed
         #: per query, plus per-query spans on the simulated-clock lane.
         self.recorder = recorder
         #: Committed jump edges (shared across batches run on this executor).
-        self.jumps = JumpMap() if sharing else None
+        self.jumps = JumpMap() if runtime.sharing else None
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the committed map from an exported commit log."""
@@ -71,10 +65,10 @@ class SimulatedExecutor:
     # ------------------------------------------------------------------
     def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
         """Execute the work units and return the batch record."""
-        cm = self.cost_model
+        rt = self.runtime
+        cm = rt.cost_model or CostModel()
         rec = self.recorder
-        mark = rec.mark() if rec else None
-        t = self.n_threads
+        t = rt.effective_threads
         heap: List[Tuple[float, int]] = [(0.0, w) for w in range(t)]
         heapq.heapify(heap)
         busy = [0.0] * t
@@ -95,7 +89,7 @@ class SimulatedExecutor:
                 heapq.heappush(heap, (now + fetch, w))
                 continue
             query = backlog[w].pop(0)
-            layer = LayeredJumpMap(self.jumps) if self.sharing else None
+            layer = LayeredJumpMap(self.jumps) if rt.sharing else None
             result = CFLEngine(
                 self.pag, self.engine_config, jumps=layer, recorder=rec
             ).run_query(query)
@@ -119,14 +113,7 @@ class SimulatedExecutor:
                           sim_start=round(now, 3), sim_finish=round(finish, 3))
             heapq.heappush(heap, (finish, w))
 
-        batch = self._finalise(executions, busy)
-        if rec:
-            batch.metrics = rec.since(mark)
-        return batch
-
-    def run(self, queries: Sequence[Query]) -> BatchResult:
-        """Convenience: one query per work unit, in the given order."""
-        return self.run_units([[q] for q in queries])
+        return self._finalise(executions, busy)
 
     # ------------------------------------------------------------------
     def _finalise(
@@ -134,8 +121,8 @@ class SimulatedExecutor:
     ) -> BatchResult:
         makespan = max((e.finish for e in executions), default=0.0)
         result = BatchResult(
-            mode=self.mode,
-            n_threads=self.n_threads,
+            mode=self.runtime.mode,
+            n_threads=self.runtime.effective_threads,
             executions=executions,
             makespan=makespan,
             worker_busy=busy,

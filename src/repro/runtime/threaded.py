@@ -36,6 +36,7 @@ from repro.core.query import Query
 from repro.errors import RuntimeConfigError
 from repro.pag.extended import FinishedJump, JumpKey
 from repro.pag.graph import PAG
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.results import BatchResult, QueryExecution
 
 __all__ = ["ConcurrentJumpMap", "ThreadedExecutor"]
@@ -51,7 +52,9 @@ class ConcurrentJumpMap:
 
     def __init__(self, n_stripes: int = 32) -> None:
         if n_stripes < 1:
-            raise RuntimeConfigError("n_stripes must be >= 1")
+            raise RuntimeConfigError(
+                f"n_stripes must be at least 1, got {n_stripes}"
+            )
         self._inner = JumpMap()
         self._locks = [threading.Lock() for _ in range(n_stripes)]
 
@@ -148,24 +151,18 @@ class ThreadedExecutor:
     def __init__(
         self,
         pag: PAG,
-        n_threads: int,
+        runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
-        sharing: bool = True,
-        mode: str = "threaded",
         recorder=None,
     ) -> None:
-        if n_threads < 1:
-            raise RuntimeConfigError(f"n_threads must be >= 1, got {n_threads}")
         self.pag = pag
-        self.n_threads = n_threads
+        self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
-        self.sharing = sharing
-        self.mode = mode
         #: Optional :class:`repro.obs.Recorder` (MetricsRecorder is
         #: thread-safe, so worker threads share it directly).
         self.recorder = recorder
         self.jumps: Optional[ConcurrentJumpMap] = (
-            ConcurrentJumpMap() if sharing else None
+            ConcurrentJumpMap() if runtime.sharing else None
         )
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
@@ -173,7 +170,8 @@ class ThreadedExecutor:
         return self.jumps.warm_from(log)
 
     def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
-        """Drain the shared work list with ``n_threads`` threads.
+        """Drain the shared work list with ``runtime.effective_threads``
+        threads.
 
         The list is a :class:`collections.deque` popped from the left —
         an O(1) fetch under the lock (a plain ``list.pop(0)`` would
@@ -191,16 +189,16 @@ class ThreadedExecutor:
         mp backend, and every captured traceback — not just the first —
         lands in ``BatchResult.errors``.
         """
+        n_threads = self.runtime.effective_threads
         units = [list(u) for u in units]
         work: Deque[Tuple[int, List[Query]]] = deque(enumerate(units))
         status: List[str] = ["completed"] * len(units)
         work_lock = threading.Lock()
         out_lock = threading.Lock()
         executions: List[QueryExecution] = []
-        busy = [0.0] * self.n_threads
+        busy = [0.0] * n_threads
         errors: List[str] = []
         rec = self.recorder
-        mark = rec.mark() if rec else None
         perf = time.perf_counter
         t0 = perf()
         # In-process telemetry (the thread analogue of the mp workers'
@@ -210,9 +208,9 @@ class ThreadedExecutor:
         # them into the timeline.  Armed only by a timeline recorder.
         hb_interval = rec.heartbeat_interval if rec else None
         stall_after = getattr(rec, "stall_after", None) if hb_interval else None
-        done_counts = [0] * self.n_threads
-        current_unit: List[Optional[int]] = [None] * self.n_threads
-        last_progress = [t0] * self.n_threads
+        done_counts = [0] * n_threads
+        current_unit: List[Optional[int]] = [None] * n_threads
+        last_progress = [t0] * n_threads
 
         def fetch() -> Optional[Tuple[int, List[Query]]]:
             with work_lock:
@@ -223,7 +221,7 @@ class ThreadedExecutor:
             failure publishes nothing (the retry re-runs it whole)."""
             out: List[QueryExecution] = []
             spent = 0.0
-            track = hb_interval and 0 <= wid < self.n_threads
+            track = hb_interval and 0 <= wid < n_threads
             for query in unit:
                 engine = CFLEngine(
                     self.pag, self.engine_config, jumps=self.jumps,
@@ -282,7 +280,7 @@ class ThreadedExecutor:
             flagged = set()
             while not stop_sampler.wait(hb_interval):
                 now = perf()
-                for wid in range(self.n_threads):
+                for wid in range(n_threads):
                     rec.heartbeat(
                         worker=wid,
                         queries_done=done_counts[wid],
@@ -300,7 +298,7 @@ class ThreadedExecutor:
 
         threads = [
             threading.Thread(target=worker, args=(w,), daemon=True)
-            for w in range(self.n_threads)
+            for w in range(n_threads)
         ]
         sampler_thread = (
             threading.Thread(target=sampler, daemon=True) if hb_interval else None
@@ -318,7 +316,7 @@ class ThreadedExecutor:
             # leave no samples at all; close with one final sweep so
             # every thread's totals reach the timeline (the analogue of
             # the mp workers' beat-on-chunk-receipt guarantee).
-            for wid in range(self.n_threads):
+            for wid in range(n_threads):
                 rec.heartbeat(worker=wid, queries_done=done_counts[wid],
                               chunk=current_unit[wid])
 
@@ -350,8 +348,8 @@ class ThreadedExecutor:
                           queries=len(records), status="retried")
 
         result = BatchResult(
-            mode=self.mode,
-            n_threads=self.n_threads,
+            mode=self.runtime.mode,
+            n_threads=n_threads,
             executions=executions,
             makespan=perf() - t0,
             worker_busy=busy,
@@ -360,10 +358,4 @@ class ThreadedExecutor:
             errors=errors,
         )
         result.count_jumps(self.jumps)
-        if rec:
-            result.metrics = rec.since(mark)
         return result
-
-    def run(self, queries: Sequence[Query]) -> BatchResult:
-        """One query per work unit."""
-        return self.run_units([[q] for q in queries])

@@ -538,42 +538,39 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _resolve_targets(
-        self, session: Session, raw: Any
-    ) -> List[Tuple[str, int]]:
+        self, session: Session, raw: Any, ctx: Context
+    ) -> List[Tuple[str, Query]]:
+        """``(label, query)`` per target, every one checked to be a
+        variable before the request is admitted: a bad target fails
+        its own request, never a batch it would share."""
         if not isinstance(raw, list) or not raw:
             raise ServeRejected(
                 400, "targets must be a non-empty list of specs/node ids"
             )
-        out: List[Tuple[str, int]] = []
-        for item in raw:
-            if isinstance(item, str):
-                out.append((item, session.resolve(item)))
-            else:
-                node = session.node_id(item)
-                out.append((session.name(node), node))
-        return out
+        return [
+            (item if isinstance(item, str) else session.name(q.var), q)
+            for item, q in zip(raw, session.queries(raw, ctx))
+        ]
 
     def _points_to(self, payload: Dict[str, Any]) -> None:
         svc = self.service
         session = svc.session
         ctx = _parse_ctx(payload.get("ctx"))
-        targets = self._resolve_targets(session, payload.get("targets"))
+        targets = self._resolve_targets(session, payload.get("targets"), ctx)
         client = self._client_id(payload)
-        results = svc.submit_queries(
-            client, [Query(node, ctx) for _label, node in targets]
-        )
+        results = svc.submit_queries(client, [q for _label, q in targets])
         body = {
             "results": [
                 {
                     "query": label,
-                    "node": node,
+                    "node": q.var,
                     "objects": sorted(
                         session.name(o) for o in res.objects
                     ),
                     "exhausted": res.exhausted,
                     "steps": res.costs.steps,
                 }
-                for (label, node), res in zip(targets, results)
+                for (label, q), res in zip(targets, results)
             ]
         }
         self._send_json(200, body)
@@ -617,11 +614,9 @@ class _Handler(BaseHTTPRequestHandler):
         a, b = payload.get("a"), payload.get("b")
         if a is None or b is None:
             raise ServeRejected(400, "alias needs 'a' and 'b' targets")
-        (la, na), (lb, nb) = self._resolve_targets(session, [a, b])
+        (la, qa), (lb, qb) = self._resolve_targets(session, [a, b], ctx)
         client = self._client_id(payload)
-        ra, rb = svc.submit_queries(
-            client, [Query(na, ctx), Query(nb, ctx)]
-        )
+        ra, rb = svc.submit_queries(client, [qa, qb])
         # The engine's may-alias rule: an exhausted side is conservative
         # truth; otherwise alias iff the object sets overlap.
         verdict = bool(

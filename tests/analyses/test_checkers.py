@@ -10,7 +10,7 @@ from repro.runtime import ParallelCFL
 
 def check(src, checkers, engine=None):
     build = build_pag(parse_program(src))
-    runner = ParallelCFL.from_config(build, engine=engine) if engine else None
+    runner = ParallelCFL(build, engine=engine) if engine else None
     return run_checkers(build, checkers, runner=runner)
 
 

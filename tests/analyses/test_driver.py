@@ -16,7 +16,7 @@ from repro.analyses import (
 from repro.analyses.base import _REGISTRY
 from repro.core.query import Query
 from repro.errors import AnalysisError
-from repro.runtime import ParallelCFL
+from repro.runtime import ParallelCFL, RuntimeConfig
 
 SRC = """
 class Account {
@@ -110,7 +110,7 @@ class TestBatchDispatch:
         assert lines == sorted(lines)
 
     def test_mode_and_threads_forwarded(self, build):
-        runner = ParallelCFL(build, mode="seq")
+        runner = ParallelCFL(build, runtime=RuntimeConfig(mode="seq"))
         report = run_checkers(build, ["null-deref"], runner=runner)
         assert report.batch.mode == "seq"
         assert report.batch.n_threads == 1

@@ -173,7 +173,7 @@ class TestBackendStability:
             render_sarif(
                 run_checkers(
                     build, ["taint", "escape"], file="x.mj",
-                    runner=ParallelCFL.from_config(
+                    runner=ParallelCFL(
                         build, runtime=RuntimeConfig(**kw)
                     ),
                 )
@@ -190,7 +190,7 @@ class TestBackendStability:
         mp = render_sarif(
             run_checkers(
                 leak_build, ["taint", "escape"], file="x.mj",
-                runner=ParallelCFL.from_config(
+                runner=ParallelCFL(
                     leak_build,
                     runtime=RuntimeConfig(backend="mp", n_threads=2),
                 ),

@@ -148,6 +148,18 @@ class TestBatchesAndResidency:
         assert r1 is r2
         assert r1 is not r3
 
+    def test_runners_are_keyed_by_effective_threads(self):
+        # local runs on the calling thread whatever n_threads says, so
+        # both batches share one runner and one committed map.
+        session = Session.from_build(load_benchmark("_200_check"))
+        for n in (2, 4):
+            session.batch(mode="D", n_threads=n, backend="local")
+        assert session.stats()["n_runners"] == 1
+        jumps = session.resident_jumps(mode="D", backend="local")
+        assert session.n_jump_entries() == (
+            jumps.n_finished_edges + jumps.n_unfinished_edges
+        )
+
     def test_resident_jumps_survive_batches(self, fig2):
         b, _ = fig2
         session = Session.from_build(

@@ -128,10 +128,10 @@ def test_non_variable_query_rejected(box_build):
 class TestExecutorIntegration:
     def test_matrix_backend_matches_sim(self, box_build):
         cfg = EngineConfig(budget=UNLIMITED)
-        seq = ParallelCFL.from_config(
+        seq = ParallelCFL(
             box_build.pag, runtime=RuntimeConfig(mode="seq"), engine=cfg
         ).run()
-        mat = ParallelCFL.from_config(
+        mat = ParallelCFL(
             box_build.pag,
             runtime=RuntimeConfig(mode="DQ", backend="matrix"),
             engine=cfg,
@@ -149,11 +149,11 @@ class TestExecutorIntegration:
         from repro.obs import MetricsRecorder
 
         cfg = EngineConfig(budget=UNLIMITED)
-        seq = ParallelCFL.from_config(
+        seq = ParallelCFL(
             box_build.pag, runtime=RuntimeConfig(mode="seq"), engine=cfg
         ).run()
         rec = MetricsRecorder()
-        batch = ParallelCFL.from_config(
+        batch = ParallelCFL(
             box_build.pag,
             runtime=RuntimeConfig(
                 backend="hybrid", n_threads=2, hybrid_crossover=crossover
@@ -168,7 +168,7 @@ class TestExecutorIntegration:
         from repro.obs import MetricsRecorder
 
         rec = MetricsRecorder()
-        batch = ParallelCFL.from_config(
+        batch = ParallelCFL(
             box_build.pag,
             runtime=RuntimeConfig(backend="matrix"),
             engine=EngineConfig(budget=UNLIMITED),

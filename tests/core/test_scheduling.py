@@ -297,7 +297,7 @@ class TestSchedulePlan:
     def test_one_build_per_persistent_runner(self):
         build = load_benchmark("_200_check")
         rec = MetricsRecorder()
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             build, runtime=RuntimeConfig(mode="DQ", backend="sim"),
             recorder=rec,
         )

@@ -35,7 +35,7 @@ from repro.runtime.faults import FaultPlan
 def run_batch(build, mode="D", recorder=None, backend="sim", repeats=3,
               **engine_kw):
     queries = [Query(v) for v in build.pag.app_locals()] * repeats
-    runner = ParallelCFL.from_config(
+    runner = ParallelCFL(
         build,
         runtime=RuntimeConfig(mode=mode, n_threads=4, backend=backend),
         engine=EngineConfig(**engine_kw) if engine_kw else None,
@@ -165,11 +165,15 @@ class TestMPMetrics:
         queries = [Query(v) for v in b.pag.app_locals()] * 4
         rec = MetricsRecorder()
         ex = MPExecutor(
-            b.pag, n_workers=2, sharing=False, chunk_size=1,
-            faults=FaultPlan.single("kill", worker=0, after_units=1),
-            max_respawns=1, recorder=rec,
+            b.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=1,
+                faults=FaultPlan.single("kill", worker=0, after_units=1),
+                max_respawns=1,
+            ),
+            recorder=rec,
         )
-        batch = ex.run(queries)
+        batch = ex.run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)  # zero lost
         snap = rec.snapshot()
         # Every answered query was counted (the killed worker's
@@ -203,6 +207,6 @@ class TestReports:
 
     def test_hot_queries_empty_batch(self, fig2):
         b, _ = fig2
-        batch = ParallelCFL(b, mode="seq").run([])
+        batch = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run([])
         assert hot_queries(batch) == []
         assert "empty" in render_hot_queries(batch).lower()

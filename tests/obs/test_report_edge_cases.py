@@ -9,7 +9,7 @@ from repro.obs.report import (
     render_hot_queries,
     render_metrics_table,
 )
-from repro.runtime import ParallelCFL
+from repro.runtime import ParallelCFL, RuntimeConfig
 from repro.runtime.results import BatchResult, QueryExecution
 
 
@@ -27,7 +27,7 @@ class TestEmptyInputs:
 
     def test_hot_queries_empty_batch_via_executor(self, fig2):
         b, _ = fig2
-        batch = ParallelCFL(b, mode="seq").run([])
+        batch = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run([])
         assert hot_queries(batch) == []
         assert "empty" in render_hot_queries(batch).lower()
 

@@ -110,7 +110,7 @@ class TestMPIdentity:
     @settings(max_examples=6, **COMMON)
     @given(small_params())
     def test_share_nothing_matches_seq(self, params):
-        from repro.runtime import MPExecutor
+        from repro.runtime import MPExecutor, RuntimeConfig
 
         build = build_from(params)
         cfg = EngineConfig(budget=UNLIMITED)
@@ -119,24 +119,27 @@ class TestMPIdentity:
             v: seq.points_to(v).points_to for v in build.pag.app_locals()
         }
         batch = MPExecutor(
-            build.pag, n_workers=2, engine_config=cfg, sharing=False
-        ).run([Query(v) for v in build.pag.app_locals()])
+            build.pag,
+            RuntimeConfig(mode="naive", n_threads=2, backend="mp"),
+            engine_config=cfg,
+        ).run_units([[Query(v)] for v in build.pag.app_locals()])
         got = {e.result.query.var: e.result.points_to for e in batch.executions}
         assert got == expected
 
     @settings(max_examples=4, **COMMON)
     @given(small_params())
     def test_ci_mp_matches_andersen(self, params):
-        from repro.runtime import MPExecutor
+        from repro.runtime import MPExecutor, RuntimeConfig
 
         build = build_from(params)
         oracle = AndersenSolver(build.pag).solve()
         batch = MPExecutor(
             build.pag,
-            n_workers=2,
-            engine_config=EngineConfig(context_sensitive=False, budget=UNLIMITED),
-            sharing=False,
-        ).run([Query(v) for v in build.pag.app_locals()])
+            RuntimeConfig(mode="naive", n_threads=2, backend="mp"),
+            engine_config=EngineConfig(
+                context_sensitive=False, budget=UNLIMITED
+            ),
+        ).run_units([[Query(v)] for v in build.pag.app_locals()])
         for e in batch.executions:
             assert not e.result.exhausted
             assert e.result.objects == oracle.points_to(e.result.query.var)
@@ -144,7 +147,7 @@ class TestMPIdentity:
     @settings(max_examples=4, **COMMON)
     @given(small_params(), st.integers(5, 120))
     def test_sharing_budget_invariants(self, params, budget):
-        from repro.runtime import MPExecutor
+        from repro.runtime import MPExecutor, RuntimeConfig
 
         build = build_from(params)
         unlimited = CFLEngine(build.pag, EngineConfig(budget=UNLIMITED))
@@ -153,11 +156,9 @@ class TestMPIdentity:
         }
         batch = MPExecutor(
             build.pag,
-            n_workers=2,
+            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
             engine_config=EngineConfig(budget=budget, tau_f=0, tau_u=0),
-            sharing=True,
-            chunk_size=1,
-        ).run([Query(v) for v in build.pag.app_locals()])
+        ).run_units([[Query(v)] for v in build.pag.app_locals()])
         for e in batch.executions:
             res = e.result
             assert res.points_to <= full[res.query.var]

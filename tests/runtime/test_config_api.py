@@ -1,13 +1,11 @@
 """Tests for the consolidated configuration API:
-:class:`repro.runtime.config.RuntimeConfig`,
-``ParallelCFL.from_config``, and the post-shim constructor contracts of
-``ParallelCFL`` and ``EngineConfig`` (the PR-4 deprecation shims were
-retired with the ``repro.api`` consolidation — legacy keywords are now
-plain ``TypeError``s).
+:class:`repro.runtime.config.RuntimeConfig`, ``ParallelCFL``'s one
+keyword-only constructor, and the constructor contracts of
+``ParallelCFL`` and ``EngineConfig`` (retired keywords are plain
+``TypeError``s).
 """
 
 import pickle
-import warnings
 
 import pytest
 
@@ -59,7 +57,7 @@ class TestRuntimeConfig:
         assert rt.effective_threads == 1
         b, _ = fig2
         rec = TimelineRecorder()
-        batch = ParallelCFL.from_config(b, runtime=rt, recorder=rec).run()
+        batch = ParallelCFL(b, runtime=rt, recorder=rec).run()
         (start,) = rec.events_of("batch_start")
         assert start["n_workers"] == batch.n_threads == 1
 
@@ -87,9 +85,9 @@ class TestRuntimeConfig:
 
 
 class TestParallelCFLConfigAPI:
-    def test_from_config(self, fig2):
+    def test_runtime_config_constructor(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b, runtime=RuntimeConfig(mode="D", n_threads=4)
         )
         assert runner.runtime.mode == "D"
@@ -97,23 +95,6 @@ class TestParallelCFLConfigAPI:
         assert runner.runtime.backend == "sim"
         batch = runner.run()
         assert batch.n_queries == len(b.pag.app_locals())
-
-    def test_mode_and_threads_conveniences_do_not_warn(self, fig2):
-        b, _ = fig2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner = ParallelCFL(b, mode="naive", n_threads=2)
-        rt = runner.runtime
-        assert rt.mode == "naive" and rt.effective_threads == 2
-
-    def test_conveniences_override_runtime(self, fig2):
-        b, _ = fig2
-        runner = ParallelCFL(
-            b, mode="D", n_threads=3,
-            runtime=RuntimeConfig(mode="DQ", n_threads=8, backend="threads"),
-        )
-        rt = runner.runtime
-        assert (rt.mode, rt.effective_threads, rt.backend) == ("D", 3, "threads")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -123,12 +104,17 @@ class TestParallelCFLConfigAPI:
             {"cost_model": CostModel()},
             {"faults": FaultPlan.parse("exc@0")},
             {"unit_timeout": 1.5},
+            {"mode": "naive"},
+            {"n_threads": 2},
+            {"engine_config": EngineConfig()},
+            {"schedule_config": None},
         ],
     )
     def test_retired_legacy_kwargs_are_type_errors(self, fig2, kwargs):
-        # The PR-4 shims (backend=/chunk_size=/cost_model=/faults=/
-        # unit_timeout= directly on the constructor) are gone; the
-        # knobs live on RuntimeConfig only.
+        # Runtime knobs (backend=, chunk_size=, cost_model=, faults=,
+        # unit_timeout=, and the mode=/n_threads= overrides) live on
+        # RuntimeConfig only; the configs are spelled engine= and
+        # schedule=, as on Session.
         b, _ = fig2
         (name, _value), = kwargs.items()
         with pytest.raises(TypeError, match=name):
@@ -139,7 +125,7 @@ class TestParallelCFLConfigAPI:
         # config.
         b, _ = fig2
         plan = FaultPlan.parse("exc@0")
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b,
             runtime=RuntimeConfig(
                 backend="mp", chunk_size=2, faults=plan, unit_timeout=1.5
@@ -155,6 +141,11 @@ class TestParallelCFLConfigAPI:
         b, _ = fig2
         with pytest.raises(TypeError, match="warp_drive"):
             ParallelCFL(b, warp_drive=9)
+
+    def test_configs_are_keyword_only(self, fig2):
+        b, _ = fig2
+        with pytest.raises(TypeError, match="positional"):
+            ParallelCFL(b, RuntimeConfig())
 
 
 class TestEngineConfigPostShims:

@@ -15,7 +15,7 @@ from repro.benchgen import SynthesisParams, synthesize_program
 from repro.core import CFLEngine, EngineConfig, Query
 from repro.errors import RuntimeConfigError, WorkerCrash
 from repro.pag import build_pag
-from repro.runtime import FaultPlan, FaultSpec, MPExecutor
+from repro.runtime import FaultPlan, FaultSpec, MPExecutor, RuntimeConfig
 from repro.runtime.faults import FaultInjector
 from repro.runtime.mp import COORDINATOR
 
@@ -72,13 +72,16 @@ class TestFaultPlan:
         assert [s.mode for s in plan.for_worker(3)] == ["garbage"]
 
     def test_environment_plan_ignored(self, bench, monkeypatch):
-        # Plans arrive only through RuntimeConfig.faults (or faults=):
+        # Plans arrive only through RuntimeConfig.faults:
         # a plan-shaped environment variable arms nothing.
         build, queries, expected = bench
         monkeypatch.setenv("REPRO_FAULTS", "kill@0")
-        ex = MPExecutor(build.pag, 2, sharing=False)
-        assert ex.faults is None
-        batch = ex.run(queries)
+        ex = MPExecutor(
+            build.pag,
+            RuntimeConfig(mode="naive", n_threads=2, backend="mp"),
+        )
+        assert ex.runtime.faults is None
+        batch = ex.run_units([[q] for q in queries])
         assert batch.n_worker_crashes == 0
         assert batch.n_queries == len(queries)
         for e in batch.executions:
@@ -87,12 +90,15 @@ class TestFaultPlan:
     def test_engine_config_channel_retired(self, bench):
         # The legacy core->runtime channel (EngineConfig(faults=...)) is
         # gone: the kwarg is a TypeError and the executor takes the plan
-        # directly (or via RuntimeConfig.faults at the facade).
+        # from its RuntimeConfig.
         build, _, _ = bench
         plan = FaultPlan.single("garbage", worker=1)
         with pytest.raises(TypeError, match="faults"):
             EngineConfig(faults=plan)
-        assert MPExecutor(build.pag, 2, faults=plan).faults is plan
+        assert MPExecutor(
+            build.pag,
+            RuntimeConfig(n_threads=2, backend="mp", faults=plan),
+        ).runtime.faults is plan
 
     def test_injector_fires_once_per_incarnation(self):
         fired = []
@@ -111,10 +117,13 @@ class TestKillRecovery:
         # byte-identical to SeqCFL, and >= 1 chunk records a retry.
         build, queries, expected = bench
         batch = MPExecutor(
-            build.pag, n_workers=4, sharing=False, chunk_size=1,
-            faults=FaultPlan.single("kill", worker=0, after_units=1),
-            max_respawns=1,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=4, backend="mp", chunk_size=1,
+                faults=FaultPlan.single("kill", worker=0, after_units=1),
+                max_respawns=1,
+            ),
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert batch.n_chunks_retried >= 1
         assert batch.n_chunk_retries >= 1
@@ -124,11 +133,14 @@ class TestKillRecovery:
         # change any answer even across crash-requeue epochs.
         build, queries, expected = bench
         batch = MPExecutor(
-            build.pag, n_workers=4, sharing=True, chunk_size=1,
+            build.pag,
+            RuntimeConfig(
+                mode="D", n_threads=4, backend="mp", chunk_size=1,
+                faults=FaultPlan.single("kill", worker=0, after_units=1),
+                max_respawns=1,
+            ),
             engine_config=EngineConfig(tau_f=0, tau_u=0),
-            faults=FaultPlan.single("kill", worker=0, after_units=1),
-            max_respawns=1,
-        ).run(queries)
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert batch.n_chunks_retried >= 1
         assert batch.n_jumps > 0
@@ -136,10 +148,13 @@ class TestKillRecovery:
     def test_respawned_worker_counted(self, bench):
         build, queries, expected = bench
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=False, chunk_size=1,
-            faults=FaultPlan.single("kill", worker=0, after_units=1),
-            max_respawns=1,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=1,
+                faults=FaultPlan.single("kill", worker=0, after_units=1),
+                max_respawns=1,
+            ),
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert batch.n_worker_respawns == 1
 
@@ -150,11 +165,15 @@ class TestExceptionAndGarbage:
         build, queries, expected = bench
         cfg = EngineConfig(tau_f=0, tau_u=0) if sharing else None
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=sharing, chunk_size=1,
+            build.pag,
+            RuntimeConfig(
+                mode="D" if sharing else "naive", n_threads=2, backend="mp",
+                chunk_size=1,
+                faults=FaultPlan.single("exc", worker=0, after_units=1),
+                max_respawns=1,
+            ),
             engine_config=cfg,
-            faults=FaultPlan.single("exc", worker=0, after_units=1),
-            max_respawns=1,
-        ).run(queries)
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         # the traceback travelled over the pipe into the report
         assert any("InjectedFault" in e for e in batch.errors)
@@ -164,11 +183,15 @@ class TestExceptionAndGarbage:
         build, queries, expected = bench
         cfg = EngineConfig(tau_f=0, tau_u=0) if sharing else None
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=sharing, chunk_size=1,
+            build.pag,
+            RuntimeConfig(
+                mode="D" if sharing else "naive", n_threads=2, backend="mp",
+                chunk_size=1,
+                faults=FaultPlan.single("garbage", worker=1, after_units=1),
+                max_respawns=1,
+            ),
             engine_config=cfg,
-            faults=FaultPlan.single("garbage", worker=1, after_units=1),
-            max_respawns=1,
-        ).run(queries)
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert any("garbage" in e for e in batch.errors)
 
@@ -177,12 +200,15 @@ class TestDeadlineAndStragglers:
     def test_hung_worker_killed_and_chunk_reassigned(self, bench):
         build, queries, expected = bench
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=False, chunk_size=4,
-            faults=FaultPlan(
-                (FaultSpec("hang", worker=0, after_units=0, hang_s=60.0),)
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=4,
+                faults=FaultPlan(
+                    (FaultSpec("hang", worker=0, after_units=0, hang_s=60.0),)
+                ),
+                unit_timeout=0.5, max_respawns=1,
             ),
-            unit_timeout=0.5, max_respawns=1,
-        ).run(queries)
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert batch.n_chunk_retries >= 1
         # the batch must not have waited out the 60 s hang
@@ -191,12 +217,14 @@ class TestDeadlineAndStragglers:
 
     def test_invalid_unit_timeout_rejected(self, bench):
         build, _, _ = bench
+        # The executor takes its knobs from a RuntimeConfig, which
+        # refuses out-of-range values on construction.
         with pytest.raises(RuntimeConfigError):
-            MPExecutor(build.pag, 2, unit_timeout=0.0)
+            RuntimeConfig(n_threads=2, backend="mp", unit_timeout=0.0)
         with pytest.raises(RuntimeConfigError):
-            MPExecutor(build.pag, 2, max_chunk_retries=-1)
+            RuntimeConfig(n_threads=2, backend="mp", max_chunk_retries=-1)
         with pytest.raises(RuntimeConfigError):
-            MPExecutor(build.pag, 2, max_respawns=-1)
+            RuntimeConfig(n_threads=2, backend="mp", max_respawns=-1)
 
 
 class TestQuarantine:
@@ -206,10 +234,13 @@ class TestQuarantine:
         # the batch still completes with correct answers.
         build, queries, expected = bench
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=False, chunk_size=8,
-            faults=FaultPlan.single("kill", worker=None, after_units=0),
-            max_respawns=2, max_chunk_retries=1,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=8,
+                faults=FaultPlan.single("kill", worker=None, after_units=0),
+                max_chunk_retries=1, max_respawns=2,
+            ),
+        ).run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert batch.n_chunks_quarantined >= 1
         assert any(e.worker == COORDINATOR for e in batch.executions)
@@ -217,12 +248,15 @@ class TestQuarantine:
     def test_quarantine_with_sharing_commits_inline_entries(self, bench):
         build, queries, expected = bench
         ex = MPExecutor(
-            build.pag, n_workers=2, sharing=True, chunk_size=8,
+            build.pag,
+            RuntimeConfig(
+                mode="D", n_threads=2, backend="mp", chunk_size=8,
+                faults=FaultPlan.single("kill", worker=None, after_units=0),
+                max_chunk_retries=0, max_respawns=1,
+            ),
             engine_config=EngineConfig(tau_f=0, tau_u=0),
-            faults=FaultPlan.single("kill", worker=None, after_units=0),
-            max_respawns=1, max_chunk_retries=0,
         )
-        batch = ex.run(queries)
+        batch = ex.run_units([[q] for q in queries])
         assert_recovered(batch, queries, expected)
         assert batch.n_chunks_quarantined >= 1
         # inline execution committed onto the authoritative map/log
@@ -233,7 +267,10 @@ class TestQuarantine:
 class TestCleanRunRegressions:
     def test_clean_run_reports_no_faults(self, bench):
         build, queries, expected = bench
-        batch = MPExecutor(build.pag, n_workers=2, sharing=False).run(queries)
+        batch = MPExecutor(
+            build.pag,
+            RuntimeConfig(mode="naive", n_threads=2, backend="mp"),
+        ).run_units([[q] for q in queries])
         assert batch.n_worker_crashes == 0
         assert batch.n_chunk_retries == 0
         assert batch.n_worker_respawns == 0
@@ -246,7 +283,10 @@ class TestCleanRunRegressions:
         # spawned threads (vs min(n_workers, n_chunks) on the real
         # path), skewing utilisation comparisons.
         build, _, _ = bench
-        batch = MPExecutor(build.pag, n_workers=4, sharing=False).run([])
+        batch = MPExecutor(
+            build.pag,
+            RuntimeConfig(mode="naive", n_threads=4, backend="mp"),
+        ).run_units([])
         assert batch.n_threads == 0
         assert batch.worker_busy == []
         assert batch.utilisation == 0.0

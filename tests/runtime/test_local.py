@@ -47,10 +47,10 @@ def assert_local_matches_seq(name):
     spec = spec_of(name)
     cfg = spec.engine_config(budget=UNLIMITED)
     queries = spec.workload()
-    seq = ParallelCFL.from_config(
+    seq = ParallelCFL(
         build, runtime=RuntimeConfig(mode="seq"), engine=cfg
     ).run(queries)
-    local = ParallelCFL.from_config(
+    local = ParallelCFL(
         build, runtime=RuntimeConfig(mode="DQ", backend="local"), engine=cfg
     ).run(queries)
     assert local.n_queries == seq.n_queries == len(queries)
@@ -65,7 +65,7 @@ def assert_local_matches_sim_x1(name):
     queries = spec.workload()
 
     def runner(backend):
-        return ParallelCFL.from_config(
+        return ParallelCFL(
             build,
             runtime=RuntimeConfig(mode="DQ", n_threads=1, backend=backend),
             engine=cfg,
@@ -94,7 +94,7 @@ class TestLocalExecutor:
         assert "local" in BACKENDS
         rt = RuntimeConfig(mode="DQ", n_threads=8, backend="local")
         assert rt.effective_threads == 1
-        runner = ParallelCFL.from_config(b, runtime=rt)
+        runner = ParallelCFL(b, runtime=rt)
         assert runner.runtime.effective_threads == 1
         assert isinstance(runner.executor(), LocalExecutor)
         batch = runner.run()
@@ -104,7 +104,10 @@ class TestLocalExecutor:
     def test_real_times_in_order(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        batch = LocalExecutor(b.pag).run(queries)
+        batch = LocalExecutor(
+            b.pag,
+            RuntimeConfig(backend="local"),
+        ).run_units([[q] for q in queries])
         assert [e.result.query for e in batch.executions] == queries
         for prev, nxt in zip(batch.executions, batch.executions[1:]):
             assert prev.start <= prev.finish <= nxt.start
@@ -113,23 +116,30 @@ class TestLocalExecutor:
 
     def test_jump_counts_track_the_committed_map(self, fig2):
         b, _ = fig2
-        ex = LocalExecutor(b.pag, EngineConfig(tau_f=0, tau_u=0))
-        batch = ex.run([Query(v) for v in b.pag.app_locals()])
+        ex = LocalExecutor(
+            b.pag,
+            RuntimeConfig(backend="local"),
+            engine_config=EngineConfig(tau_f=0, tau_u=0),
+        )
+        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
         assert batch.n_jumps == ex.jumps.n_jumps > 0
         assert batch.n_finished_jumps == ex.jumps.n_finished_edges
         assert batch.n_unfinished_jumps == ex.jumps.n_unfinished_edges
 
     def test_share_nothing_has_no_map(self, fig2):
         b, _ = fig2
-        ex = LocalExecutor(b.pag, sharing=False)
+        ex = LocalExecutor(b.pag, RuntimeConfig(mode="naive", backend="local"))
         assert ex.jumps is None
-        batch = ex.run([Query(v) for v in b.pag.app_locals()])
+        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
         assert batch.n_jumps == 0
         assert batch.total_saved == 0
 
     def test_empty_batch(self, fig2):
         b, _ = fig2
-        batch = LocalExecutor(b.pag).run([])
+        batch = LocalExecutor(
+            b.pag,
+            RuntimeConfig(backend="local"),
+        ).run_units([])
         assert batch.n_queries == 0
         assert batch.worker_busy == [0]
 
@@ -138,7 +148,11 @@ class TestLocalExecutor:
         rec = SpanRecorder()
         queries = [Query(v) for v in b.pag.app_locals()]
         rec.count("before.batch")
-        batch = LocalExecutor(b.pag, recorder=rec).run(queries)
+        batch = ParallelCFL(
+            b,
+            runtime=RuntimeConfig(mode="D", backend="local"),
+            recorder=rec,
+        ).run(queries)
         assert batch.metrics["engine.queries"] == len(queries)
         assert "before.batch" not in batch.metrics
         spans = [e for e in rec.events() if e["cat"] == "query"]
@@ -154,9 +168,11 @@ class TestLocalExecutor:
             real_start(self)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        LocalExecutor(b.pag, recorder=MetricsRecorder()).run(
-            [Query(v) for v in b.pag.app_locals()]
-        )
+        LocalExecutor(
+            b.pag,
+            RuntimeConfig(backend="local"),
+            recorder=MetricsRecorder(),
+        ).run_units([[Query(v)] for v in b.pag.app_locals()])
         assert started == []
 
 
@@ -165,7 +181,7 @@ class TestHybridDemandRoute:
         b, _ = fig2
         assert HYBRID_DEMAND_BACKEND == "local"
         rec = MetricsRecorder()
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b,
             runtime=RuntimeConfig(
                 mode="DQ", n_threads=2, backend="hybrid",
@@ -183,7 +199,7 @@ class TestHybridDemandRoute:
 
     def test_hybrid_is_not_an_executor(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b, runtime=RuntimeConfig(backend="hybrid")
         )
         with pytest.raises(ValueError, match="'local'"):

@@ -18,7 +18,7 @@ from repro.pag.extended import FinishedJump
 
 def mp_cfl(build, mode="naive", n_threads=2):
     """ParallelCFL on the mp backend via the consolidated config API."""
-    return ParallelCFL.from_config(
+    return ParallelCFL(
         build, runtime=RuntimeConfig(mode=mode, n_threads=n_threads,
                                      backend="mp")
     )
@@ -40,7 +40,7 @@ class TestMPBackend:
         # not change any answer.
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        seq = ParallelCFL(b, mode="seq").run(queries)
+        seq = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run(queries)
         for mode in ("D", "DQ"):
             batch = mp_cfl(b, mode=mode).run(queries)
             assert batch.points_to_map() == seq.points_to_map(), mode
@@ -63,10 +63,11 @@ class TestMPBackend:
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 3
         ex = MPExecutor(
-            b.pag, n_workers=2, engine_config=EngineConfig(tau_f=0, tau_u=0),
-            sharing=True, chunk_size=1,
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
+            engine_config=EngineConfig(tau_f=0, tau_u=0),
         )
-        batch = ex.run(queries)
+        batch = ex.run_units([[q] for q in queries])
         assert batch.n_jumps > 0
         assert ex.jumps.n_jumps == batch.n_jumps
         assert ex.epoch == len(ex._log) > 0
@@ -78,10 +79,11 @@ class TestMPBackend:
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 4
         ex = MPExecutor(
-            b.pag, n_workers=2, engine_config=EngineConfig(tau_f=0, tau_u=0),
-            sharing=True, chunk_size=1,
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
+            engine_config=EngineConfig(tau_f=0, tau_u=0),
         )
-        batch = ex.run(queries)
+        batch = ex.run_units([[q] for q in queries])
         assert sum(e.result.costs.jmp_taken for e in batch.executions) > 0
         assert batch.total_saved > 0
 
@@ -96,11 +98,11 @@ class TestMPBackend:
         queries = spec_of(name).workload()
         engine = EngineConfig(budget=10**9)
         rec = MetricsRecorder()
-        batch = ParallelCFL.from_config(
+        batch = ParallelCFL(
             build, runtime=RuntimeConfig(mode="DQ", n_threads=1, backend="mp"),
             engine=engine, recorder=rec,
         ).run(queries)
-        seq = ParallelCFL.from_config(
+        seq = ParallelCFL(
             build, runtime=RuntimeConfig(mode="seq"), engine=engine,
         ).run(queries)
         assert batch.points_to_map() == seq.points_to_map()
@@ -110,10 +112,12 @@ class TestMPBackend:
 
     def test_invalid_config_rejected(self, fig2):
         b, _ = fig2
+        # The executor's knobs come from a RuntimeConfig, which refuses
+        # out-of-range values on construction.
         with pytest.raises(RuntimeConfigError):
-            MPExecutor(b.pag, n_workers=0)
+            RuntimeConfig(n_threads=0, backend="mp")
         with pytest.raises(RuntimeConfigError):
-            MPExecutor(b.pag, n_workers=2, chunk_size=0)
+            RuntimeConfig(n_threads=2, backend="mp", chunk_size=0)
         with pytest.raises(RuntimeConfigError):
             RuntimeConfig(backend="gpu")
 
@@ -147,7 +151,10 @@ class TestDeltaProtocol:
 
     def test_merge_appends_only_accepted(self, fig2):
         b, _ = fig2
-        ex = MPExecutor(b.pag, n_workers=1, sharing=True)
+        ex = MPExecutor(
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=1, backend="mp"),
+        )
         key = (1, (), False)
         edges = (FinishedJump(2, (), 5),)
         assert ex._merge_delta([("fin", key, edges)]) == 1
@@ -165,23 +172,30 @@ class TestWarmStart:
         queries = [Query(v) for v in b.pag.app_locals()] * 2
         cfg = EngineConfig(tau_f=0, tau_u=0)
         first = MPExecutor(
-            b.pag, n_workers=2, engine_config=cfg, sharing=True, chunk_size=1,
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
+            engine_config=cfg,
         )
-        cold = first.run(queries)
+        cold = first.run_units([[q] for q in queries])
         log = first.jumps.export_log()
         assert log
 
         warm_ex = MPExecutor(
-            b.pag, n_workers=2, engine_config=cfg, sharing=True, chunk_size=1,
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
+            engine_config=cfg,
         )
         assert warm_ex.warm_from(log) == len(log)
         assert warm_ex.epoch == len(log)  # warm entries are the epoch-0 delta
-        warm = warm_ex.run(queries)
+        warm = warm_ex.run_units([[q] for q in queries])
         assert warm.points_to_map() == cold.points_to_map()
         assert sum(e.result.costs.jmp_taken for e in warm.executions) > 0
 
     def test_warm_from_requires_sharing(self, fig2):
         b, _ = fig2
-        ex = MPExecutor(b.pag, n_workers=1, sharing=False)
+        ex = MPExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=1, backend="mp"),
+        )
         with pytest.raises(RuntimeConfigError, match="sharing"):
             ex.warm_from([("unf", (1, (), False), 40)])

@@ -1,5 +1,7 @@
 """Unit and integration tests for the parallel runtime."""
 
+import inspect
+
 import pytest
 
 from repro.core import CFLEngine, EngineConfig, Query
@@ -7,6 +9,7 @@ from repro.core.engine import POINTS_TO
 from repro.errors import RuntimeConfigError
 from repro.pag.extended import FinishedJump
 from repro.runtime import (
+    BACKENDS,
     BatchResult,
     ConcurrentJumpMap,
     CostModel,
@@ -15,6 +18,7 @@ from repro.runtime import (
     SimulatedExecutor,
     ThreadedExecutor,
 )
+from repro.runtime.executor import EXECUTORS, HYBRID_DEMAND_BACKEND
 
 
 class TestCostModel:
@@ -59,8 +63,8 @@ class TestSimulatedExecutor:
         queries = [Query(v) for v in b.pag.app_locals()]
         seq = CFLEngine(b.pag)
         expected = {q.var: seq.run_query(q).points_to for q in queries}
-        ex = SimulatedExecutor(b.pag, n_threads=4, sharing=True)
-        batch = ex.run(queries)
+        ex = SimulatedExecutor(b.pag, RuntimeConfig(mode="D", n_threads=4))
+        batch = ex.run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)
         for e in batch.executions:
             assert e.result.points_to == expected[e.result.query.var]
@@ -70,8 +74,8 @@ class TestSimulatedExecutor:
         queries = [Query(v) for v in b.pag.app_locals()]
 
         def run():
-            ex = SimulatedExecutor(b.pag, n_threads=3, sharing=True)
-            batch = ex.run(queries)
+            ex = SimulatedExecutor(b.pag, RuntimeConfig(mode="D", n_threads=3))
+            batch = ex.run_units([[q] for q in queries])
             return (
                 batch.makespan,
                 [(e.result.query.var, e.worker, e.start) for e in batch.executions],
@@ -82,23 +86,38 @@ class TestSimulatedExecutor:
     def test_makespan_shrinks_with_threads(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 4
-        m1 = SimulatedExecutor(b.pag, 1, sharing=False).run(queries).makespan
-        m4 = SimulatedExecutor(b.pag, 4, sharing=False).run(queries).makespan
+        m1 = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=1),
+        ).run_units([[q] for q in queries]).makespan
+        m4 = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=4),
+        ).run_units([[q] for q in queries]).makespan
         assert m4 < m1
 
     def test_contention_slows_many_threads(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
         cm = CostModel(kappa=0.5)
-        m1 = SimulatedExecutor(b.pag, 1, cost_model=cm, sharing=False).run(queries)
-        m16 = SimulatedExecutor(b.pag, 16, cost_model=cm, sharing=False).run(queries)
+        m1 = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=1, cost_model=cm),
+        ).run_units([[q] for q in queries])
+        m16 = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=16, cost_model=cm),
+        ).run_units([[q] for q in queries])
         # 16 workers, heavy contention: far from linear speedup.
         assert m1.makespan / m16.makespan < 8
 
     def test_workers_record_busy_time(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        batch = SimulatedExecutor(b.pag, 2, sharing=False).run(queries)
+        batch = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=2),
+        ).run_units([[q] for q in queries])
         assert len(batch.worker_busy) == 2
         assert sum(batch.worker_busy) > 0
         assert 0 < batch.utilisation <= 1.0
@@ -106,9 +125,11 @@ class TestSimulatedExecutor:
     def test_sharing_commits_to_shared_map(self, fig2):
         b, _ = fig2
         ex = SimulatedExecutor(
-            b.pag, 2, engine_config=EngineConfig(tau_f=0, tau_u=0), sharing=True
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2),
+            engine_config=EngineConfig(tau_f=0, tau_u=0),
         )
-        batch = ex.run([Query(v) for v in b.pag.app_locals()])
+        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
         assert batch.n_jumps > 0
         assert ex.jumps.n_jumps == batch.n_jumps
 
@@ -116,27 +137,39 @@ class TestSimulatedExecutor:
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 3
         cfg = EngineConfig(tau_f=0, tau_u=0)
-        off = SimulatedExecutor(b.pag, 2, engine_config=cfg, sharing=False).run(queries)
-        on = SimulatedExecutor(b.pag, 2, engine_config=cfg, sharing=True).run(queries)
+        off = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=2),
+            engine_config=cfg,
+        ).run_units([[q] for q in queries])
+        on = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2),
+            engine_config=cfg,
+        ).run_units([[q] for q in queries])
         assert on.total_work < off.total_work
         assert on.total_saved > 0
         assert on.saved_ratio > 0
 
     def test_memory_proxy_positive(self, fig2):
         b, _ = fig2
-        batch = SimulatedExecutor(b.pag, 2, sharing=True).run(
-            [Query(v) for v in b.pag.app_locals()]
-        )
+        batch = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=2),
+        ).run_units([[Query(v)] for v in b.pag.app_locals()])
         assert batch.peak_memory_proxy > 0
 
     def test_zero_threads_rejected(self, fig2):
         b, _ = fig2
         with pytest.raises(RuntimeConfigError):
-            SimulatedExecutor(b.pag, 0)
+            RuntimeConfig(n_threads=0)
 
     def test_empty_batch(self, fig2):
         b, _ = fig2
-        batch = SimulatedExecutor(b.pag, 2).run([])
+        batch = SimulatedExecutor(
+            b.pag,
+            RuntimeConfig(n_threads=2),
+        ).run_units([])
         assert batch.n_queries == 0
         assert batch.makespan == 0.0
 
@@ -147,7 +180,10 @@ class TestThreadedExecutor:
         queries = [Query(v) for v in b.pag.app_locals()]
         seq = CFLEngine(b.pag)
         expected = {q.var: seq.run_query(q).points_to for q in queries}
-        batch = ThreadedExecutor(b.pag, n_threads=4, sharing=True).run(queries)
+        batch = ThreadedExecutor(
+            b.pag,
+            RuntimeConfig(mode="D", n_threads=4, backend="threads"),
+        ).run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)
         for e in batch.executions:
             assert e.result.points_to == expected[e.result.query.var]
@@ -155,7 +191,10 @@ class TestThreadedExecutor:
     def test_all_queries_processed_once(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        batch = ThreadedExecutor(b.pag, n_threads=8, sharing=False).run(queries)
+        batch = ThreadedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=8, backend="threads"),
+        ).run_units([[q] for q in queries])
         got = sorted(e.result.query.var for e in batch.executions)
         assert got == sorted(q.var for q in queries)
 
@@ -180,7 +219,10 @@ class TestThreadedExecutor:
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
         units = [[q] for q in queries] + [[object()]]  # poison unit last
-        batch = ThreadedExecutor(b.pag, n_threads=4, sharing=False).run_units(units)
+        batch = ThreadedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=4, backend="threads"),
+        ).run_units(units)
         assert batch.n_queries == len(queries)
         got = sorted(e.result.query.var for e in batch.executions)
         assert got == sorted(q.var for q in queries)
@@ -194,12 +236,33 @@ class TestThreadedExecutor:
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
         units = [[object()], [[q] for q in queries][0], [object()]]
-        batch = ThreadedExecutor(b.pag, n_threads=2, sharing=False).run_units(units)
+        batch = ThreadedExecutor(
+            b.pag,
+            RuntimeConfig(mode="naive", n_threads=2, backend="threads"),
+        ).run_units(units)
         assert batch.chunk_status[0] == batch.chunk_status[2] == "quarantined"
         assert batch.chunk_status[1] == "completed"
         # each poison unit reports twice: thread failure + failed retry
         assert sum("unit 0 " in e for e in batch.errors) == 2
         assert sum("unit 2 " in e for e in batch.errors) == 2
+
+
+class TestOneConstructionPath:
+    @pytest.mark.parametrize("backend", sorted(EXECUTORS))
+    def test_executor_is_made_from_the_runtime(self, backend):
+        params = inspect.signature(EXECUTORS[backend]).parameters
+        assert list(params) == ["pag", "runtime", "engine_config", "recorder"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_mode_is_the_runtime_mode(self, fig2, backend):
+        b, _ = fig2
+        rt = RuntimeConfig(mode="D", n_threads=2, backend=backend)
+        assert ParallelCFL(b, runtime=rt).run().mode == rt.mode
+        if backend == "hybrid":
+            backend = HYBRID_DEMAND_BACKEND
+        ex = EXECUTORS[backend](b.pag, rt)
+        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
+        assert batch.mode == rt.mode
 
 
 class TestParallelCFL:
@@ -209,14 +272,17 @@ class TestParallelCFL:
         seq = CFLEngine(b.pag)
         queries = [Query(v) for v in b.pag.app_locals()]
         expected = {q.var: seq.run_query(q).objects for q in queries}
-        runner = ParallelCFL(b, mode=mode, n_threads=4)
+        runner = ParallelCFL(b, runtime=RuntimeConfig(mode=mode, n_threads=4))
         batch = runner.run(queries)
         for e in batch.executions:
             assert e.result.objects == expected[e.result.query.var]
 
     def test_seq_mode_forces_one_thread(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL(b, mode="seq", n_threads=16)
+        runner = ParallelCFL(
+            b,
+            runtime=RuntimeConfig(mode="seq", n_threads=16),
+        )
         assert runner.runtime.effective_threads == 1
         assert not runner.runtime.sharing
 
@@ -225,7 +291,7 @@ class TestParallelCFL:
         # A runner keeps its executor, so a second run of a query takes
         # the shortcuts the first one committed.
         b, n = fig2
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b,
             runtime=RuntimeConfig(mode="D", n_threads=2, backend=backend),
             engine=EngineConfig(tau_f=0, tau_u=0),
@@ -238,10 +304,10 @@ class TestParallelCFL:
     def test_warm_from_without_a_session(self, fig2, backend):
         b, _ = fig2
         cfg = EngineConfig(tau_f=0, tau_u=0)
-        donor = ParallelCFL(b, mode="D", engine_config=cfg)
+        donor = ParallelCFL(b, runtime=RuntimeConfig(mode="D"), engine=cfg)
         donor.run()
         log = donor.export_log()
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b,
             runtime=RuntimeConfig(mode="D", n_threads=2, backend=backend),
             engine=cfg,
@@ -254,19 +320,19 @@ class TestParallelCFL:
 
     def test_default_queries_are_app_locals(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL(b, mode="seq")
+        runner = ParallelCFL(b, runtime=RuntimeConfig(mode="seq"))
         assert len(runner.default_queries()) == len(b.pag.app_locals())
 
     def test_dq_builds_groups(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL(b, mode="DQ")
+        runner = ParallelCFL(b, runtime=RuntimeConfig(mode="DQ"))
         units = runner.work_units(runner.default_queries())
         # scheduling coalesces queries into multi-query units
         assert any(len(u) > 1 for u in units)
 
     def test_naive_units_are_singletons(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL(b, mode="naive")
+        runner = ParallelCFL(b, runtime=RuntimeConfig(mode="naive"))
         units = runner.work_units(runner.default_queries())
         assert all(len(u) == 1 for u in units)
 
@@ -274,13 +340,16 @@ class TestParallelCFL:
         # Even on the tiny Fig. 2 graph: parallel beats sequential.
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 8
-        seq = ParallelCFL(b, mode="seq").run(queries)
-        naive = ParallelCFL(b, mode="naive", n_threads=4).run(queries)
+        seq = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run(queries)
+        naive = ParallelCFL(
+            b,
+            runtime=RuntimeConfig(mode="naive", n_threads=4),
+        ).run(queries)
         assert naive.speedup_over(seq) > 1.5
 
     def test_threads_backend(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             b, runtime=RuntimeConfig(mode="D", n_threads=4, backend="threads")
         )
         batch = runner.run()
@@ -289,13 +358,16 @@ class TestParallelCFL:
     def test_invalid_mode_rejected(self, fig2):
         b, _ = fig2
         with pytest.raises(RuntimeConfigError):
-            ParallelCFL(b, mode="turbo")
+            ParallelCFL(b, runtime=RuntimeConfig(mode="turbo"))
         with pytest.raises(RuntimeConfigError):
             RuntimeConfig(backend="gpu")
 
     def test_accepts_raw_pag(self, fig2):
         b, _ = fig2
-        runner = ParallelCFL(b.pag, mode="naive", n_threads=2)
+        runner = ParallelCFL(
+            b.pag,
+            runtime=RuntimeConfig(mode="naive", n_threads=2),
+        )
         batch = runner.run()
         assert batch.n_queries > 0
 
@@ -306,7 +378,7 @@ class TestIntraQueryModel:
 
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        seq = ParallelCFL(b, mode="seq").run(queries)
+        seq = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run(queries)
         s16 = intra_query_speedup(seq, 16)
         # the Fig. 2 traversals have tiny frontiers: 16 threads buy
         # almost nothing over 1
@@ -321,7 +393,7 @@ class TestIntraQueryModel:
 
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        seq = ParallelCFL(b, mode="seq").run(queries)
+        seq = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run(queries)
         heavy_sync = intra_query_speedup(seq, 16, w_sync=1.0)
         assert heavy_sync < 1.0  # worse than sequential
 
@@ -330,15 +402,21 @@ class TestIntraQueryModel:
 
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 4
-        seq = ParallelCFL(b, mode="seq").run(queries)
-        naive = ParallelCFL(b, mode="naive", n_threads=16).run(queries)
+        seq = ParallelCFL(b, runtime=RuntimeConfig(mode="seq")).run(queries)
+        naive = ParallelCFL(
+            b,
+            runtime=RuntimeConfig(mode="naive", n_threads=16),
+        ).run(queries)
         assert naive.speedup_over(seq) > intra_query_speedup(seq, 16)
 
     def test_invalid_args_rejected(self, fig2):
         from repro.runtime import intra_query_makespan
 
         b, _ = fig2
-        seq = ParallelCFL(b, mode="seq").run([Query(b.pag.app_locals()[0])])
+        seq = ParallelCFL(
+            b,
+            runtime=RuntimeConfig(mode="seq"),
+        ).run([Query(b.pag.app_locals()[0])])
         with pytest.raises(RuntimeConfigError):
             intra_query_makespan(seq, 0)
         with pytest.raises(RuntimeConfigError):
@@ -346,5 +424,8 @@ class TestIntraQueryModel:
 
     def test_frontier_mean_recorded(self, fig2):
         b, _ = fig2
-        batch = ParallelCFL(b, mode="seq").run([Query(v) for v in b.pag.app_locals()])
+        batch = ParallelCFL(
+            b,
+            runtime=RuntimeConfig(mode="seq"),
+        ).run([Query(v) for v in b.pag.app_locals()])
         assert any(e.result.costs.frontier_mean > 0 for e in batch.executions)

@@ -16,7 +16,7 @@ from repro.core.engine import POINTS_TO
 from repro.errors import BudgetExhausted
 from repro.pag import build_pag
 from repro.pag.extended import FinishedJump
-from repro.runtime import ConcurrentJumpMap, ThreadedExecutor
+from repro.runtime import ConcurrentJumpMap, RuntimeConfig, ThreadedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +36,10 @@ class TestThreadedStress:
         seq = CFLEngine(bench.pag)
         expected = {q.var: seq.run_query(q).points_to for q in queries}
         for _round in range(3):
-            batch = ThreadedExecutor(bench.pag, n_threads=12, sharing=True).run(
-                queries
-            )
+            batch = ThreadedExecutor(
+                bench.pag,
+                RuntimeConfig(mode="D", n_threads=12, backend="threads"),
+            ).run_units([[q] for q in queries])
             for e in batch.executions:
                 assert e.result.points_to == expected[e.result.query.var]
 
@@ -46,8 +47,10 @@ class TestThreadedStress:
         queries = [Query(v) for v in bench.pag.app_locals()]
         cfg = EngineConfig(budget=7, tau_f=0, tau_u=0)
         batch = ThreadedExecutor(
-            bench.pag, n_threads=8, engine_config=cfg, sharing=True
-        ).run(queries)
+            bench.pag,
+            RuntimeConfig(mode="D", n_threads=8, backend="threads"),
+            engine_config=cfg,
+        ).run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)
         # every answer is a subset of the unlimited-budget answer
         full = CFLEngine(bench.pag, EngineConfig(budget=10**9))

@@ -46,8 +46,10 @@ class TestMPHeartbeats:
         build, queries = bench
         rec = TimelineRecorder(heartbeat_interval=0.01)
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=True, chunk_size=2, recorder=rec,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=2),
+            recorder=rec,
+        ).run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)
         beats = rec.events_of("heartbeat")
         assert beats, "no heartbeat arrived over the existing pipe"
@@ -63,7 +65,7 @@ class TestMPHeartbeats:
     def test_full_lifecycle_vocabulary_on_mp(self, bench):
         build, queries = bench
         rec = TimelineRecorder(heartbeat_interval=0.01)
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             build,
             runtime=RuntimeConfig(mode="D", n_threads=2, backend="mp",
                                   chunk_size=2),
@@ -88,8 +90,10 @@ class TestMPHeartbeats:
         rec = MetricsRecorder()
         assert rec.heartbeat_interval is None
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=False, recorder=rec,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(mode="naive", n_threads=2, backend="mp"),
+            recorder=rec,
+        ).run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)
         assert "timeline.heartbeats" not in rec.snapshot()
 
@@ -99,11 +103,15 @@ class TestStallDetection:
         build, queries = bench
         rec = TimelineRecorder(heartbeat_interval=0.05, stall_after=0.3)
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=False, chunk_size=1,
-            faults=FaultPlan.single("hang", worker=0, after_units=1,
-                                    hang_s=600.0),
-            unit_timeout=1.5, max_respawns=1, recorder=rec,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=1,
+                faults=FaultPlan.single("hang", worker=0, after_units=1,
+                                        hang_s=600.0),
+                unit_timeout=1.5, max_respawns=1,
+            ),
+            recorder=rec,
+        ).run_units([[q] for q in queries])
         # The batch still completes: the deadline requeues the chunk.
         assert batch.n_queries == len(queries)
         stalls = rec.events_of("stall")
@@ -120,8 +128,10 @@ class TestStallDetection:
         build, queries = bench
         rec = TimelineRecorder(heartbeat_interval=0.02, stall_after=30.0)
         MPExecutor(
-            build.pag, n_workers=2, sharing=False, recorder=rec,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(mode="naive", n_threads=2, backend="mp"),
+            recorder=rec,
+        ).run_units([[q] for q in queries])
         assert rec.events_of("stall") == []
 
 
@@ -135,15 +145,22 @@ class TestMetricsMergeOnRequeue:
         build, queries = bench
         clean = TimelineRecorder(heartbeat_interval=0.05)
         MPExecutor(
-            build.pag, n_workers=2, sharing=False, chunk_size=1,
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=1,
+            ),
             recorder=clean,
-        ).run(queries)
+        ).run_units([[q] for q in queries])
         faulted = TimelineRecorder(heartbeat_interval=0.05)
         batch = MPExecutor(
-            build.pag, n_workers=2, sharing=False, chunk_size=1,
-            faults=FaultPlan.single("kill", worker=0, after_units=1),
-            max_respawns=1, recorder=faulted,
-        ).run(queries)
+            build.pag,
+            RuntimeConfig(
+                mode="naive", n_threads=2, backend="mp", chunk_size=1,
+                faults=FaultPlan.single("kill", worker=0, after_units=1),
+                max_respawns=1,
+            ),
+            recorder=faulted,
+        ).run_units([[q] for q in queries])
         assert batch.n_queries == len(queries)
         assert batch.n_worker_crashes >= 1
         clean_engine = {
@@ -162,7 +179,7 @@ class TestThreadedSampler:
     def test_threads_backend_emits_same_vocabulary(self, bench):
         build, queries = bench
         rec = TimelineRecorder(heartbeat_interval=0.01, stall_after=30.0)
-        runner = ParallelCFL.from_config(
+        runner = ParallelCFL(
             build,
             runtime=RuntimeConfig(mode="D", n_threads=2, backend="threads"),
             recorder=rec,
@@ -183,7 +200,7 @@ class TestEventLogStreaming:
         path = tmp_path / "events.jsonl"
         with TimelineRecorder(events_path=path,
                               heartbeat_interval=0.01) as rec:
-            ParallelCFL.from_config(
+            ParallelCFL(
                 build,
                 runtime=RuntimeConfig(mode="D", n_threads=2, backend="mp",
                                       chunk_size=2),

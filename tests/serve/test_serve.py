@@ -314,13 +314,15 @@ class TestEndpoints:
         ("/v1/points_to", {"targets": [-1]}),
         ("/v1/points_to", {"targets": [True]}),
         ("/v1/points_to", {"targets": [1.0]}),
+        ("/v1/points_to", {"targets": [0]}),
         ("/v1/points_to", {"targets": ["b@Main.main"], "ctx": [True]}),
         ("/v1/flows_to", {"objects": [99999]}),
         ("/v1/flows_to", {"objects": [-1]}),
         ("/v1/flows_to", {"objects": [False]}),
         ("/v1/flows_to", {"objects": [{}]}),
         ("/v1/alias", {"a": "b@Main.main", "b": 99999}),
-    ], ids=["pt-too-big", "pt-negative", "pt-bool", "pt-float", "pt-ctx-bool",
+    ], ids=["pt-too-big", "pt-negative", "pt-bool", "pt-float",
+            "pt-unfinished", "pt-ctx-bool",
             "ft-too-big", "ft-negative", "ft-bool", "ft-object",
             "alias-too-big"])
     def test_bad_node_id_is_400_and_daemon_keeps_serving(
@@ -336,16 +338,57 @@ class TestEndpoints:
         )
 
     def test_session_rejects_bad_node_ids(self, oneshot):
-        n = oneshot.pag.n_nodes
-        for bad in (n, -1, True, 1.0, "0", None):
+        # Ids run over [0, len(pag)); the synthetic unfinished node O
+        # is not a program node, so the last real id is n_nodes.
+        pag = oneshot.pag
+        n = pag.n_nodes
+        for bad in (len(pag), pag.unfinished_node, -1, True, 1.0, "0", None):
             with pytest.raises(InputError, match="bad node id"):
                 oneshot.node_id(bad)
         for method in (oneshot.points_to, oneshot.flows_to):
             with pytest.raises(InputError, match="bad node id"):
                 method(-1)
         with pytest.raises(InputError, match="bad node id"):
-            oneshot.queries([n])
+            oneshot.queries([len(pag)])
+        assert oneshot.node_id(n) == n
         assert oneshot.node_id(n - 1) == n - 1
+
+    def test_session_rejects_wrong_kind_node_ids(self, oneshot):
+        pag = oneshot.pag
+        var = oneshot.resolve("b@Main.main")
+        obj = oneshot.resolve_obj("o:Main.main:0")
+        with pytest.raises(InputError, match="not a variable"):
+            oneshot.points_to(obj)
+        with pytest.raises(InputError, match="not a variable"):
+            oneshot.queries([obj])
+        with pytest.raises(InputError, match="not an object"):
+            oneshot.flows_to(var)
+        assert pag.is_object(pag.n_nodes)
+        oneshot.flows_to(pag.n_nodes)
+
+    def test_last_object_flows_to_is_200(self, daemon, oneshot):
+        client, session, _rec = daemon
+        last = session.pag.n_nodes
+        (res,) = client.flows_to([last])
+        assert res["object"] == session.name(last)
+        expected = oneshot.flows_to(last)
+        assert res["variables"] == sorted(
+            oneshot.name(v) for v in expected.objects
+        )
+
+    def test_wrong_kind_target_is_refused_before_admission(self, daemon):
+        # An object id sent as a points-to target is refused with 400
+        # on its own request: it is never admitted, so it cannot join
+        # (and fail) a batch shared with other clients' jobs.
+        client, session, rec = daemon
+        obj = session.resolve_obj("o:Main.main:0")
+        before = rec.snapshot()
+        with pytest.raises(ServeRejected) as exc:
+            client.points_to(["b@Main.main", obj])
+        assert exc.value.status == 400
+        after = rec.snapshot()
+        for key in ("serve.jobs", "serve.batches"):
+            assert after.get(key, 0) == before.get(key, 0), key
 
     def test_empty_targets_is_400(self, daemon):
         client, _session, _rec = daemon

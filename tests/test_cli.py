@@ -260,12 +260,14 @@ class TestRunDefaults:
         from repro.pag import build_pag
 
         seen = []
+        real_init = ParallelCFL.__init__
 
-        def spy(cls, target, runtime=None, *args, **kw):
-            seen.append(runtime)
+        def spy(self, *args, **kw):
+            real_init(self, *args, **kw)
+            seen.append(self.runtime)
             raise _Stop
 
-        monkeypatch.setattr(ParallelCFL, "from_config", classmethod(spy))
+        monkeypatch.setattr(ParallelCFL, "__init__", spy)
         with pytest.raises(_Stop):
             run_checkers(build_pag(parse_program(JAVA_SRC)))
         assert seen == [RuntimeConfig()]

@@ -13,6 +13,7 @@ from repro import (
     EngineConfig,
     ParallelCFL,
     Query,
+    RuntimeConfig,
     SteensgaardSolver,
     TracingEngine,
     build_pag,
@@ -41,9 +42,16 @@ class TestFullPipeline:
         groups = schedule_queries(build.pag, queries, build.program.types)
         assert sum(len(g) for g in groups) == len(queries)
 
-        seq = ParallelCFL(build, mode="seq", engine_config=EngineConfig(budget=5000)).run(queries)
-        dq = ParallelCFL(build, mode="DQ", n_threads=8,
-                         engine_config=EngineConfig(budget=5000)).run(queries)
+        seq = ParallelCFL(
+            build,
+            runtime=RuntimeConfig(mode="seq"),
+            engine=EngineConfig(budget=5000),
+        ).run(queries)
+        dq = ParallelCFL(
+            build,
+            runtime=RuntimeConfig(mode="DQ", n_threads=8),
+            engine=EngineConfig(budget=5000),
+        ).run(queries)
         assert dq.n_queries == seq.n_queries
         assert dq.speedup_over(seq) > 1.0
         # every completed DQ answer equals the sequential answer

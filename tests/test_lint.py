@@ -33,6 +33,9 @@ RUFF_TARGETS = [
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
     "src/repro/runtime/local.py",
+    "src/repro/runtime/executor.py",
+    "src/repro/runtime/config.py",
+    "src/repro/runtime/simclock.py",
     "src/repro/api.py",
     "src/repro/serve.py",
 ]
