@@ -44,7 +44,6 @@ from repro.core import (
     EMPTY_CTX,
     EngineConfig,
     JumpMap,
-    LayeredJumpMap,
     Query,
     QueryGroup,
     QueryResult,
@@ -93,7 +92,6 @@ __all__ = [
     "Query",
     "QueryResult",
     "JumpMap",
-    "LayeredJumpMap",
     "TracingEngine",
     "Witness",
     "QueryGroup",

@@ -67,7 +67,6 @@ from repro.core import (
     IncrementalAnalysis,
     JumpMap,
     JumpMapLifecycle,
-    LayeredJumpMap,
     Query,
     QueryGroup,
     QueryResult,
@@ -148,7 +147,6 @@ __all__ = [
     "AndersenSolver",
     # jump-map lifecycle and snapshots
     "JumpMap",
-    "LayeredJumpMap",
     "JumpMapLifecycle",
     "Snapshot",
     "SnapshotHeader",
@@ -423,6 +421,19 @@ class Session:
             )
         return Query(node, ctx)
 
+    def object_node(self, target: Union[int, str]) -> int:
+        """The object node named by a node id or an allocation-site
+        label; :class:`InputError` for a node that is not an object."""
+        node = (
+            self.resolve_obj(target) if isinstance(target, str)
+            else self.node_id(target)
+        )
+        if not self.pag.is_object(node):
+            raise InputError(
+                f"node {node} ({self.pag.name(node)}) is not an object"
+            )
+        return node
+
     # ------------------------------------------------------------------
     # single queries (resident sequential session)
     # ------------------------------------------------------------------
@@ -448,15 +459,7 @@ class Session:
     ) -> QueryResult:
         """Demand flows-to query from an object node (id or
         allocation-site label)."""
-        node = (
-            self.resolve_obj(target) if isinstance(target, str)
-            else self.node_id(target)
-        )
-        if not self.pag.is_object(node):
-            raise InputError(
-                f"node {node} ({self.pag.name(node)}) is not an object"
-            )
-        return self.seq.flows_to(node, ctx)
+        return self.seq.flows_to(self.object_node(target), ctx)
 
     def may_alias(
         self,

@@ -47,10 +47,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import Context, EMPTY_CTX, ctx_enter, ctx_exit
-from repro.core.jumpmap import JumpMapLifecycle, LayeredJumpMap
+from repro.core.jumpmap import JumpMapLifecycle
 from repro.core.query import Query, QueryResult, QueryState
 from repro.core.rules import (
     ANSWER_KIND, FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, RULES,
@@ -156,17 +156,17 @@ class EngineConfig:
 class CFLEngine:
     """Demand-driven context- and field-sensitive points-to analysis.
 
-    One engine per PAG; queries are independent.  Pass a shared
-    :class:`JumpMap` (or a :class:`LayeredJumpMap` view) to enable the
-    data-sharing scheme; ``jumps=None`` is the share-nothing baseline
-    (the paper's ``SeqCFL`` / naive-parallel configuration).
+    One engine per PAG; queries are independent.  Pass a shared jump
+    map (any :class:`JumpMapLifecycle`, read and written directly) to
+    enable the data-sharing scheme; ``jumps=None`` is the share-nothing
+    baseline (the paper's ``SeqCFL`` / naive-parallel configuration).
     """
 
     def __init__(
         self,
         pag: PAG,
         config: Optional[EngineConfig] = None,
-        jumps: Optional[Union[JumpMapLifecycle, LayeredJumpMap]] = None,
+        jumps: Optional[JumpMapLifecycle] = None,
         prefilter=None,
         recorder=None,
     ) -> None:

@@ -21,15 +21,22 @@ Concurrency semantics mirror Section IV-A:
 * a finished insertion clears any unfinished marker for the key (the
   round is now known to complete, so the marker's prediction is moot).
 
-:class:`LayeredJumpMap` gives the simulated and mp executors
-transaction-like visibility: reads see a committed base plus the
-running query's own insertions; at query end the executor commits the
-overlay (at the query's finish time, for the simulator).
+Every executor's engine reads and writes its executor's map directly;
+there is no per-query overlay.  The ``local`` and ``sim`` executors and
+each mp worker run one query at a time over one :class:`JumpMap`, the
+``threads`` backend shares a lock-striped map between its threads, and
+a query sees every entry written before its reads, whichever query
+wrote it.  For the simulator this means every entry committed by
+queries popped before it in event order, including queries still
+running in simulated time (see :mod:`repro.runtime.simclock`).
 
 Every write of one store's entries into another goes through one
 replay routine, :meth:`JumpMap.replay`, which returns the entries it
-accepted: a layer's commit, the mp worker's outgoing delta, the mp
-coordinator's merge and commit log, and warm starts from a snapshot.
+accepted: the mp coordinator's merge of a worker delta, a worker's
+catch-up on the coordinator's log suffix, and warm starts from a
+snapshot.  The mp executor's maps also record what they accept, in
+order (:class:`repro.runtime.mp.JournalingJumpMap`); that record is
+the epoch protocol's commit log.
 
 Entries summarise rounds of the engine's one traversal (flowsTo), so a
 store carries no grammar label: any store's entries may warm any other.
@@ -54,12 +61,11 @@ __all__ = [
     "DeltaEntry",
     "JumpMap",
     "JumpMapLifecycle",
-    "LayeredJumpMap",
 ]
 
 #: One committed jump entry in transit or at rest: ``("fin", key,
 #: edges)`` or ``("unf", key, steps)``.  This is simultaneously the mp
-#: epoch protocol's wire format (the coordinator's commit log is a
+#: epoch protocol's wire format (the coordinator map's commit log is a
 #: ``List[DeltaEntry]``; workers receive log suffixes) and the payload
 #: format of warm-start snapshots (:mod:`repro.core.snapshot`), so one
 #: replay routine (:meth:`JumpMap.replay`) serves both.
@@ -71,10 +77,11 @@ class JumpMapLifecycle(Protocol):
     """The jump-map lifecycle: create / warm / invalidate / snapshot / ship.
 
     Implemented by :class:`JumpMap` (seq engine, local and simulated
-    executors, mp coordinator base) and
-    :class:`~repro.runtime.threaded.ConcurrentJumpMap` (thread
-    backend), so every backend can warm-start from — and contribute to —
-    the same on-disk artifact.
+    executors; the mp coordinator and workers use its journaling
+    subclass) and :class:`~repro.runtime.threaded.ConcurrentJumpMap`
+    (thread backend), so every backend can warm-start from — and
+    contribute to — the same on-disk artifact.  The engine takes any
+    implementation as its ``jumps`` and writes into it directly.
     """
 
     def finished(self, key: JumpKey) -> Optional[Tuple[FinishedJump, ...]]: ...
@@ -217,50 +224,3 @@ class JumpMap:
             f"JumpMap({len(self._fin)} finished keys / "
             f"{self.n_finished_edges} edges, {len(self._unf)} unfinished)"
         )
-
-
-class LayeredJumpMap:
-    """Read-through view: a committed ``base`` plus a private overlay.
-
-    The running query reads both layers (its own discoveries included)
-    but writes only the overlay; the executor then commits the overlay
-    into the base (:meth:`commit`).  This models the paper's visibility
-    conservatively: edges published by *concurrently running* queries
-    become visible only once those queries finish.  A view lives for one
-    query: it is never exported, warmed or invalidated.
-    """
-
-    def __init__(self, base: JumpMap) -> None:
-        self.base = base
-        self.overlay = JumpMap()
-
-    def finished(self, key: JumpKey) -> Optional[Tuple[FinishedJump, ...]]:
-        got = self.overlay.finished(key)
-        if got is not None:
-            return got
-        return self.base.finished(key)
-
-    def unfinished(self, key: JumpKey) -> Optional[int]:
-        # A finished set in the overlay supersedes a base unfinished marker.
-        if key in self.overlay._fin:
-            return None
-        got = self.overlay.unfinished(key)
-        if got is not None:
-            return got
-        return self.base.unfinished(key)
-
-    def insert_finished(self, key: JumpKey, edges: Tuple[FinishedJump, ...]) -> bool:
-        if self.base.finished(key) is not None:
-            return False
-        return self.overlay.insert_finished(key, edges)
-
-    def insert_unfinished(self, key: JumpKey, steps: int) -> bool:
-        if self.base.finished(key) is not None or self.base.unfinished(key) is not None:
-            return False
-        return self.overlay.insert_unfinished(key, steps)
-
-    def commit(self) -> List[DeltaEntry]:
-        """Replay the overlay into the base (finished entries before
-        unfinished ones); returns the entries the base accepted.  A
-        second commit returns ``[]``."""
-        return self.base.replay(self.overlay.export_log())

@@ -5,8 +5,9 @@ Backends behind one facade:
 * **sim** (:mod:`repro.runtime.simclock`) — a deterministic
   discrete-event simulator: workers own simulated clocks, query costs
   come from the step/jump-op accounting of the engine through a
-  calibrated :class:`~repro.runtime.contention.CostModel`, and jump-map
-  visibility follows commit order.  Deterministic and measurable, the
+  calibrated :class:`~repro.runtime.contention.CostModel`, and a query
+  sees the jump entries of every query popped before it in event
+  order.  Deterministic and measurable, the
   default for the paper's tables/figures.
 * **local** (:mod:`repro.runtime.local`) — the batch in order on the
   calling thread, every query over one committed jump map: mode D x1

@@ -5,8 +5,8 @@ threads, and under CPython's GIL real threads add fan-out cost without
 parallelism.  This executor keeps the sharing and drops the rest: the
 work units run in order on the caller's thread, and each query's
 :class:`~repro.core.engine.CFLEngine` reads and writes the executor's
-committed :class:`~repro.core.jumpmap.JumpMap` directly — no overlay,
-no lock, no cost model.  A share-nothing mode has no map.  The map is
+committed :class:`~repro.core.jumpmap.JumpMap` directly, as every
+executor's engine does — no lock, no cost model.  A share-nothing mode has no map.  The map is
 the executor's whole lifecycle surface (warm boot, snapshot export,
 runner retirement), exactly as for the other sharing backends.
 """

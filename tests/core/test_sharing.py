@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CFLEngine, EngineConfig, JumpMap, LayeredJumpMap, Query
+from repro.core import CFLEngine, EngineConfig, JumpMap, Query
 from repro.core.engine import POINTS_TO
 from repro.pag.extended import FinishedJump
 
@@ -162,78 +162,3 @@ class TestJumpMapSemantics:
         assert a.n_jumps == 2
         # re-merge is fully rejected
         assert a.replay(b.export_log()) == []
-
-
-class TestLayeredJumpMap:
-    def test_overlay_reads_through(self):
-        base = JumpMap()
-        base.insert_finished((1, (), POINTS_TO), (FinishedJump(2, (), 5),))
-        view = LayeredJumpMap(base)
-        assert view.finished((1, (), POINTS_TO)) is not None
-        view.insert_finished((9, (), POINTS_TO), (FinishedJump(4, (), 7),))
-        assert view.finished((9, (), POINTS_TO)) is not None
-        assert base.finished((9, (), POINTS_TO)) is None  # not yet committed
-
-    def test_commit_publishes(self):
-        base = JumpMap()
-        view = LayeredJumpMap(base)
-        edges = (FinishedJump(4, (), 7),)
-        view.insert_unfinished((5, (), POINTS_TO), 50)
-        view.insert_finished((9, (), POINTS_TO), edges)
-        assert view.commit() == [
-            ("fin", (9, (), POINTS_TO), edges),
-            ("unf", (5, (), POINTS_TO), 50),
-        ]
-        assert base.n_jumps == 2
-
-    def test_commit_returns_only_accepted(self):
-        # Two concurrent views over one base: the second to commit
-        # loses every key the first published, and its commit returns
-        # exactly the entries the base took, finished before unfinished.
-        base = JumpMap()
-        first, second = LayeredJumpMap(base), LayeredJumpMap(base)
-        won = (FinishedJump(2, (), 5),)
-        first.insert_finished((1, (), POINTS_TO), won)
-        first.insert_unfinished((2, (), POINTS_TO), 40)
-        second.insert_unfinished((4, (), POINTS_TO), 70)
-        second.insert_finished((1, (), POINTS_TO), (FinishedJump(3, (), 6),))
-        second.insert_unfinished((2, (), POINTS_TO), 99)
-        late = (FinishedJump(7, (), 8),)
-        second.insert_finished((3, (), POINTS_TO), late)
-        assert len(first.commit()) == 2
-        assert second.commit() == [
-            ("fin", (3, (), POINTS_TO), late),
-            ("unf", (4, (), POINTS_TO), 70),
-        ]
-        assert base.finished((1, (), POINTS_TO)) == won
-        assert base.unfinished((2, (), POINTS_TO)) == 40
-
-    def test_base_entry_blocks_overlay_insert(self):
-        base = JumpMap()
-        base.insert_finished((1, (), POINTS_TO), (FinishedJump(2, (), 5),))
-        view = LayeredJumpMap(base)
-        assert not view.insert_finished((1, (), POINTS_TO), (FinishedJump(3, (), 6),))
-
-    def test_overlay_finished_hides_base_unfinished(self):
-        base = JumpMap()
-        base.insert_unfinished((1, (), POINTS_TO), 40)
-        view = LayeredJumpMap(base)
-        # Simulate this query completing the round the base marked doomed:
-        # base already has the unfinished marker, so the layered insert is
-        # refused (first-writer-wins across commit boundaries)...
-        assert not view.insert_unfinished((1, (), POINTS_TO), 99)
-        # ...but a finished overlay entry shadows the base marker locally.
-        view.overlay.insert_finished((1, (), POINTS_TO), (FinishedJump(2, (), 5),))
-        assert view.unfinished((1, (), POINTS_TO)) is None
-
-    def test_engine_runs_against_layered_view(self, fig2):
-        b, n = fig2
-        base = JumpMap()
-        cfg = EngineConfig(tau_f=0, tau_u=0)
-        first = CFLEngine(b.pag, cfg, jumps=LayeredJumpMap(base))
-        r1 = first.points_to(n["s1"])
-        first.jumps.commit()
-        second = CFLEngine(b.pag, cfg, jumps=LayeredJumpMap(base))
-        r2 = second.points_to(n["s1"])
-        assert r2.points_to == r1.points_to
-        assert r2.costs.jmp_taken > 0

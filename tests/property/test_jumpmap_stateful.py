@@ -3,8 +3,10 @@
 Models the jump map against a simple reference implementation and
 checks the concurrency-relevant invariants of Section IV-A under
 arbitrary operation sequences: first-writer-wins, finished-supersedes-
-unfinished, layered read-through, and a commit whose returned entries
-are its whole effect and which is idempotent.
+unfinished, and an export that replays identically.  A second machine
+checks the mp executor's journaling map: its log is exactly the
+accepted writes, in order, rebuilds the map, and a replay of entries
+the map already owns appends nothing.
 """
 
 from hypothesis import strategies as st
@@ -17,8 +19,9 @@ from hypothesis.stateful import (
 )
 
 from repro.core.engine import FLOWS_TO, POINTS_TO
-from repro.core.jumpmap import JumpMap, LayeredJumpMap
+from repro.core.jumpmap import JumpMap
 from repro.pag.extended import FinishedJump
+from repro.runtime.mp import JournalingJumpMap
 
 keys = st.tuples(
     st.integers(0, 5),
@@ -101,64 +104,57 @@ class JumpMapMachine(RuleBasedStateMachine):
 TestJumpMapStateful = JumpMapMachine.TestCase
 
 
-class LayeredMachine(RuleBasedStateMachine):
-    """The layered view must behave like base ∪ overlay with base
-    priority on conflicts, and commit must fold it exactly."""
+entries = st.one_of(
+    st.tuples(st.just("fin"), keys, edge_sets),
+    st.tuples(st.just("unf"), keys, st.integers(1, 1000)),
+)
+
+
+class JournalingMachine(RuleBasedStateMachine):
+    """The mp executor's journaling map: its ``log`` is the record of
+    exactly the entries it accepted, so it can serve as the commit
+    log."""
 
     @initialize()
     def setup(self):
-        self.base = JumpMap()
-        self.view = LayeredJumpMap(self.base)
+        self.map = JournalingJumpMap()
+        self.accepted = []
 
     @rule(key=keys, edges=edge_sets)
-    def base_finished(self, key, edges):
-        self.base.insert_finished(key, edges)
+    def insert_finished(self, key, edges):
+        if self.map.insert_finished(key, edges):
+            self.accepted.append(("fin", key, edges))
 
     @rule(key=keys, steps=st.integers(1, 1000))
-    def base_unfinished(self, key, steps):
-        self.base.insert_unfinished(key, steps)
+    def insert_unfinished(self, key, steps):
+        if self.map.insert_unfinished(key, steps):
+            self.accepted.append(("unf", key, steps))
 
-    @rule(key=keys, edges=edge_sets)
-    def view_finished(self, key, edges):
-        accepted = self.view.insert_finished(key, edges)
-        if self.base.finished(key) is not None:
-            assert not accepted
+    @rule(delta=st.lists(entries, max_size=4))
+    def replay(self, delta):
+        self.accepted.extend(self.map.replay(delta))
 
-    @rule(key=keys, steps=st.integers(1, 1000))
-    def view_unfinished(self, key, steps):
-        accepted = self.view.insert_unfinished(key, steps)
-        if self.base.finished(key) is not None or self.base.unfinished(key) is not None:
-            assert not accepted
+    @rule(data=st.data())
+    def replay_owned_appends_nothing(self, data):
+        # A worker echoing back entries the map already owns (its own
+        # log, any slice of it, or the whole export) is dropped whole.
+        owned = data.draw(st.sampled_from(
+            [self.map.export_log(), list(self.map.log)]
+            + [self.map.log[i:] for i in range(len(self.map.log))]
+        ))
+        before = len(self.map.log)
+        assert self.map.replay(owned) == []
+        assert len(self.map.log) == before
 
-    @rule(key=keys)
-    def reads_are_layered(self, key):
-        fin = self.view.finished(key)
-        expect = self.view.overlay._fin.get(key, self.base._fin.get(key))
-        assert fin == expect
-        unf = self.view.unfinished(key)
-        if key in self.view.overlay._fin:
-            assert unf is None
-        else:
-            assert unf == self.view.overlay._unf.get(key, self.base._unf.get(key))
+    @invariant()
+    def log_is_the_accepted_writes(self):
+        assert self.map.log == self.accepted
 
-    @rule()
-    def commit_folds(self):
-        overlay_fin = dict(self.view.overlay._fin)
-        before = JumpMap()
-        before.warm_from(self.base.export_log())
-        accepted = self.view.commit()
-        for key, edges in overlay_fin.items():
-            assert self.base.finished(key) is not None
-        # The returned entries are the commit's whole effect: replayed
-        # into a copy of the pre-commit base, they give the post-commit
-        # base (the contract the mp worker's outgoing delta relies on).
-        assert before.replay(accepted) == accepted
-        assert dict(before.finished_items()) == dict(self.base.finished_items())
-        assert dict(before.unfinished_items()) == dict(
-            self.base.unfinished_items()
-        )
-        # recommitting is harmless (all rejected)
-        assert self.view.commit() == []
+    @invariant()
+    def log_rebuilds_the_map(self):
+        fresh = JumpMap()
+        assert fresh.replay(self.map.log) == self.map.log
+        assert fresh.export_log() == self.map.export_log()
 
 
-TestLayeredStateful = LayeredMachine.TestCase
+TestJournalingStateful = JournalingMachine.TestCase

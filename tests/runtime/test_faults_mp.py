@@ -261,7 +261,7 @@ class TestQuarantine:
         assert batch.n_chunks_quarantined >= 1
         # inline execution committed onto the authoritative map/log
         assert ex.jumps.n_jumps == batch.n_jumps > 0
-        assert ex.epoch == len(ex._log) > 0
+        assert ex.epoch == len(ex.jumps.log) > 0
 
 
 class TestCleanRunRegressions:

@@ -70,7 +70,7 @@ class TestMPBackend:
         batch = ex.run_units([[q] for q in queries])
         assert batch.n_jumps > 0
         assert ex.jumps.n_jumps == batch.n_jumps
-        assert ex.epoch == len(ex._log) > 0
+        assert ex.epoch == len(ex.jumps.log) > 0
 
     def test_broadcast_deltas_reach_workers(self, fig2):
         # Repeat the same workload many times through single-unit
@@ -157,10 +157,11 @@ class TestDeltaProtocol:
         )
         key = (1, (), False)
         edges = (FinishedJump(2, (), 5),)
-        assert ex._merge_delta([("fin", key, edges)]) == 1
+        assert ex.jumps.replay([("fin", key, edges)]) == [("fin", key, edges)]
         # a duplicate from a second worker loses the race — no log growth
-        assert ex._merge_delta([("fin", key, edges)]) == 0
+        assert ex.jumps.replay([("fin", key, edges)]) == []
         assert ex.epoch == 1
+        assert ex.jumps.log == [("fin", key, edges)]
 
 
 class TestWarmStart:

@@ -390,6 +390,24 @@ class TestEndpoints:
         for key in ("serve.jobs", "serve.batches"):
             assert after.get(key, 0) == before.get(key, 0), key
 
+    @pytest.mark.parametrize("bad", ["var", "no-such-label"])
+    def test_bad_flows_to_object_is_refused_before_admission(
+        self, daemon, bad
+    ):
+        # Objects are resolved and kind-checked on the handler thread,
+        # as points-to targets are: the request gets 400 without taking
+        # a queue slot or a dispatcher turn.
+        client, session, rec = daemon
+        if bad == "var":
+            bad = session.resolve("b@Main.main")
+        before = rec.snapshot()
+        with pytest.raises(ServeRejected) as exc:
+            client.flows_to([bad])
+        assert exc.value.status == 400
+        after = rec.snapshot()
+        for key in ("serve.jobs", "serve.batches"):
+            assert after.get(key, 0) == before.get(key, 0), key
+
     def test_empty_targets_is_400(self, daemon):
         client, _session, _rec = daemon
         with pytest.raises(ServeRejected) as exc:

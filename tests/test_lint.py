@@ -29,6 +29,7 @@ RUFF_TARGETS = [
     "src/repro/core/tracing.py",
     "src/repro/core/snapshot.py",
     "src/repro/core/incremental.py",
+    "src/repro/core/jumpmap.py",
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
