@@ -519,8 +519,9 @@ class Session:
         """The resident runners, after retiring them if the PAG was
         edited through :attr:`seq` since they were made.
 
-        A runner's committed jump map (and an mp runner's frozen PAG)
-        describe the program as it was; the warm-boot log does too.
+        A runner's committed jump map (mp's too, though its workers
+        read the live PAG) describes the program as it was, and so does
+        the warm-boot log.
         Edits invalidate only the sequential map selectively, so every
         runner and the warm log are dropped and rebuilt on demand
         (runners hold no OS resources between batches)."""
@@ -660,7 +661,7 @@ class Session:
         return compacted
 
     def snapshot(self, path: Union[str, Path]) -> SnapshotHeader:
-        """Persist the session's warm state (FrozenPAG fingerprint +
+        """Persist the session's warm state (the PAG's fingerprint +
         compacted commit log + the sequential session's invalidation
         footprints) for :meth:`from_snapshot` /
         ``repro serve --snapshot`` warm boots."""

@@ -72,8 +72,8 @@ Commands
     Warm-start snapshots (:mod:`repro.core.snapshot`).  ``save`` parses
     the program, runs a warming pass over every application local (at
     τ_F = τ_U = 0, so every completed round publishes) and writes the
-    FrozenPAG + jump-map commit log + invalidation footprints to
-    ``FILE.snap`` (or ``--out``).  ``load`` validates a snapshot's
+    PAG's fingerprint + jump-map commit log + invalidation footprints
+    to ``FILE.snap`` (or ``--out``).  ``load`` validates a snapshot's
     integrity header and prints it; with ``--file PROGRAM`` it also
     checks the PAG fingerprint against the current source, and with
     ``--verify`` it replays the snapshot into a fresh session and

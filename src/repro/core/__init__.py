@@ -4,8 +4,7 @@
   queries ``(l, c)``).
 * :mod:`repro.core.query` — query/result records and per-query state.
 * :mod:`repro.core.jumpmap` — the jump-edge store (the paper's
-  ``ConcurrentHashMap``), plus the layered view used by the simulated
-  parallel runtime.
+  ``ConcurrentHashMap``) and its commit-log wire format.
 * :mod:`repro.core.engine` — Algorithms 1 and 2: ``POINTSTO`` /
   ``FLOWSTO`` / ``REACHABLENODES`` with optional data sharing.
 * :mod:`repro.core.scheduling` — the query-scheduling scheme
@@ -13,7 +12,7 @@
 * :mod:`repro.core.cfl` — executable definitions of the paper's
   grammars (1)-(4), used by tests to certify witness paths.
 * :mod:`repro.core.snapshot` — versioned on-disk warm-start snapshots
-  (FrozenPAG + jump-map commit log + invalidation footprints).
+  (PAG fingerprint + jump-map commit log + invalidation footprints).
 """
 
 from repro.core.context import EMPTY_CTX, ctx_pop, ctx_push, ctx_top

@@ -438,7 +438,8 @@ class IncrementalAnalysis:
         return len(accepted)
 
     def save_snapshot(self, path: Union[str, Path]) -> SnapshotHeader:
-        """Persist the session (FrozenPAG + commit log + footprints)."""
+        """Persist the session (the PAG's fingerprint + commit log +
+        footprints)."""
         return _save_snapshot(
             path,
             self.pag,

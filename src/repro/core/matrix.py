@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 from typing import (
     TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-    Union,
 )
 
 from repro.core.cfl import CFG
@@ -52,7 +51,7 @@ from repro.core.rules import (
 )
 from repro.errors import AnalysisError
 from repro.pag.edges import EdgeKind
-from repro.pag.graph import PAG, FrozenPAG
+from repro.pag.graph import PAG
 
 if TYPE_CHECKING:
     from repro.core.cfl import _CNF
@@ -101,7 +100,7 @@ class MatrixKernel:
 
     def __init__(
         self,
-        pag: Union[PAG, FrozenPAG],
+        pag: PAG,
         config: Optional["EngineConfig"] = None,
         recorder: Optional["Recorder"] = None,
     ) -> None:

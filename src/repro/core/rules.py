@@ -33,7 +33,7 @@ from repro.core.cfl import bar
 from repro.core.context import EMPTY_CTX, Context, ctx_enter, ctx_exit
 from repro.core.grammar import project_terminal, terminal
 from repro.pag.edges import EdgeKind
-from repro.pag.graph import PAG, FrozenPAG
+from repro.pag.graph import PAG
 
 __all__ = ["POINTS_TO", "FLOWS_TO", "CtxAction", "Rule", "ROUND_KIND",
            "MATCHED_BY_FIELD", "ANSWER_KIND", "RULES"]
@@ -79,7 +79,7 @@ class Rule:
 
     def successors(
         self,
-        pag: Union[PAG, FrozenPAG],
+        pag: PAG,
         direction: bool,
         x: int,
         c: Context,

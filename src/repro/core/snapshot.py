@@ -1,36 +1,39 @@
-"""Versioned on-disk warm-start snapshots (ROADMAP item 2).
+"""Versioned on-disk warm-start snapshots.
 
 A production service sees the *same program, slightly edited* thousands
 of times, yet every process start used to begin at epoch 0: empty jump
 map, every alias-matching round recomputed.  This module persists the
-expensive state — the :class:`~repro.pag.graph.FrozenPAG` plus the
-authoritative jump-map commit log in the mp epoch
-:data:`~repro.core.jumpmap.DeltaEntry` wire format — so a restart or a
-new batch replays a prior session's summaries instead of rediscovering
-them.  Any :class:`~repro.core.jumpmap.JumpMapLifecycle` store can warm
-from the artifact, so seq, local, threads and mp sessions all share
-one snapshot format.
+expensive state — the authoritative jump-map commit log in the mp epoch
+:data:`~repro.core.jumpmap.DeltaEntry` wire format, keyed by the
+fingerprint of the graph it was computed on — so a restart or a new
+batch replays a prior session's summaries instead of rediscovering
+them.  The graph is not stored: the loading session builds it from
+the program.  Any :class:`~repro.core.jumpmap.JumpMapLifecycle` store
+can warm from the artifact, so seq, local, threads and mp sessions all
+share one snapshot format.
 
 File layout (one file, three sections)::
 
     REPROSNAP\\n                         magic
-    {"format_version": 1, ...}\\n        integrity header, one JSON line
-    <pickle>                            payload: FrozenPAG + log (+ footprints)
+    {"format_version": 2, ...}\\n        integrity header, one JSON line
+    <pickle>                            payload: fingerprint + log (+ footprints)
 
 The header is validated **before** the payload is unpickled: wrong
 magic, a future ``format_version`` or a stale ``pag_fingerprint`` (the
 program changed since the snapshot) all raise
 :class:`~repro.errors.SnapshotError` without touching the pickle.  The
-fingerprint is a SHA-256 over a canonical encoding of the frozen
-graph's structure — node kinds, union-find representatives, names and
-every inbound adjacency list — not Python's randomised ``hash``.  After
-unpickling, every log entry's shape is checked in one pass, so a
-corrupt entry is a :class:`~repro.errors.SnapshotError` too, never a
-crash mid-replay.
+fingerprint is a SHA-256 over a canonical encoding of the graph's
+structure — node kinds, union-find representatives, names and every
+inbound adjacency list — not Python's randomised ``hash``.  The
+payload repeats it (format v1 pickled the graph there instead, which
+the reader fingerprints), so a transplanted header is refused too.
+After unpickling, every log entry's and footprint record's shape is
+checked in one pass, so a corrupt one is a
+:class:`~repro.errors.SnapshotError` too, never a crash mid-replay.
 
 The summaries are rounds of the engine's one traversal (flowsTo), so
 the header names no grammar; a ``grammar`` key written by earlier
-versions of this format is ignored.
+writers of format v1 is ignored.
 
 The optional ``footprints`` section carries the reverse-index records
 of :mod:`repro.core.incremental` so a warmed session keeps *selective*
@@ -41,16 +44,18 @@ on the first edit (sound, just less selective).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.jumpmap import DeltaEntry
 from repro.errors import SnapshotError
 from repro.pag.extended import FinishedJump, JumpKey
-from repro.pag.graph import PAG, FrozenPAG
+from repro.pag.graph import PAG
 
 __all__ = [
     "FORMAT_VERSION",
@@ -67,8 +72,9 @@ __all__ = [
 MAGIC = b"REPROSNAP\n"
 
 #: Current writer version.  Readers accept any version ``<= FORMAT_VERSION``
-#: (additions must stay backward-compatible) and refuse future versions.
-FORMAT_VERSION = 1
+#: and refuse future versions.  v2 replaced v1's pickled graph with its
+#: fingerprint.
+FORMAT_VERSION = 2
 
 #: Serialised reverse-index records: jump key -> (touched rep-node ids,
 #: consulted fields, consumed jump keys).  Kept as plain tuples so the
@@ -107,59 +113,84 @@ class Snapshot:
     """A loaded, validated snapshot."""
 
     header: SnapshotHeader
-    pag: FrozenPAG
     log: List[DeltaEntry]
     footprints: Optional[FootprintData]
 
 
-def pag_fingerprint(pag: Union[PAG, FrozenPAG]) -> str:
+def _digest(kinds: bytes, reps: Tuple[int, ...], names: Tuple[str, ...],
+            fields: Mapping[str, Any]) -> str:
+    """The :func:`pag_fingerprint` encoding; ``fields`` holds the
+    :data:`_FINGERPRINT_ADJ` dicts."""
+    h = hashlib.sha256()
+    h.update(kinds)
+    h.update(repr(reps).encode("ascii"))
+    h.update(repr(names).encode("utf-8"))
+    for label in _FINGERPRINT_ADJ:
+        adj: Mapping[Any, Sequence[Any]] = fields[label]
+        h.update(label.encode("ascii"))
+        rows = sorted((k, tuple(v)) for k, v in adj.items() if v)
+        h.update(repr(rows).encode("utf-8"))
+    return h.hexdigest()
+
+
+def pag_fingerprint(pag: PAG) -> str:
     """SHA-256 over a canonical encoding of the graph's structure.
 
     Deterministic across processes (no reliance on ``PYTHONHASHSEED``)
     and sensitive to exactly what the engine traverses: node kinds,
-    resolved representatives, node names, and every inbound adjacency
-    list (sorted by key; value order is the PAG's deterministic
-    insertion order).  A mutable :class:`PAG` is frozen first, so a
-    live graph and its frozen snapshot fingerprint identically.
+    resolved representatives, node names, and every non-empty inbound
+    adjacency list (sorted by key; value order is the PAG's
+    deterministic insertion order).
     """
-    frozen = pag.freeze() if isinstance(pag, PAG) else pag
-    h = hashlib.sha256()
-    h.update(frozen._kind)
-    h.update(repr(frozen._rep).encode("ascii"))
-    h.update(repr(frozen._names).encode("utf-8"))
-    for label in _FINGERPRINT_ADJ:
-        adj: Mapping[Any, Any] = getattr(frozen, label)
-        h.update(label.encode("ascii"))
-        h.update(repr(sorted(adj.items())).encode("utf-8"))
-    return h.hexdigest()
+    nodes = range(len(pag))
+    return _digest(bytes(pag.kinds), tuple(map(pag.rep, nodes)),
+                   tuple(map(pag.name, nodes)), vars(pag))
+
+
+class _V1Graph:
+    """A format-v1 payload's pickled graph, reduced to its fingerprint
+    as it unpickles."""
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        fields = state[1]
+        self.fingerprint = _digest(
+            fields["_kind"], fields["_rep"], fields["_names"], fields)
+
+
+class _PayloadUnpickler(pickle.Unpickler):
+    """Resolves v1's pickled graph class to :class:`_V1Graph`."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == ("repro.pag.graph", "FrozenPAG"):
+            return _V1Graph
+        return super().find_class(module, name)
 
 
 def save_snapshot(
     path: Union[str, Path],
-    pag: Union[PAG, FrozenPAG],
+    pag: PAG,
     log: Sequence[DeltaEntry],
     *,
     footprints: Optional[FootprintData] = None,
     recorder: Optional[Any] = None,
 ) -> SnapshotHeader:
-    """Write a snapshot of ``pag`` + ``log`` to ``path``.
+    """Write a snapshot of ``log``, computed on ``pag``, to ``path``.
 
     ``log`` is a jump-map commit log as produced by
     ``JumpMapLifecycle.export_log()`` (for an mp runner, its coordinator
     map: ``MPExecutor.jumps``).
     Returns the written header.
     """
-    frozen = pag.freeze() if isinstance(pag, PAG) else pag
     entries = list(log)
     header = SnapshotHeader(
         format_version=FORMAT_VERSION,
-        pag_fingerprint=pag_fingerprint(frozen),
+        pag_fingerprint=pag_fingerprint(pag),
         n_entries=len(entries),
-        n_nodes=frozen.n_nodes,
-        n_edges=frozen.n_edges,
+        n_nodes=pag.n_nodes,
+        n_edges=pag.n_edges,
     )
     payload = {
-        "pag": frozen,
+        "fingerprint": header.pag_fingerprint,
         "log": entries,
         "footprints": dict(footprints) if footprints is not None else None,
     }
@@ -177,10 +208,16 @@ def save_snapshot(
     return header
 
 
+def _is_jump_key(key: object) -> bool:
+    """A ``(node, ctx, direction)`` jump key."""
+    return (isinstance(key, tuple) and len(key) == 3 and isinstance(key[0], int)
+            and isinstance(key[1], tuple) and isinstance(key[2], bool))
+
+
 def _well_formed(entry: object) -> bool:
     """A ``("fin", key, edges)`` or ``("unf", key, steps)`` entry whose
-    key is a ``(node, ctx, direction)`` jump key and whose edges are a
-    tuple of :class:`FinishedJump`."""
+    key is a jump key and whose edges are a tuple of
+    :class:`FinishedJump`."""
     if not (isinstance(entry, tuple) and len(entry) == 3):
         return False
     tag, key, payload = entry
@@ -192,13 +229,18 @@ def _well_formed(entry: object) -> bool:
         payload_ok = isinstance(payload, int)
     else:
         return False
+    return payload_ok and _is_jump_key(key)
+
+
+def _well_formed_footprint(key: object, record: object) -> bool:
+    """A jump key mapped to ``(nodes, fields, consumed)``: a tuple of
+    ints, a tuple of strs and a tuple of jump keys."""
     return (
-        payload_ok
-        and isinstance(key, tuple)
-        and len(key) == 3
-        and isinstance(key[0], int)
-        and isinstance(key[1], tuple)
-        and isinstance(key[2], bool)
+        _is_jump_key(key) and isinstance(record, tuple) and len(record) == 3
+        and all(isinstance(part, tuple) for part in record)
+        and all(map(isinstance, record[0], repeat(int)))
+        and all(map(isinstance, record[1], repeat(str)))
+        and all(map(_is_jump_key, record[2]))
     )
 
 
@@ -225,17 +267,17 @@ def _parse_header(raw: bytes, path: Path) -> SnapshotHeader:
 def load_snapshot(
     path: Union[str, Path],
     *,
-    expect_pag: Optional[Union[PAG, FrozenPAG]] = None,
+    expect_pag: Optional[PAG] = None,
     recorder: Optional[Any] = None,
 ) -> Snapshot:
     """Read and validate a snapshot.
 
     Validation order (each failure is a :class:`SnapshotError`, mapped
     to CLI exit 2): magic -> format version -> PAG fingerprint ->
-    payload integrity -> log entry shapes.  ``expect_pag`` guards
-    against warming a session for a *different or edited* program; the
-    check runs on the header alone, so a stale snapshot is rejected
-    without unpickling its payload.
+    payload integrity -> log entry and footprint shapes.
+    ``expect_pag`` guards against warming a session for a *different or
+    edited* program; the check runs on the header alone, so a stale
+    snapshot is rejected without unpickling its payload.
     """
     p = Path(path)
     try:
@@ -264,19 +306,20 @@ def load_snapshot(
             "changed since the snapshot was saved); re-run `repro snapshot save`"
         )
     try:
-        payload = pickle.loads(body[nl + 1:])
+        payload = _PayloadUnpickler(io.BytesIO(body[nl + 1:])).load()
     except Exception as exc:  # pickle raises a zoo of exception types
         raise SnapshotError(f"{p}: corrupt snapshot payload ({exc})") from exc
     if not isinstance(payload, dict):
         raise SnapshotError(f"{p}: corrupt snapshot payload (not a dict)")
-    pag = payload.get("pag")
+    fingerprint = (getattr(payload.get("pag"), "fingerprint", None)
+                   if header.format_version == 1 else payload.get("fingerprint"))
     log = payload.get("log")
     footprints = payload.get("footprints")
-    if not isinstance(pag, FrozenPAG) or not isinstance(log, list):
+    if not isinstance(fingerprint, str) or not isinstance(log, list):
         raise SnapshotError(f"{p}: corrupt snapshot payload (bad sections)")
     if footprints is not None and not isinstance(footprints, dict):
         raise SnapshotError(f"{p}: corrupt snapshot payload (bad footprints)")
-    if pag_fingerprint(pag) != header.pag_fingerprint:
+    if fingerprint != header.pag_fingerprint:
         raise SnapshotError(
             f"{p}: snapshot payload does not match its header fingerprint"
         )
@@ -290,7 +333,13 @@ def load_snapshot(
             raise SnapshotError(
                 f"{p}: corrupt snapshot log entry {i}: {entry!r:.80}"
             )
+    for key, record in (footprints or {}).items():
+        if not _well_formed_footprint(key, record):
+            raise SnapshotError(
+                f"{p}: corrupt snapshot footprint for {key!r:.80}: "
+                f"{record!r:.80}"
+            )
     if recorder:
         recorder.count("snapshot.bytes", len(data))
         recorder.count("snapshot.entries_loaded", len(log))
-    return Snapshot(header=header, pag=pag, log=log, footprints=footprints)
+    return Snapshot(header=header, log=log, footprints=footprints)

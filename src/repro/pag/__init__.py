@@ -12,14 +12,13 @@ unfinished node ``O``) used by the data-sharing scheme.
 
 from repro.pag.nodes import NodeKind
 from repro.pag.edges import EdgeKind
-from repro.pag.graph import PAG, FrozenPAG
+from repro.pag.graph import PAG
 from repro.pag.build import build_pag
 from repro.pag.extended import FinishedJump, UnfinishedJump
 
 __all__ = [
     "EdgeKind",
     "FinishedJump",
-    "FrozenPAG",
     "NodeKind",
     "PAG",
     "UnfinishedJump",

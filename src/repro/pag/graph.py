@@ -16,9 +16,9 @@ Design notes
   traversal step reads every row of its node with one lookup.  Its
   entries are the same list objects the per-kind dicts hold.  It is
   built on first use; after that every ``add_*_edge`` refreshes the
-  rows of its two endpoints, and SCC collapse drops it.
-  :class:`FrozenPAG` builds its own on first use too, and leaves it
-  out of its pickle.
+  rows of its two endpoints, and SCC collapse drops it.  A pickled
+  PAG carries the index, and pickle's memo keeps each row on the list
+  its adjacency dict holds.
 * ``stores_by_field``/``loads_by_field`` are the global indexes used by
   ``REACHABLENODES`` to match a load ``x = p.f`` against *every* store
   ``q.f = y`` in the program (Algorithm 1, lines 18-19).
@@ -26,6 +26,9 @@ Design notes
   Bodík): strongly connected components of context-free ``assign``
   edges are collapsed onto a representative node via a union-find; all
   queries resolve node ids through :meth:`rep`.
+* Every backend traverses this one object.  mp workers inherit it
+  under ``fork`` and receive it pickled once under ``spawn``;
+  snapshots store its fingerprint, not a copy.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from repro.errors import PAGError
 from repro.pag.edges import Edge, EdgeKind
 from repro.pag.nodes import NodeInfo, NodeKind
 
-__all__ = ["PAG", "FrozenPAG"]
+__all__ = ["PAG"]
 
 #: ``(int(kind), adjacency attribute)`` per :class:`EdgeKind` in enum
 #: order, per direction (``False``: inbound ``*_in``, ``True``: outbound
@@ -50,14 +53,14 @@ _ADJACENCIES = tuple(
 #: adjacency row, in :class:`EdgeKind` order.  Plain ints, not enum
 #: members, so the sweep's op-table index takes the interpreter's fast
 #: path.
-Row = Tuple[Tuple[int, Sequence[Any]], ...]
+Row = Tuple[Tuple[int, List[Any]], ...]
 
 
-def _leg_index(graph: Any) -> Tuple[Dict[int, Row], Dict[int, Row]]:
+def _leg_index(graph: PAG) -> Tuple[Dict[int, Row], Dict[int, Row]]:
     """Build the leg index of ``graph``, inbound then outbound."""
     index = []
     for adjacencies in _ADJACENCIES:
-        rows: Dict[int, List[Tuple[int, Sequence[Any]]]] = {}
+        rows: Dict[int, List[Tuple[int, List[Any]]]] = {}
         for kind, name in adjacencies:
             for node, entries in getattr(graph, name).items():
                 if entries:
@@ -509,138 +512,6 @@ class PAG:
         self.stores_by_field = remap_field_index(self.stores_by_field)
         self.loads_by_field = remap_field_index(self.loads_by_field)
 
-    # ------------------------------------------------------------------
-    # process-backend snapshot
-    # ------------------------------------------------------------------
-    def freeze(self) -> "FrozenPAG":
-        """Compact immutable snapshot for the multiprocess backend.
-
-        Union-find representatives are fully resolved, kind tags become
-        one ``bytes`` array, and every adjacency list is frozen into a
-        tuple, so the snapshot pickles in one shot (or is shared
-        copy-on-write under ``fork``) and is never re-serialised per
-        work unit.  Call after :meth:`collapse_assign_sccs`; later
-        mutations of this PAG are not reflected in the snapshot.
-        """
-        return FrozenPAG(self)
-
     def __repr__(self) -> str:
         return f"PAG({self.n_nodes} nodes, {self._n_edges} edges)"
 
-
-def _freeze_adj(index: Dict) -> Dict:
-    """Dict-of-lists -> dict-of-tuples (drop empty rows defensively)."""
-    return {k: tuple(v) for k, v in index.items() if v}
-
-
-class FrozenPAG:
-    """Read-only, pickle-once snapshot of a :class:`PAG`.
-
-    Exposes exactly the surface the :class:`~repro.core.engine.CFLEngine`
-    traversals touch — per-kind adjacency maps (values are tuples) and
-    their leg index, the global field indexes, resolved :meth:`rep`, and
-    the node-kind array and predicates — plus enough metadata
-    (:meth:`name`, :meth:`app_locals`, ``n_nodes``/``n_edges``) for
-    workloads and reporting.  It never
-    changes after construction, so worker processes can traverse it
-    without locks, and ``fork``-started workers share the coordinator's
-    copy via copy-on-write.
-    """
-
-    __slots__ = (
-        "_kind", "_rep", "_names", "_app_locals", "_rows",
-        "new_in", "new_out",
-        "assign_in", "assign_out",
-        "gassign_in", "gassign_out",
-        "load_in", "load_out",
-        "store_in", "store_out",
-        "stores_by_field", "loads_by_field",
-        "param_in", "param_out",
-        "ret_in", "ret_out",
-        "n_nodes", "n_edges",
-    )
-
-    def __init__(self, pag: PAG) -> None:
-        self._kind = bytes(pag._kind)
-        rep = pag.rep
-        self._rep: Tuple[int, ...] = tuple(rep(n) for n in range(len(pag._kind)))
-        self._names: Tuple[str, ...] = tuple(pag._name)
-        self._app_locals: Tuple[int, ...] = tuple(pag.app_locals())
-        self.new_in = _freeze_adj(pag.new_in)
-        self.new_out = _freeze_adj(pag.new_out)
-        self.assign_in = _freeze_adj(pag.assign_in)
-        self.assign_out = _freeze_adj(pag.assign_out)
-        self.gassign_in = _freeze_adj(pag.gassign_in)
-        self.gassign_out = _freeze_adj(pag.gassign_out)
-        self.load_in = _freeze_adj(pag.load_in)
-        self.load_out = _freeze_adj(pag.load_out)
-        self.store_in = _freeze_adj(pag.store_in)
-        self.store_out = _freeze_adj(pag.store_out)
-        self.stores_by_field = _freeze_adj(pag.stores_by_field)
-        self.loads_by_field = _freeze_adj(pag.loads_by_field)
-        self.param_in = _freeze_adj(pag.param_in)
-        self.param_out = _freeze_adj(pag.param_out)
-        self.ret_in = _freeze_adj(pag.ret_in)
-        self.ret_out = _freeze_adj(pag.ret_out)
-        self.n_nodes = pag.n_nodes
-        self.n_edges = pag.n_edges
-        #: The leg index per direction (see :meth:`rows`); None until
-        #: first use.
-        self._rows: Optional[Tuple[Dict[int, Row], Dict[int, Row]]] = None
-
-    # -- engine surface -------------------------------------------------
-    def rep(self, nid: int) -> int:
-        return self._rep[nid]
-
-    @property
-    def kinds(self) -> Sequence[int]:
-        """The node-kind array (see :attr:`PAG.kinds`)."""
-        return self._kind
-
-    def rows(self, outgoing: bool) -> Dict[int, Row]:
-        """The leg index in one direction (see :meth:`PAG.rows`), over
-        this snapshot's tuples; built on first use.  The mp executor
-        builds it before starting workers, so fork-started workers
-        inherit it."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = _leg_index(self)
-        return rows[outgoing]
-
-    # -- pickling -------------------------------------------------------
-    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
-        # The leg index is derived data: leaving it out keeps snapshots
-        # and spawn-started workers' arguments as small as before, and
-        # rows() rebuilds it on first use.
-        return None, {name: getattr(self, name)
-                      for name in self.__slots__ if name != "_rows"}
-
-    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._rows = None
-
-    def is_variable(self, nid: int) -> bool:
-        return self._kind[nid] in (NodeKind.LOCAL, NodeKind.GLOBAL)
-
-    def is_object(self, nid: int) -> bool:
-        return self._kind[nid] == NodeKind.OBJECT
-
-    def is_global(self, nid: int) -> bool:
-        return self._kind[nid] == NodeKind.GLOBAL
-
-    # -- metadata -------------------------------------------------------
-    def kind(self, nid: int) -> NodeKind:
-        return NodeKind(self._kind[nid])
-
-    def name(self, nid: int) -> str:
-        return self._names[nid]
-
-    def app_locals(self) -> List[int]:
-        return list(self._app_locals)
-
-    def __len__(self) -> int:
-        return len(self._kind)
-
-    def __repr__(self) -> str:
-        return f"FrozenPAG({self.n_nodes} nodes, {self.n_edges} edges)"

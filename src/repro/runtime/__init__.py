@@ -16,9 +16,10 @@ Backends behind one facade:
 * **threads** (:mod:`repro.runtime.threaded`) — genuine ``threading``
   threads against the lock-striped jump map; GIL-serialised, so it
   validates concurrency *semantics* rather than wall-clock speedup.
-* **mp** (:mod:`repro.runtime.mp`) — true OS processes over a frozen
-  PAG snapshot with epoch-synchronised jump-map sharing: the backend
-  that demonstrates real wall-clock parallel speedups.
+* **mp** (:mod:`repro.runtime.mp`) — true OS processes over the one
+  PAG (inherited under ``fork``, pickled once under ``spawn``) with
+  epoch-synchronised jump-map sharing: the backend that demonstrates
+  real wall-clock parallel speedups.
 * **matrix** (:mod:`repro.runtime.matrix`) — the bulk all-pairs
   kernel; **hybrid** routes each batch to it or to ``local`` by size.
 

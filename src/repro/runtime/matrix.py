@@ -12,12 +12,12 @@ worker, and it keeps no jump map between batches: within one it shares
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.engine import EngineConfig
 from repro.core.matrix import MatrixKernel
 from repro.core.query import Query
-from repro.pag.graph import PAG, FrozenPAG
+from repro.pag.graph import PAG
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.results import BatchResult, QueryExecution
 
@@ -36,7 +36,7 @@ class MatrixExecutor:
 
     def __init__(
         self,
-        pag: Union[PAG, FrozenPAG],
+        pag: PAG,
         runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
         recorder: Optional["Recorder"] = None,

@@ -1,12 +1,12 @@
 """True multiprocess executor — wall-clock parallel CFL-reachability.
 
 This is the backend that escapes the GIL: each worker is an OS process
-owning a private :class:`~repro.core.engine.CFLEngine` over one
-:class:`~repro.pag.graph.FrozenPAG` snapshot.  The snapshot travels to
-each worker exactly once — inherited copy-on-write under the ``fork``
-start method where the platform has it, else pickled one time as a
-process argument under ``spawn`` — and is never re-serialised per work
-unit.
+owning a private :class:`~repro.core.engine.CFLEngine` over the one
+:class:`~repro.pag.graph.PAG`, leg index built.  The graph reaches each
+worker exactly once — inherited copy-on-write under the ``fork`` start
+method where the platform has it, else pickled one time as a process
+argument under ``spawn`` — and is never re-serialised per work unit.
+Workers only read it; an edit retires the session's runners.
 
 Data sharing (the paper's ``ConcurrentHashMap``, Section IV-A) becomes
 **epoch-based jump-map synchronisation**:
@@ -69,7 +69,7 @@ idempotent (first writer wins); at worst a retried chunk observes a
 view, the same latitude any dispatch-order change already has.  Crash
 recovery therefore keeps shared-mode answers inside the commit-order
 model and leaves share-nothing answers byte-identical to ``SeqCFL``
-(each query is a pure function of the frozen snapshot).
+(each query is a pure function of the graph).
 
 Failures injectable via :mod:`repro.runtime.faults` exercise every one
 of these paths in the tests and in ``repro bench --faults``; outcomes
@@ -108,7 +108,7 @@ import time
 import traceback
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.jumpmap import DeltaEntry, JumpMap
@@ -116,7 +116,7 @@ from repro.pag.extended import FinishedJump, JumpKey
 from repro.core.query import Query
 from repro.errors import RuntimeConfigError, WorkerCrash
 from repro.obs.recorder import MetricsRecorder
-from repro.pag.graph import PAG, FrozenPAG
+from repro.pag.graph import PAG
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.results import BatchResult, QueryExecution
@@ -156,7 +156,7 @@ class JournalingJumpMap(JumpMap):
         return True
 
 
-#: ``fork`` where the platform has it (workers inherit the snapshot
+#: ``fork`` where the platform has it (workers inherit the graph
 #: copy-on-write), else ``spawn``.
 try:
     _MP_CONTEXT = multiprocessing.get_context("fork")
@@ -278,15 +278,15 @@ class MPExecutor:
 
     def __init__(
         self,
-        pag: Union[PAG, FrozenPAG],
+        pag: PAG,
         runtime: RuntimeConfig,
         engine_config: Optional[EngineConfig] = None,
         recorder=None,
     ) -> None:
-        self.pag = pag if isinstance(pag, FrozenPAG) else pag.freeze()
+        self.pag = pag
         # Build the engine's leg index once here, so fork-started
         # workers inherit it instead of each building their own.
-        self.pag.rows(False)
+        pag.rows(False)
         self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
         #: Optional :class:`repro.obs.Recorder`.  When set, workers run

@@ -1,16 +1,21 @@
 """Tests for warm-start snapshots (repro.core.snapshot).
 
 Round-trip byte-identity, header validation order (everything rejected
-before the pickle payload is touched), fingerprint determinism, and
-footprint persistence (a warmed session keeps *selective*
-invalidation).
+before the pickle payload is touched), fingerprint determinism, format
+v1 compatibility (``tests/data/taint_leak.v1.snap``, written by the v1
+writer from ``examples/taint_leak.mj``), and footprint persistence (a
+warmed session keeps *selective* invalidation).
 """
 
 import json
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.api import Session
+from repro.benchgen import load_benchmark
 from repro.core import CFLEngine, EngineConfig
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.jumpmap import JumpMap
@@ -24,6 +29,21 @@ from repro.core.snapshot import (
 from repro.errors import InputError, SnapshotError
 from repro.obs import MetricsRecorder
 from repro.pag import PAG
+
+
+REPO = Path(__file__).resolve().parents[2]
+TAINT_LEAK = REPO / "examples" / "taint_leak.mj"
+V1_FIXTURE = REPO / "tests" / "data" / "taint_leak.v1.snap"
+
+#: Fingerprints as the format-v1 writer computed them.  A saved
+#: snapshot is only usable while its program fingerprints the same, so
+#: these must never move.
+PINNED_FINGERPRINTS = {
+    "taint_leak": "228d405a82b992bf3c3576e4f3e96c5ed6d30548047e32b7e1cfe5d5d61bab65",
+    "_200_check": "ce89e9445d77c41a73248278f2ea3bddd425cf63348357acc5ff573cb616a122",
+    "tomcat": "d6e68b6d17d140a2002a16100e539c8cb0a37c309920a83c915fe9a1b3e38792",
+    "xalan": "ec358889560e97afaa288159e69b881ecaa726d276017ba6e9ece305b159be18",
+}
 
 
 def warm_session(b, **cfg):
@@ -178,6 +198,37 @@ class TestValidation:
             fresh.warm_from_snapshot(path)
         assert len(fresh.jumps) == 0  # nothing seeded
 
+    @pytest.mark.parametrize("key, record", [
+        (None, 5),                          # not a tuple
+        (None, ("a",)),                     # not a 3-tuple
+        (None, ((1,), ("f",))),             # a 2-tuple
+        (None, ([1], ("f",), ())),          # nodes not a tuple
+        (None, (("1",), ("f",), ())),       # node not an int
+        (None, ((1,), (2,), ())),           # field not a str
+        (None, ((1,), ("f",), ("k",))),     # consumed not a jump key
+        ("notakey", ((1,), ("f",), ())),    # key not a jump key
+    ], ids=["int", "1-tuple", "2-tuple", "nodes-list", "node-str",
+            "field-int", "consumed-str", "key-str"])
+    def test_malformed_footprint_rejected(self, fig2, tmp_path, key, record):
+        b, _n = fig2
+        inc = warm_session(b)
+        footprints = inc._index.export_footprints()
+        assert footprints
+        first = next(iter(footprints))
+        if key is None:
+            footprints[first] = record
+        else:
+            footprints[key] = record
+        path = tmp_path / "bad.snap"
+        save_snapshot(path, b.pag, inc.jumps.export_log(),
+                      footprints=footprints)
+        with pytest.raises(SnapshotError, match="corrupt snapshot footprint"):
+            load_snapshot(path, expect_pag=b.pag)
+        fresh = IncrementalAnalysis(b.pag)
+        with pytest.raises(SnapshotError):
+            fresh.warm_from_snapshot(path)
+        assert len(fresh.jumps) == 0  # nothing seeded
+
     def test_stale_fingerprint_rejected(self, fig2, tmp_path):
         b, path = self.make_snap(fig2, tmp_path)
         v = b.pag.add_local("late@Main.main")
@@ -187,11 +238,29 @@ class TestValidation:
             load_snapshot(path, expect_pag=b.pag)
 
     def test_truncated_payload_rejected(self, fig2, tmp_path):
-        _b, path = self.make_snap(fig2, tmp_path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - len(data) // 3])
-        with pytest.raises(SnapshotError, match="corrupt snapshot payload"):
-            load_snapshot(path)
+        # Cuts inside the magic, inside the header line, right after
+        # its newline, across the payload and one byte short of the
+        # end, in a v1 file and a fresh v2 one.
+        b, v2_path = self.make_snap(fig2, tmp_path)
+        taint = Session.open(TAINT_LEAK).pag
+        for pag, full in ((taint, V1_FIXTURE), (b.pag, v2_path)):
+            data = full.read_bytes()
+            header_end = len(MAGIC) + data[len(MAGIC):].index(b"\n")
+            payload_start = header_end + 1
+            cuts = {0, 1, len(MAGIC) - 1, len(MAGIC), len(MAGIC) + 1,
+                    (len(MAGIC) + header_end) // 2, header_end,
+                    payload_start, payload_start + 1, len(data) - 1}
+            step = max(1, (len(data) - payload_start) // 8)
+            cuts.update(range(payload_start, len(data), step))
+            path = tmp_path / "cut.snap"
+            for cut in sorted(cuts):
+                path.write_bytes(data[:cut])
+                with pytest.raises(SnapshotError):
+                    load_snapshot(path)
+                fresh = IncrementalAnalysis(pag)
+                with pytest.raises(SnapshotError):
+                    fresh.warm_from_snapshot(path)
+                assert len(fresh.jumps) == 0, (full.name, cut)
 
     def test_entry_count_mismatch_rejected(self, fig2, tmp_path):
         _b, path = self.make_snap(fig2, tmp_path)
@@ -206,7 +275,8 @@ class TestValidation:
         other = PAG()
         other.add_local("x")
         blob = pickle.dumps(
-            {"pag": other.freeze(), "log": [], "footprints": None},
+            {"fingerprint": pag_fingerprint(other), "log": [],
+             "footprints": None},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._tamper_header(path, n_entries=0)
@@ -217,17 +287,44 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="does not match its header"):
             load_snapshot(path)
 
+    def test_v1_payload_fingerprint_must_match_header(self, fig2, tmp_path):
+        # fig2's header on the v1 fixture's payload passes the
+        # expect_pag check and is refused by the payload's graph.
+        b, _n = fig2
+        path = tmp_path / "transplant.snap"
+        shutil.copy(V1_FIXTURE, path)
+        self._tamper_header(path, pag_fingerprint=pag_fingerprint(b.pag))
+        for expect in (None, b.pag):
+            with pytest.raises(SnapshotError,
+                               match="does not match its header"):
+                load_snapshot(path, expect_pag=expect)
+
     def test_snapshot_error_is_input_error(self):
         # CLI contract: validation failures exit 2 like unreadable input.
         assert issubclass(SnapshotError, InputError)
 
 
 class TestFingerprint:
-    def test_deterministic_and_freeze_invariant(self, fig2):
-        b, _n = fig2
-        fp1 = pag_fingerprint(b.pag)
-        assert fp1 == pag_fingerprint(b.pag)
-        assert fp1 == pag_fingerprint(b.pag.freeze())
+    def test_v1_fixture_loads_and_fingerprints_are_pinned(self):
+        got = {"taint_leak": pag_fingerprint(Session.open(TAINT_LEAK).pag)}
+        for name in ("_200_check", "tomcat", "xalan"):
+            got[name] = pag_fingerprint(load_benchmark(name).pag)
+        assert got == PINNED_FINGERPRINTS
+
+        cold = Session.open(TAINT_LEAK)
+        snap = load_snapshot(V1_FIXTURE, expect_pag=cold.pag)
+        assert snap.header.format_version == 1
+        assert snap.header.pag_fingerprint == PINNED_FINGERPRINTS["taint_leak"]
+        assert len(snap.log) == 3 and snap.footprints
+        warm = Session.open(TAINT_LEAK, engine=EngineConfig(tau_f=0, tau_u=0))
+        assert warm.warm_from_snapshot(V1_FIXTURE) == 3
+        scratch = CFLEngine(cold.pag, EngineConfig())
+        hits = 0
+        for var in warm.app_locals():
+            result = warm.points_to(var)
+            hits += result.costs.jmp_taken
+            assert result.points_to == scratch.points_to(var).points_to
+        assert hits > 0
 
     def test_sensitive_to_edges(self, fig2):
         b, n = fig2

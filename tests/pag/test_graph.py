@@ -217,17 +217,20 @@ class TestLegIndex:
         assert [k for k, _ in pag.rows(False)[x]] == [
             EdgeKind.NEW, EdgeKind.ASSIGN, EdgeKind.LOAD]
 
-    def test_frozen_pickle_leaves_the_index_out(self, pag):
+    def test_pickle_keeps_rows_on_the_dict_lists(self, pag):
         a, b, o = pag.add_local("a"), pag.add_local("b"), pag.add_obj("o")
         pag.add_new_edge(a, o)
         pag.add_assign_edge(b, a)
-        frozen = pag.freeze()
-        _none, state = frozen.__getstate__()
-        assert "_rows" not in state
-        thawed = pickle.loads(pickle.dumps(frozen, protocol=pickle.HIGHEST_PROTOCOL))
+        pag.rows(False)  # built before pickling, as MPExecutor does
+        thawed = pickle.loads(pickle.dumps(pag, protocol=pickle.HIGHEST_PROTOCOL))
         for outgoing in (False, True):
-            assert thawed.rows(outgoing) == frozen.rows(outgoing)
-        assert thawed.rows(False)[b] == ((EdgeKind.ASSIGN, (a,)),)
+            assert thawed.rows(outgoing) == pag.rows(outgoing)
+        ((kind, entries),) = thawed.rows(False)[b]
+        assert kind == EdgeKind.ASSIGN and entries == [a]
+        assert entries is thawed.assign_in[b]
+        c = thawed.add_local("c")
+        thawed.add_assign_edge(b, c)  # an edit shows through the row
+        assert thawed.rows(False)[b] == ((EdgeKind.ASSIGN, [a, c]),)
 
 
 class TestDot:

@@ -1,13 +1,15 @@
-"""Property-based tests for the multiprocess backend and FrozenPAG.
+"""Property-based tests for the multiprocess backend and the PAG pickle
+its spawn-started workers receive.
 
 The contracts, over randomly generated (benchgen-synthesised) programs:
 
-* **FrozenPAG transparency** — an engine over a frozen snapshot gives
-  byte-identical answers to one over the mutable PAG, and the snapshot
-  survives a pickle round-trip unchanged (the property the mp backend
-  stands on);
+* **pickle transparency** — a PAG survives a pickle round-trip with
+  its leg index intact (each row still the list its adjacency dict
+  holds), and an engine over the thawed graph gives byte-identical
+  answers, exhaustion flags and step counts to one over the original
+  (the property ``spawn``-started mp workers stand on);
 * **mp identity** — share-nothing mp answers equal the sequential
-  engine exactly (each query is a pure function of the snapshot);
+  engine exactly (each query is a pure function of the graph);
 * **mp sharing invariants** — with sharing on and a small budget,
   every answer is a subset of the full-budget answer, and a query that
   completed without exhausting its budget is exact (sharing may change
@@ -16,8 +18,7 @@ The contracts, over randomly generated (benchgen-synthesised) programs:
   equal the whole-program Andersen solution.
 
 Process spawns dominate the cost here, so the mp properties use few
-hypothesis examples over small worker counts; the pure-python FrozenPAG
-properties run wider.
+hypothesis examples over small worker counts.
 """
 
 import pickle
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from repro.andersen import AndersenSolver
 from repro.benchgen import SynthesisParams, synthesize_program
 from repro.core import CFLEngine, EngineConfig, Query
-from repro.pag import build_pag
+from repro.pag import EdgeKind, build_pag
 
 UNLIMITED = 10**9
 
@@ -65,45 +66,44 @@ COMMON = dict(
 
 
 class TestFrozenPAG:
-    @settings(max_examples=20, **COMMON)
-    @given(small_params())
-    def test_frozen_engine_identical(self, params):
-        build = build_from(params)
-        frozen = build.pag.freeze()
-        assert len(frozen) == len(build.pag)
-        assert frozen.n_edges == build.pag.n_edges
-        live = CFLEngine(build.pag, EngineConfig(budget=UNLIMITED))
-        snap = CFLEngine(frozen, EngineConfig(budget=UNLIMITED))
-        for var in build.pag.app_locals():
-            assert snap.points_to(var).points_to == live.points_to(var).points_to
-
-    @settings(max_examples=10, **COMMON)
-    @given(small_params(), st.integers(1, 80))
-    def test_frozen_matches_under_budget(self, params, budget):
-        # Identical traversal order ⇒ identical partial answers and
-        # exhaustion flags, not just identical fixpoints.
-        build = build_from(params)
-        frozen = build.pag.freeze()
-        live = CFLEngine(build.pag, EngineConfig(budget=budget))
-        snap = CFLEngine(frozen, EngineConfig(budget=budget))
-        for var in build.pag.app_locals():
-            a, b = live.points_to(var), snap.points_to(var)
-            assert a.points_to == b.points_to
-            assert a.exhausted == b.exhausted
-            assert a.costs.steps == b.costs.steps
+    """A PAG frozen into a pickle, the form spawn-started workers receive."""
 
     @settings(max_examples=10, **COMMON)
     @given(small_params())
     def test_pickle_roundtrip(self, params):
         build = build_from(params)
-        frozen = build.pag.freeze()
-        thawed = pickle.loads(pickle.dumps(frozen))
-        assert len(thawed) == len(frozen)
-        assert thawed.n_edges == frozen.n_edges
-        a = CFLEngine(frozen, EngineConfig(budget=UNLIMITED))
+        pag = build.pag
+        pag.rows(False)  # built before pickling, as MPExecutor does
+        thawed = pickle.loads(pickle.dumps(pag, protocol=pickle.HIGHEST_PROTOCOL))
+        assert len(thawed) == len(pag)
+        assert thawed.n_edges == pag.n_edges
+        for outgoing, side in ((False, "in"), (True, "out")):
+            for node, row in thawed.rows(outgoing).items():
+                for kind, entries in row:
+                    adjacency = getattr(
+                        thawed, f"{EdgeKind(kind).name.lower()}_{side}")
+                    assert entries is adjacency[node]
+        a = CFLEngine(pag, EngineConfig(budget=UNLIMITED))
         b = CFLEngine(thawed, EngineConfig(budget=UNLIMITED))
-        for var in frozen.app_locals():
-            assert a.points_to(var).points_to == b.points_to(var).points_to
+        for var in pag.app_locals():
+            assert b.points_to(var).points_to == a.points_to(var).points_to
+
+    @settings(max_examples=10, **COMMON)
+    @given(small_params(), st.integers(1, 80))
+    def test_frozen_matches_under_budget(self, params, budget):
+        # Identical traversal order => identical partial answers and
+        # exhaustion flags, not just identical fixpoints.
+        build = build_from(params)
+        pag = build.pag
+        pag.rows(False)
+        thawed = pickle.loads(pickle.dumps(pag, protocol=pickle.HIGHEST_PROTOCOL))
+        a = CFLEngine(pag, EngineConfig(budget=budget))
+        b = CFLEngine(thawed, EngineConfig(budget=budget))
+        for var in pag.app_locals():
+            want, got = a.points_to(var), b.points_to(var)
+            assert got.points_to == want.points_to
+            assert got.exhausted == want.exhausted
+            assert got.costs.steps == want.costs.steps
 
 
 class TestMPIdentity:

@@ -1,8 +1,8 @@
 """Tests for the true multiprocess backend (`repro.runtime.mp`).
 
 The mp backend's contract: share-nothing runs are **byte-identical** to
-the sequential engine (each query is a pure function of the frozen
-snapshot); sharing runs preserve the exactness/subset invariants the
+the sequential engine (each query is a pure function of the graph);
+sharing runs preserve the exactness/subset invariants the
 other sharing executors guarantee; and all of it holds across the
 epoch-synchronised delta broadcasts.
 """
@@ -109,6 +109,31 @@ class TestMPBackend:
         assert batch.metrics["mp.dispatches"] > 1
         assert batch.metrics.get("mp.delta_entries_merged", 0) > 0
         assert batch.metrics.get("mp.delta_entries_shipped", 0) == 0
+
+    def test_spawn_workers_receive_the_pickled_graph(self, monkeypatch):
+        # Under spawn nothing is inherited: each worker traverses the
+        # PAG it unpickled from its process arguments.
+        import multiprocessing
+
+        import repro.runtime.mp as mp_module
+        from repro.benchgen.suites import load_benchmark, spec_of
+
+        monkeypatch.setattr(mp_module, "_MP_CONTEXT",
+                            multiprocessing.get_context("spawn"))
+        name = "_200_check"
+        build = load_benchmark(name)
+        queries = spec_of(name).workload()
+        engine = EngineConfig(budget=10**9)
+        batch = ParallelCFL(
+            build, runtime=RuntimeConfig(mode="D", n_threads=2, backend="mp"),
+            engine=engine,
+        ).run(queries)
+        local = ParallelCFL(
+            build, runtime=RuntimeConfig(mode="D", backend="local"),
+            engine=engine,
+        ).run(queries)
+        assert batch.n_threads == 2
+        assert batch.points_to_map() == local.points_to_map()
 
     def test_invalid_config_rejected(self, fig2):
         b, _ = fig2

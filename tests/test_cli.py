@@ -386,7 +386,7 @@ class TestSnapshotCommand:
         code = main(["snapshot", "load", str(snap)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "format v1" in out
+        assert "format v2" in out
         assert "grammar" not in out  # the engine runs one grammar
 
     def test_load_verifies_against_program(self, java_file, tmp_path, capsys):

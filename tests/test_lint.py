@@ -30,9 +30,11 @@ RUFF_TARGETS = [
     "src/repro/core/snapshot.py",
     "src/repro/core/incremental.py",
     "src/repro/core/jumpmap.py",
+    "src/repro/pag/graph.py",
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
+    "src/repro/runtime/mp.py",
     "src/repro/runtime/local.py",
     "src/repro/runtime/executor.py",
     "src/repro/runtime/config.py",
