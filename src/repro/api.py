@@ -22,11 +22,11 @@ Quick start::
 
 A session loads (or adopts) a program **once** and keeps every
 expensive artifact resident: the PAG, the sequential engine with its
-footprint-indexed jump map, and — through resident
-:class:`~repro.runtime.executor.ParallelCFL` runners — one executor
-per backend whose committed jump map warms successive batches.  That
-residency is what the ``repro serve`` daemon multiplexes client
-traffic onto.
+footprint-indexed jump map (``local`` batches run on it too), and —
+through resident :class:`~repro.runtime.executor.ParallelCFL` runners
+— one executor per other backend whose committed jump map warms
+successive batches.  That residency is what the ``repro serve`` daemon
+multiplexes client traffic onto.
 
 Everything listed in ``__all__`` (configs, result records, error
 types, renderers, benchmark loaders, recorders) is re-exported here so
@@ -225,16 +225,16 @@ class Session:
     program is parsed and lowered **once**; every subsequent query,
     batch, check or snapshot reuses the resident PAG and jump maps.
 
-    Single queries run on a sequential
+    Single queries run on :attr:`seq`, a sequential
     :class:`~repro.core.incremental.IncrementalAnalysis` (answers
-    cached, footprints indexed for selective invalidation); batches run
-    on resident :class:`ParallelCFL` runners keyed by
-    ``(mode, effective worker count, backend)`` whose committed jump
-    maps and schedule plans survive across :meth:`batch` and
-    :meth:`check` calls until the next edit through :attr:`seq`, which
-    retires them.  :meth:`snapshot` folds *all* resident jump state into a
-    single compacted epoch-0 delta on disk, and
-    :meth:`warm_from_snapshot` replays one into every resident store.
+    cached, footprints indexed for selective invalidation).  Batches
+    run on resident :class:`ParallelCFL` runners keyed by ``(mode,
+    effective worker count, backend)``: the sharing-mode ``local`` and
+    ``hybrid`` ones on :attr:`seq` itself, every other one on its own
+    committed jump map, which an edit through :attr:`seq` retires.
+    :meth:`snapshot` folds *all* resident jump state into a single
+    compacted epoch-0 delta on disk, and :meth:`warm_from_snapshot`
+    replays one into every resident store.
     """
 
     def __init__(
@@ -263,10 +263,11 @@ class Session:
         self._tracer: Optional[TracingEngine] = None
         #: (mode, effective threads, backend) -> resident runner.
         self._runners: Dict[Tuple[str, int, str], ParallelCFL] = {}
-        #: Warm-boot log replayed into every runner created later.
+        #: Warm-boot log replayed into every later runner not on :attr:`seq`.
         self._warm_log: List[DeltaEntry] = []
         #: ``seq.generation`` the runners and the warm log were made at;
-        #: an edit through :attr:`seq` moves it and retires them all.
+        #: an edit through :attr:`seq` moves it and retires both, bar
+        #: the runners on :attr:`seq`.
         self._runners_gen = 0
         if recorder:
             recorder.count("api.sessions")
@@ -515,19 +516,28 @@ class Session:
         ``n_threads``."""
         return (rt.mode, rt.effective_threads, rt.backend)
 
-    def _live_runners(self) -> Dict[Tuple[str, int, str], ParallelCFL]:
-        """The resident runners, after retiring them if the PAG was
-        edited through :attr:`seq` since they were made.
+    @staticmethod
+    def _on_seq(rt: RuntimeConfig) -> bool:
+        """Whether a configuration's runner runs its demand batches on
+        :attr:`seq`: the sharing-mode ``local`` and ``hybrid`` ones."""
+        return rt.sharing and rt.backend in ("local", "hybrid")
 
-        A runner's committed jump map (mp's too, though its workers
-        read the live PAG) describes the program as it was, and so does
-        the warm-boot log.
-        Edits invalidate only the sequential map selectively, so every
-        runner and the warm log are dropped and rebuilt on demand
-        (runners hold no OS resources between batches)."""
+    def _live_runners(self) -> Dict[Tuple[str, int, str], ParallelCFL]:
+        """The resident runners, after retiring those not on :attr:`seq`
+        if the PAG was edited through it since they were made.
+
+        An edit invalidates :attr:`seq`'s map selectively, so the
+        runners on it stay.  Every other runner's committed map (mp's
+        too, though its workers read the live PAG) describes the program
+        as it was, and so does the warm-boot log: they are dropped and
+        rebuilt on demand (runners hold no OS resources between
+        batches)."""
         gen = self._seq.generation if self._seq is not None else 0
         if gen != self._runners_gen:
-            self._runners.clear()
+            self._runners = {
+                key: runner for key, runner in self._runners.items()
+                if self._on_seq(runner.runtime)
+            }
             self._warm_log = []
             self._runners_gen = gen
         return self._runners
@@ -539,22 +549,25 @@ class Session:
         n_threads: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> ParallelCFL:
-        """The resident :class:`ParallelCFL` for a configuration
-        (created on first use, jump map warmed from any warm-boot log,
-        resident afterwards until the next edit through :attr:`seq`)."""
+        """The resident :class:`ParallelCFL` for a configuration,
+        created on first use: on :attr:`seq` if :meth:`_on_seq`, else
+        with its own map, warmed from any warm-boot log and resident
+        until the next edit through :attr:`seq`."""
         rt = self._runner_runtime(mode, n_threads, backend)
         key = self._runner_key(rt)
         runners = self._live_runners()
         runner = runners.get(key)
         if runner is None:
+            on_seq = self._on_seq(rt)
             runner = ParallelCFL(
                 self.build if self.build is not None else self.pag,
                 runtime=rt,
                 engine=self.engine_config,
                 schedule=self.schedule_config,
                 recorder=self.recorder,
+                store=self.seq if on_seq else None,
             )
-            if self._warm_log:
+            if self._warm_log and not on_seq:
                 runner.warm_from(self._warm_log)
             runners[key] = runner
         return runner
@@ -592,18 +605,25 @@ class Session:
             return None
         return runner.resident_jumps()
 
-    def n_jump_entries(self) -> int:
-        """Total jump entries resident across the session: the
-        sequential map plus every runner's committed map."""
-        total = 0
+    def _resident_maps(self) -> List[JumpMapLifecycle]:
+        """Every resident jump map once: :attr:`seq`'s, then each live
+        runner's that is not :attr:`seq`'s own."""
+        maps: List[JumpMapLifecycle] = []
         if self._seq is not None:
-            total += self._seq.jumps.n_finished_edges
-            total += self._seq.jumps.n_unfinished_edges
+            maps.append(self._seq.jumps)
         for runner in self._live_runners().values():
             jumps = runner.resident_jumps()
-            if jumps is not None:
-                total += jumps.n_finished_edges + jumps.n_unfinished_edges
-        return total
+            if jumps is not None and all(jumps is not m for m in maps):
+                maps.append(jumps)
+        return maps
+
+    def n_jump_entries(self) -> int:
+        """Total jump entries resident across the session, each map
+        counted once."""
+        return sum(
+            jumps.n_finished_edges + jumps.n_unfinished_edges
+            for jumps in self._resident_maps()
+        )
 
     # ------------------------------------------------------------------
     # checkers
@@ -640,17 +660,13 @@ class Session:
     # ------------------------------------------------------------------
     def export_log(self) -> List[DeltaEntry]:
         """The session's entire resident jump state as one compacted
-        epoch-0 delta: the sequential map's log merged with every
-        resident runner's, deduplicated first-writer-wins onto one
-        entry per key."""
+        epoch-0 delta: the sequential map's log merged with every other
+        resident map's, deduplicated first-writer-wins onto one entry
+        per key."""
         merged = JumpMap()
         raw = 0
-        if self._seq is not None:
-            log = self._seq.jumps.export_log()
-            raw += len(log)
-            merged.warm_from(log)
-        for runner in self._live_runners().values():
-            log = runner.export_log()
+        for jumps in self._resident_maps():
+            log = jumps.export_log()
             raw += len(log)
             merged.warm_from(log)
         compacted = merged.export_log()
@@ -665,11 +681,7 @@ class Session:
         compacted commit log + the sequential session's invalidation
         footprints) for :meth:`from_snapshot` /
         ``repro serve --snapshot`` warm boots."""
-        footprints = (
-            self._seq._index.export_footprints()
-            if self._seq is not None
-            else None
-        )
+        footprints = self._seq.footprints() if self._seq is not None else None
         return save_snapshot(
             path,
             self.pag,
@@ -679,10 +691,10 @@ class Session:
         )
 
     def warm_from_snapshot(self, path: Union[str, Path]) -> int:
-        """Validate and replay a snapshot into the resident stores: the
-        sequential session immediately, and every runner created later
-        (existing sharing runners are seeded too).  Returns entries
-        accepted by the sequential store."""
+        """Validate and replay a snapshot into the resident stores:
+        :attr:`seq` (and so every runner on it) immediately, and every
+        other runner now and when it is created later.  Returns entries
+        accepted by :attr:`seq`."""
         snap = load_snapshot(
             path, expect_pag=self.pag, recorder=self.recorder
         )
@@ -690,7 +702,8 @@ class Session:
         runners = self._live_runners()
         self._warm_log = list(snap.log)
         for runner in runners.values():
-            runner.warm_from(self._warm_log)
+            if not self._on_seq(runner.runtime):
+                runner.warm_from(self._warm_log)
         return accepted
 
     # ------------------------------------------------------------------

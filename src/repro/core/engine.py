@@ -456,8 +456,7 @@ class CFLEngine:
             # fields program-wide (stores_by_field/loads_by_field), so a
             # later edit on one of them must invalidate whatever this
             # query caches or publishes.
-            for _b, f in heap_edges:
-                fp.add_field(f)
+            fp.add_fields(heap_edges)
 
         if self._field_mode == "match":
             # Field-based matching: skip the alias test entirely and

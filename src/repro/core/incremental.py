@@ -34,27 +34,27 @@ through ``pag.rep()`` because sweeps visit representatives.  The
 property tests compare every post-edit answer against a from-scratch
 engine.
 
-Sessions also participate in the warm-start lifecycle
-(:mod:`repro.core.snapshot`): :meth:`IncrementalAnalysis.save_snapshot`
-persists the jump map *with* its reverse-index footprints, and
-:meth:`IncrementalAnalysis.warm_from_snapshot` replays them so a
-restarted session keeps selective invalidation; warmed entries that
-arrive without footprints are conservatively invalidated by the first
-edge edit.
+The store also runs the ``local`` backend's batches
+(:meth:`IncrementalAnalysis.run_units`) on the same engine and map,
+indexing what they publish, so a session's points-to queries, batches
+and edits share one store.  A batch leaves the answer cache alone: it
+reports each query's own costs.
+
+Warm starts (:mod:`repro.core.snapshot`): :meth:`IncrementalAnalysis.warm_from`
+replays a commit log with its :meth:`~IncrementalAnalysis.footprints`,
+so a restarted session keeps selective invalidation; entries that
+arrive without footprints are dropped by the first edge edit.
 
 Removals are out of scope (as in [16]'s "preliminary experience", the
 additive case — loading code — is the common one).
-
-This session type drives the **sequential** engine only.  Batch
-runners share summaries with it through the same commit-log format
-(:meth:`IncrementalAnalysis.save_snapshot` /
-``ParallelCFL.warm_from``), not through this class.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import time
+from operator import itemgetter
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -66,22 +66,20 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
     cast,
 )
 
 from repro.core.context import Context, EMPTY_CTX
 from repro.core.engine import CFLEngine, EngineConfig, FLOWS_TO, POINTS_TO
 from repro.core.jumpmap import DeltaEntry, JumpMap
-from repro.core.query import QueryResult
-from repro.core.snapshot import (
-    FootprintData,
-    SnapshotHeader,
-    load_snapshot as _load_snapshot,
-    save_snapshot as _save_snapshot,
-)
+from repro.core.query import Query, QueryResult
+from repro.core.snapshot import FootprintData
 from repro.pag.extended import JumpKey
 from repro.pag.graph import PAG
+
+if TYPE_CHECKING:
+    from repro.runtime.config import RuntimeConfig
+    from repro.runtime.results import BatchResult
 
 __all__ = ["FootprintCollector", "FootprintRecord", "IncrementalAnalysis"]
 
@@ -101,28 +99,44 @@ class FootprintRecord(NamedTuple):
     consumed: Tuple[JumpKey, ...]  #: finished entries taken as shortcuts
 
 
+#: ``(node, ctx)`` -> node and ``(base, field)`` -> field, for the
+#: footprint updates.
+_node_of, _field_of = itemgetter(0), itemgetter(1)
+
+
 class FootprintCollector:
     """Engine-side footprint sink (the ``CFLEngine.footprint`` hook).
 
     The engine calls :meth:`add_nodes` once per sweep (with the sweep's
-    visited set), :meth:`add_field` / :meth:`add_consumed` /
+    visited set), :meth:`add_fields` / :meth:`add_consumed` /
     :meth:`add_published` once per alias round — never inside the inner
     edge loops, mirroring the recorder's zero-cost-when-off contract.
+
+    With :attr:`defer` set (batches: most of their queries publish
+    nothing, so need no record), :meth:`add_nodes` keeps each visited
+    set by reference, which the engine never writes again, and
+    :meth:`record` reads the node ids out of them.
     """
 
-    __slots__ = ("nodes", "fields", "consumed", "published")
+    __slots__ = ("nodes", "fields", "consumed", "published", "sweeps", "defer")
 
     def __init__(self) -> None:
         self.nodes: Set[int] = set()
         self.fields: Set[str] = set()
         self.consumed: Set[JumpKey] = set()
         self.published: Set[JumpKey] = set()
+        #: Visited sets not yet read into :attr:`nodes`.
+        self.sweeps: List[Iterable[Tuple[int, Context]]] = []
+        self.defer = False
 
     def add_nodes(self, items: Iterable[Tuple[int, Context]]) -> None:
-        self.nodes.update(n for n, _c in items)
+        if self.defer:
+            self.sweeps.append(items)
+        else:
+            self.nodes.update(map(_node_of, items))
 
-    def add_field(self, field: str) -> None:
-        self.fields.add(field)
+    def add_fields(self, heap_edges: Iterable[Tuple[int, str]]) -> None:
+        self.fields.update(map(_field_of, heap_edges))
 
     def add_consumed(self, key: JumpKey) -> None:
         self.consumed.add(key)
@@ -135,10 +149,15 @@ class FootprintCollector:
         self.fields.clear()
         self.consumed.clear()
         self.published.clear()
+        self.sweeps.clear()
 
     def record(self) -> FootprintRecord:
+        nodes = self.nodes
+        for items in self.sweeps:
+            nodes.update(map(_node_of, items))
+        self.sweeps.clear()
         return FootprintRecord(
-            frozenset(self.nodes), frozenset(self.fields), tuple(self.consumed)
+            frozenset(nodes), frozenset(self.fields), tuple(self.consumed)
         )
 
 
@@ -323,6 +342,66 @@ class IncrementalAnalysis:
         return result
 
     # ------------------------------------------------------------------
+    # batches — the ``local`` backend
+    # ------------------------------------------------------------------
+    def run_units(
+        self,
+        units: Sequence[Sequence[Query]],
+        runtime: Optional["RuntimeConfig"] = None,
+    ) -> "BatchResult":
+        """Run every unit's queries in order on the calling thread;
+        times are real, relative to the batch start.
+
+        In a sharing mode (``runtime=None`` reads as mode ``D``) the
+        queries run on this store's engine and map, and the entries a
+        query publishes are indexed under its footprint.  The answer
+        cache is neither read nor written.  A share-nothing mode runs a
+        map-less engine and leaves the store as it was."""
+        # Imported here: repro.runtime imports this module.
+        from repro.runtime.results import BatchResult, QueryExecution
+
+        share = runtime is None or runtime.sharing
+        rec = self.recorder
+        engine = (
+            self._engine if share
+            else CFLEngine(self.pag, self.cfg, recorder=rec)
+        )
+        collector = self._collector
+        register = self._index.register
+        perf = time.perf_counter
+        executions: List[QueryExecution] = []
+        collector.defer = True
+        t0 = perf()
+        for unit in units:
+            for query in unit:
+                collector.reset()
+                start = perf() - t0
+                result = engine.run_query(query)
+                finish = perf() - t0
+                if collector.published:
+                    record = collector.record()
+                    for key in collector.published:
+                        register(("jmp", key), record)
+                executions.append(QueryExecution(result, 0, start, finish))
+                if rec:
+                    rec.span_abs(
+                        f"query node{query.var}", t0 + start, t0 + finish,
+                        cat="query",
+                        args={"var": query.var, "steps": result.costs.steps},
+                    )
+                    rec.event("done", worker=0, queries=1, query=query.var)
+        collector.defer = False
+        batch = BatchResult(
+            mode=runtime.mode if runtime is not None else "D",
+            n_threads=1,
+            executions=executions,
+            makespan=perf() - t0,
+            worker_busy=[sum(e.duration for e in executions)],
+        )
+        batch.count_jumps(self.jumps if share else None)
+        return batch
+
+    # ------------------------------------------------------------------
     # edits — mirror the PAG construction API, with invalidation
     # ------------------------------------------------------------------
     def _node_added(self) -> None:
@@ -437,25 +516,9 @@ class IncrementalAnalysis:
             rec.count("inc.entries_warmed", len(accepted))
         return len(accepted)
 
-    def save_snapshot(self, path: Union[str, Path]) -> SnapshotHeader:
-        """Persist the session (the PAG's fingerprint + commit log +
-        footprints)."""
-        return _save_snapshot(
-            path,
-            self.pag,
-            self.jumps.export_log(),
-            footprints=self._index.export_footprints(),
-            recorder=self.recorder,
-        )
-
-    def warm_from_snapshot(self, path: Union[str, Path]) -> int:
-        """Load a snapshot saved for *this* program and replay it;
-        stale or corrupt snapshots raise
-        :class:`~repro.errors.SnapshotError`."""
-        snap = _load_snapshot(
-            path, expect_pag=self.pag, recorder=self.recorder
-        )
-        return self.warm_from(snap.log, snap.footprints)
+    def footprints(self) -> FootprintData:
+        """The published entries' footprints in snapshot form."""
+        return self._index.export_footprints()
 
     # ------------------------------------------------------------------
     @property

@@ -9,10 +9,12 @@ Backends behind one facade:
   sees the jump entries of every query popped before it in event
   order.  Deterministic and measurable, the
   default for the paper's tables/figures.
-* **local** (:mod:`repro.runtime.local`) — the batch in order on the
-  calling thread, every query over one committed jump map: mode D x1
-  with no fan-out.  ``repro serve``'s default and ``hybrid``'s demand
-  route.
+* **local** — the batch in order on the calling thread, on a demand
+  store (:meth:`repro.core.incremental.IncrementalAnalysis.run_units`):
+  mode D x1 with no fan-out, every query over the store's one jump map.
+  A :class:`repro.api.Session` runs it on its own ``seq`` store, so
+  single queries, batches and edits share one map.  ``repro serve``'s
+  default and ``hybrid``'s demand route.
 * **threads** (:mod:`repro.runtime.threaded`) — genuine ``threading``
   threads against the lock-striped jump map; GIL-serialised, so it
   validates concurrency *semantics* rather than wall-clock speedup.
@@ -31,7 +33,8 @@ scheduling).  Everything about how a batch runs is one
 default and range check; a runner takes it as
 ``ParallelCFL(target, runtime=..., engine=..., schedule=...)`` and
 builds each backend's executor from it, every executor class taking
-``(pag, runtime, engine_config, recorder)``.
+``(pag, runtime, engine_config, recorder)`` (``local``'s store is
+passed as ``store=`` or made on first use).
 """
 
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig
@@ -39,7 +42,6 @@ from repro.runtime.contention import CostModel
 from repro.runtime.faults import FaultInjector, FaultPlan, FaultSpec, InjectedFault
 from repro.runtime.intraquery import intra_query_makespan, intra_query_speedup
 from repro.runtime.executor import ParallelCFL
-from repro.runtime.local import LocalExecutor
 from repro.runtime.mp import MPExecutor, WorkerCrash
 from repro.runtime.results import BatchResult
 from repro.runtime.simclock import SimulatedExecutor
@@ -56,7 +58,6 @@ __all__ = [
     "InjectedFault",
     "intra_query_makespan",
     "intra_query_speedup",
-    "LocalExecutor",
     "MODES",
     "MPExecutor",
     "ParallelCFL",

@@ -22,10 +22,12 @@ in one :class:`~repro.core.engine.EngineConfig`, read back as
     batch = ParallelCFL(build, runtime=runtime).run()
 
 Defaults live in those two config classes and nowhere else.  Each
-backend's executor is made the same way, from :data:`EXECUTORS`: every
-executor class takes ``(pag, runtime, engine_config, recorder)`` and
-reads its worker count, sharing, ``BatchResult.mode`` label and
-backend knobs from ``runtime``.
+backend's executor but ``local`` is made the same way, from
+:data:`EXECUTORS`: every executor class takes ``(pag, runtime,
+engine_config, recorder)`` and reads its worker count, sharing,
+``BatchResult.mode`` label and backend knobs from ``runtime``.
+``local`` runs on the demand store passed as ``store=`` (a
+:class:`repro.api.Session` passes its ``seq``), else on its own.
 
 A runner is resident: it keeps one executor per backend across
 :meth:`run` calls, so in the sharing modes the committed jump map (and
@@ -33,7 +35,7 @@ the mp coordinator's commit log) warms every later batch, and its
 :class:`~repro.core.scheduling.SchedulePlan` (CD, ``direct``
 components, per-component DD) is built once, so a ``DQ`` batch after
 the first pays only the per-batch grouping.  :meth:`warm_from` seeds
-and :meth:`export_log` reads those maps the same way for every
+and :meth:`resident_jumps` reads those maps the same way for every
 backend.  This is the substrate :class:`repro.api.Session`, the
 checkers and the ``repro serve`` daemon run on.
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.engine import EngineConfig
+from repro.core.incremental import IncrementalAnalysis
 from repro.core.jumpmap import DeltaEntry, JumpMapLifecycle
 from repro.core.query import Query
 from repro.core.scheduling import (
@@ -58,7 +61,6 @@ from repro.ir.types import TypeTable
 from repro.pag.build import BuildResult
 from repro.pag.graph import PAG
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig
-from repro.runtime.local import LocalExecutor
 from repro.runtime.matrix import MatrixExecutor
 from repro.runtime.mp import MPExecutor
 from repro.runtime.results import BatchResult
@@ -67,11 +69,11 @@ from repro.runtime.threaded import ThreadedExecutor
 
 __all__ = ["ParallelCFL", "MODES", "BACKENDS"]
 
-#: The executor class of each backend but ``hybrid``, which routes
-#: each batch to ``matrix`` or to :data:`HYBRID_DEMAND_BACKEND`.
+#: The executor class of each backend but ``local``, which runs on a
+#: demand store (:meth:`ParallelCFL.executor`), and ``hybrid``, which
+#: routes each batch to ``matrix`` or to :data:`HYBRID_DEMAND_BACKEND`.
 EXECUTORS = {
     "sim": SimulatedExecutor,
-    "local": LocalExecutor,
     "threads": ThreadedExecutor,
     "mp": MPExecutor,
     "matrix": MatrixExecutor,
@@ -93,6 +95,7 @@ class ParallelCFL:
         schedule: Optional[ScheduleConfig] = None,
         types: Optional[TypeTable] = None,
         recorder=None,
+        store: Optional[IncrementalAnalysis] = None,
     ) -> None:
         if isinstance(target, BuildResult):
             self.pag = target.pag
@@ -105,8 +108,9 @@ class ParallelCFL:
         self.schedule_config = schedule
         self.types = types
         self.recorder = recorder
-        #: One resident executor per backend, made on first use.
-        self._executors: Dict[str, object] = {}
+        #: One resident executor per backend, made on first use; the
+        #: ``local`` one is the demand store passed as ``store``.
+        self._executors: Dict[str, object] = {} if store is None else {"local": store}
         #: The whole-program half of scheduling, made on the first
         #: scheduled batch (never at construction) and kept for every
         #: later one; it recomputes itself when the PAG grows.
@@ -151,9 +155,15 @@ class ParallelCFL:
             )
         ex = self._executors.get(backend)
         if ex is None:
-            ex = self._executors[backend] = EXECUTORS[backend](
-                self.pag, self.runtime, self.engine_config, self.recorder
-            )
+            if backend == "local":
+                ex = IncrementalAnalysis(
+                    self.pag, self.engine_config, recorder=self.recorder
+                )
+            else:
+                ex = EXECUTORS[backend](
+                    self.pag, self.runtime, self.engine_config, self.recorder
+                )
+            self._executors[backend] = ex
         return ex
 
     def _stateful_backend(self) -> str:
@@ -163,14 +173,14 @@ class ParallelCFL:
         backend = self.runtime.backend
         return HYBRID_DEMAND_BACKEND if backend == "hybrid" else backend
 
-    def resident_jumps(
-        self, backend: Optional[str] = None
-    ) -> Optional[JumpMapLifecycle]:
+    def resident_jumps(self) -> Optional[JumpMapLifecycle]:
         """The resident executor's committed jump map (``None`` before
         its first batch, for share-nothing modes and for the stateless
         matrix kernel; a hybrid runner's is its demand route's)."""
-        ex = self._executors.get(backend or self._stateful_backend())
-        return ex.jumps if ex is not None else None
+        ex = self._executors.get(self._stateful_backend())
+        if ex is None or not self.runtime.sharing:
+            return None
+        return ex.jumps
 
     def warm_from(self, log: Sequence[DeltaEntry]) -> int:
         """Seed the executor that holds this runner's jump map from an
@@ -178,18 +188,10 @@ class ParallelCFL:
         returns the number of accepted entries (first-writer-wins,
         idempotent).  Share-nothing modes and the matrix kernel have no
         map to warm."""
+        if not self.runtime.sharing:
+            return 0
         ex = self.executor(self._stateful_backend())
         return ex.warm_from(log) if ex.jumps is not None else 0
-
-    def export_log(self) -> List[DeltaEntry]:
-        """Every resident executor's committed jump map as one commit
-        log (one executor's entries after another's; keys may repeat
-        across executors)."""
-        log: List[DeltaEntry] = []
-        for ex in self._executors.values():
-            if ex.jumps is not None:
-                log.extend(ex.jumps.export_log())
-        return log
 
     # ------------------------------------------------------------------
     def run(self, queries: Optional[Sequence[Query]] = None) -> BatchResult:
@@ -228,7 +230,9 @@ class ParallelCFL:
                 n_workers=rt.effective_threads, total_queries=len(queries),
                 n_units=len(units),
             )
-        batch = self.executor(backend).run_units(units)
+        ex = self.executor(backend)
+        # A demand store serves every mode, so it is told this one.
+        batch = ex.run_units(units, rt) if backend == "local" else ex.run_units(units)
         if rec:
             batch.metrics = rec.since(mark)
             rec.event(

@@ -26,7 +26,8 @@ Architecture — request intake is decoupled from analysis dispatch:
   merged query list through the ordinary ``schedule_queries`` →
   executor pipeline via :meth:`Session.batch`.  The default ``local``
   backend runs that batch on the dispatcher thread itself, over the
-  runner's committed jump map: a request starts no thread.  Answers
+  session's one demand store (``Session.seq``, which ``/v1/flows_to``
+  also uses): a request starts no thread.  Answers
   are fanned back out to each waiting job keyed on the executed
   representative query, so concurrent clients share the scheduler's
   locality wins and every answer is byte-identical to a one-shot CLI

@@ -251,10 +251,14 @@ def _answers(batch):
 
 
 class TestEditsRetireRunners:
-    """An edit through ``session.seq`` must reach the batch runners: their
-    committed jump maps (and an mp runner's frozen PAG) predate it."""
+    """An edit through ``session.seq`` must reach the batch runners.  A
+    runner with its own committed jump map is retired, since its map
+    predates the edit; the ``local`` and ``hybrid`` runners run on
+    ``seq``, whose map the edit invalidates selectively."""
 
-    @pytest.mark.parametrize("backend", ["sim", "threads", "mp"])
+    @pytest.mark.parametrize(
+        "backend", ["sim", "threads", "mp", "local", "hybrid"]
+    )
     def test_batch_after_edits_matches_a_fresh_session(self, backend):
         kw = dict(
             runtime=RuntimeConfig(mode="DQ", n_threads=2, backend=backend),
@@ -264,8 +268,17 @@ class TestEditsRetireRunners:
         build, edits = _withheld("_200_check", 30)
         session = Session.from_build(build, **kw)
         session.batch()
+        runner, jumps = session.runner(), session.resident_jumps()
         _apply_edits(session, edits)
         after = session.batch()
+        if backend in ("local", "hybrid"):
+            # One store throughout, invalidated in place.
+            assert jumps is session.seq.jumps
+            assert session.resident_jumps() is jumps
+            assert session.runner() is runner
+            assert session.seq.n_invalidated > 0
+        else:
+            assert session.runner() is not runner
 
         fresh_build, _ = _withheld("_200_check", 30)
         fresh = Session.from_build(fresh_build, **kw)
@@ -292,6 +305,38 @@ class TestEditsRetireRunners:
         # The warm log describes the pre-edit program: nothing replayed.
         assert retired.resident_jumps() is None
         assert warm.runner() is retired  # resident until the next edit
+
+
+class TestOneDemandStore:
+    def test_points_to_then_local_batch_writes_one_map(self):
+        # Single queries and a local batch read and write one map: the
+        # batch takes the shortcuts the queries published, and the
+        # session holds no second copy of them.
+        name = "_200_check"
+        session = Session.from_build(
+            load_benchmark(name),
+            runtime=RuntimeConfig(mode="DQ", backend="local"),
+            engine=spec_of(name).engine_config(),
+        )
+        for var in session.app_locals():
+            session.points_to(var)
+        seq = session.seq.jumps
+        batch = session.batch()
+        assert batch.n_queries == len(session.app_locals())
+        assert session.resident_jumps() is seq
+        assert session.n_jump_entries() == (
+            seq.n_finished_edges + seq.n_unfinished_edges
+        ) > 0
+        assert len(session.export_log()) == len(seq.export_log())
+        assert sum(e.result.costs.jmp_taken for e in batch.executions) > 0
+
+    def test_share_nothing_local_keeps_off_the_store(self, box):
+        box.points_to("b@Main.main")
+        before = box.n_jump_entries()
+        batch = box.batch(mode="naive", backend="local")
+        assert batch.n_jumps == batch.total_saved == 0
+        assert box.resident_jumps(mode="naive", backend="local") is None
+        assert box.n_jump_entries() == before
 
 
 class TestCrossMethodEdit:
@@ -372,7 +417,7 @@ class TestSnapshotRoundTrip:
         session.batch()
         runner = session.runner()
         raw_logs = [session.seq.jumps.export_log()]
-        raw_logs.append(runner.export_log())
+        raw_logs.append(runner.resident_jumps().export_log())
         raw = sum(len(log) for log in raw_logs)
         unique = {(kind, key) for log in raw_logs for kind, key, _ in log}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CFLEngine, EngineConfig
+from repro.core import CFLEngine, EngineConfig, Query
 from repro.core.incremental import IncrementalAnalysis
 from repro.obs import MetricsRecorder
 from repro.pag import PAG
@@ -158,6 +158,28 @@ class TestIncrementalEdits:
         extra = inc.add_local("extra@Main.main")
         inc.add_assign_edge(n["s1"], extra)
         assert inc.points_to(n["s1"]) is not first
+
+    def test_batch_entries_invalidated_by_an_edit_on_a_visited_node(self):
+        # x = p.f reads v through p's alias set.  A batch publishes that
+        # round; then p = r makes r (whose .f holds w) an alias of p.
+        # The assign touches no field, so only the batch entry's node
+        # footprint (p) can invalidate it.
+        pag = PAG()
+        p, v, x, r, w = (pag.add_local(f"{n}@M.m") for n in "pvxrw")
+        pag.add_new_edge(p, pag.add_obj("o_p"))
+        pag.add_new_edge(v, pag.add_obj("o_v"))
+        pag.add_new_edge(r, pag.add_obj("o_r"))
+        pag.add_new_edge(w, pag.add_obj("o_w"))
+        pag.add_store_edge(p, "f", v)
+        pag.add_store_edge(r, "f", w)
+        pag.add_load_edge(x, p, "f")
+        inc = IncrementalAnalysis(pag, EngineConfig(tau_f=0, tau_u=0))
+        inc.run_units([[Query(x)]])
+        assert inc.jumps.n_finished_edges > 0
+        inc.add_assign_edge(p, r)
+        assert inc.last_edit_invalidated > 0
+        batch = inc.run_units([[Query(x)]])
+        assert batch.executions[0].result.points_to == fresh_answer(pag, x)
 
     def test_flows_to_in_session(self):
         pag = PAG()

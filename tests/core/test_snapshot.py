@@ -48,23 +48,29 @@ PINNED_FINGERPRINTS = {
 
 def warm_session(b, **cfg):
     """A session with every completed round published (tau 0)."""
-    inc = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0, **cfg))
+    session = Session.from_pag(
+        b.pag, engine=EngineConfig(tau_f=0, tau_u=0, **cfg)
+    )
     for var in b.pag.app_locals():
-        inc.points_to(var)
-    return inc
+        session.points_to(var)
+    return session
+
+
+def fresh_session(pag, **cfg):
+    return Session.from_pag(pag, engine=EngineConfig(**cfg))
 
 
 class TestRoundTrip:
     def test_byte_identical_answers_after_reload(self, fig2, tmp_path):
         b, _n = fig2
         inc = warm_session(b)
-        assert inc.jumps.n_finished_edges > 0
+        assert inc.seq.jumps.n_finished_edges > 0
         path = tmp_path / "fig2.snap"
-        header = inc.save_snapshot(path)
+        header = inc.snapshot(path)
         assert header.format_version == FORMAT_VERSION
         assert header.n_entries > 0
 
-        fresh = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        fresh = fresh_session(b.pag, tau_f=0, tau_u=0)
         loaded = fresh.warm_from_snapshot(path)
         assert loaded == header.n_entries
         scratch = CFLEngine(b.pag, EngineConfig())
@@ -77,8 +83,8 @@ class TestRoundTrip:
         b, n = fig2
         inc = warm_session(b)
         path = tmp_path / "fig2.snap"
-        inc.save_snapshot(path)
-        fresh = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        inc.snapshot(path)
+        fresh = fresh_session(b.pag, tau_f=0, tau_u=0)
         fresh.warm_from_snapshot(path)
         result = fresh.points_to(n["s1"])
         assert result.costs.jmp_taken > 0  # reused, not recomputed
@@ -86,15 +92,15 @@ class TestRoundTrip:
     def test_counters_roundtrip(self, fig2, tmp_path):
         b, _n = fig2
         rec = MetricsRecorder()
-        inc = IncrementalAnalysis(
-            b.pag, EngineConfig(tau_f=0, tau_u=0), recorder=rec
+        inc = Session.from_pag(
+            b.pag, engine=EngineConfig(tau_f=0, tau_u=0), recorder=rec
         )
         for var in b.pag.app_locals():
             inc.points_to(var)
         path = tmp_path / "fig2.snap"
-        inc.save_snapshot(path)
-        fresh = IncrementalAnalysis(
-            b.pag, EngineConfig(tau_f=0, tau_u=0), recorder=rec
+        inc.snapshot(path)
+        fresh = Session.from_pag(
+            b.pag, engine=EngineConfig(tau_f=0, tau_u=0), recorder=rec
         )
         fresh.warm_from_snapshot(path)
         counts = rec.snapshot()
@@ -105,16 +111,17 @@ class TestRoundTrip:
 
     def test_unfinished_markers_roundtrip(self, fig2, tmp_path):
         b, n = fig2
-        inc = IncrementalAnalysis(
-            b.pag, EngineConfig(budget=10, tau_f=0, tau_u=0)
-        )
+        inc = fresh_session(b.pag, budget=10, tau_f=0, tau_u=0)
         inc.points_to(n["s1"])  # exhausts, plants markers
-        assert inc.jumps.n_unfinished_edges > 0
+        assert inc.seq.jumps.n_unfinished_edges > 0
         path = tmp_path / "markers.snap"
-        inc.save_snapshot(path)
-        fresh = IncrementalAnalysis(b.pag, EngineConfig(budget=10))
+        inc.snapshot(path)
+        fresh = fresh_session(b.pag, budget=10)
         fresh.warm_from_snapshot(path)
-        assert fresh.jumps.n_unfinished_edges == inc.jumps.n_unfinished_edges
+        assert (
+            fresh.seq.jumps.n_unfinished_edges
+            == inc.seq.jumps.n_unfinished_edges
+        )
 
     def test_any_lifecycle_map_can_warm(self, fig2, tmp_path):
         # The artifact is not tied to IncrementalAnalysis: a plain
@@ -123,11 +130,11 @@ class TestRoundTrip:
         b, _n = fig2
         inc = warm_session(b)
         path = tmp_path / "fig2.snap"
-        header = inc.save_snapshot(path)
+        header = inc.snapshot(path)
         snap = load_snapshot(path, expect_pag=b.pag)
         plain = JumpMap()
         assert plain.warm_from(snap.log) == header.n_entries
-        assert plain.n_finished_edges == inc.jumps.n_finished_edges
+        assert plain.n_finished_edges == inc.seq.jumps.n_finished_edges
 
 
 class TestValidation:
@@ -135,7 +142,7 @@ class TestValidation:
         b, _n = fig2
         inc = warm_session(b)
         path = tmp_path / name
-        inc.save_snapshot(path)
+        inc.snapshot(path)
         return b, path
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -172,7 +179,7 @@ class TestValidation:
         want = load_snapshot(path, expect_pag=b.pag).log
         self._tamper_header(path, grammar=label)
         assert load_snapshot(path, expect_pag=b.pag).log == want
-        fresh = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        fresh = fresh_session(b.pag, tau_f=0, tau_u=0)
         assert fresh.warm_from_snapshot(path) == len(want)
 
     @pytest.mark.parametrize("entry", [
@@ -193,10 +200,10 @@ class TestValidation:
         save_snapshot(path, b.pag, [entry])
         with pytest.raises(SnapshotError, match="corrupt snapshot log entry 0"):
             load_snapshot(path, expect_pag=b.pag)
-        fresh = IncrementalAnalysis(b.pag)
+        fresh = fresh_session(b.pag)
         with pytest.raises(SnapshotError):
             fresh.warm_from_snapshot(path)
-        assert len(fresh.jumps) == 0  # nothing seeded
+        assert len(fresh.seq.jumps) == 0  # nothing seeded
 
     @pytest.mark.parametrize("key, record", [
         (None, 5),                          # not a tuple
@@ -212,7 +219,7 @@ class TestValidation:
     def test_malformed_footprint_rejected(self, fig2, tmp_path, key, record):
         b, _n = fig2
         inc = warm_session(b)
-        footprints = inc._index.export_footprints()
+        footprints = inc.seq.footprints()
         assert footprints
         first = next(iter(footprints))
         if key is None:
@@ -220,14 +227,14 @@ class TestValidation:
         else:
             footprints[key] = record
         path = tmp_path / "bad.snap"
-        save_snapshot(path, b.pag, inc.jumps.export_log(),
+        save_snapshot(path, b.pag, inc.seq.jumps.export_log(),
                       footprints=footprints)
         with pytest.raises(SnapshotError, match="corrupt snapshot footprint"):
             load_snapshot(path, expect_pag=b.pag)
-        fresh = IncrementalAnalysis(b.pag)
+        fresh = fresh_session(b.pag)
         with pytest.raises(SnapshotError):
             fresh.warm_from_snapshot(path)
-        assert len(fresh.jumps) == 0  # nothing seeded
+        assert len(fresh.seq.jumps) == 0  # nothing seeded
 
     def test_stale_fingerprint_rejected(self, fig2, tmp_path):
         b, path = self.make_snap(fig2, tmp_path)
@@ -257,10 +264,10 @@ class TestValidation:
                 path.write_bytes(data[:cut])
                 with pytest.raises(SnapshotError):
                     load_snapshot(path)
-                fresh = IncrementalAnalysis(pag)
+                fresh = fresh_session(pag)
                 with pytest.raises(SnapshotError):
                     fresh.warm_from_snapshot(path)
-                assert len(fresh.jumps) == 0, (full.name, cut)
+                assert len(fresh.seq.jumps) == 0, (full.name, cut)
 
     def test_entry_count_mismatch_rejected(self, fig2, tmp_path):
         _b, path = self.make_snap(fig2, tmp_path)
@@ -359,14 +366,15 @@ class TestFootprintPersistence:
             pag.add_store_edge(p, f"f_{tag}", v)
             pag.add_load_edge(x, p, f"f_{tag}")
             nodes[tag] = (p, v, x, ov)
-        inc = IncrementalAnalysis(pag, EngineConfig(tau_f=0, tau_u=0))
+        inc = fresh_session(pag, tau_f=0, tau_u=0)
         for tag in ("a", "b"):
             inc.points_to(nodes[tag][2])
         path = tmp_path / "islands.snap"
-        inc.save_snapshot(path)
+        inc.snapshot(path)
 
-        fresh = IncrementalAnalysis(pag, EngineConfig(tau_f=0, tau_u=0))
-        fresh.warm_from_snapshot(path)
+        warm = fresh_session(pag, tau_f=0, tau_u=0)
+        warm.warm_from_snapshot(path)
+        fresh = warm.seq
         fin_before = fresh.jumps.n_finished_edges
         assert fin_before > 0
         # edit island b only: island a's warmed entries must survive
@@ -401,8 +409,9 @@ class TestFootprintPersistence:
         save_snapshot(
             path, pag, inc.jumps.export_log(), footprints=None,
         )
-        fresh = IncrementalAnalysis(pag, EngineConfig(tau_f=0, tau_u=0))
-        fresh.warm_from_snapshot(path)
+        warm = fresh_session(pag, tau_f=0, tau_u=0)
+        warm.warm_from_snapshot(path)
+        fresh = warm.seq
         assert fresh.jumps.n_finished_edges > 0
         island = fresh.add_local("iso@M.m")
         iso_obj = fresh.add_obj("o_iso")

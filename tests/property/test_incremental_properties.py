@@ -7,6 +7,12 @@ a missed invalidation).  This is the acceptance property of the
 reverse-index invalidation path: dropping too much only costs time,
 dropping too little shows up here as a stale answer.
 
+The same holds when single queries, ``local`` batches and edits
+interleave on one :class:`repro.api.Session`: the batches run on the
+session's demand store, so their entries must be invalidated as
+selectively and as soundly as the single queries' are.  Under a drawn
+finite budget every answer is a subset of the unlimited one.
+
 An ``assign`` edit between locals of different methods can add a
 recursion cycle that build-time collapse never saw.  The pinned
 ``@example`` cases are such edits, one from each ``--hypothesis-seed``
@@ -19,6 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.andersen import AndersenSolver
+from repro.api import RuntimeConfig, Session
 from repro.benchgen import SynthesisParams, synthesize_program
 from repro.core import CFLEngine, EngineConfig, Query
 from repro.core.incremental import IncrementalAnalysis
@@ -236,3 +243,66 @@ class TestCrossMethodEditsStaySound:
             assert not want.exhausted
             assert want.objects <= oracle.points_to(query.var), pag.name(query.var)
             assert got.points_to == want.points_to, pag.name(query.var)
+
+
+#: One drawn session step: a single points-to query, a ``local`` batch
+#: of every local, or an edit.
+session_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("query"), st.integers(0, 10_000)),
+        st.just(("batch",)),
+        edit_ops,
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def run_session(params, ops, budget):
+    """Apply ``ops`` to a fresh ``local`` session at ``budget``; yields
+    ``(var, answer, from-scratch answer at an unlimited budget)`` for
+    every answer given, the scratch engine running on the graph as it
+    stood when the answer was given."""
+    pag = build_pag(synthesize_program(params)).pag
+    session = Session.from_pag(
+        pag,
+        runtime=RuntimeConfig(mode="DQ", backend="local"),
+        engine=EngineConfig(budget=budget, tau_f=0, tau_u=0),
+    )
+    locals_ = list(pag.app_locals())
+    objs = []
+    jumps = session.seq.jumps
+    for counter, op in enumerate(ops):
+        if op[0] == "query":
+            var = locals_[op[1] % len(locals_)]
+            answers = [(var, session.points_to(var))]
+        elif op[0] == "batch":
+            by_query = session.batch(
+                [Query(v) for v in locals_]
+            ).results_by_query()
+            answers = [(v, by_query[(pag.rep(v), ())]) for v in locals_]
+        else:
+            apply_edit(session.seq, locals_, objs, counter, op)
+            answers = []
+        scratch = CFLEngine(pag, EngineConfig(budget=UNLIMITED))
+        for var, got in answers:
+            yield var, got, scratch.points_to(var)
+    # one store throughout: edits invalidate, they never replace it
+    assert session.seq.jumps is jumps
+    assert session.resident_jumps() in (None, jumps)
+
+
+class TestSessionInterleavings:
+    """Single queries, ``local`` batches and edits on one session."""
+
+    @settings(max_examples=10, **COMMON)
+    @given(small_params(), session_ops)
+    def test_unlimited_answers_match_scratch(self, params, ops):
+        for var, got, want in run_session(params, ops, UNLIMITED):
+            assert not got.exhausted
+            assert got.points_to == want.points_to, var
+
+    @settings(max_examples=10, **COMMON)
+    @given(small_params(), session_ops, st.integers(1, 400))
+    def test_budgeted_answers_are_subsets(self, params, ops, budget):
+        for var, got, want in run_session(params, ops, budget):
+            assert got.points_to <= want.points_to, var

@@ -1,5 +1,6 @@
 """Tests for ``backend="local"``: the batch on the calling thread, every
-query over one committed jump map.
+query over one demand store's jump map
+(:meth:`repro.core.incremental.IncrementalAnalysis.run_units`).
 
 The contract is the answers.  At an unlimited budget ``local`` must be
 byte-identical to SeqCFL (``mode="seq"``); at each suite's own budget it
@@ -15,15 +16,10 @@ import threading
 import pytest
 
 from repro.benchgen.suites import load_benchmark, spec_of
-from repro.core import EngineConfig, Query
+from repro.core import EngineConfig, IncrementalAnalysis, Query
 from repro.obs import MetricsRecorder
 from repro.obs.recorder import SpanRecorder
-from repro.runtime import (
-    BACKENDS,
-    LocalExecutor,
-    ParallelCFL,
-    RuntimeConfig,
-)
+from repro.runtime import BACKENDS, ParallelCFL, RuntimeConfig
 from repro.runtime.executor import HYBRID_DEMAND_BACKEND
 
 UNLIMITED = 10**9
@@ -89,6 +85,9 @@ def test_local_matches_sim_x1_cold_and_warm(name):
 
 
 class TestLocalExecutor:
+    """The ``local`` executor is a demand store: its batches run on the
+    store's engine and map."""
+
     def test_registered_and_one_worker(self, fig2):
         b, _ = fig2
         assert "local" in BACKENDS
@@ -96,18 +95,16 @@ class TestLocalExecutor:
         assert rt.effective_threads == 1
         runner = ParallelCFL(b, runtime=rt)
         assert runner.runtime.effective_threads == 1
-        assert isinstance(runner.executor(), LocalExecutor)
+        assert isinstance(runner.executor(), IncrementalAnalysis)
         batch = runner.run()
         assert batch.n_threads == 1
+        assert batch.mode == "DQ"
         assert {e.worker for e in batch.executions} == {0}
 
     def test_real_times_in_order(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()]
-        batch = LocalExecutor(
-            b.pag,
-            RuntimeConfig(backend="local"),
-        ).run_units([[q] for q in queries])
+        batch = IncrementalAnalysis(b.pag).run_units([[q] for q in queries])
         assert [e.result.query for e in batch.executions] == queries
         for prev, nxt in zip(batch.executions, batch.executions[1:]):
             assert prev.start <= prev.finish <= nxt.start
@@ -116,30 +113,36 @@ class TestLocalExecutor:
 
     def test_jump_counts_track_the_committed_map(self, fig2):
         b, _ = fig2
-        ex = LocalExecutor(
-            b.pag,
-            RuntimeConfig(backend="local"),
-            engine_config=EngineConfig(tau_f=0, tau_u=0),
-        )
-        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
-        assert batch.n_jumps == ex.jumps.n_jumps > 0
-        assert batch.n_finished_jumps == ex.jumps.n_finished_edges
-        assert batch.n_unfinished_jumps == ex.jumps.n_unfinished_edges
+        store = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        batch = store.run_units([[Query(v)] for v in b.pag.app_locals()])
+        assert batch.n_jumps == store.jumps.n_jumps > 0
+        assert batch.n_finished_jumps == store.jumps.n_finished_edges
+        assert batch.n_unfinished_jumps == store.jumps.n_unfinished_edges
 
     def test_share_nothing_has_no_map(self, fig2):
         b, _ = fig2
-        ex = LocalExecutor(b.pag, RuntimeConfig(mode="naive", backend="local"))
-        assert ex.jumps is None
-        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
+        rt = RuntimeConfig(mode="naive", backend="local")
+        cfg = EngineConfig(tau_f=0, tau_u=0)
+        units = [[Query(v)] for v in b.pag.app_locals()]
+        store = IncrementalAnalysis(b.pag, cfg)
+        batch = store.run_units(units, rt)
+        assert len(store.jumps) == 0  # the store was not written
+        assert store.n_tracked_entries == 0
+        assert batch.mode == "naive"
         assert batch.n_jumps == 0
         assert batch.total_saved == 0
+        runner = ParallelCFL(b, runtime=rt, store=store)
+        runner.run()
+        assert runner.resident_jumps() is None
+        shared = IncrementalAnalysis(b.pag, cfg)
+        shared.run_units(units)
+        assert shared.jumps.export_log()
+        assert runner.warm_from(shared.jumps.export_log()) == 0
+        assert len(store.jumps) == 0
 
     def test_empty_batch(self, fig2):
         b, _ = fig2
-        batch = LocalExecutor(
-            b.pag,
-            RuntimeConfig(backend="local"),
-        ).run_units([])
+        batch = IncrementalAnalysis(b.pag).run_units([])
         assert batch.n_queries == 0
         assert batch.worker_busy == [0]
 
@@ -168,12 +171,30 @@ class TestLocalExecutor:
             real_start(self)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        LocalExecutor(
-            b.pag,
-            RuntimeConfig(backend="local"),
-            recorder=MetricsRecorder(),
-        ).run_units([[Query(v)] for v in b.pag.app_locals()])
+        IncrementalAnalysis(b.pag, recorder=MetricsRecorder()).run_units(
+            [[Query(v)] for v in b.pag.app_locals()]
+        )
         assert started == []
+
+    def test_runs_on_the_store_it_is_given(self, fig2):
+        # A batch publishes into the store's own map and indexes what it
+        # publishes, so an edit can invalidate it; the answer cache is
+        # left alone (a batch reports each query's own costs).
+        b, n = fig2
+        store = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        jumps = store.jumps
+        runner = ParallelCFL(
+            b, runtime=RuntimeConfig(mode="D", backend="local"), store=store
+        )
+        assert runner.executor() is store
+        runner.run()
+        assert runner.resident_jumps() is jumps
+        assert jumps.n_finished_edges > 0
+        assert store.n_tracked_entries > 0
+        assert store.n_cached_queries == 0
+        again = runner.run()
+        assert sum(e.result.costs.jmp_taken for e in again.executions) > 0
+        assert store.n_cached_queries == 0
 
 
 class TestHybridDemandRoute:
@@ -193,7 +214,7 @@ class TestHybridDemandRoute:
         batch = runner.run()
         assert rec.snapshot()["matrix.routed_demand"] == 1
         demand = runner.executor(HYBRID_DEMAND_BACKEND)
-        assert isinstance(demand, LocalExecutor)
+        assert isinstance(demand, IncrementalAnalysis)
         assert runner.resident_jumps() is demand.jumps
         assert demand.jumps.n_jumps == batch.n_jumps > 0
 

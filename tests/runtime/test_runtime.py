@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from repro.core import CFLEngine, EngineConfig, Query
+from repro.core import CFLEngine, EngineConfig, IncrementalAnalysis, Query
 from repro.core.engine import POINTS_TO
 from repro.errors import RuntimeConfigError
 from repro.pag.extended import FinishedJump
@@ -260,8 +260,11 @@ class TestOneConstructionPath:
         assert ParallelCFL(b, runtime=rt).run().mode == rt.mode
         if backend == "hybrid":
             backend = HYBRID_DEMAND_BACKEND
-        ex = EXECUTORS[backend](b.pag, rt)
-        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
+        units = [[Query(v)] for v in b.pag.app_locals()]
+        if backend == "local":  # a demand store, told the runtime per batch
+            batch = IncrementalAnalysis(b.pag).run_units(units, rt)
+        else:
+            batch = EXECUTORS[backend](b.pag, rt).run_units(units)
         assert batch.mode == rt.mode
 
 
@@ -306,7 +309,7 @@ class TestParallelCFL:
         cfg = EngineConfig(tau_f=0, tau_u=0)
         donor = ParallelCFL(b, runtime=RuntimeConfig(mode="D"), engine=cfg)
         donor.run()
-        log = donor.export_log()
+        log = donor.resident_jumps().export_log()
         runner = ParallelCFL(
             b,
             runtime=RuntimeConfig(mode="D", n_threads=2, backend=backend),
@@ -314,7 +317,8 @@ class TestParallelCFL:
         )
         assert runner.warm_from(log) == len(log) > 0
         keys = {(tag, key) for tag, key, _ in log}
-        assert {(tag, key) for tag, key, _ in runner.export_log()} == keys
+        held = runner.resident_jumps().export_log()
+        assert {(tag, key) for tag, key, _ in held} == keys
         batch = runner.run()
         assert sum(e.result.costs.jmp_taken for e in batch.executions) > 0
 

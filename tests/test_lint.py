@@ -6,6 +6,8 @@ commands when the tools are available locally and skip otherwise, so a
 dev box with the linters installed catches gate failures before push.
 CI's tree-wide unused-import check (``ruff check --select F401 src/``)
 also has an always-on mirror here, an AST scan that needs no linter.
+The target lists are written twice, here and in ``ci.yml``; an
+always-on test keeps the two copies equal and every listed path real.
 """
 
 import ast
@@ -35,7 +37,6 @@ RUFF_TARGETS = [
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
     "src/repro/runtime/mp.py",
-    "src/repro/runtime/local.py",
     "src/repro/runtime/executor.py",
     "src/repro/runtime/config.py",
     "src/repro/runtime/simclock.py",
@@ -54,8 +55,36 @@ MYPY_STRICT_TARGETS = [
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
-    "src/repro/runtime/local.py",
 ]
+
+
+CI = REPO / ".github" / "workflows" / "ci.yml"
+
+
+def ci_step_paths(name):
+    """The ``src/`` paths on the command of ``ci.yml``'s step ``name``:
+    the step's lines up to the next line indented no deeper than its
+    ``- name:`` line."""
+    lines = CI.read_text().splitlines()
+    start = next(
+        i for i, line in enumerate(lines) if line.strip() == f"- name: {name}"
+    )
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    paths = []
+    for line in lines[start + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        paths.extend(word for word in line.split() if word.startswith("src/"))
+    return paths
+
+
+@pytest.mark.parametrize("step, targets", [
+    ("ruff (new modules)", RUFF_TARGETS),
+    ("mypy --strict (new modules)", MYPY_STRICT_TARGETS),
+])
+def test_ci_target_lists_match_and_exist(step, targets):
+    assert ci_step_paths(step) == targets
+    assert [t for t in targets if not (REPO / t).is_file()] == []
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
