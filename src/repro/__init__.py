@@ -34,7 +34,7 @@ runner takes its settings whole, as on :class:`Session`::
 from repro._version import __version__
 from repro.analyses import CheckReport, Checker, Finding, Severity, run_checkers
 from repro.api import DEFAULT_BUDGET, Session
-from repro.andersen import AndersenResult, AndersenSolver, MustNotAlias, SteensgaardSolver
+from repro.andersen import AndersenResult, AndersenSolver
 from repro.core import (
     CFLEngine,
     IncrementalAnalysis,
@@ -104,11 +104,9 @@ __all__ = [
     "ParallelCFL",
     "SimulatedExecutor",
     "ThreadedExecutor",
-    # baseline / pre-analysis
+    # baseline / soundness oracle
     "AndersenResult",
     "AndersenSolver",
-    "MustNotAlias",
-    "SteensgaardSolver",
     # extensions
     "IncrementalAnalysis",
     "RefinementDriver",

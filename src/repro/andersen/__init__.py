@@ -11,6 +11,5 @@ inclusion-based analysis.
 """
 
 from repro.andersen.solver import AndersenResult, AndersenSolver
-from repro.andersen.steensgaard import MustNotAlias, SteensgaardSolver
 
-__all__ = ["AndersenResult", "AndersenSolver", "MustNotAlias", "SteensgaardSolver"]
+__all__ = ["AndersenResult", "AndersenSolver"]

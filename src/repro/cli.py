@@ -103,11 +103,12 @@ Commands
     * ``--compare BASELINE.json`` — perf-regression gate against a
       committed bench payload; exits 3 when a gating wall/speedup delta
       exceeds ``--regress-threshold`` (default 0.25).
-    * ``--history PATH`` / ``--no-history`` — per-configuration run
-      records appended to ``BENCH_history.jsonl`` by default.
+    * ``--out PATH`` — write the payload JSON here; ``--history PATH``
+      — append per-configuration run records here.  Without them the
+      run writes no file.
     * ``--suite NAME`` (repeatable) / ``--workers 1,2,4`` /
       ``--repeat N`` / ``--mode naive|D|DQ`` /
-      ``--backend local|threads|mp|matrix`` / ``--out PATH``.  With
+      ``--backend local|threads|mp|matrix``.  With
       ``matrix`` both sides run at the exhaustive budget (the bulk
       kernel is exact) and the worker axis collapses to one lane.
     * With a positional experiment name (``table1``, ``fig6``, ...)
@@ -336,7 +337,7 @@ def _cmd_serve(args) -> int:
 def _cmd_bench(args) -> int:
     # Positional experiment names (table1/fig6/...) keep forwarding to
     # the simulator harness; without them, run the wall-clock
-    # seq-vs-parallel benchmark and write BENCH_parallel.json.
+    # seq-vs-parallel benchmark, writing only the files named by flags.
     if args.harness_args:
         from repro.harness.run_all import main as harness_main
 
@@ -385,8 +386,9 @@ def _cmd_bench(args) -> int:
         recorder=recorder,
     )
     print(wallclock.render(payload))
-    out = wallclock.write_json(payload, args.out)
-    print(f"[written {out}]")
+    if args.out is not None:
+        out = wallclock.write_json(payload, args.out)
+        print(f"[written {out}]")
     if args.profile is not None and recorder is not None:
         trace = recorder.write_chrome_trace(args.profile)
         print(f"[trace {trace}: {len(recorder.events())} spans — load in "
@@ -398,7 +400,7 @@ def _cmd_bench(args) -> int:
 
     from repro.harness import history
 
-    if not args.no_history:
+    if args.history is not None:
         n = history.append_history(payload, args.history)
         print(f"[history {args.history}: +{n} record(s)]")
     compare_report = None
@@ -687,8 +689,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="timing repetitions per configuration (best-of)")
     bench.add_argument("--no-verify", action="store_true",
                        help="skip the seq-vs-parallel identity check")
-    bench.add_argument("--out", type=Path, default=Path("BENCH_parallel.json"),
-                       help="output JSON path")
+    bench.add_argument("--out", type=Path, default=None,
+                       help="write the payload JSON here (default: no file)")
     bench.add_argument("--compare", type=Path, default=None,
                        metavar="BASELINE.json",
                        help="perf-regression gate: diff against this bench "
@@ -697,11 +699,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        metavar="FRAC",
                        help="relative slowdown tolerated by --compare "
                             "(default 0.25 = 25%%)")
-    bench.add_argument("--history", type=Path,
-                       default=Path("BENCH_history.jsonl"),
-                       help="JSONL file run records are appended to")
-    bench.add_argument("--no-history", action="store_true",
-                       help="skip the history append")
+    bench.add_argument("--history", type=Path, default=None,
+                       help="append run records to this JSONL file "
+                            "(default: no file)")
     bench.add_argument("harness_args", nargs=argparse.REMAINDER,
                        help="table1/table2/fig6/... forwards to repro.harness")
     bench.set_defaults(func=_cmd_bench)

@@ -160,6 +160,8 @@ class CFLEngine:
     map (any :class:`JumpMapLifecycle`, read and written directly) to
     enable the data-sharing scheme; ``jumps=None`` is the share-nothing
     baseline (the paper's ``SeqCFL`` / naive-parallel configuration).
+    Each alias round matches a heap edge against every store or load
+    of its field (Algorithm 1 lines 17-25).
     """
 
     def __init__(
@@ -167,7 +169,6 @@ class CFLEngine:
         pag: PAG,
         config: Optional[EngineConfig] = None,
         jumps: Optional[JumpMapLifecycle] = None,
-        prefilter=None,
         recorder=None,
     ) -> None:
         self.pag = pag
@@ -179,12 +180,6 @@ class CFLEngine:
         #: ``_query`` — the traversal loops are never touched, so a
         #: ``None``/``NullRecorder`` run is the exact pre-obs code path.
         self.recorder = recorder
-        #: Optional must-not-alias pre-analysis (Section V-A / [25]):
-        #: an object with ``may_alias(a, b) -> bool`` whose False
-        #: answers are *proofs* of non-aliasing (e.g.
-        #: :class:`repro.andersen.steensgaard.MustNotAlias`).  Used to
-        #: skip provably fruitless store/load matches in alias rounds.
-        self.prefilter = prefilter
         #: Optional witness recorder (see repro.core.tracing); set by
         #: TracingEngine.  Handed each sweep's visited set and each
         #: alias round's products; the sweep itself is untouched.
@@ -508,21 +503,11 @@ class CFLEngine:
         rch: List[Tuple[Tuple[int, Context], int]] = []
         seen: Set[Tuple[int, Context]] = set()
         try:
-            prefilter = self.prefilter
             for base, f in heap_edges:
                 matched = by_field.get(f)
                 if not matched:
                     continue
-                classes = None
-                if prefilter is not None:
-                    matched = [
-                        (other, y) for other, y in matched
-                        if prefilter.may_alias(base, other)
-                    ]
-                    if not matched:
-                        continue  # all matches provably non-aliasing
-                    classes = {prefilter.class_id(other) for other, _y in matched}
-                alias = self._alias_map(base, c, q, classes)
+                alias = self._alias_map(base, c, q)
                 for other, y in matched:
                     for cv, witness_obj in alias.get(other, {}).items():
                         item = (y, cv)
@@ -553,33 +538,16 @@ class CFLEngine:
         return [item for item, _s in rch]
 
     def _alias_map(
-        self,
-        base: int,
-        c: Context,
-        q: QueryState,
-        target_classes: Optional[set] = None,
+        self, base: int, c: Context, q: QueryState
     ) -> Dict[int, Dict[Context, Tuple[int, Context]]]:
         """Aliases of ``(base, c)``: variable -> {context: witness
         object}, computed as ``FLOWSTO(o, c0)`` for every ``(o, c0)`` in
         ``POINTSTO(base, c)`` (Algorithm 1 lines 20-22).  The witness
         object ``(o, c0)`` establishing each alias pair is retained for
         the tracing facility (first witness wins).
-
-        With ``target_classes`` (the must-not-alias pre-filter, [25]),
-        the forward ``FLOWSTO`` sweep is skipped for objects whose
-        unification class matches none of the matched bases — the
-        pre-analysis proves such objects cannot reach them, so the
-        sweep's results would all be discarded.
         """
-        prefilter = self.prefilter
         alias: Dict[int, Dict[Context, Tuple[int, Context]]] = {}
         for o, c0 in list(self._traverse(POINTS_TO, base, c, q)):
-            if (
-                target_classes is not None
-                and prefilter is not None
-                and prefilter.class_id(o) not in target_classes
-            ):
-                continue
             for v, cv in list(self._traverse(FLOWS_TO, o, c0, q)):
                 alias.setdefault(v, {}).setdefault(cv, (o, c0))
         return alias

@@ -10,9 +10,9 @@ suite down.  This module adds the longitudinal half:
   ``(suite, workers)`` configuration — keyed by suite / mode / backend
   / worker count and stamped with **honest host metadata** (logical
   *and* effective CPUs, the ``cpu_oversubscribed`` flag) — and appends
-  them to ``BENCH_history.jsonl``, so the repo accumulates per-
-  configuration trend curves instead of single points (the methodology
-  behind the paper's Figs. 7-8);
+  them to a JSONL file (``repro bench --history PATH``), so runs
+  accumulate per-configuration trend curves instead of single points
+  (the methodology behind the paper's Figs. 7-8);
 * :func:`compare` diffs a fresh payload against a committed baseline
   and :func:`render_compare` prints the verdict; ``repro bench
   --compare BENCH_baseline.json`` exits non-zero past the threshold,
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Union
 from repro.errors import InputError
 
 __all__ = [
-    "DEFAULT_HISTORY_PATH",
     "DEFAULT_REGRESSION_THRESHOLD",
     "DEFAULT_MIN_GATED_WALL_S",
     "history_records",
@@ -49,8 +48,6 @@ __all__ = [
     "compare",
     "render_compare",
 ]
-
-DEFAULT_HISTORY_PATH = Path("BENCH_history.jsonl")
 
 #: Relative slowdown tolerated before the gate trips (0.25 = 25%).
 DEFAULT_REGRESSION_THRESHOLD = 0.25
@@ -99,9 +96,7 @@ def history_records(payload: dict) -> List[dict]:
     return records
 
 
-def append_history(
-    payload: dict, path: Union[str, Path] = DEFAULT_HISTORY_PATH
-) -> int:
+def append_history(payload: dict, path: Union[str, Path]) -> int:
     """Append the payload's records to the JSONL history; returns how
     many lines were written."""
     records = history_records(payload)
@@ -112,7 +107,7 @@ def append_history(
     return len(records)
 
 
-def load_history(path: Union[str, Path] = DEFAULT_HISTORY_PATH) -> List[dict]:
+def load_history(path: Union[str, Path]) -> List[dict]:
     """All history records at ``path`` (missing file: empty list)."""
     path = Path(path)
     if not path.exists():

@@ -4,8 +4,9 @@ Unlike the simulator-driven tables/figures (whose clock is the cost
 model), everything here is measured in **real seconds** on the host:
 the sequential baseline is a plain single-process engine run over the
 benchmark workload, and each parallel run is ``backend="mp"`` with the
-requested worker counts.  Results go to ``BENCH_parallel.json`` so the
-repo accumulates a perf trajectory PR over PR.
+requested worker counts.  ``repro bench --out PATH`` writes the
+payload as JSON (the committed ``BENCH_parallel.json`` is one such
+run).
 
 Per suite entry the record holds:
 
@@ -46,7 +47,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -521,26 +521,7 @@ def render(payload: dict) -> str:
 
 
 def write_json(payload: dict, path: Path) -> Path:
-    """Write the payload to ``path`` (default location: repo root's
-    ``BENCH_parallel.json``); returns the path."""
+    """Write the payload to ``path``; returns the path."""
     path = Path(path)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro-wallclock")
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--faults", action="store_true")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_parallel.json"))
-    args = parser.parse_args(argv)
-    payload = run(smoke=args.smoke, faults=args.faults)
-    print(render(payload))
-    write_json(payload, args.out)
-    return 0 if payload.get("faults_ok", True) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

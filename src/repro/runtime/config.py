@@ -39,9 +39,9 @@ class RuntimeConfig:
     """How a batch runs.  Validated eagerly on construction.
 
     ``cost_model`` applies to the ``sim`` backend only; ``chunk_size``,
-    ``faults``, ``unit_timeout``, ``max_chunk_retries``,
-    ``max_respawns`` and ``respawn_backoff`` apply to the ``mp`` backend
-    only (other backends ignore them).  Every default is defined here
+    ``faults``, ``unit_timeout``, ``max_chunk_retries`` and
+    ``max_respawns`` apply to the ``mp`` backend only (other backends
+    ignore them).  Every default is defined here
     once: the command line leaves an unset flag to it
     (:meth:`from_flags`), and the executors read the values from the
     config they are made with instead of restating them.
@@ -65,8 +65,6 @@ class RuntimeConfig:
     max_chunk_retries: int = 2
     #: Total worker respawns across a batch (mp; None: 2 * workers).
     max_respawns: Optional[int] = None
-    #: Initial per-slot respawn delay, doubling per respawn (mp).
-    respawn_backoff: float = 0.05
     #: Batch size at which the ``hybrid`` backend routes to the bulk
     #: matrix kernel instead of the demand engine (None: the measured
     #: default, :data:`repro.core.scheduling.DEFAULT_BULK_CROSSOVER`).
@@ -100,10 +98,6 @@ class RuntimeConfig:
         if self.max_respawns is not None and self.max_respawns < 0:
             raise RuntimeConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.respawn_backoff < 0:
-            raise RuntimeConfigError(
-                f"respawn_backoff must be >= 0, got {self.respawn_backoff}"
             )
         if self.hybrid_crossover is not None and self.hybrid_crossover < 1:
             raise RuntimeConfigError(

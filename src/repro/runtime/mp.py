@@ -127,6 +127,11 @@ __all__ = ["MPExecutor", "JournalingJumpMap", "WorkerCrash", "COORDINATOR"]
 #: (quarantined chunks and the no-workers-left drain).
 COORDINATOR = -1
 
+#: Delay before a slot's first respawn, in seconds; it doubles with
+#: each further respawn of that slot, up to RESPAWN_BACKOFF_CAP_S.
+RESPAWN_BACKOFF_S = 0.05
+RESPAWN_BACKOFF_CAP_S = 1.0
+
 
 class JournalingJumpMap(JumpMap):
     """A :class:`JumpMap` that records every entry it accepts, in order.
@@ -269,7 +274,8 @@ class MPExecutor:
     before it is quarantined and run inline by the coordinator),
     ``max_respawns`` (total worker respawns across the batch, ``None``:
     twice the spawned workers; the per-slot delay backs off
-    exponentially from ``respawn_backoff`` seconds, capped at 1 s),
+    exponentially from :data:`RESPAWN_BACKOFF_S`, capped at
+    :data:`RESPAWN_BACKOFF_CAP_S`),
     ``unit_timeout`` (per-chunk deadline in seconds past which a worker
     is treated as wedged, ``None``: no deadline) and ``faults`` (a
     :class:`~repro.runtime.faults.FaultPlan` shipped to workers for
@@ -497,7 +503,8 @@ class MPExecutor:
                     rec.count("mp.respawns")
                     rec.event("respawn", worker=w, attempt=slot_respawns[w])
                 delay = min(
-                    rt.respawn_backoff * (2 ** (slot_respawns[w] - 1)), 1.0
+                    RESPAWN_BACKOFF_S * (2 ** (slot_respawns[w] - 1)),
+                    RESPAWN_BACKOFF_CAP_S,
                 )
                 time.sleep(delay)
                 spawn(w)

@@ -7,7 +7,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.andersen import AndersenSolver, SteensgaardSolver
+from repro.andersen import AndersenSolver
 from repro.cfront import CProgramBuilder, lower_c
 from repro.core import CFLEngine, EngineConfig
 
@@ -106,17 +106,6 @@ class TestCFrontProperties:
         cs = CFLEngine(build.pag, EngineConfig(budget=UNLIMITED))
         for var in list(build.pag.variables())[:30]:
             assert cs.points_to(var).objects <= oracle.points_to(var)
-
-    @settings(max_examples=15, **COMMON)
-    @given(c_params())
-    def test_prefilter_transparent_on_c(self, params):
-        seed, n_funcs, stmts = params
-        build = lower_c(generate_c_program(seed, n_funcs, stmts))
-        mna = SteensgaardSolver(build.pag).solve()
-        plain = CFLEngine(build.pag, EngineConfig(budget=UNLIMITED))
-        fast = CFLEngine(build.pag, EngineConfig(budget=UNLIMITED), prefilter=mna)
-        for var in list(build.pag.variables())[:25]:
-            assert fast.points_to(var).points_to == plain.points_to(var).points_to
 
     @settings(max_examples=15, **COMMON)
     @given(c_params())

@@ -42,7 +42,6 @@ class TestRuntimeConfig:
             {"unit_timeout": 0.0},
             {"max_chunk_retries": -1},
             {"max_respawns": -1},
-            {"respawn_backoff": -0.1},
         ],
     )
     def test_validation_rejects(self, kwargs):

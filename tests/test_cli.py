@@ -363,6 +363,19 @@ class TestBenchHistoryAndGate:
         assert "REGRESSION" in captured.out
         assert "regression" in captured.err
 
+    def test_no_file_written_without_out_or_history(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "bench", "--smoke", "--suite", "_200_check", "--workers", "1",
+            "--no-verify",
+        ])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "[written" not in stdout and "[history" not in stdout
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_baseline_exits_two(self, tmp_path, capsys):
         code, _, _ = self._bench(
             tmp_path, "--compare", str(tmp_path / "absent.json")
@@ -453,7 +466,7 @@ class TestBenchWarm:
         out = tmp_path / "out.json"
         code = main([
             "bench", "--smoke", "--suite", "_200_check", "--workers", "1",
-            "--no-verify", "--warm", "--no-history", "--out", str(out),
+            "--no-verify", "--warm", "--out", str(out),
         ])
         assert code == 0
         stdout = capsys.readouterr().out

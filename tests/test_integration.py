@@ -14,7 +14,6 @@ from repro import (
     ParallelCFL,
     Query,
     RuntimeConfig,
-    SteensgaardSolver,
     TracingEngine,
     build_pag,
     parse_program,
@@ -62,18 +61,15 @@ class TestFullPipeline:
                 assert e.result.objects == seq_map[key]
 
     def test_three_oracles_agree(self, pipeline_build):
-        """CFL(ci) == Andersen; CFL(cs) ⊆ both; Steensgaard ⊇ Andersen."""
+        """CFL(ci) == Andersen; CFL(cs) ⊆ both."""
         build = pipeline_build
         andersen = AndersenSolver(build.pag).solve()
-        steens = SteensgaardSolver(build.pag).solve()
         ci = CFLEngine(build.pag, EngineConfig(context_sensitive=False, budget=10**9))
         cs = CFLEngine(build.pag, EngineConfig(budget=10**9))
         for var in build.pag.app_locals()[:30]:
             a = andersen.points_to(var)
             assert ci.points_to(var).objects == a
             assert cs.points_to(var).objects <= a
-            for obj in a:
-                assert steens.same_class(var, obj)
 
     def test_roundtrip_through_printer_preserves_analysis(self, pipeline_build):
         build = pipeline_build
