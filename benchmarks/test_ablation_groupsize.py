@@ -2,10 +2,12 @@
 
 The paper splits/merges groups to the mean size for load balance; this
 bench sweeps explicit targets to show the trade-off: singleton units
-pay fetch overhead, oversized units hurt tail latency."""
+pay fetch overhead, oversized units hurt tail latency.  Each target's
+units come from :func:`schedule_queries` and run on a DQ runner's
+executor."""
 
 from repro.benchgen.suites import load_benchmark, spec_of
-from repro.core.scheduling import ScheduleConfig
+from repro.core.scheduling import schedule_queries
 from repro.runtime import ParallelCFL, RuntimeConfig
 
 BENCH = "fop"
@@ -25,15 +27,17 @@ def test_group_size_sweep(once):
         ).run(queries)
         out = {}
         for target in (1, 4, 16, 64, None):
-            sched = ScheduleConfig(target_group_size=target)
             runner = ParallelCFL(
                 build,
                 runtime=RuntimeConfig(mode="DQ", n_threads=16),
                 engine=cfg,
-                schedule=sched,
             )
-            units = runner.work_units(queries)
-            batch = runner.run(queries)
+            groups = schedule_queries(
+                build.pag, queries, build.program.types,
+                target_group_size=target,
+            )
+            units = [g.queries for g in groups]
+            batch = runner.executor().run_units(units)
             sg = sum(len(u) for u in units) / len(units)
             out[target] = (sg, batch.speedup_over(seq), batch)
         return out

@@ -47,7 +47,6 @@ from repro.core import (
     Query,
     QueryGroup,
     QueryResult,
-    ScheduleConfig,
     schedule_queries,
 )
 from repro.errors import (
@@ -95,7 +94,6 @@ __all__ = [
     "TracingEngine",
     "Witness",
     "QueryGroup",
-    "ScheduleConfig",
     "schedule_queries",
     # runtime
     "BatchResult",

@@ -70,7 +70,6 @@ from repro.core import (
     Query,
     QueryGroup,
     QueryResult,
-    ScheduleConfig,
     Snapshot,
     SnapshotHeader,
     TracingEngine,
@@ -123,7 +122,6 @@ __all__ = [
     # configuration
     "EngineConfig",
     "RuntimeConfig",
-    "ScheduleConfig",
     "CostModel",
     "FaultPlan",
     "MODES",
@@ -231,7 +229,8 @@ class Session:
     run on resident :class:`ParallelCFL` runners keyed by ``(mode,
     effective worker count, backend)``: the sharing-mode ``local`` and
     ``hybrid`` ones on :attr:`seq` itself, every other one on its own
-    committed jump map, which an edit through :attr:`seq` retires.
+    committed jump map, which an edge edit through :attr:`seq` retires
+    (adding a node changes no answer and retires nothing).
     :meth:`snapshot` folds *all* resident jump state into a single
     compacted epoch-0 delta on disk, and :meth:`warm_from_snapshot`
     replays one into every resident store.
@@ -245,7 +244,6 @@ class Session:
         kind: str = "java",
         runtime: Optional[RuntimeConfig] = None,
         engine: Optional[EngineConfig] = None,
-        schedule: Optional[ScheduleConfig] = None,
         recorder: Optional[Any] = None,
         source: str = "<session>",
     ) -> None:
@@ -254,7 +252,6 @@ class Session:
         self.kind = kind
         self.runtime = runtime or RuntimeConfig()
         self.engine_config = engine or EngineConfig()
-        self.schedule_config = schedule
         self.recorder = recorder
         #: Where the program came from (a path or a synthetic label) —
         #: surfaced by ``repro serve``'s /healthz and check reports.
@@ -266,7 +263,7 @@ class Session:
         #: Warm-boot log replayed into every later runner not on :attr:`seq`.
         self._warm_log: List[DeltaEntry] = []
         #: ``seq.generation`` the runners and the warm log were made at;
-        #: an edit through :attr:`seq` moves it and retires both, bar
+        #: an edge edit through :attr:`seq` moves it and retires both, bar
         #: the runners on :attr:`seq`.
         self._runners_gen = 0
         if recorder:
@@ -524,9 +521,9 @@ class Session:
 
     def _live_runners(self) -> Dict[Tuple[str, int, str], ParallelCFL]:
         """The resident runners, after retiring those not on :attr:`seq`
-        if the PAG was edited through it since they were made.
+        if an edge was added through it since they were made.
 
-        An edit invalidates :attr:`seq`'s map selectively, so the
+        An edge edit invalidates :attr:`seq`'s map selectively, so the
         runners on it stay.  Every other runner's committed map (mp's
         too, though its workers read the live PAG) describes the program
         as it was, and so does the warm-boot log: they are dropped and
@@ -552,7 +549,7 @@ class Session:
         """The resident :class:`ParallelCFL` for a configuration,
         created on first use: on :attr:`seq` if :meth:`_on_seq`, else
         with its own map, warmed from any warm-boot log and resident
-        until the next edit through :attr:`seq`."""
+        until the next edge edit through :attr:`seq`."""
         rt = self._runner_runtime(mode, n_threads, backend)
         key = self._runner_key(rt)
         runners = self._live_runners()
@@ -563,7 +560,6 @@ class Session:
                 self.build if self.build is not None else self.pag,
                 runtime=rt,
                 engine=self.engine_config,
-                schedule=self.schedule_config,
                 recorder=self.recorder,
                 store=self.seq if on_seq else None,
             )

@@ -28,8 +28,9 @@ Commands
     * ``--backend sim|local|threads|mp|matrix|hybrid`` — execution
       substrate (default sim; ``local`` runs in-process on one thread
       over one shared jump map, ``matrix`` is the bulk all-pairs
-      kernel, ``hybrid`` routes by batch size between ``matrix`` and
-      ``local`` — see ``RuntimeConfig.hybrid_crossover``).
+      kernel, ``hybrid`` sends batches of
+      ``repro.core.scheduling.DEFAULT_BULK_CROSSOVER`` or more queries
+      to ``matrix`` and smaller ones to ``local``).
     * ``--metrics`` / ``--metrics-json`` — observability counters
       (:mod:`repro.obs`) plus the top-N hot-query report.
     * ``--events out.jsonl`` — structured JSONL lifecycle log (one

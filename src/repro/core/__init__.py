@@ -25,7 +25,6 @@ from repro.core.refinement import RefinedAnswer, RefinementDriver
 from repro.core.tracing import TracingEngine, Witness
 from repro.core.scheduling import (
     QueryGroup,
-    ScheduleConfig,
     SchedulePlan,
     connection_distances,
     dedupe_queries,
@@ -39,7 +38,6 @@ __all__ = [
     "TracingEngine",
     "Witness",
     "QueryGroup",
-    "ScheduleConfig",
     "SchedulePlan",
     "connection_distances",
     "dedupe_queries",

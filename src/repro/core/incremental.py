@@ -112,28 +112,23 @@ class FootprintCollector:
     :meth:`add_published` once per alias round — never inside the inner
     edge loops, mirroring the recorder's zero-cost-when-off contract.
 
-    With :attr:`defer` set (batches: most of their queries publish
-    nothing, so need no record), :meth:`add_nodes` keeps each visited
-    set by reference, which the engine never writes again, and
-    :meth:`record` reads the node ids out of them.
+    :meth:`add_nodes` keeps each visited set by reference, which the
+    engine never writes again, and :meth:`record` reads the node ids
+    out of them, so a query that publishes and caches nothing (most of
+    a batch's) never pays for them.
     """
 
-    __slots__ = ("nodes", "fields", "consumed", "published", "sweeps", "defer")
+    __slots__ = ("fields", "consumed", "published", "sweeps")
 
     def __init__(self) -> None:
-        self.nodes: Set[int] = set()
         self.fields: Set[str] = set()
         self.consumed: Set[JumpKey] = set()
         self.published: Set[JumpKey] = set()
-        #: Visited sets not yet read into :attr:`nodes`.
+        #: The visited sets of the query's sweeps.
         self.sweeps: List[Iterable[Tuple[int, Context]]] = []
-        self.defer = False
 
     def add_nodes(self, items: Iterable[Tuple[int, Context]]) -> None:
-        if self.defer:
-            self.sweeps.append(items)
-        else:
-            self.nodes.update(map(_node_of, items))
+        self.sweeps.append(items)
 
     def add_fields(self, heap_edges: Iterable[Tuple[int, str]]) -> None:
         self.fields.update(map(_field_of, heap_edges))
@@ -145,17 +140,15 @@ class FootprintCollector:
         self.published.add(key)
 
     def reset(self) -> None:
-        self.nodes.clear()
         self.fields.clear()
         self.consumed.clear()
         self.published.clear()
         self.sweeps.clear()
 
     def record(self) -> FootprintRecord:
-        nodes = self.nodes
+        nodes: Set[int] = set()
         for items in self.sweeps:
             nodes.update(map(_node_of, items))
-        self.sweeps.clear()
         return FootprintRecord(
             frozenset(nodes), frozenset(self.fields), tuple(self.consumed)
         )
@@ -280,7 +273,8 @@ class IncrementalAnalysis:
         self._cache: Dict[_QueryKey, QueryResult] = {}
         #: Optional :class:`repro.obs.Recorder` (inc.* / snapshot.* counters).
         self.recorder = recorder
-        #: generation counter: bumps on every edit, node adds included
+        #: Edge edits so far.  A node addition does not count: a fresh
+        #: node is unconnected, so it changes no answer.
         self.generation = 0
         #: finished entries (summed jmp edges) dropped across all edits
         self.n_invalidated = 0
@@ -330,6 +324,8 @@ class IncrementalAnalysis:
         collector = self._collector
         collector.reset()
         result = runner(node, ctx)
+        if result.exhausted and not collector.published:
+            return result
         record = collector.record()
         for key in collector.published:
             self._index.register(("jmp", key), record)
@@ -370,7 +366,6 @@ class IncrementalAnalysis:
         register = self._index.register
         perf = time.perf_counter
         executions: List[QueryExecution] = []
-        collector.defer = True
         t0 = perf()
         for unit in units:
             for query in unit:
@@ -390,7 +385,6 @@ class IncrementalAnalysis:
                         args={"var": query.var, "steps": result.costs.steps},
                     )
                     rec.event("done", worker=0, queries=1, query=query.var)
-        collector.defer = False
         batch = BatchResult(
             mode=runtime.mode if runtime is not None else "D",
             n_threads=1,
@@ -404,12 +398,6 @@ class IncrementalAnalysis:
     # ------------------------------------------------------------------
     # edits — mirror the PAG construction API, with invalidation
     # ------------------------------------------------------------------
-    def _node_added(self) -> None:
-        # A fresh node is unconnected, so no existing answer can change:
-        # generation moves (pollers observe the edit) but invalidation
-        # stays a no-op until an edge uses the node.
-        self.generation += 1
-
     def _edited(self, nodes: Sequence[int], fields: Sequence[str] = ()) -> None:
         self.generation += 1
         reps = {self.pag.rep(n) for n in nodes}
@@ -437,19 +425,15 @@ class IncrementalAnalysis:
             })
 
     def add_local(self, name: str, **kw: Any) -> int:
-        nid = self.pag.add_local(name, **kw)
-        self._node_added()
-        return nid
+        # A fresh node is unconnected, so no existing answer can change
+        # until an edge uses it: nothing to invalidate or count.
+        return self.pag.add_local(name, **kw)
 
     def add_global(self, name: str, **kw: Any) -> int:
-        nid = self.pag.add_global(name, **kw)
-        self._node_added()
-        return nid
+        return self.pag.add_global(name, **kw)
 
     def add_obj(self, label: str, type_name: Optional[str] = None) -> int:
-        nid = self.pag.add_obj(label, type_name)
-        self._node_added()
-        return nid
+        return self.pag.add_obj(label, type_name)
 
     def add_new_edge(self, var: int, obj: int) -> None:
         self.pag.add_new_edge(var, obj)

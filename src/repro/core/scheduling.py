@@ -21,11 +21,21 @@ them, maximising early terminations:
    split and smaller ones merged with their neighbours, so every work
    unit has roughly ``M`` queries.
 
+Steps 1-3 are :func:`group_queries` and step 4 is
+:func:`balance_groups`; :func:`schedule_queries` runs both.
+
+The ``direct`` relation is taken on the application side only, and
+without ``assign_g``.  The literal grammar (5) lets shared library
+methods' ``param``/``ret`` edges and the program-wide global hubs weld
+almost every query into one mega-component (group sizes nothing like
+Table I's S_g ≈ 10); the restricted relation recovers the paper's
+many-small-groups structure.
+
 CD, the component of every variable and each component's DD are
 whole-program facts that no query in a batch changes.  They live in a
-:class:`SchedulePlan`, built once per ``(pag, types, relation knobs)``
-and rebuilt only when the add-only PAG grows; :func:`schedule_queries`
-then costs O(|batch| log |batch|) per batch.
+:class:`SchedulePlan`, built once per ``(pag, types)`` and rebuilt only
+when the add-only PAG grows; :func:`schedule_queries` then costs
+O(|batch| log |batch|) per batch.
 """
 
 from __future__ import annotations
@@ -39,12 +49,13 @@ from repro.ir.types import TypeTable, _tarjan_scc
 from repro.pag.graph import PAG
 
 __all__ = [
-    "ScheduleConfig",
     "SchedulePlan",
     "QueryGroup",
     "MERGED_COMPONENT",
     "DEFAULT_BULK_CROSSOVER",
     "schedule_queries",
+    "group_queries",
+    "balance_groups",
     "connection_distances",
     "dedupe_queries",
     "prefer_bulk",
@@ -64,16 +75,10 @@ MERGED_COMPONENT = -1
 DEFAULT_BULK_CROSSOVER = 1000
 
 
-def prefer_bulk(n_queries: int, crossover: Optional[int] = None) -> bool:
+def prefer_bulk(n_queries: int) -> bool:
     """Hybrid routing policy: should a batch of ``n_queries`` go to the
-    bulk matrix kernel (True) or the demand engine (False)?
-
-    ``crossover`` overrides the measured default
-    (:data:`DEFAULT_BULK_CROSSOVER`; see
-    ``RuntimeConfig.hybrid_crossover``).
-    """
-    limit = DEFAULT_BULK_CROSSOVER if crossover is None else crossover
-    return n_queries >= limit
+    bulk matrix kernel (True) or the demand engine (False)?"""
+    return n_queries >= DEFAULT_BULK_CROSSOVER
 
 
 def dedupe_queries(pag: PAG, queries: Sequence[Query]) -> List[Query]:
@@ -97,30 +102,6 @@ def dedupe_queries(pag: PAG, queries: Sequence[Query]) -> List[Query]:
 
 
 @dataclass
-class ScheduleConfig:
-    """Knobs for the scheduler."""
-
-    #: Target queries per work unit; ``None`` uses the mean group size
-    #: (the paper's ``M``).
-    target_group_size: Optional[int] = None
-    #: Split groups larger than the target.
-    split_large: bool = True
-    #: Merge adjacent groups smaller than the target.
-    merge_small: bool = True
-    #: Restrict the ``direct`` relation to application-side nodes.  The
-    #: literal grammar (5) lets shared library methods' ``param``/``ret``
-    #: edges weld almost every query into one mega-component (group
-    #: sizes nothing like Table I's S_g ≈ 10); restricting to app nodes
-    #: recovers the paper's many-small-groups structure.  Set False for
-    #: the literal variant.
-    app_only: bool = True
-    #: Include ``assign_g`` edges in the relation.  Globals are program-
-    #: wide hubs, so they similarly merge unrelated groups; off by
-    #: default, on for the literal grammar (5).
-    include_globals: bool = False
-
-
-@dataclass
 class QueryGroup:
     """One schedulable work unit: CD-ordered queries sharing a DD.
 
@@ -137,26 +118,17 @@ class QueryGroup:
         return len(self.queries)
 
 
-def _direct_successors(
-    pag: PAG, app_only: bool = False, include_globals: bool = True
-) -> Dict[int, List[int]]:
-    """Forward adjacency of the ``direct`` relation (grammar (5)).
-
-    With ``app_only`` the relation is restricted to edges whose both
-    endpoints are application-code nodes (see
-    :class:`ScheduleConfig.app_only`); ``include_globals`` toggles the
-    ``assign_g`` alternative.
-    """
+def _direct_successors(pag: PAG) -> Dict[int, List[int]]:
+    """Forward adjacency of the ``direct`` relation: grammar (5)'s
+    ``assign_l | param_i | ret_i`` edges whose both endpoints are
+    application-code nodes (see the module docstring)."""
     succ: Dict[int, List[int]] = {v: [] for v in pag.variables()}
 
     def keep(a: int, b: int) -> bool:
-        return not app_only or (pag.is_app(a) and pag.is_app(b))
+        return pag.is_app(a) and pag.is_app(b)
 
     for src, dsts in pag.assign_out.items():
         succ.setdefault(src, []).extend(d for d in dsts if keep(src, d))
-    if include_globals:
-        for src, dsts in pag.gassign_out.items():
-            succ.setdefault(src, []).extend(d for d in dsts if keep(src, d))
     for src, pairs in pag.param_out.items():
         succ.setdefault(src, []).extend(d for d, _site in pairs if keep(src, d))
     for src, pairs in pag.ret_out.items():
@@ -164,9 +136,7 @@ def _direct_successors(
     return succ
 
 
-def connection_distances(
-    pag: PAG, app_only: bool = False, include_globals: bool = True
-) -> Tuple[Dict[int, int], Dict[int, int]]:
+def connection_distances(pag: PAG) -> Tuple[Dict[int, int], Dict[int, int]]:
     """(CD, component id) per variable.
 
     CD(v) is the node count of the longest ``direct`` path through
@@ -175,7 +145,7 @@ def connection_distances(
     ``v``'s weakly connected component of the ``direct`` graph — the
     paper's query group.
     """
-    succ = _direct_successors(pag, app_only=app_only, include_globals=include_globals)
+    succ = _direct_successors(pag)
     nodes = list(succ.keys())
     comp_of, comps = _tarjan_scc(nodes, succ)
 
@@ -241,25 +211,15 @@ class SchedulePlan:
     """The query-independent half of scheduling: CD and the ``direct``
     component of every variable, and the min-DD of every component.
 
-    A plan is bound to one ``(pag, types)`` pair and to the relation
-    knobs (``app_only``, ``include_globals``) of the config it was made
-    from; the grouping knobs stay per batch.  It starts empty and
+    A plan is bound to one ``(pag, types)`` pair.  It starts empty and
     :meth:`refresh` computes it whenever its stamp no longer matches
     the PAG's ``(len(pag), pag.n_edges)`` — so a resident runner pays
     the whole-program pass once, and again only after the PAG grew.
     """
 
-    def __init__(
-        self,
-        pag: PAG,
-        types: Optional[TypeTable] = None,
-        config: Optional[ScheduleConfig] = None,
-    ) -> None:
-        cfg = config or ScheduleConfig()
+    def __init__(self, pag: PAG, types: Optional[TypeTable] = None) -> None:
         self.pag = pag
         self.types = types
-        self.app_only = cfg.app_only
-        self.include_globals = cfg.include_globals
         #: PAG state the tables below were computed at (None: never).
         self.stamp: Optional[Stamp] = None
         self.cd: Dict[int, int] = {}
@@ -271,21 +231,9 @@ class SchedulePlan:
         """Do the tables describe the PAG as it is now?"""
         return self.stamp == _stamp(self.pag)
 
-    def covers(
-        self,
-        pag: PAG,
-        types: Optional[TypeTable],
-        config: Optional[ScheduleConfig],
-    ) -> bool:
-        """Was this plan made for ``pag``, ``types`` and the relation
-        knobs of ``config``?"""
-        cfg = config or ScheduleConfig()
-        return (
-            pag is self.pag
-            and types is self.types
-            and cfg.app_only == self.app_only
-            and cfg.include_globals == self.include_globals
-        )
+    def covers(self, pag: PAG, types: Optional[TypeTable]) -> bool:
+        """Was this plan made for ``pag`` and ``types``?"""
+        return pag is self.pag and types is self.types
 
     def refresh(self, recorder=None) -> "SchedulePlan":
         """(Re)compute the tables if the PAG moved since the last
@@ -295,9 +243,7 @@ class SchedulePlan:
             return self
         pag, types = self.pag, self.types
         stamp = _stamp(pag)
-        cd, component_of = connection_distances(
-            pag, app_only=self.app_only, include_globals=self.include_globals
-        )
+        cd, component_of = connection_distances(pag)
 
         def dd_of(var: int) -> float:
             if types is None:
@@ -323,27 +269,105 @@ class SchedulePlan:
         return self
 
 
+def group_queries(
+    plan: SchedulePlan, queries: Sequence[Query], recorder=None
+) -> List[QueryGroup]:
+    """Steps 1-3: one group per ``direct`` component among ``queries``,
+    its members CD-ascending, the groups DD-ascending (ties by
+    component id).  ``plan`` is refreshed first, counting
+    ``sched.plan_builds`` on ``recorder`` if it rebuilds."""
+    plan.refresh(recorder)
+    pag = plan.pag
+    cd, component_of, comp_dd = plan.cd, plan.component_of, plan.comp_dd
+
+    by_comp: Dict[int, List[Query]] = {}
+    for q in queries:
+        by_comp.setdefault(component_of[pag.rep(q.var)], []).append(q)
+
+    groups: List[QueryGroup] = []
+    for comp, qs in by_comp.items():
+        qs_sorted = sorted(qs, key=lambda q: (cd[pag.rep(q.var)], q.var, q.ctx))
+        groups.append(QueryGroup(qs_sorted, comp_dd.get(comp, 1.0), comp))
+    groups.sort(key=lambda g: (g.dd, g.component))
+    return groups
+
+
+def balance_groups(
+    groups: Sequence[QueryGroup],
+    target: Optional[int] = None,
+    recorder=None,
+) -> List[QueryGroup]:
+    """Step 4: split the groups larger than ``target`` and merge each
+    unit smaller than it with the next, keeping the issue order.
+    ``target`` defaults to the paper's mean group size ``M``.  Counts
+    ``sched.splits`` and ``sched.merges`` on ``recorder``."""
+    if not groups:
+        return []
+    if target is None:
+        # The paper's M is "the average size of these groups".  Most
+        # components are singleton locals, which would drag a plain mean
+        # to 1 and dissolve every real group; averaging over the
+        # multi-member groups keeps the structure (and lands in the
+        # S_g ≈ 4-19 range Table I reports).
+        multi = [len(g) for g in groups if len(g) > 1]
+        pool = multi if multi else [len(g) for g in groups]
+        target = max(2, round(sum(pool) / len(pool)))
+
+    n_splits = 0
+    split: List[QueryGroup] = []
+    for g in groups:
+        if len(g) > target:
+            n_splits += 1
+            for i in range(0, len(g), target):
+                split.append(
+                    QueryGroup(g.queries[i : i + target], g.dd, g.component)
+                )
+        else:
+            split.append(g)
+
+    n_merges = 0
+    merged: List[QueryGroup] = []
+    for g in split:
+        if merged and len(merged[-1]) < target:
+            n_merges += 1
+            prev = merged[-1]
+            prev.queries.extend(g.queries)
+            prev.dd = min(prev.dd, g.dd)
+            # A unit absorbing queries from a different component no
+            # longer *is* its first component; keeping the stale id
+            # would misattribute the absorbed queries.
+            if prev.component != g.component:
+                prev.component = MERGED_COMPONENT
+        else:
+            merged.append(QueryGroup(list(g.queries), g.dd, g.component))
+
+    if recorder:
+        recorder.count_many({"sched.splits": n_splits, "sched.merges": n_merges})
+    return merged
+
+
 def schedule_queries(
     pag: PAG,
     queries: Sequence[Query],
     types: Optional[TypeTable] = None,
-    config: Optional[ScheduleConfig] = None,
+    *,
+    target_group_size: Optional[int] = None,
     recorder=None,
     plan: Optional[SchedulePlan] = None,
 ) -> List[QueryGroup]:
-    """Group and order ``queries`` per Section III-C.
+    """Group, order and balance ``queries`` per Section III-C: the work
+    units of a ``DQ`` batch, issued in order, each CD-ascending.
 
     ``types`` supplies the ``L(t)`` metric; without it every variable
-    gets DD 1 (grouping and CD ordering still apply).  The returned
-    groups are issued in order; each group's queries are CD-ascending.
-    ``plan`` is a :class:`SchedulePlan` for the same ``pag``, ``types``
-    and config, refreshed here if the PAG moved since it was built;
-    without one a throwaway plan is built.
+    gets DD 1 (grouping and CD ordering still apply).
+    ``target_group_size`` is the queries per work unit, by default the
+    mean group size ``M``.  ``plan`` is a :class:`SchedulePlan` for the
+    same ``pag`` and ``types``, refreshed here if the PAG moved since
+    it was built; without one a throwaway plan is built.
     ``recorder`` (a :class:`repro.obs.Recorder`) gets the ``sched.*``
     counters: queries/components seen, groups emitted, splits, merges,
     and plan builds.
     """
-    cfg = config or ScheduleConfig()
     if not queries:
         return []
     for q in queries:
@@ -351,76 +375,20 @@ def schedule_queries(
             raise SchedulingError(f"query target {q.var} is not a variable")
 
     if plan is None:
-        plan = SchedulePlan(pag, types, cfg)
-    elif not plan.covers(pag, types, cfg):
+        plan = SchedulePlan(pag, types)
+    elif not plan.covers(pag, types):
         raise SchedulingError(
-            "schedule plan was built for a different PAG, type table or "
-            "direct-relation config"
+            "schedule plan was built for a different PAG or type table"
         )
-    plan.refresh(recorder)
-    cd, component_of, comp_dd = plan.cd, plan.component_of, plan.comp_dd
-
-    by_comp: Dict[int, List[Query]] = {}
-    for q in queries:
-        var = pag.rep(q.var)
-        by_comp.setdefault(component_of[var], []).append(q)
-
-    raw_groups: List[QueryGroup] = []
-    for comp, qs in by_comp.items():
-        qs_sorted = sorted(qs, key=lambda q: (cd[pag.rep(q.var)], q.var, q.ctx))
-        raw_groups.append(QueryGroup(qs_sorted, comp_dd.get(comp, 1.0), comp))
-    raw_groups.sort(key=lambda g: (g.dd, g.component))
-
-    target = cfg.target_group_size
-    if target is None:
-        # The paper's M is "the average size of these groups".  Most
-        # components are singleton locals, which would drag a plain mean
-        # to 1 and dissolve every real group; averaging over the
-        # multi-member groups keeps the structure (and lands in the
-        # S_g ≈ 4-19 range Table I reports).
-        multi = [len(g) for g in raw_groups if len(g) > 1]
-        pool = multi if multi else [len(g) for g in raw_groups]
-        target = max(2, round(sum(pool) / len(pool)))
-
-    n_splits = 0
-    groups: List[QueryGroup] = []
-    for g in raw_groups:
-        if cfg.split_large and len(g) > target:
-            n_splits += 1
-            for i in range(0, len(g), target):
-                groups.append(
-                    QueryGroup(g.queries[i : i + target], g.dd, g.component)
-                )
-        else:
-            groups.append(g)
-
-    n_merges = 0
-    if cfg.merge_small and len(groups) > 1:
-        merged: List[QueryGroup] = []
-        for g in groups:
-            if merged and len(merged[-1]) < target:
-                n_merges += 1
-                prev = merged[-1]
-                prev.queries.extend(g.queries)
-                prev.dd = min(prev.dd, g.dd)
-                # A unit absorbing queries from a different component no
-                # longer *is* its first component; keeping the stale id
-                # would misattribute the absorbed queries.
-                if prev.component != g.component:
-                    prev.component = MERGED_COMPONENT
-            else:
-                merged.append(QueryGroup(list(g.queries), g.dd, g.component))
-        groups = merged
-
+    groups = group_queries(plan, queries, recorder)
+    units = balance_groups(groups, target_group_size, recorder)
     if recorder:
         recorder.count_many(
             {
                 "sched.runs": 1,
                 "sched.queries": len(queries),
-                "sched.components": len(by_comp),
-                "sched.groups": len(groups),
-                "sched.splits": n_splits,
-                "sched.merges": n_merges,
+                "sched.components": len(groups),
+                "sched.groups": len(units),
             }
         )
-    return groups
+    return units

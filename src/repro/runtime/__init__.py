@@ -31,10 +31,11 @@ with the paper's four configurations: ``seq`` (SeqCFL), ``naive``
 scheduling).  Everything about how a batch runs is one
 :class:`~repro.runtime.config.RuntimeConfig`, which holds every
 default and range check; a runner takes it as
-``ParallelCFL(target, runtime=..., engine=..., schedule=...)`` and
-builds each backend's executor from it, every executor class taking
-``(pag, runtime, engine_config, recorder)`` (``local``'s store is
-passed as ``store=`` or made on first use).
+``ParallelCFL(target, runtime=..., engine=...)`` and builds each
+backend's executor from it, every executor class taking ``(pag,
+runtime, engine_config, recorder)`` (``local``'s store is passed as
+``store=`` or made on first use).  ``DQ`` scheduling reads its type
+table from the program the runner is built on and has no setting.
 """
 
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig

@@ -65,10 +65,6 @@ class RuntimeConfig:
     max_chunk_retries: int = 2
     #: Total worker respawns across a batch (mp; None: 2 * workers).
     max_respawns: Optional[int] = None
-    #: Batch size at which the ``hybrid`` backend routes to the bulk
-    #: matrix kernel instead of the demand engine (None: the measured
-    #: default, :data:`repro.core.scheduling.DEFAULT_BULK_CROSSOVER`).
-    hybrid_crossover: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -98,10 +94,6 @@ class RuntimeConfig:
         if self.max_respawns is not None and self.max_respawns < 0:
             raise RuntimeConfigError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        if self.hybrid_crossover is not None and self.hybrid_crossover < 1:
-            raise RuntimeConfigError(
-                f"hybrid_crossover must be >= 1, got {self.hybrid_crossover}"
             )
 
     # ------------------------------------------------------------------

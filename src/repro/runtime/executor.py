@@ -21,7 +21,11 @@ in one :class:`~repro.core.engine.EngineConfig`, read back as
     runtime = RuntimeConfig(mode="D", n_threads=8, backend="mp")
     batch = ParallelCFL(build, runtime=runtime).run()
 
-Defaults live in those two config classes and nowhere else.  Each
+Defaults live in those two config classes and nowhere else.  A ``DQ``
+batch is scheduled with the program's type table, which a runner reads
+from the :class:`~repro.pag.build.BuildResult` it is built on; a runner
+on a bare :class:`~repro.pag.graph.PAG` has none, so every group gets
+DD 1.  Scheduling has no setting of its own.  Each
 backend's executor but ``local`` is made the same way, from
 :data:`EXECUTORS`: every executor class takes ``(pag, runtime,
 engine_config, recorder)`` and reads its worker count, sharing,
@@ -51,13 +55,7 @@ from repro.core.engine import EngineConfig
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.jumpmap import DeltaEntry, JumpMapLifecycle
 from repro.core.query import Query
-from repro.core.scheduling import (
-    ScheduleConfig,
-    SchedulePlan,
-    prefer_bulk,
-    schedule_queries,
-)
-from repro.ir.types import TypeTable
+from repro.core.scheduling import SchedulePlan, prefer_bulk, schedule_queries
 from repro.pag.build import BuildResult
 from repro.pag.graph import PAG
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig
@@ -92,21 +90,19 @@ class ParallelCFL:
         *,
         runtime: Optional[RuntimeConfig] = None,
         engine: Optional[EngineConfig] = None,
-        schedule: Optional[ScheduleConfig] = None,
-        types: Optional[TypeTable] = None,
         recorder=None,
         store: Optional[IncrementalAnalysis] = None,
     ) -> None:
         if isinstance(target, BuildResult):
             self.pag = target.pag
-            if types is None:
-                types = target.program.types
+            #: The DD metric's type table: the program's, none for a
+            #: bare PAG (every group then gets DD 1).
+            self.types = target.program.types
         else:
             self.pag = target
+            self.types = None
         self.runtime = runtime or RuntimeConfig()
         self.engine_config = engine or EngineConfig()
-        self.schedule_config = schedule
-        self.types = types
         self.recorder = recorder
         #: One resident executor per backend, made on first use; the
         #: ``local`` one is the demand store passed as ``store``.
@@ -125,11 +121,9 @@ class ParallelCFL:
         """Materialise the shared work list for this mode."""
         if self.runtime.scheduling:
             if self._plan is None:
-                self._plan = SchedulePlan(
-                    self.pag, self.types, self.schedule_config
-                )
+                self._plan = SchedulePlan(self.pag, self.types)
             groups = schedule_queries(
-                self.pag, queries, self.types, self.schedule_config,
+                self.pag, queries, self.types,
                 recorder=self.recorder, plan=self._plan,
             )
             return [list(g.queries) for g in groups]
@@ -210,7 +204,7 @@ class ParallelCFL:
         if backend == "hybrid":
             # Route by batch size: large/dense batches amortise the bulk
             # kernel's all-pairs fixpoint, sparse interactive ones don't.
-            bulk = prefer_bulk(len(queries), rt.hybrid_crossover)
+            bulk = prefer_bulk(len(queries))
             backend = "matrix" if bulk else HYBRID_DEMAND_BACKEND
             if rec:
                 rec.count("matrix.routed_bulk" if bulk else "matrix.routed_demand")

@@ -251,10 +251,11 @@ def _answers(batch):
 
 
 class TestEditsRetireRunners:
-    """An edit through ``session.seq`` must reach the batch runners.  A
-    runner with its own committed jump map is retired, since its map
-    predates the edit; the ``local`` and ``hybrid`` runners run on
-    ``seq``, whose map the edit invalidates selectively."""
+    """An edge edit through ``session.seq`` must reach the batch
+    runners.  A runner with its own committed jump map is retired, since
+    its map predates the edit; the ``local`` and ``hybrid`` runners run
+    on ``seq``, whose map the edit invalidates selectively.  Adding a
+    node changes no answer and retires nothing."""
 
     @pytest.mark.parametrize(
         "backend", ["sim", "threads", "mp", "local", "hybrid"]
@@ -298,13 +299,40 @@ class TestEditsRetireRunners:
         warm = Session.from_snapshot(snap, EXAMPLE, **kw)
         runner = warm.runner()
         assert runner.resident_jumps().n_finished_edges > 0  # warmed
-        warm.seq.add_local("fresh_local")
+        fresh = warm.seq.add_local("fresh_local")
+        warm.seq.add_assign_edge(fresh, warm.resolve("b@Main.main"))
         assert warm.resident_jumps() is None
         retired = warm.runner()
         assert retired is not runner
         # The warm log describes the pre-edit program: nothing replayed.
         assert retired.resident_jumps() is None
         assert warm.runner() is retired  # resident until the next edit
+
+    def test_node_addition_keeps_runners_and_the_warm_log(self, tmp_path):
+        snap = tmp_path / "box.snap"
+        kw = dict(
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
+            engine=EngineConfig(tau_f=0, tau_u=0),
+        )
+        cold = Session.open(EXAMPLE, **kw)
+        cold.batch()
+        cold.snapshot(snap)
+
+        warm = Session.from_snapshot(snap, EXAMPLE, **kw)
+        runner = warm.runner()
+        jumps = runner.resident_jumps()
+        warmed = jumps.n_finished_edges
+        assert warmed > 0
+        warm.seq.add_local("fresh_local")
+        warm.seq.add_global("FRESH_GLOBAL")
+        warm.seq.add_obj("fresh_obj")
+        assert warm.runner() is runner
+        assert warm.resident_jumps() is jumps
+        assert jumps.n_finished_edges == warmed
+        # The warm log still seeds a runner made after the addition.
+        other = warm.runner(mode="D")
+        assert other is not runner
+        assert other.resident_jumps().n_finished_edges > 0
 
 
 class TestOneDemandStore:
@@ -525,19 +553,25 @@ class TestStats:
 NUMPY_FREE_SCRIPT = """
 import sys
 sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
-from repro.api import EngineConfig, MetricsRecorder, RuntimeConfig, Session
+from repro.api import EngineConfig, MetricsRecorder, Query, RuntimeConfig, Session
+from repro.core.scheduling import DEFAULT_BULK_CROSSOVER
 
 rec = MetricsRecorder()
 session = Session.open(
     sys.argv[1],
-    runtime=RuntimeConfig(backend="hybrid", hybrid_crossover=1),
+    runtime=RuntimeConfig(backend="hybrid"),
     engine=EngineConfig(budget=10**9),
     recorder=rec,
 )
-want = session.batch(mode="seq", backend="sim").points_to_map()
+app_locals = session.app_locals()
+# A batch at the crossover, so hybrid routes it to the bulk kernel.
+queries = [
+    Query(app_locals[i % len(app_locals)]) for i in range(DEFAULT_BULK_CROSSOVER)
+]
+want = session.batch(queries, mode="seq", backend="sim").points_to_map()
 assert want
-assert session.batch(backend="matrix").points_to_map() == want
-assert session.batch().points_to_map() == want
+assert session.batch(queries, backend="matrix").points_to_map() == want
+assert session.batch(queries).points_to_map() == want
 assert rec.snapshot()["matrix.routed_bulk"] == 1
 print("ok")
 """

@@ -23,7 +23,7 @@ class TestIncrementalEdits:
         o2 = inc.add_obj("o2")
         inc.add_new_edge(a, o2)
         assert {o for o, _ in inc.points_to(a).points_to} == {o1, o2}
-        assert inc.generation == 2  # node add + edge add both count
+        assert inc.generation == 1  # the edge add counts, the node add not
 
     def test_post_edit_answers_match_scratch(self, fig2):
         b, n = fig2
@@ -79,9 +79,9 @@ class TestIncrementalEdits:
         inc.add_local("island@y")
         inc.add_obj("island_obj")
         assert inc.jumps.n_finished_edges == fin
-        # node-only edits are observable (generation moves) but still
-        # invalidate nothing — a fresh node is unconnected
-        assert inc.generation == 2
+        # a fresh node is unconnected: node-only edits invalidate
+        # nothing and leave the generation alone
+        assert inc.generation == 0
 
     def test_generation_counts_edits(self):
         pag = PAG()
@@ -90,7 +90,7 @@ class TestIncrementalEdits:
         inc.add_assign_edge(a, b_)
         o = inc.add_obj("o")
         inc.add_new_edge(b_, o)
-        assert inc.generation == 3
+        assert inc.generation == 2
 
     def test_gassign_and_load_edits(self):
         pag = PAG()
@@ -103,7 +103,7 @@ class TestIncrementalEdits:
         inc.add_new_edge(a, o)
         inc.add_gassign_edge(g, a)
         inc.add_load_edge(x, p, "f")
-        assert inc.generation == 4
+        assert inc.generation == 3
         assert {obj for obj, _ in inc.points_to(g).points_to} == {o}
 
     def test_selective_invalidation_spares_untouched_island(self):

@@ -15,6 +15,7 @@ from repro.benchgen.suites import load_benchmark, spec_of
 from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.matrix import MatrixKernel
 from repro.core.query import Query
+from repro.core.scheduling import DEFAULT_BULK_CROSSOVER
 from repro.errors import AnalysisError
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import ParallelCFL
@@ -140,27 +141,30 @@ class TestExecutorIntegration:
         assert mat.n_queries == seq.n_queries
 
     @pytest.mark.parametrize(
-        "crossover,expect_counter",
-        [(1, "matrix.routed_bulk"), (10**6, "matrix.routed_demand")],
+        "n_queries,expect_counter",
+        [
+            (DEFAULT_BULK_CROSSOVER, "matrix.routed_bulk"),
+            (DEFAULT_BULK_CROSSOVER - 1, "matrix.routed_demand"),
+        ],
     )
     def test_hybrid_routes_by_batch_size(
-        self, box_build, crossover, expect_counter
+        self, box_build, n_queries, expect_counter
     ):
         from repro.obs import MetricsRecorder
 
+        app_locals = box_build.pag.app_locals()
+        queries = [Query(app_locals[i % len(app_locals)]) for i in range(n_queries)]
         cfg = EngineConfig(budget=UNLIMITED)
         seq = ParallelCFL(
             box_build.pag, runtime=RuntimeConfig(mode="seq"), engine=cfg
-        ).run()
+        ).run(queries)
         rec = MetricsRecorder()
         batch = ParallelCFL(
             box_build.pag,
-            runtime=RuntimeConfig(
-                backend="hybrid", n_threads=2, hybrid_crossover=crossover
-            ),
+            runtime=RuntimeConfig(backend="hybrid", n_threads=2),
             engine=cfg,
             recorder=rec,
-        ).run()
+        ).run(queries)
         assert batch.points_to_map() == seq.points_to_map()
         assert batch.metrics.get(expect_counter) == 1
 
@@ -178,9 +182,3 @@ class TestExecutorIntegration:
                     "matrix.fixpoint_rounds", "matrix.word_ops"):
             assert batch.metrics.get(key, 0) > 0, key
         assert any(k.startswith("matrix.nnz.") for k in batch.metrics)
-
-    def test_invalid_crossover_rejected(self):
-        from repro.errors import RuntimeConfigError
-
-        with pytest.raises(RuntimeConfigError, match="hybrid_crossover"):
-            RuntimeConfig(backend="hybrid", hybrid_crossover=0)

@@ -6,12 +6,16 @@ import pytest
 from repro.api import load_benchmark, suite_names
 from repro.core import (
     Query,
-    ScheduleConfig,
     SchedulePlan,
     connection_distances,
     schedule_queries,
 )
-from repro.core.scheduling import MERGED_COMPONENT, QueryGroup
+from repro.core.scheduling import (
+    MERGED_COMPONENT,
+    QueryGroup,
+    balance_groups,
+    group_queries,
+)
 from repro.errors import SchedulingError
 from repro.ir.types import TypeTable
 from repro.obs import MetricsRecorder
@@ -26,6 +30,12 @@ def chain(pag, names):
     for dst, src in zip(ids, ids[1:]):
         pag.add_assign_edge(dst, src)
     return ids
+
+
+def grouped(pag, queries, types=None):
+    """The grouping stage alone: one group per component, no split or
+    merge."""
+    return group_queries(SchedulePlan(pag, types), queries)
 
 
 class TestConnectionDistances:
@@ -94,6 +104,21 @@ class TestConnectionDistances:
         _, comp = connection_distances(pag)
         assert comp[x] != comp[p]
 
+    def test_global_and_library_edges_do_not_connect(self):
+        # The relation is application-side and leaves out assign_g, so
+        # globals and shared library methods do not weld groups.
+        pag = PAG()
+        a, b = pag.add_local("a"), pag.add_local("b")
+        g = pag.add_global("G")
+        lib = pag.add_local("lib", is_app=False)
+        pag.add_gassign_edge(g, a)
+        pag.add_gassign_edge(b, g)
+        pag.add_param_edge(lib, a, 0)
+        pag.add_assign_edge(b, lib)
+        cd, comp = connection_distances(pag)
+        assert len({comp[a], comp[b], comp[g], comp[lib]}) == 4
+        assert cd[a] == cd[b] == 1
+
 
 class TestFig5Ordering:
     """The likely order O3 (z, then x, then y) of Fig. 5(b)."""
@@ -125,9 +150,7 @@ class TestFig5Ordering:
     def test_groups_and_order(self, fig5):
         pag, types, n = fig5
         queries = [Query(n["x"]), Query(n["y"]), Query(n["z"])]
-        groups = schedule_queries(
-            pag, queries, types, ScheduleConfig(split_large=False, merge_small=False)
-        )
+        groups = grouped(pag, queries, types)
         assert len(groups) == 2
         # z's group first: Deep has the larger L hence the smaller DD.
         assert [q.var for q in groups[0].queries] == [n["z"]]
@@ -139,12 +162,7 @@ class TestFig5Ordering:
         # Query only x and y; p (Deep, same component as nothing here)
         # does not affect their group, but the group DD is the min over
         # members — all Shallow here.
-        groups = schedule_queries(
-            pag,
-            [Query(n["x"]), Query(n["y"])],
-            types,
-            ScheduleConfig(split_large=False, merge_small=False),
-        )
+        groups = grouped(pag, [Query(n["x"]), Query(n["y"])], types)
         assert groups[0].dd == pytest.approx(1.0)
 
 
@@ -161,18 +179,14 @@ class TestSplitMerge:
     def test_split_large_groups(self):
         pag, comps = self.make_components([6, 2])
         queries = [Query(v) for ids in comps for v in ids]
-        groups = schedule_queries(
-            pag, queries, config=ScheduleConfig(target_group_size=2, merge_small=False)
-        )
+        groups = balance_groups(grouped(pag, queries), 2)
         assert all(len(g) <= 2 for g in groups)
         assert sum(len(g) for g in groups) == 8
 
     def test_merge_small_groups(self):
         pag, comps = self.make_components([1, 1, 1, 1])
         queries = [Query(ids[0]) for ids in comps]
-        groups = schedule_queries(
-            pag, queries, config=ScheduleConfig(target_group_size=2, split_large=False)
-        )
+        groups = balance_groups(grouped(pag, queries), 2)
         assert len(groups) == 2
         assert all(len(g) == 2 for g in groups)
 
@@ -183,9 +197,7 @@ class TestSplitMerge:
         # MERGED_COMPONENT sentinel instead.
         pag, comps = self.make_components([1, 1, 1, 1])
         queries = [Query(ids[0]) for ids in comps]
-        groups = schedule_queries(
-            pag, queries, config=ScheduleConfig(target_group_size=2, split_large=False)
-        )
+        groups = balance_groups(grouped(pag, queries), 2)
         assert len(groups) == 2
         assert all(g.component == MERGED_COMPONENT for g in groups)
 
@@ -194,9 +206,7 @@ class TestSplitMerge:
         # crosses a component boundary, so the real id survives.
         pag, comps = self.make_components([4])
         queries = [Query(v) for v in comps[0]]
-        groups = schedule_queries(
-            pag, queries, config=ScheduleConfig(target_group_size=4)
-        )
+        groups = schedule_queries(pag, queries, target_group_size=4)
         assert len(groups) == 1
         assert groups[0].component != MERGED_COMPONENT
 
@@ -225,6 +235,15 @@ class TestSplitMerge:
         o = pag.add_obj("o1")
         with pytest.raises(SchedulingError):
             schedule_queries(pag, [Query(o)])
+
+    def test_schedule_is_grouping_then_balancing(self):
+        pag, comps = self.make_components([5, 3, 1, 1])
+        queries = [Query(v) for ids in comps for v in ids]
+        for target in (None, 1, 2, 3, 8):
+            staged = balance_groups(grouped(pag, queries), target)
+            whole = schedule_queries(pag, queries, target_group_size=target)
+            assert _shape(staged) == _shape(whole)
+        assert balance_groups([], 2) == []
 
     def test_duplicate_query_vars_preserved(self):
         pag, comps = self.make_components([2])
@@ -270,8 +289,7 @@ class TestSchedulePlan:
         assert plan.fresh
         assert plan.component_of[a] == plan.component_of[d]
         assert plan.cd[a] == plan.cd[d] == 4
-        assert plan.cd == connection_distances(pag, app_only=True,
-                                               include_globals=False)[0]
+        assert plan.cd == connection_distances(pag)[0]
         assert rec.snapshot()["sched.plan_builds"] == 2
 
     def test_node_add_moves_the_stamp(self):
@@ -284,14 +302,15 @@ class TestSchedulePlan:
         assert [q.var for g in groups for q in g.queries] == [v]
 
     def test_plan_for_another_pag_or_relation_is_rejected(self):
+        # The relation is fixed; a plan is bound to its PAG and its
+        # type table.
         pag, other = PAG(), PAG()
         v = pag.add_local("v")
         other.add_local("v")
         with pytest.raises(SchedulingError, match="different"):
             schedule_queries(pag, [Query(v)], plan=SchedulePlan(other))
-        literal = ScheduleConfig(app_only=False, include_globals=True)
         with pytest.raises(SchedulingError, match="different"):
-            schedule_queries(pag, [Query(v)], config=literal,
+            schedule_queries(pag, [Query(v)], TypeTable(),
                              plan=SchedulePlan(pag))
 
     def test_one_build_per_persistent_runner(self):

@@ -161,28 +161,27 @@ class TestScheduling:
     @settings(max_examples=25, **COMMON)
     @given(small_params(), st.one_of(st.none(), st.integers(1, 8)))
     def test_groups_partition_queries(self, params, target):
-        from repro.core import ScheduleConfig
-
         build = build_from(params)
         queries = [Query(v) for v in build.pag.app_locals()]
-        cfg = ScheduleConfig(target_group_size=target)
-        groups = schedule_queries(build.pag, queries, build.program.types, cfg)
+        groups = schedule_queries(
+            build.pag, queries, build.program.types, target_group_size=target
+        )
         flat = [(q.var, q.ctx) for g in groups for q in g.queries]
         assert sorted(flat) == sorted((q.var, q.ctx) for q in queries)
 
     @settings(max_examples=25, **COMMON)
     @given(small_params())
     def test_group_dd_sorted_and_cd_ordered(self, params):
-        from repro.core import ScheduleConfig
-        from repro.core.scheduling import connection_distances
+        from repro.core import SchedulePlan
+        from repro.core.scheduling import connection_distances, group_queries
 
         build = build_from(params)
         queries = [Query(v) for v in build.pag.app_locals()]
-        cfg = ScheduleConfig(split_large=False, merge_small=False)
-        groups = schedule_queries(build.pag, queries, build.program.types, cfg)
+        plan = SchedulePlan(build.pag, build.program.types)
+        groups = group_queries(plan, queries)
         dds = [g.dd for g in groups]
         assert dds == sorted(dds)
-        cd, _ = connection_distances(build.pag, app_only=True, include_globals=False)
+        cd, _ = connection_distances(build.pag)
         for g in groups:
             cds = [cd[build.pag.rep(q.var)] for q in g.queries]
             assert cds == sorted(cds)

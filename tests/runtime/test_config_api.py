@@ -107,13 +107,16 @@ class TestParallelCFLConfigAPI:
             {"n_threads": 2},
             {"engine_config": EngineConfig()},
             {"schedule_config": None},
+            {"schedule": None},
+            {"types": None},
         ],
     )
     def test_retired_legacy_kwargs_are_type_errors(self, fig2, kwargs):
         # Runtime knobs (backend=, chunk_size=, cost_model=, faults=,
         # unit_timeout=, and the mode=/n_threads= overrides) live on
-        # RuntimeConfig only; the configs are spelled engine= and
-        # schedule=, as on Session.
+        # RuntimeConfig only; the engine config is spelled engine=, as
+        # on Session.  Scheduling has no setting (schedule=), and the
+        # type table comes from the program (types=).
         b, _ = fig2
         (name, _value), = kwargs.items()
         with pytest.raises(TypeError, match=name):

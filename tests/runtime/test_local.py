@@ -204,10 +204,8 @@ class TestHybridDemandRoute:
         rec = MetricsRecorder()
         runner = ParallelCFL(
             b,
-            runtime=RuntimeConfig(
-                mode="DQ", n_threads=2, backend="hybrid",
-                hybrid_crossover=10**6,
-            ),
+            # fig2's batch is far below DEFAULT_BULK_CROSSOVER.
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="hybrid"),
             engine=EngineConfig(tau_f=0, tau_u=0),
             recorder=rec,
         )

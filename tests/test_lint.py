@@ -32,6 +32,7 @@ RUFF_TARGETS = [
     "src/repro/core/snapshot.py",
     "src/repro/core/incremental.py",
     "src/repro/core/jumpmap.py",
+    "src/repro/core/scheduling.py",
     "src/repro/pag/graph.py",
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
