@@ -4,7 +4,7 @@ The paper splits/merges groups to the mean size for load balance; this
 bench sweeps explicit targets to show the trade-off: singleton units
 pay fetch overhead, oversized units hurt tail latency.  Each target's
 units come from :func:`schedule_queries` and run on a DQ runner's
-executor."""
+executor, over the runner's jump map."""
 
 from repro.benchgen.suites import load_benchmark, spec_of
 from repro.core.scheduling import schedule_queries
@@ -37,7 +37,7 @@ def test_group_size_sweep(once):
                 target_group_size=target,
             )
             units = [g.queries for g in groups]
-            batch = runner.executor().run_units(units)
+            batch = runner.executor().run_units(units, runner.resident_jumps())
             sg = sum(len(u) for u in units) / len(units)
             out[target] = (sg, batch.speedup_over(seq), batch)
         return out

@@ -18,15 +18,16 @@ Quick start::
 
     batch = session.batch()                # all application locals
     report = session.check(["null-deref"])
-    session.snapshot("box.snap")           # compacted warm-start state
+    session.snapshot("box.snap")           # warm-start state
 
 A session loads (or adopts) a program **once** and keeps every
 expensive artifact resident: the PAG, the sequential engine with its
-footprint-indexed jump map (``local`` batches run on it too), and —
-through resident :class:`~repro.runtime.executor.ParallelCFL` runners
-— one executor per other backend whose committed jump map warms
-successive batches.  That residency is what the ``repro serve`` daemon
-multiplexes client traffic onto.
+footprint-indexed jump map, and resident
+:class:`~repro.runtime.executor.ParallelCFL` runners, one per batch
+configuration.  Every runner's batches read and write that one map,
+whatever their backend, so single queries, batches of every backend,
+edits and snapshots all see one store.  That residency is what the
+``repro serve`` daemon multiplexes client traffic onto.
 
 Everything listed in ``__all__`` (configs, result records, error
 types, renderers, benchmark loaders, recorders) is re-exported here so
@@ -66,7 +67,6 @@ from repro.core import (
     FIELD_MODES,
     IncrementalAnalysis,
     JumpMap,
-    JumpMapLifecycle,
     Query,
     QueryGroup,
     QueryResult,
@@ -143,9 +143,8 @@ __all__ = [
     "IncrementalAnalysis",
     "ParallelCFL",
     "AndersenSolver",
-    # jump-map lifecycle and snapshots
+    # jump map and snapshots
     "JumpMap",
-    "JumpMapLifecycle",
     "Snapshot",
     "SnapshotHeader",
     "load_snapshot",
@@ -227,13 +226,12 @@ class Session:
     :class:`~repro.core.incremental.IncrementalAnalysis` (answers
     cached, footprints indexed for selective invalidation).  Batches
     run on resident :class:`ParallelCFL` runners keyed by ``(mode,
-    effective worker count, backend)``: the sharing-mode ``local`` and
-    ``hybrid`` ones on :attr:`seq` itself, every other one on its own
-    committed jump map, which an edge edit through :attr:`seq` retires
-    (adding a node changes no answer and retires nothing).
-    :meth:`snapshot` folds *all* resident jump state into a single
-    compacted epoch-0 delta on disk, and :meth:`warm_from_snapshot`
-    replays one into every resident store.
+    effective worker count, backend)``, every one on :attr:`seq` as
+    its store: a sharing batch of any backend reads and writes
+    :attr:`seq`'s map.  An edit through :attr:`seq` invalidates that
+    map and keeps every runner.  :meth:`snapshot` writes the map as an
+    epoch-0 delta on disk, and :meth:`warm_from_snapshot` replays one
+    into it.
     """
 
     def __init__(
@@ -260,12 +258,6 @@ class Session:
         self._tracer: Optional[TracingEngine] = None
         #: (mode, effective threads, backend) -> resident runner.
         self._runners: Dict[Tuple[str, int, str], ParallelCFL] = {}
-        #: Warm-boot log replayed into every later runner not on :attr:`seq`.
-        self._warm_log: List[DeltaEntry] = []
-        #: ``seq.generation`` the runners and the warm log were made at;
-        #: an edge edit through :attr:`seq` moves it and retires both, bar
-        #: the runners on :attr:`seq`.
-        self._runners_gen = 0
         if recorder:
             recorder.count("api.sessions")
 
@@ -513,32 +505,6 @@ class Session:
         ``n_threads``."""
         return (rt.mode, rt.effective_threads, rt.backend)
 
-    @staticmethod
-    def _on_seq(rt: RuntimeConfig) -> bool:
-        """Whether a configuration's runner runs its demand batches on
-        :attr:`seq`: the sharing-mode ``local`` and ``hybrid`` ones."""
-        return rt.sharing and rt.backend in ("local", "hybrid")
-
-    def _live_runners(self) -> Dict[Tuple[str, int, str], ParallelCFL]:
-        """The resident runners, after retiring those not on :attr:`seq`
-        if an edge was added through it since they were made.
-
-        An edge edit invalidates :attr:`seq`'s map selectively, so the
-        runners on it stay.  Every other runner's committed map (mp's
-        too, though its workers read the live PAG) describes the program
-        as it was, and so does the warm-boot log: they are dropped and
-        rebuilt on demand (runners hold no OS resources between
-        batches)."""
-        gen = self._seq.generation if self._seq is not None else 0
-        if gen != self._runners_gen:
-            self._runners = {
-                key: runner for key, runner in self._runners.items()
-                if self._on_seq(runner.runtime)
-            }
-            self._warm_log = []
-            self._runners_gen = gen
-        return self._runners
-
     def runner(
         self,
         *,
@@ -546,26 +512,20 @@ class Session:
         n_threads: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> ParallelCFL:
-        """The resident :class:`ParallelCFL` for a configuration,
-        created on first use: on :attr:`seq` if :meth:`_on_seq`, else
-        with its own map, warmed from any warm-boot log and resident
-        until the next edge edit through :attr:`seq`."""
+        """The resident :class:`ParallelCFL` for a configuration, on
+        :attr:`seq`, created on first use."""
         rt = self._runner_runtime(mode, n_threads, backend)
         key = self._runner_key(rt)
-        runners = self._live_runners()
-        runner = runners.get(key)
+        runner = self._runners.get(key)
         if runner is None:
-            on_seq = self._on_seq(rt)
             runner = ParallelCFL(
                 self.build if self.build is not None else self.pag,
                 runtime=rt,
                 engine=self.engine_config,
                 recorder=self.recorder,
-                store=self.seq if on_seq else None,
+                store=self.seq,
             )
-            if self._warm_log and not on_seq:
-                runner.warm_from(self._warm_log)
-            runners[key] = runner
+            self._runners[key] = runner
         return runner
 
     def batch(
@@ -582,44 +542,11 @@ class Session:
             mode=mode, n_threads=n_threads, backend=backend
         ).run(queries)
 
-    def resident_jumps(
-        self,
-        *,
-        mode: Optional[str] = None,
-        n_threads: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> Optional[JumpMapLifecycle]:
-        """The committed jump map of a configuration's resident
-        executor (``None`` before its first batch, for share-nothing
-        modes, and for the stateless matrix kernel; a hybrid
-        configuration's is its demand route's)."""
-        key = self._runner_key(
-            self._runner_runtime(mode, n_threads, backend)
-        )
-        runner = self._live_runners().get(key)
-        if runner is None:
-            return None
-        return runner.resident_jumps()
-
-    def _resident_maps(self) -> List[JumpMapLifecycle]:
-        """Every resident jump map once: :attr:`seq`'s, then each live
-        runner's that is not :attr:`seq`'s own."""
-        maps: List[JumpMapLifecycle] = []
-        if self._seq is not None:
-            maps.append(self._seq.jumps)
-        for runner in self._live_runners().values():
-            jumps = runner.resident_jumps()
-            if jumps is not None and all(jumps is not m for m in maps):
-                maps.append(jumps)
-        return maps
-
     def n_jump_entries(self) -> int:
-        """Total jump entries resident across the session, each map
-        counted once."""
-        return sum(
-            jumps.n_finished_edges + jumps.n_unfinished_edges
-            for jumps in self._resident_maps()
-        )
+        """Jump entries resident in the session's map."""
+        if self._seq is None:
+            return 0
+        return self._seq.jumps.n_jumps
 
     # ------------------------------------------------------------------
     # checkers
@@ -652,31 +579,18 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # snapshots (compacted warm-start state)
+    # snapshots (warm-start state)
     # ------------------------------------------------------------------
     def export_log(self) -> List[DeltaEntry]:
-        """The session's entire resident jump state as one compacted
-        epoch-0 delta: the sequential map's log merged with every other
-        resident map's, deduplicated first-writer-wins onto one entry
-        per key."""
-        merged = JumpMap()
-        raw = 0
-        for jumps in self._resident_maps():
-            log = jumps.export_log()
-            raw += len(log)
-            merged.warm_from(log)
-        compacted = merged.export_log()
-        if self.recorder and raw > len(compacted):
-            self.recorder.count(
-                "snapshot.log_compacted", raw - len(compacted)
-            )
-        return compacted
+        """The session's jump map as one epoch-0 delta, one entry per
+        key."""
+        return self.seq.jumps.export_log()
 
     def snapshot(self, path: Union[str, Path]) -> SnapshotHeader:
         """Persist the session's warm state (the PAG's fingerprint +
-        compacted commit log + the sequential session's invalidation
-        footprints) for :meth:`from_snapshot` /
-        ``repro serve --snapshot`` warm boots."""
+        the map's commit log + its invalidation footprints) for
+        :meth:`from_snapshot` / ``repro serve --snapshot`` warm
+        boots."""
         footprints = self._seq.footprints() if self._seq is not None else None
         return save_snapshot(
             path,
@@ -687,20 +601,13 @@ class Session:
         )
 
     def warm_from_snapshot(self, path: Union[str, Path]) -> int:
-        """Validate and replay a snapshot into the resident stores:
-        :attr:`seq` (and so every runner on it) immediately, and every
-        other runner now and when it is created later.  Returns entries
-        accepted by :attr:`seq`."""
+        """Validate and replay a snapshot into :attr:`seq`, the map
+        every runner of the session runs on.  Returns the accepted
+        entries."""
         snap = load_snapshot(
             path, expect_pag=self.pag, recorder=self.recorder
         )
-        accepted = self.seq.warm_from(snap.log, snap.footprints)
-        runners = self._live_runners()
-        self._warm_log = list(snap.log)
-        for runner in runners.values():
-            if not self._on_seq(runner.runtime):
-                runner.warm_from(self._warm_log)
-        return accepted
+        return self.seq.warm_from(snap.log, snap.footprints)
 
     # ------------------------------------------------------------------
     # misc
@@ -722,7 +629,7 @@ class Session:
             "backend": self.runtime.backend,
             "n_threads": self.runtime.effective_threads,
             "budget": self.engine_config.budget,
-            "n_runners": len(self._live_runners()),
+            "n_runners": len(self._runners),
             "n_jump_entries": self.n_jump_entries(),
             "n_cached_queries": (
                 self._seq.n_cached_queries if self._seq is not None else 0
@@ -737,4 +644,3 @@ class Session:
         self._runners.clear()
         self._seq = None
         self._tracer = None
-        self._warm_log = []

@@ -17,7 +17,7 @@
 
 from repro.core.context import EMPTY_CTX, ctx_pop, ctx_push, ctx_top
 from repro.core.engine import CFLEngine, EngineConfig, FIELD_MODES
-from repro.core.jumpmap import JumpMap, JumpMapLifecycle
+from repro.core.jumpmap import JumpMap
 from repro.core.query import Query, QueryResult
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.snapshot import Snapshot, SnapshotHeader, load_snapshot, save_snapshot
@@ -47,7 +47,6 @@ __all__ = [
     "EngineConfig",
     "FIELD_MODES",
     "JumpMap",
-    "JumpMapLifecycle",
     "Snapshot",
     "SnapshotHeader",
     "load_snapshot",

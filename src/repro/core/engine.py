@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.context import Context, EMPTY_CTX, ctx_enter, ctx_exit
-from repro.core.jumpmap import JumpMapLifecycle
+from repro.core.jumpmap import JumpMap
 from repro.core.query import Query, QueryResult, QueryState
 from repro.core.rules import (
     ANSWER_KIND, FLOWS_TO, MATCHED_BY_FIELD, POINTS_TO, ROUND_KIND, RULES,
@@ -62,6 +62,10 @@ from repro.pag.graph import PAG
 from repro.pag.nodes import NodeKind
 
 __all__ = ["EngineConfig", "CFLEngine", "FIELD_MODES", "POINTS_TO", "FLOWS_TO"]
+
+#: Safety valve for the chaotic-iteration loop: a query whose fixpoint
+#: needs more passes raises :class:`AnalysisError`.
+MAX_PASSES = 64
 
 # The alias rounds recurse POINTSTO -> REACHABLENODES -> POINTSTO; give
 # CPython room for realistically deep access-path chains.
@@ -137,8 +141,6 @@ class EngineConfig:
     #: Also publish rounds that found nothing (ablation; the paper does
     #: not record empty rounds — see benchmarks/test_ablation_tau.py).
     record_empty_rounds: bool = False
-    #: Safety valve for the chaotic-iteration loop.
-    max_passes: int = 64
 
     def __post_init__(self) -> None:
         if self.field_mode not in FIELD_MODES:
@@ -157,7 +159,8 @@ class CFLEngine:
     """Demand-driven context- and field-sensitive points-to analysis.
 
     One engine per PAG; queries are independent.  Pass a shared jump
-    map (any :class:`JumpMapLifecycle`, read and written directly) to
+    map (a :class:`JumpMap`, or the ``threads`` backend's lock-striped
+    view of one; read and written directly) to
     enable the data-sharing scheme; ``jumps=None`` is the share-nothing
     baseline (the paper's ``SeqCFL`` / naive-parallel configuration).
     Each alias round matches a heap edge against every store or load
@@ -168,7 +171,7 @@ class CFLEngine:
         self,
         pag: PAG,
         config: Optional[EngineConfig] = None,
-        jumps: Optional[JumpMapLifecycle] = None,
+        jumps: Optional[JumpMap] = None,
         recorder=None,
     ) -> None:
         self.pag = pag
@@ -253,7 +256,7 @@ class CFLEngine:
                 passes += 1
                 if key in q.complete or not q.changed:
                     break
-                if passes >= self.cfg.max_passes:
+                if passes >= MAX_PASSES:
                     raise AnalysisError(
                         f"fixpoint not reached after {passes} passes for {key}"
                     )

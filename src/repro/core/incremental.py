@@ -38,12 +38,21 @@ The store also runs the ``local`` backend's batches
 (:meth:`IncrementalAnalysis.run_units`) on the same engine and map,
 indexing what they publish, so a session's points-to queries, batches
 and edits share one store.  A batch leaves the answer cache alone: it
-reports each query's own costs.
+reports each query's own costs.  The ``sim``, ``threads`` and ``mp``
+backends run their batches on the store's map too
+(:class:`repro.runtime.executor.ParallelCFL`), but their engines record
+no footprint.
+
+So an edge edit also drops every finished entry the reverse index holds
+no record for (written by a ``sim``, ``threads`` or ``mp`` engine, or
+warmed without a footprint), with its transitive consumers: any edge
+may reach such an entry.  While every finished entry has a record, as
+in a store that only queries and ``local`` batches wrote, an edit does
+not scan the map.
 
 Warm starts (:mod:`repro.core.snapshot`): :meth:`IncrementalAnalysis.warm_from`
 replays a commit log with its :meth:`~IncrementalAnalysis.footprints`,
-so a restarted session keeps selective invalidation; entries that
-arrive without footprints are dropped by the first edge edit.
+so a restarted session keeps selective invalidation.
 
 Removals are out of scope (as in [16]'s "preliminary experience", the
 additive case — loading code — is the common one).
@@ -164,17 +173,20 @@ class _ReverseIndex:
         #: consumed finished entry -> tokens that took it as a shortcut
         self._deps: Dict[JumpKey, Set[_Token]] = {}
         self._records: Dict[_Token, FootprintRecord] = {}
-        #: warmed entries with no footprint: affected by *any* edge edit
-        self._unindexed: Set[_Token] = set()
+        #: Jump entries among the records.  Each is in the store's map:
+        #: only accepted inserts are registered, and an edit drops an
+        #: entry and its record together.
+        self.n_entries = 0
 
     def __len__(self) -> int:
-        return len(self._records) + len(self._unindexed)
+        return len(self._records)
 
     def register(self, token: _Token, record: FootprintRecord) -> None:
         if token in self._records:
             self.discard((token,))
-        self._unindexed.discard(token)
         self._records[token] = record
+        if token[0] == "jmp":
+            self.n_entries += 1
         for n in record.nodes:
             self._by_node.setdefault(n, set()).add(token)
         for f in record.fields:
@@ -182,22 +194,25 @@ class _ReverseIndex:
         for k in record.consumed:
             self._deps.setdefault(k, set()).add(token)
 
-    def register_unindexed(self, token: _Token) -> None:
-        if token not in self._records:
-            self._unindexed.add(token)
+    def unrecorded(self, keys: Iterable[JumpKey]) -> List[_Token]:
+        """The tokens of ``keys`` that hold no record."""
+        records = self._records
+        return [t for t in (("jmp", k) for k in keys) if t not in records]
 
     def affected(
-        self, nodes: Iterable[int], fields: Iterable[str]
+        self,
+        nodes: Iterable[int],
+        fields: Iterable[str],
+        unrecorded: Iterable[_Token] = (),
     ) -> Set[_Token]:
         """Tokens an edit on ``nodes``/``fields`` may have changed:
-        direct node/field hits, every unindexed token, and the
+        direct node/field hits, the ``unrecorded`` entries, and the
         transitive closure through consumed-entry dependencies."""
-        seed: Set[_Token] = set()
+        seed: Set[_Token] = set(unrecorded)
         for n in nodes:
             seed |= self._by_node.get(n, set())
         for f in fields:
             seed |= self._by_field.get(f, set())
-        seed |= self._unindexed
         out: Set[_Token] = set()
         stack = list(seed)
         while stack:
@@ -213,10 +228,11 @@ class _ReverseIndex:
 
     def discard(self, tokens: Iterable[_Token]) -> None:
         for token in tokens:
-            self._unindexed.discard(token)
             record = self._records.pop(token, None)
             if record is None:
                 continue
+            if token[0] == "jmp":
+                self.n_entries -= 1
             for n in record.nodes:
                 bucket = self._by_node.get(n)
                 if bucket is not None:
@@ -273,9 +289,6 @@ class IncrementalAnalysis:
         self._cache: Dict[_QueryKey, QueryResult] = {}
         #: Optional :class:`repro.obs.Recorder` (inc.* / snapshot.* counters).
         self.recorder = recorder
-        #: Edge edits so far.  A node addition does not count: a fresh
-        #: node is unconnected, so it changes no answer.
-        self.generation = 0
         #: finished entries (summed jmp edges) dropped across all edits
         self.n_invalidated = 0
         #: entries dropped / surviving on the most recent edit
@@ -399,19 +412,24 @@ class IncrementalAnalysis:
     # edits — mirror the PAG construction API, with invalidation
     # ------------------------------------------------------------------
     def _edited(self, nodes: Sequence[int], fields: Sequence[str] = ()) -> None:
-        self.generation += 1
         reps = {self.pag.rep(n) for n in nodes}
-        tokens = self._index.affected(reps, fields)
+        index, jumps = self._index, self.jumps
+        unrecorded: List[_Token] = []
+        if len(jumps) - jumps.n_unfinished_edges > index.n_entries:
+            # Some finished entry has no footprint, so any edge may
+            # reach it: look the unrecorded ones up and drop them all.
+            unrecorded = index.unrecorded(k for k, _ in jumps.finished_items())
+        tokens = index.affected(reps, fields, unrecorded)
         jump_keys: List[JumpKey] = [
             cast(JumpKey, payload) for kind, payload in tokens if kind == "jmp"
         ]
-        dropped = self.jumps.invalidate_keys(jump_keys)
+        dropped = jumps.invalidate_keys(jump_keys)
         requeued = 0
         for kind, payload in tokens:
             if kind == "qry" and self._cache.pop(payload, None) is not None:
                 requeued += 1
-        self._index.discard(tokens)
-        survived = self.jumps.n_finished_edges
+        index.discard(tokens)
+        survived = jumps.n_finished_edges
         self.n_invalidated += dropped
         self.last_edit_invalidated = dropped
         self.last_edit_survived = survived
@@ -476,15 +494,13 @@ class IncrementalAnalysis:
         """Replay an exported commit log into the session's map.
 
         Entries arriving with a footprint are indexed for selective
-        invalidation; entries without one are registered as unindexed —
-        sound, but the first edge edit drops them.  Returns the number
-        of accepted insertions."""
+        invalidation; entries without one stay unrecorded — sound, but
+        the first edge edit drops them.  Returns the number of accepted
+        insertions."""
         fps: FootprintData = footprints or {}
         accepted = self.jumps.replay(log)
         for tag, key, _payload in accepted:
-            if tag != "fin":
-                continue
-            fp = fps.get(key)
+            fp = fps.get(key) if tag == "fin" else None
             if fp is not None:
                 nodes, fields, consumed = fp
                 self._index.register(
@@ -493,8 +509,6 @@ class IncrementalAnalysis:
                         frozenset(nodes), frozenset(fields), tuple(consumed)
                     ),
                 )
-            else:
-                self._index.register_unindexed(("jmp", key))
         rec = self.recorder
         if rec and accepted:
             rec.count("inc.entries_warmed", len(accepted))

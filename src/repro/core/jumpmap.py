@@ -21,22 +21,27 @@ Concurrency semantics mirror Section IV-A:
 * a finished insertion clears any unfinished marker for the key (the
   round is now known to complete, so the marker's prediction is moot).
 
-Every executor's engine reads and writes its executor's map directly;
-there is no per-query overlay.  The ``local`` and ``sim`` executors and
-each mp worker run one query at a time over one :class:`JumpMap`, the
-``threads`` backend shares a lock-striped map between its threads, and
-a query sees every entry written before its reads, whichever query
-wrote it.  For the simulator this means every entry committed by
-queries popped before it in event order, including queries still
-running in simulated time (see :mod:`repro.runtime.simclock`).
+Every engine of a runner reads and writes its runner's store map
+(:attr:`repro.core.incremental.IncrementalAnalysis.jumps`; a
+:class:`repro.api.Session`'s runners all share ``Session.seq``'s)
+directly; there is no per-query overlay.  The ``local`` and ``sim``
+executors run one query at a time over it, the ``threads`` backend's
+threads share it under lock stripes
+(:class:`~repro.runtime.threaded.ConcurrentJumpMap`), and a query sees
+every entry written before its reads, whichever query wrote it.  For
+the simulator this means every entry committed by queries popped
+before it in event order, including queries still running in
+simulated time (see :mod:`repro.runtime.simclock`).  mp workers each
+hold a private copy that the coordinator keeps in step with the
+store's map, batch by batch (:mod:`repro.runtime.mp`).
 
 Every write of one store's entries into another goes through one
 replay routine, :meth:`JumpMap.replay`, which returns the entries it
 accepted: the mp coordinator's merge of a worker delta, a worker's
 catch-up on the coordinator's log suffix, and warm starts from a
-snapshot.  The mp executor's maps also record what they accept, in
-order (:class:`repro.runtime.mp.JournalingJumpMap`); that record is
-the epoch protocol's commit log.
+snapshot.  mp workers' maps also record what they accept, in order
+(:class:`repro.runtime.mp.JournalingJumpMap`), and the coordinator
+appends what its merges accept to the batch's commit log.
 
 Entries summarise rounds of the engine's one traversal (flowsTo), so a
 store carries no grammar label: any store's entries may warm any other.
@@ -44,71 +49,28 @@ store carries no grammar label: any store's entries may warm any other.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.pag.extended import FinishedJump, JumpKey
 
 __all__ = [
     "DeltaEntry",
     "JumpMap",
-    "JumpMapLifecycle",
 ]
 
 #: One committed jump entry in transit or at rest: ``("fin", key,
 #: edges)`` or ``("unf", key, steps)``.  This is simultaneously the mp
-#: epoch protocol's wire format (the coordinator map's commit log is a
+#: epoch protocol's wire format (an mp batch's commit log is a
 #: ``List[DeltaEntry]``; workers receive log suffixes) and the payload
 #: format of warm-start snapshots (:mod:`repro.core.snapshot`), so one
 #: replay routine (:meth:`JumpMap.replay`) serves both.
 DeltaEntry = Tuple[str, JumpKey, object]
 
 
-@runtime_checkable
-class JumpMapLifecycle(Protocol):
-    """The jump-map lifecycle: create / warm / invalidate / snapshot / ship.
-
-    Implemented by :class:`JumpMap` (seq engine, local and simulated
-    executors; the mp coordinator and workers use its journaling
-    subclass) and :class:`~repro.runtime.threaded.ConcurrentJumpMap`
-    (thread backend), so every backend can warm-start from — and
-    contribute to — the same on-disk artifact.  The engine takes any
-    implementation as its ``jumps`` and writes into it directly.
-    """
-
-    def finished(self, key: JumpKey) -> Optional[Tuple[FinishedJump, ...]]: ...
-
-    def unfinished(self, key: JumpKey) -> Optional[int]: ...
-
-    def insert_finished(
-        self, key: JumpKey, edges: Tuple[FinishedJump, ...]
-    ) -> bool: ...
-
-    def insert_unfinished(self, key: JumpKey, steps: int) -> bool: ...
-
-    @property
-    def n_finished_edges(self) -> int: ...
-
-    @property
-    def n_unfinished_edges(self) -> int: ...
-
-    def export_log(self) -> List[DeltaEntry]: ...
-
-    def warm_from(self, log: Iterable[DeltaEntry]) -> int: ...
-
-    def invalidate_keys(self, keys: Iterable[JumpKey]) -> int: ...
-
-
 class JumpMap:
-    """Single-writer jump store (sequential engine / committed base)."""
+    """Single-writer jump store: a runner's store map (written by one
+    thread at a time, or under :class:`~repro.runtime.threaded.ConcurrentJumpMap`'s
+    stripes), or an mp worker's copy."""
 
     def __init__(self) -> None:
         self._fin: Dict[JumpKey, Tuple[FinishedJump, ...]] = {}

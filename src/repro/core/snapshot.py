@@ -8,9 +8,10 @@ expensive state — the authoritative jump-map commit log in the mp epoch
 fingerprint of the graph it was computed on — so a restart or a new
 batch replays a prior session's summaries instead of rediscovering
 them.  The graph is not stored: the loading session builds it from
-the program.  Any :class:`~repro.core.jumpmap.JumpMapLifecycle` store
-can warm from the artifact, so seq, local, threads and mp sessions all
-share one snapshot format.
+the program.  A :class:`repro.api.Session` warms its one store,
+``Session.seq``, from the artifact, and every runner of the session
+(``local``, ``sim``, ``threads``, ``mp`` or ``hybrid``) runs on that
+store, so one snapshot format serves them all.
 
 File layout (one file, three sections)::
 
@@ -177,8 +178,7 @@ def save_snapshot(
     """Write a snapshot of ``log``, computed on ``pag``, to ``path``.
 
     ``log`` is a jump-map commit log as produced by
-    ``JumpMapLifecycle.export_log()`` (for an mp runner, its coordinator
-    map: ``MPExecutor.jumps``).
+    :meth:`~repro.core.jumpmap.JumpMap.export_log`.
     Returns the written header.
     """
     entries = list(log)

@@ -83,16 +83,15 @@ def run(
             ("", spec.engine_config(tau_f=0, tau_u=0)),
             ("_opt", spec.engine_config()),
         ):
-            # A resident session keeps the committed jump map reachable
-            # (Session.resident_jumps) for the histogram.
+            # Every runner of a session runs on its one map, seq's,
+            # which the histogram reads.
             session = Session.from_build(
                 build,
                 engine=cfg,
                 runtime=RuntimeConfig(mode="DQ", n_threads=n_threads),
             )
             batch = session.batch(queries)
-            jumps = session.resident_jumps()
-            assert isinstance(jumps, JumpMap)
+            jumps = session.seq.jumps
             hist = _collect(jumps)
             totals[f"finished{tag}"] = [
                 a + b for a, b in zip(totals[f"finished{tag}"], hist["finished"])

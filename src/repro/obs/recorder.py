@@ -81,11 +81,9 @@ COUNTER_DOCS: Dict[str, str] = {
     "mp.crashes": "worker failures observed",
     "mp.respawns": "worker slots respawned",
     "mp.quarantined_chunks": "chunks executed inline by the coordinator",
-    "mp.warm_entries": "commit-log entries seeded by a warm start",
     "snapshot.bytes": "snapshot bytes written plus bytes read back",
     "snapshot.entries_saved": "jump-map log entries persisted to snapshots",
     "snapshot.entries_loaded": "jump-map log entries read from snapshots",
-    "snapshot.log_compacted": "stale/duplicate entries folded out of exported logs",
     "api.sessions": "Session facades constructed",
     "api.pag_builds": "programs parsed and lowered to a PAG",
     "serve.connections": "HTTP connections accepted by the daemon",

@@ -12,9 +12,7 @@ Backends behind one facade:
 * **local** — the batch in order on the calling thread, on a demand
   store (:meth:`repro.core.incremental.IncrementalAnalysis.run_units`):
   mode D x1 with no fan-out, every query over the store's one jump map.
-  A :class:`repro.api.Session` runs it on its own ``seq`` store, so
-  single queries, batches and edits share one map.  ``repro serve``'s
-  default and ``hybrid``'s demand route.
+  ``repro serve``'s default and ``hybrid``'s demand route.
 * **threads** (:mod:`repro.runtime.threaded`) — genuine ``threading``
   threads against the lock-striped jump map; GIL-serialised, so it
   validates concurrency *semantics* rather than wall-clock speedup.
@@ -33,9 +31,13 @@ scheduling).  Everything about how a batch runs is one
 default and range check; a runner takes it as
 ``ParallelCFL(target, runtime=..., engine=...)`` and builds each
 backend's executor from it, every executor class taking ``(pag,
-runtime, engine_config, recorder)`` (``local``'s store is passed as
-``store=`` or made on first use).  ``DQ`` scheduling reads its type
-table from the program the runner is built on and has no setting.
+runtime, engine_config, recorder)``.  A runner has one jump map, its
+demand store's (passed as ``store=`` or made on first use): executors
+own none, and every sharing batch of every backend reads and writes
+the store's map.  A :class:`repro.api.Session` passes its ``seq`` to
+every runner, so single queries, batches of any backend and edits
+share one map.  ``DQ`` scheduling reads its type table from the
+program the runner is built on and has no setting.
 """
 
 from repro.runtime.config import BACKENDS, MODES, RuntimeConfig

@@ -30,18 +30,23 @@ backend's executor but ``local`` is made the same way, from
 :data:`EXECUTORS`: every executor class takes ``(pag, runtime,
 engine_config, recorder)`` and reads its worker count, sharing,
 ``BatchResult.mode`` label and backend knobs from ``runtime``.
-``local`` runs on the demand store passed as ``store=`` (a
-:class:`repro.api.Session` passes its ``seq``), else on its own.
+
+A runner has exactly one jump map: its demand store's
+(:class:`~repro.core.incremental.IncrementalAnalysis`), passed as
+``store=`` (a :class:`repro.api.Session` passes its ``seq``) or made on
+first use.  ``local`` batches run on the store itself; the ``sim``,
+``threads`` and ``mp`` executors own no map and are handed the store's
+map with each sharing batch (``run_units(units, jumps)``), so a query
+of any backend takes the shortcuts every earlier query of the store
+published, and an edit through the store reaches every backend.
+:meth:`resident_jumps` reads that map.
 
 A runner is resident: it keeps one executor per backend across
-:meth:`run` calls, so in the sharing modes the committed jump map (and
-the mp coordinator's commit log) warms every later batch, and its
-:class:`~repro.core.scheduling.SchedulePlan` (CD, ``direct``
-components, per-component DD) is built once, so a ``DQ`` batch after
-the first pays only the per-batch grouping.  :meth:`warm_from` seeds
-and :meth:`resident_jumps` reads those maps the same way for every
-backend.  This is the substrate :class:`repro.api.Session`, the
-checkers and the ``repro serve`` daemon run on.
+:meth:`run` calls, and its :class:`~repro.core.scheduling.SchedulePlan`
+(CD, ``direct`` components, per-component DD) is built once, so a
+``DQ`` batch after the first pays only the per-batch grouping.  This
+is the substrate :class:`repro.api.Session`, the checkers and the
+``repro serve`` daemon run on.
 
 Pass ``recorder=`` (:mod:`repro.obs`) to collect counters and spans;
 the batch's share lands in ``BatchResult.metrics``.
@@ -53,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.engine import EngineConfig
 from repro.core.incremental import IncrementalAnalysis
-from repro.core.jumpmap import DeltaEntry, JumpMapLifecycle
+from repro.core.jumpmap import JumpMap
 from repro.core.query import Query
 from repro.core.scheduling import SchedulePlan, prefer_bulk, schedule_queries
 from repro.pag.build import BuildResult
@@ -67,8 +72,8 @@ from repro.runtime.threaded import ThreadedExecutor
 
 __all__ = ["ParallelCFL", "MODES", "BACKENDS"]
 
-#: The executor class of each backend but ``local``, which runs on a
-#: demand store (:meth:`ParallelCFL.executor`), and ``hybrid``, which
+#: The executor class of each backend but ``local``, which is the
+#: runner's demand store (:meth:`ParallelCFL.executor`), and ``hybrid``, which
 #: routes each batch to ``matrix`` or to :data:`HYBRID_DEMAND_BACKEND`.
 EXECUTORS = {
     "sim": SimulatedExecutor,
@@ -105,7 +110,8 @@ class ParallelCFL:
         self.engine_config = engine or EngineConfig()
         self.recorder = recorder
         #: One resident executor per backend, made on first use; the
-        #: ``local`` one is the demand store passed as ``store``.
+        #: ``local`` one is the demand store, whose map every backend's
+        #: sharing batches read and write.
         self._executors: Dict[str, object] = {} if store is None else {"local": store}
         #: The whole-program half of scheduling, made on the first
         #: scheduled batch (never at construction) and kept for every
@@ -135,10 +141,9 @@ class ParallelCFL:
     # ------------------------------------------------------------------
     def executor(self, backend: Optional[str] = None):
         """The resident executor for ``backend`` (default: the
-        configured one), made on first use; its committed jump map
-        survives across batches.  ``hybrid`` has no executor of its own
-        — resolve it through :meth:`run` (or ask for ``matrix``/
-        ``local`` directly).
+        configured one), made on first use; ``local``'s is the demand
+        store.  ``hybrid`` has no executor of its own — resolve it
+        through :meth:`run` (or ask for ``matrix``/``local`` directly).
         """
         backend = backend or self.runtime.backend
         if backend == "hybrid":
@@ -160,32 +165,12 @@ class ParallelCFL:
             self._executors[backend] = ex
         return ex
 
-    def _stateful_backend(self) -> str:
-        """The backend whose executor holds this runner's jump map: the
-        configured one, or for ``hybrid`` its demand route (the matrix
-        kernel keeps no state between batches)."""
-        backend = self.runtime.backend
-        return HYBRID_DEMAND_BACKEND if backend == "hybrid" else backend
-
-    def resident_jumps(self) -> Optional[JumpMapLifecycle]:
-        """The resident executor's committed jump map (``None`` before
-        its first batch, for share-nothing modes and for the stateless
-        matrix kernel; a hybrid runner's is its demand route's)."""
-        ex = self._executors.get(self._stateful_backend())
-        if ex is None or not self.runtime.sharing:
-            return None
-        return ex.jumps
-
-    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
-        """Seed the executor that holds this runner's jump map from an
-        exported commit log (:mod:`repro.core.snapshot` wire format);
-        returns the number of accepted entries (first-writer-wins,
-        idempotent).  Share-nothing modes and the matrix kernel have no
-        map to warm."""
+    def resident_jumps(self) -> Optional[JumpMap]:
+        """The jump map this runner's sharing batches read and write,
+        its demand store's (``None`` in a share-nothing mode)."""
         if not self.runtime.sharing:
-            return 0
-        ex = self.executor(self._stateful_backend())
-        return ex.warm_from(log) if ex.jumps is not None else 0
+            return None
+        return self.executor("local").jumps
 
     # ------------------------------------------------------------------
     def run(self, queries: Optional[Sequence[Query]] = None) -> BatchResult:
@@ -225,8 +210,13 @@ class ParallelCFL:
                 n_units=len(units),
             )
         ex = self.executor(backend)
-        # A demand store serves every mode, so it is told this one.
-        batch = ex.run_units(units, rt) if backend == "local" else ex.run_units(units)
+        if backend == "local":
+            # A demand store serves every mode, so it is told this one.
+            batch = ex.run_units(units, rt)
+        elif backend == "matrix":
+            batch = ex.run_units(units)  # the kernel keeps no jump map
+        else:
+            batch = ex.run_units(units, self.resident_jumps())
         if rec:
             batch.metrics = rec.since(mark)
             rec.event(

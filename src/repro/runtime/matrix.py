@@ -30,10 +30,6 @@ __all__ = ["MatrixExecutor"]
 class MatrixExecutor:
     """Run query batches through the bulk matrix kernel."""
 
-    #: The kernel is stateless between batches: no jump map to warm or
-    #: export.
-    jumps = None
-
     def __init__(
         self,
         pag: PAG,

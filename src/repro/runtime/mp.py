@@ -6,30 +6,35 @@ owning a private :class:`~repro.core.engine.CFLEngine` over the one
 worker exactly once — inherited copy-on-write under the ``fork`` start
 method where the platform has it, else pickled one time as a process
 argument under ``spawn`` — and is never re-serialised per work unit.
-Workers only read it; an edit retires the session's runners.
+Workers only read it, and live for one batch, so an edit between
+batches reaches the next batch's workers.
 
 Data sharing (the paper's ``ConcurrentHashMap``, Section IV-A) becomes
 **epoch-based jump-map synchronisation**:
 
-* the coordinator and every worker each hold one
-  :class:`JournalingJumpMap`: a :class:`JumpMap` that appends each
-  entry it accepts to its ``log``.  The coordinator's log is the
-  append-only **commit log**; its length is the *epoch*;
-* a worker's queries read and write its map directly, one at a time;
+* the coordinator runs a batch on its runner's store map (a sharing
+  batch is handed one, see :meth:`MPExecutor.run_units`) and keeps the
+  batch's append-only **commit log**: the map's
+  :meth:`~repro.core.jumpmap.JumpMap.export_log` at batch start, then
+  every entry a merge accepts.  A log index is an *epoch*;
+* every worker holds one :class:`JournalingJumpMap`: a :class:`JumpMap`
+  that appends each entry it accepts to its ``log``.  A worker's
+  queries read and write its map directly, one at a time;
   the entries its map accepted while running a chunk — its log since
   the chunk's incoming suffix was replayed — are the chunk's outgoing
   **delta**;
 * a completed chunk ships its delta back with the results; the
   coordinator replays it into its map (:meth:`JumpMap.replay` — the
-  first writer wins, finished clears unfinished), which appends the
+  first writer wins, finished clears unfinished) and appends the
   *accepted* entries to the commit log;
 * the next chunk dispatched to a worker carries the log suffix since
   that worker's last-seen epoch, growing its map to the coordinator's
-  view before any new query runs.
+  view before any new query runs.  A worker's first chunk carries the
+  whole log, the map's entries from before the batch included.
 
 Every one of these writes is the same replay routine, and every log is
-the record of the map that accepted the entries, so a worker's map,
-the coordinator's map and its log agree by construction.
+the record of what a map accepted, so a worker's map, the
+coordinator's map and its log agree by construction.
 
 Visibility is commit order (DESIGN.md §4): a query observes the jump
 edges committed by chunks whose results reached the coordinator before
@@ -114,7 +119,7 @@ from repro.core.engine import CFLEngine, EngineConfig
 from repro.core.jumpmap import DeltaEntry, JumpMap
 from repro.pag.extended import FinishedJump, JumpKey
 from repro.core.query import Query
-from repro.errors import RuntimeConfigError, WorkerCrash
+from repro.errors import WorkerCrash
 from repro.obs.recorder import MetricsRecorder
 from repro.pag.graph import PAG
 from repro.runtime.config import RuntimeConfig
@@ -139,9 +144,9 @@ class JournalingJumpMap(JumpMap):
     ``log`` holds the accepted inserts and replayed entries as
     :data:`DeltaEntry` values, so replaying it into a fresh
     :class:`JumpMap` rebuilds this map, and a suffix of it is exactly
-    what a copy that saw the prefix is missing.  The mp maps are never
-    invalidated (an edited program retires the runner instead), so the
-    log holds at most one ``unf`` and one ``fin`` entry per key.
+    what a copy that saw the prefix is missing.  A worker's map lives
+    for one batch and is never invalidated, so the log holds at most
+    one ``unf`` and one ``fin`` entry per key.
     """
 
     def __init__(self) -> None:
@@ -301,34 +306,6 @@ class MPExecutor:
         #: transport counters (epoch ships, delta bytes, merge
         #: conflicts, requeues, respawns) plus chunk/query spans.
         self.recorder = recorder
-        #: The coordinator's authoritative jump map (reusable across
-        #: batches, like the other executors' shared maps); its ``log``
-        #: is the commit log backing the epochs, index == epoch.
-        self.jumps: Optional[JournalingJumpMap] = (
-            JournalingJumpMap() if runtime.sharing else None
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def epoch(self) -> int:
-        """Current epoch: number of jump entries committed so far."""
-        return len(self.jumps.log) if self.jumps is not None else 0
-
-    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
-        """Seed the coordinator map, and so its commit log, from a prior
-        session's exported log before the first batch, so workers
-        receive the warmed entries as the epoch-0 delta with their
-        first chunk instead of rediscovering them.  Idempotent
-        (first-writer-wins); returns the number of accepted entries."""
-        if self.jumps is None:
-            raise RuntimeConfigError(
-                "warm start requires data sharing (mode D or DQ)"
-            )
-        accepted = self.jumps.warm_from(log)
-        rec = self.recorder
-        if rec and accepted:
-            rec.count("mp.warm_entries", accepted)
-        return accepted
 
     def _chunks(
         self, units: Sequence[Sequence[Query]]
@@ -344,8 +321,16 @@ class MPExecutor:
         return [units[i:i + size] for i in range(0, len(units), size)]
 
     # ------------------------------------------------------------------
-    def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
+    def run_units(
+        self,
+        units: Sequence[Sequence[Query]],
+        jumps: Optional[JumpMap] = None,
+    ) -> BatchResult:
         """Execute the work units and return the batch record.
+
+        A sharing mode's coordinator map is ``jumps`` (a fresh map when
+        none is passed), whose entries reach the workers as the
+        epoch-0 delta; a share-nothing mode passes none.
 
         Completes the batch even under worker failures — see the
         module docstring for the recovery state machine.  The returned
@@ -354,6 +339,8 @@ class MPExecutor:
         ``completed`` and all counters at zero.
         """
         rt = self.runtime
+        if jumps is None and rt.sharing:
+            jumps = JumpMap()
         chunks = self._chunks(units)
         if not chunks:
             # No workers are spawned for an empty batch; report that
@@ -383,7 +370,7 @@ class MPExecutor:
         procs: List[Optional[object]] = [None] * n
         alive = [False] * n
         #: The commit log (empty and never growing without sharing).
-        log: List[DeltaEntry] = self.jumps.log if rt.sharing else []
+        log: List[DeltaEntry] = jumps.export_log() if jumps is not None else []
         sent_epoch = [0] * n       # per-worker last-broadcast log index
         busy = [0.0] * n
         executions: List[QueryExecution] = []
@@ -409,7 +396,7 @@ class MPExecutor:
             parent, child = _MP_CONTEXT.Pipe()
             proc = _MP_CONTEXT.Process(
                 target=_worker_main,
-                args=(child, self.pag, self.engine_config, rt.sharing,
+                args=(child, self.pag, self.engine_config, jumps is not None,
                       w, rt.faults, bool(rec), hb_interval),
                 daemon=True,
             )
@@ -427,18 +414,22 @@ class MPExecutor:
         t0 = perf()
 
         def run_inline(ci: int) -> None:
-            """Quarantine path: answer the chunk in-process, writing
-            jump entries straight into the authoritative map, whose log
-            records them (the coordinator *is* the commit point)."""
+            """Quarantine path: answer the chunk in-process as a worker
+            would, on a journaling copy of the commit log, and merge
+            what the copy accepted into the coordinator map and log."""
             if rec:
                 rec.count("mp.quarantined_chunks")
                 rec.event("quarantine", chunk=ci,
                           queries=sum(len(u) for u in chunks[ci]))
-            committed = len(log)
+            inline = None
+            if jumps is not None:
+                inline = JournalingJumpMap()
+                inline.replay(log)
+                mark = len(inline.log)
             for unit in chunks[ci]:
                 for query in unit:
                     engine = CFLEngine(self.pag, self.engine_config,
-                                       jumps=self.jumps, recorder=rec)
+                                       jumps=inline, recorder=rec)
                     q0 = perf()
                     result = engine.run_query(query)
                     q1 = perf()
@@ -453,10 +444,12 @@ class MPExecutor:
                         )
             status[ci] = "quarantined"
             done.add(ci)
+            if inline is not None:
+                accepted = jumps.replay(inline.log[mark:])
+                log.extend(accepted)
+                if rec:
+                    rec.count("mp.delta_entries_merged", len(accepted))
             if rec:
-                rec.count_many(
-                    {"mp.delta_entries_merged": len(log) - committed}
-                )
                 rec.event("done", worker=COORDINATOR, chunk=ci,
                           queries=sum(len(u) for u in chunks[ci]),
                           status="quarantined")
@@ -583,11 +576,13 @@ class MPExecutor:
             _tag, ci, records, delta, worker_metrics = msg
             inflight.pop(w, None)
             dispatched_at = sent_at.pop(w, None)
-            if rt.sharing and delta:
+            if jumps is not None and delta:
                 # Merge even a straggler's delta: idempotent, and its
                 # entries are legitimate commits.
                 caught_up = sent_epoch[w] == len(log)
-                accepted = len(self.jumps.replay(delta))
+                merged = jumps.replay(delta)
+                log.extend(merged)
+                accepted = len(merged)
                 if caught_up:
                     # The entries just appended are this worker's own,
                     # already in its map: never ship them back to it.
@@ -715,5 +710,5 @@ class MPExecutor:
             n_worker_respawns=respawns,
             errors=errors,
         )
-        result.count_jumps(self.jumps)
+        result.count_jumps(jumps)
         return result

@@ -72,7 +72,7 @@ class BatchResult:
 
     # ------------------------------------------------------------------
     def count_jumps(self, jumps) -> None:
-        """Record the executor's committed map size after the batch
+        """Record the size of the map the batch ran on, after the batch
         (``#Jumps`` and its finished/unfinished split); a share-nothing
         run has no map (``None``) and keeps the zeros."""
         if jumps is not None:

@@ -5,7 +5,7 @@ Workers carry simulated clocks; an event queue (min-heap keyed on
 ready it fetches the next work unit from the shared work list (paying
 the lock cost) and executes its queries one at a time.  A query runs
 to completion when its worker's event is popped, reading and writing
-the executor's committed :class:`JumpMap` directly, and its simulated
+its runner's store :class:`JumpMap` directly, and its simulated
 duration is charged afterwards.  So a query sees every jump entry
 committed by queries popped before it in event order — including
 queries still running in simulated time, whose entries the model
@@ -25,7 +25,7 @@ import heapq
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.jumpmap import DeltaEntry, JumpMap
+from repro.core.jumpmap import JumpMap
 from repro.core.query import Query
 from repro.pag.graph import PAG
 from repro.obs.recorder import SIM_PID
@@ -41,10 +41,10 @@ class SimulatedExecutor:
     workers.
 
     ``units`` is the shared work list: a sequence of query lists (one
-    list per fetch).  Data sharing follows ``runtime.sharing``; the
-    committed :class:`JumpMap` is owned by the executor and reusable
-    across batches.  Query costs come from ``runtime.cost_model``
-    (default :class:`CostModel`).
+    list per fetch).  Data sharing follows ``runtime.sharing``: a
+    sharing batch reads and writes the :class:`JumpMap` passed to
+    :meth:`run_units` (its runner's store map).  Query costs come from
+    ``runtime.cost_model`` (default :class:`CostModel`).
     """
 
     def __init__(
@@ -60,17 +60,20 @@ class SimulatedExecutor:
         #: Optional :class:`repro.obs.Recorder`: engine counters flushed
         #: per query, plus per-query spans on the simulated-clock lane.
         self.recorder = recorder
-        #: Committed jump edges (shared across batches run on this executor).
-        self.jumps = JumpMap() if runtime.sharing else None
-
-    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
-        """Seed the committed map from an exported commit log."""
-        return self.jumps.warm_from(log)
 
     # ------------------------------------------------------------------
-    def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
-        """Execute the work units and return the batch record."""
+    def run_units(
+        self,
+        units: Sequence[Sequence[Query]],
+        jumps: Optional[JumpMap] = None,
+    ) -> BatchResult:
+        """Execute the work units and return the batch record.
+
+        A sharing mode runs on ``jumps``, or on a fresh map when none
+        is passed; a share-nothing mode passes none."""
         rt = self.runtime
+        if jumps is None and rt.sharing:
+            jumps = JumpMap()
         cm = rt.cost_model or CostModel()
         rec = self.recorder
         t = rt.effective_threads
@@ -95,7 +98,7 @@ class SimulatedExecutor:
                 continue
             query = backlog[w].pop(0)
             result = CFLEngine(
-                self.pag, self.engine_config, jumps=self.jumps, recorder=rec
+                self.pag, self.engine_config, jumps=jumps, recorder=rec
             ).run_query(query)
             duration = cm.query_time(result.costs, t)
             finish = now + duration
@@ -115,11 +118,14 @@ class SimulatedExecutor:
                           sim_start=round(now, 3), sim_finish=round(finish, 3))
             heapq.heappush(heap, (finish, w))
 
-        return self._finalise(executions, busy)
+        return self._finalise(executions, busy, jumps)
 
     # ------------------------------------------------------------------
     def _finalise(
-        self, executions: List[QueryExecution], busy: List[float]
+        self,
+        executions: List[QueryExecution],
+        busy: List[float],
+        jumps: Optional[JumpMap],
     ) -> BatchResult:
         makespan = max((e.finish for e in executions), default=0.0)
         result = BatchResult(
@@ -129,11 +135,13 @@ class SimulatedExecutor:
             makespan=makespan,
             worker_busy=busy,
         )
-        result.count_jumps(self.jumps)
-        result.peak_memory_proxy = self._peak_memory(executions)
+        result.count_jumps(jumps)
+        result.peak_memory_proxy = self._peak_memory(executions, jumps)
         return result
 
-    def _peak_memory(self, executions: List[QueryExecution]) -> float:
+    def _peak_memory(
+        self, executions: List[QueryExecution], jumps: Optional[JumpMap]
+    ) -> float:
         """Sweep the execution intervals: peak of the summed footprints
         of concurrently running queries, plus the jump map size."""
         events: List[Tuple[float, int, int]] = []
@@ -150,5 +158,5 @@ class SimulatedExecutor:
             live += sign * fp
             if live > peak:
                 peak = live
-        jump_entries = float(self.jumps.n_jumps) if self.jumps is not None else 0.0
+        jump_entries = float(jumps.n_jumps) if jumps is not None else 0.0
         return peak + jump_entries

@@ -4,11 +4,11 @@ Under CPython's GIL the traversal loops of concurrent threads are
 serialised, so this backend's *wall-clock* numbers show little speedup
 — use ``backend="mp"`` (:mod:`repro.runtime.mp`) for real multicore
 wall-clock measurements.  Its purpose is to exercise the *concurrency
-semantics* of the data-sharing scheme with genuine threads: a
-lock-striped :class:`ConcurrentJumpMap` (mirroring the paper's
-``ConcurrentHashMap``), a lock-protected shared work list, and live
-mid-query edge visibility — stronger interleaving than the simulator's
-one-query-at-a-time event order.  Tests assert that answers remain identical to the
+semantics* of the data-sharing scheme with genuine threads: lock
+stripes over the runner's store map (:class:`ConcurrentJumpMap`,
+mirroring the paper's ``ConcurrentHashMap``), a lock-protected shared
+work list, and live mid-query edge visibility — stronger interleaving
+than the simulator's one-query-at-a-time event order.  Tests assert that answers remain identical to the
 sequential engine under this adversarial interleaving.  Per-query wall
 times and the batch makespan are measured for real (they are honest,
 just GIL-bound).
@@ -28,10 +28,10 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.engine import CFLEngine, EngineConfig
-from repro.core.jumpmap import DeltaEntry, JumpMap
+from repro.core.jumpmap import JumpMap
 from repro.core.query import Query
 from repro.errors import RuntimeConfigError
 from repro.pag.extended import FinishedJump, JumpKey
@@ -45,8 +45,9 @@ __all__ = ["ConcurrentJumpMap", "ThreadedExecutor"]
 class ConcurrentJumpMap:
     """Lock-striped thread-safe jump store (``ConcurrentHashMap`` stand-in).
 
-    Same reader/writer semantics as :class:`~repro.core.jumpmap.JumpMap`
-    (first-writer-wins unfinished, finished-clears-unfinished), with each
+    Reads, inserts and counts of a :class:`~repro.core.jumpmap.JumpMap`
+    (its own, or the one given to :meth:`over`) with the same semantics
+    (first-writer-wins unfinished, finished-clears-unfinished), each
     key guarded by one of ``n_stripes`` locks.
     """
 
@@ -57,6 +58,14 @@ class ConcurrentJumpMap:
             )
         self._inner = JumpMap()
         self._locks = [threading.Lock() for _ in range(n_stripes)]
+
+    @classmethod
+    def over(cls, jumps: JumpMap) -> "ConcurrentJumpMap":
+        """Stripes over an existing map: a ``threads`` batch's view of
+        its runner's store map."""
+        cmap = cls()
+        cmap._inner = jumps
+        return cmap
 
     def _lock(self, key: JumpKey) -> threading.Lock:
         return self._locks[hash(key) % len(self._locks)]
@@ -119,31 +128,6 @@ class ConcurrentJumpMap:
         finally:
             self._unlock_all()
 
-    # -- lifecycle (JumpMapLifecycle) ----------------------------------
-    # Rare whole-map operations (session start, edit, snapshot); each
-    # takes the stop-the-world all-stripes lock so exports are
-    # consistent and replays/invalidations are atomic w.r.t. writers.
-    def export_log(self) -> List[DeltaEntry]:
-        self._lock_all()
-        try:
-            return self._inner.export_log()
-        finally:
-            self._unlock_all()
-
-    def warm_from(self, log: Iterable[DeltaEntry]) -> int:
-        self._lock_all()
-        try:
-            return self._inner.warm_from(log)
-        finally:
-            self._unlock_all()
-
-    def invalidate_keys(self, keys: Iterable[JumpKey]) -> int:
-        self._lock_all()
-        try:
-            return self._inner.invalidate_keys(keys)
-        finally:
-            self._unlock_all()
-
 
 class ThreadedExecutor:
     """Executes a query batch on real ``threading`` threads."""
@@ -161,17 +145,18 @@ class ThreadedExecutor:
         #: Optional :class:`repro.obs.Recorder` (MetricsRecorder is
         #: thread-safe, so worker threads share it directly).
         self.recorder = recorder
-        self.jumps: Optional[ConcurrentJumpMap] = (
-            ConcurrentJumpMap() if runtime.sharing else None
-        )
 
-    def warm_from(self, log: Sequence[DeltaEntry]) -> int:
-        """Seed the committed map from an exported commit log."""
-        return self.jumps.warm_from(log)
-
-    def run_units(self, units: Sequence[Sequence[Query]]) -> BatchResult:
+    def run_units(
+        self,
+        units: Sequence[Sequence[Query]],
+        jumps: Optional[JumpMap] = None,
+    ) -> BatchResult:
         """Drain the shared work list with ``runtime.effective_threads``
         threads.
+
+        A sharing mode runs on ``jumps`` (a fresh map when none is
+        passed) under :class:`ConcurrentJumpMap` stripes; a
+        share-nothing mode passes none.
 
         The list is a :class:`collections.deque` popped from the left —
         an O(1) fetch under the lock (a plain ``list.pop(0)`` would
@@ -190,6 +175,9 @@ class ThreadedExecutor:
         lands in ``BatchResult.errors``.
         """
         n_threads = self.runtime.effective_threads
+        if jumps is None and self.runtime.sharing:
+            jumps = JumpMap()
+        shared = ConcurrentJumpMap.over(jumps) if jumps is not None else None
         units = [list(u) for u in units]
         work: Deque[Tuple[int, List[Query]]] = deque(enumerate(units))
         status: List[str] = ["completed"] * len(units)
@@ -224,7 +212,7 @@ class ThreadedExecutor:
             track = hb_interval and 0 <= wid < n_threads
             for query in unit:
                 engine = CFLEngine(
-                    self.pag, self.engine_config, jumps=self.jumps,
+                    self.pag, self.engine_config, jumps=shared,
                     recorder=rec,
                 )
                 start = perf() - t0
@@ -357,5 +345,5 @@ class ThreadedExecutor:
             n_chunk_retries=n_retries,
             errors=errors,
         )
-        result.count_jumps(self.jumps)
+        result.count_jumps(jumps)
         return result

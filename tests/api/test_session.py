@@ -1,10 +1,10 @@
 """Tests for :class:`repro.api.Session` — the one blessed entry point.
 
 The facade's contract: a program is parsed and lowered **once**, every
-expensive artifact stays resident (PAG, sequential jump map, persistent
-per-backend executors), and its answers are identical to the
+expensive artifact stays resident (PAG, the one jump map, persistent
+per-configuration runners on it), and its answers are identical to the
 lower-level engines it fronts.  Constructors, name resolution, single
-queries, batches, checkers, and the compacted snapshot round-trip are
+queries, batches, edits, checkers, and the snapshot round-trip are
 all covered here; the serving daemon built on top is covered in
 ``tests/serve``.
 """
@@ -20,8 +20,9 @@ from repro.api import (
     CFLEngine,
     EngineConfig,
     InputError,
-    JumpMapLifecycle,
+    JumpMap,
     MetricsRecorder,
+    PAG,
     Query,
     RuntimeConfig,
     Session,
@@ -155,7 +156,7 @@ class TestBatchesAndResidency:
         for n in (2, 4):
             session.batch(mode="D", n_threads=n, backend="local")
         assert session.stats()["n_runners"] == 1
-        jumps = session.resident_jumps(mode="D", backend="local")
+        jumps = session.seq.jumps
         assert session.n_jump_entries() == (
             jumps.n_finished_edges + jumps.n_unfinished_edges
         )
@@ -167,14 +168,14 @@ class TestBatchesAndResidency:
             runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
             engine=EngineConfig(tau_f=0, tau_u=0),
         )
-        assert session.resident_jumps() is None  # no batch yet
+        jumps = session.runner().resident_jumps()
+        assert jumps is session.seq.jumps  # the session's one map
+        assert isinstance(jumps, JumpMap)
         session.batch()
-        jumps = session.resident_jumps()
-        assert isinstance(jumps, JumpMapLifecycle)
         n_first = jumps.n_finished_edges + jumps.n_unfinished_edges
         assert n_first > 0
         session.batch()
-        assert session.resident_jumps() is jumps  # same resident store
+        assert session.runner().resident_jumps() is jumps
         assert session.n_jump_entries() >= n_first
 
     def test_batch_answers_match_seq(self, fig2):
@@ -250,12 +251,13 @@ def _answers(batch):
     ))
 
 
-class TestEditsRetireRunners:
+class TestEditsKeepRunners:
     """An edge edit through ``session.seq`` must reach the batch
-    runners.  A runner with its own committed jump map is retired, since
-    its map predates the edit; the ``local`` and ``hybrid`` runners run
-    on ``seq``, whose map the edit invalidates selectively.  Adding a
-    node changes no answer and retires nothing."""
+    runners.  Every runner runs on ``seq``'s map, which the edit
+    invalidates in place, so every runner stays: entries indexed under
+    a footprint fall only when the edit reaches them, entries the
+    ``sim``, ``threads`` and ``mp`` engines wrote (no footprint) fall
+    at every edge edit, and unfinished markers stay."""
 
     @pytest.mark.parametrize(
         "backend", ["sim", "threads", "mp", "local", "hybrid"]
@@ -269,70 +271,82 @@ class TestEditsRetireRunners:
         build, edits = _withheld("_200_check", 30)
         session = Session.from_build(build, **kw)
         session.batch()
-        runner, jumps = session.runner(), session.resident_jumps()
+        runner = session.runner()
+        jumps = session.seq.jumps
+        assert runner.resident_jumps() is jumps
         _apply_edits(session, edits)
         after = session.batch()
-        if backend in ("local", "hybrid"):
-            # One store throughout, invalidated in place.
-            assert jumps is session.seq.jumps
-            assert session.resident_jumps() is jumps
-            assert session.runner() is runner
-            assert session.seq.n_invalidated > 0
-        else:
-            assert session.runner() is not runner
+        # One store throughout, invalidated in place; no runner retired.
+        assert session.runner() is runner
+        assert runner.resident_jumps() is session.seq.jumps is jumps
+        assert session.seq.n_invalidated > 0
 
         fresh_build, _ = _withheld("_200_check", 30)
         fresh = Session.from_build(fresh_build, **kw)
         _apply_edits(fresh, edits)
         assert _answers(after) == _answers(fresh.batch())
 
-    def test_edit_retires_runners_and_the_warm_log(self, tmp_path):
-        snap = tmp_path / "box.snap"
-        kw = dict(
+    def test_edge_edit_drops_only_unrecorded_and_reached_entries(self):
+        # Two disjoint heap islands.  Single queries on island a index
+        # their entries; a sim batch over island b writes entries with
+        # no footprint; an exhausting query plants unfinished markers.
+        pag = PAG()
+        nodes = {}
+        for tag in ("a", "b"):
+            p = pag.add_local(f"p_{tag}")
+            v = pag.add_local(f"v_{tag}")
+            x = pag.add_local(f"x_{tag}")
+            pag.add_new_edge(p, pag.add_obj(f"o_base_{tag}"))
+            pag.add_new_edge(v, pag.add_obj(f"o_val_{tag}"))
+            pag.add_store_edge(p, f"f_{tag}", v)
+            pag.add_load_edge(x, p, f"f_{tag}")
+            nodes[tag] = (p, v, x)
+        session = Session.from_pag(
+            pag,
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="sim"),
+            engine=EngineConfig(tau_f=0, tau_u=0),
+        )
+        seq = session.seq
+        jumps = seq.jumps
+        session.points_to(nodes["a"][2])
+        indexed = dict(jumps.finished_items())
+        assert indexed and seq.n_tracked_entries > 0
+        session.batch([Query(nodes["b"][2])])
+        written = {
+            key for key, _ in jumps.finished_items() if key not in indexed
+        }
+        assert written  # the sim engines' entries, without a footprint
+        jumps.insert_unfinished((nodes["b"][0], (), False), 7)
+        markers = dict(jumps.unfinished_items())
+        runner = session.runner()
+
+        # An edge into island a's untouched corner: a fresh local
+        # assigned from nothing any island a entry visited.
+        fresh = seq.add_local("fresh")
+        seq.add_assign_edge(fresh, seq.add_local("other"))
+        held = dict(jumps.finished_items())
+        assert held == indexed  # indexed and unreached: all kept
+        assert not written & held.keys()  # unrecorded: all dropped
+        assert dict(jumps.unfinished_items()) == markers
+        assert session.runner() is runner
+
+    def test_node_addition_keeps_every_runner(self):
+        session = Session.open(
+            EXAMPLE,
             runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
             engine=EngineConfig(tau_f=0, tau_u=0),
         )
-        cold = Session.open(EXAMPLE, **kw)
-        cold.batch()
-        cold.snapshot(snap)
-
-        warm = Session.from_snapshot(snap, EXAMPLE, **kw)
-        runner = warm.runner()
-        assert runner.resident_jumps().n_finished_edges > 0  # warmed
-        fresh = warm.seq.add_local("fresh_local")
-        warm.seq.add_assign_edge(fresh, warm.resolve("b@Main.main"))
-        assert warm.resident_jumps() is None
-        retired = warm.runner()
-        assert retired is not runner
-        # The warm log describes the pre-edit program: nothing replayed.
-        assert retired.resident_jumps() is None
-        assert warm.runner() is retired  # resident until the next edit
-
-    def test_node_addition_keeps_runners_and_the_warm_log(self, tmp_path):
-        snap = tmp_path / "box.snap"
-        kw = dict(
-            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
-            engine=EngineConfig(tau_f=0, tau_u=0),
-        )
-        cold = Session.open(EXAMPLE, **kw)
-        cold.batch()
-        cold.snapshot(snap)
-
-        warm = Session.from_snapshot(snap, EXAMPLE, **kw)
-        runner = warm.runner()
-        jumps = runner.resident_jumps()
-        warmed = jumps.n_finished_edges
-        assert warmed > 0
-        warm.seq.add_local("fresh_local")
-        warm.seq.add_global("FRESH_GLOBAL")
-        warm.seq.add_obj("fresh_obj")
-        assert warm.runner() is runner
-        assert warm.resident_jumps() is jumps
-        assert jumps.n_finished_edges == warmed
-        # The warm log still seeds a runner made after the addition.
-        other = warm.runner(mode="D")
-        assert other is not runner
-        assert other.resident_jumps().n_finished_edges > 0
+        session.batch()
+        runners = [session.runner(), session.runner(backend="sim")]
+        jumps = session.seq.jumps
+        n_fin = jumps.n_finished_edges
+        assert n_fin > 0
+        session.seq.add_local("fresh_local")
+        session.seq.add_global("FRESH_GLOBAL")
+        session.seq.add_obj("fresh_obj")
+        assert [session.runner(), session.runner(backend="sim")] == runners
+        assert jumps.n_finished_edges == n_fin
+        assert session.stats()["n_runners"] == 2
 
 
 class TestOneDemandStore:
@@ -351,7 +365,7 @@ class TestOneDemandStore:
         seq = session.seq.jumps
         batch = session.batch()
         assert batch.n_queries == len(session.app_locals())
-        assert session.resident_jumps() is seq
+        assert session.runner().resident_jumps() is seq
         assert session.n_jump_entries() == (
             seq.n_finished_edges + seq.n_unfinished_edges
         ) > 0
@@ -363,7 +377,7 @@ class TestOneDemandStore:
         before = box.n_jump_entries()
         batch = box.batch(mode="naive", backend="local")
         assert batch.n_jumps == batch.total_saved == 0
-        assert box.resident_jumps(mode="naive", backend="local") is None
+        assert box.runner(mode="naive", backend="local").resident_jumps() is None
         assert box.n_jump_entries() == before
 
 
@@ -431,31 +445,20 @@ class TestCheckers:
 class TestSnapshotRoundTrip:
     def test_export_log_is_compacted_to_one_entry_per_key(self, fig2):
         b, _ = fig2
-        rec = MetricsRecorder()
         session = Session.from_build(
             b,
             runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="threads"),
             engine=EngineConfig(tau_f=0, tau_u=0),
-            recorder=rec,
         )
-        # Populate both resident stores: the sequential map and a
-        # persistent runner's committed map (overlapping keys).
+        # Single queries and a threads batch write the one map.
         for var in b.pag.app_locals():
             session.points_to(var)
         session.batch()
-        runner = session.runner()
-        raw_logs = [session.seq.jumps.export_log()]
-        raw_logs.append(runner.resident_jumps().export_log())
-        raw = sum(len(log) for log in raw_logs)
-        unique = {(kind, key) for log in raw_logs for kind, key, _ in log}
-
         log = session.export_log()
         keys = [(kind, key) for kind, key, _payload in log]
         assert len(keys) == len(set(keys)), "duplicate keys in epoch-0 log"
-        assert set(keys) == unique
-        assert 0 < len(log) <= raw
-        if len(log) < raw:
-            assert rec.snapshot()["snapshot.log_compacted"] == raw - len(log)
+        assert log == session.seq.jumps.export_log()
+        assert len(log) == len(session.seq.jumps) > 0
 
     def test_snapshot_warm_boot_round_trip(self, tmp_path):
         snap = tmp_path / "box.snap"
@@ -484,13 +487,14 @@ class TestSnapshotRoundTrip:
         accepted = warm.warm_from_snapshot(snap)
         assert accepted > 0
 
-    def test_warm_log_seeds_later_runners(self, tmp_path):
+    def test_runner_made_after_a_warm_boot_sees_the_snapshot(self, tmp_path):
         snap = tmp_path / "box.snap"
         cold = Session.open(EXAMPLE, engine=EngineConfig(tau_f=0, tau_u=0))
         cold.batch(mode="DQ", n_threads=2, backend="threads")
         for spec in ("b@Main.main", "got@Main.main"):
             cold.points_to(spec)
         cold.snapshot(snap)
+        saved = {(kind, key) for kind, key, _ in load_snapshot(snap).log}
 
         warm = Session.open(
             EXAMPLE,
@@ -499,9 +503,12 @@ class TestSnapshotRoundTrip:
         )
         warm.warm_from_snapshot(snap)
         runner = warm.runner()  # created after the warm boot
-        jumps = runner.resident_jumps()
-        assert jumps is not None
-        assert jumps.n_finished_edges + jumps.n_unfinished_edges > 0
+        held = {
+            (kind, key) for kind, key, _ in runner.resident_jumps().export_log()
+        }
+        assert held == saved
+        batch = warm.batch()
+        assert sum(e.result.costs.jmp_taken for e in batch.executions) > 0
 
     def test_hybrid_session_warms_its_demand_route(self, tmp_path):
         # hybrid's sparse batches run on its demand-route executor, so a
@@ -522,9 +529,8 @@ class TestSnapshotRoundTrip:
             engine=engine,
         )
         warm.warm_from_snapshot(snap)
-        warm.runner()  # created after the warm boot, before any batch
-        demand = warm.resident_jumps()
-        assert demand is not None
+        demand = warm.runner().resident_jumps()  # made after the warm boot
+        assert demand is warm.seq.jumps
         held = {(kind, key) for kind, key, _ in demand.export_log()}
         assert held == saved
 
@@ -532,7 +538,7 @@ class TestSnapshotRoundTrip:
         batch = warm.batch(queries)
         want = cold.batch(queries, mode="DQ", backend="local")
         assert batch.points_to_map() == want.points_to_map()
-        assert warm.resident_jumps() is demand
+        assert warm.runner().resident_jumps() is demand
         assert len(demand.export_log()) >= len(saved)
 
 

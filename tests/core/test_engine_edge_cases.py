@@ -4,6 +4,7 @@ interactions not covered by the main behavioural suites."""
 import pytest
 
 from repro.core import CFLEngine, EngineConfig, JumpMap, Query
+from repro.core import engine as engine_module
 from repro.errors import AnalysisError
 from repro.ir import ProgramBuilder, parse_program
 from repro.pag import PAG, build_pag
@@ -192,7 +193,7 @@ class TestKnobInteractions:
         assert res.query.ctx == ()  # globals are context-insensitive
         assert len(res.objects) == 1
 
-    def test_max_passes_guard(self):
+    def test_max_passes_guard(self, monkeypatch):
         # A self-referential heap round (x = x.f; x.f = x) forces the
         # chaotic iteration to re-run; with the guard at one pass the
         # engine must fail loudly rather than return silently partial
@@ -203,7 +204,8 @@ class TestKnobInteractions:
         pag.add_new_edge(x, o)
         pag.add_load_edge(x, x, "f")
         pag.add_store_edge(x, "f", x)
-        eng = CFLEngine(pag, EngineConfig(max_passes=1))
+        monkeypatch.setattr(engine_module, "MAX_PASSES", 1)
+        eng = CFLEngine(pag, EngineConfig())
         with pytest.raises(AnalysisError):
             eng.points_to(x)
 

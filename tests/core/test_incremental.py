@@ -23,7 +23,6 @@ class TestIncrementalEdits:
         o2 = inc.add_obj("o2")
         inc.add_new_edge(a, o2)
         assert {o for o, _ in inc.points_to(a).points_to} == {o1, o2}
-        assert inc.generation == 1  # the edge add counts, the node add not
 
     def test_post_edit_answers_match_scratch(self, fig2):
         b, n = fig2
@@ -78,19 +77,20 @@ class TestIncrementalEdits:
         fin = inc.jumps.n_finished_edges
         inc.add_local("island@y")
         inc.add_obj("island_obj")
-        assert inc.jumps.n_finished_edges == fin
         # a fresh node is unconnected: node-only edits invalidate
-        # nothing and leave the generation alone
-        assert inc.generation == 0
+        # nothing
+        assert inc.jumps.n_finished_edges == fin
 
-    def test_generation_counts_edits(self):
+    def test_edge_edits_are_counted(self):
+        # the edge adds count, the node add not
         pag = PAG()
         a, b_ = pag.add_local("a"), pag.add_local("b")
-        inc = IncrementalAnalysis(pag)
+        rec = MetricsRecorder()
+        inc = IncrementalAnalysis(pag, recorder=rec)
         inc.add_assign_edge(a, b_)
         o = inc.add_obj("o")
         inc.add_new_edge(b_, o)
-        assert inc.generation == 2
+        assert rec.snapshot()["inc.edits"] == 2
 
     def test_gassign_and_load_edits(self):
         pag = PAG()
@@ -98,12 +98,13 @@ class TestIncrementalEdits:
         a = pag.add_local("a")
         x = pag.add_local("x")
         p = pag.add_local("p")
-        inc = IncrementalAnalysis(pag)
+        rec = MetricsRecorder()
+        inc = IncrementalAnalysis(pag, recorder=rec)
         o = inc.add_obj("o")
         inc.add_new_edge(a, o)
         inc.add_gassign_edge(g, a)
         inc.add_load_edge(x, p, "f")
-        assert inc.generation == 3
+        assert rec.snapshot()["inc.edits"] == 3
         assert {obj for obj, _ in inc.points_to(g).points_to} == {o}
 
     def test_selective_invalidation_spares_untouched_island(self):

@@ -162,3 +162,37 @@ class TestJumpMapSemantics:
         assert a.n_jumps == 2
         # re-merge is fully rejected
         assert a.replay(b.export_log()) == []
+
+
+class TestProvisionalRounds:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known engine defect: after an edit adds a flow between "
+            "methods, a round that read a sweep left provisional earlier "
+            "in the same pass is still published, and a later query takes "
+            "the incomplete shortcut"
+        ),
+    )
+    def test_round_after_a_cross_method_edit_publishes_the_full_answer(self):
+        from repro.benchgen import SynthesisParams, synthesize_program
+        from repro.pag import build_pag
+
+        params = SynthesisParams(
+            seed=7137, n_data_classes=1, containment_depth=2, n_boxes=1,
+            n_vecs=0, n_box_subclasses=0, n_util_chains=0,
+            wrapper_chain_len=1, n_app_classes=1, methods_per_app_class=1,
+            actions_per_method=1, n_globals=0, n_hub_containers=0,
+            read_fanout=0,
+        )
+        pag = build_pag(synthesize_program(params)).pag
+        a = pag.node_id("a@App0.help0")
+        v1 = pag.node_id("v1@App0.help0")
+        caller = pag.node_id("v1@App0.run0")
+        pag.add_assign_edge(v1, a)
+        pag.add_load_edge(a, caller, "f0")  # the flow between methods
+        unlimited = 10**9
+        shared = sharing_engine(pag, budget=unlimited)
+        shared.points_to(a)  # publishes the round at (a, (0,))
+        want = CFLEngine(pag, EngineConfig(budget=unlimited)).points_to(caller)
+        assert shared.points_to(caller).points_to == want.points_to

@@ -12,7 +12,7 @@ and the recovery is visible in the per-chunk statuses and counters.
 import pytest
 
 from repro.benchgen import SynthesisParams, synthesize_program
-from repro.core import CFLEngine, EngineConfig, Query
+from repro.core import CFLEngine, EngineConfig, JumpMap, Query
 from repro.errors import RuntimeConfigError, WorkerCrash
 from repro.pag import build_pag
 from repro.runtime import FaultPlan, FaultSpec, MPExecutor, RuntimeConfig
@@ -256,12 +256,12 @@ class TestQuarantine:
             ),
             engine_config=EngineConfig(tau_f=0, tau_u=0),
         )
-        batch = ex.run_units([[q] for q in queries])
+        jumps = JumpMap()
+        batch = ex.run_units([[q] for q in queries], jumps)
         assert_recovered(batch, queries, expected)
         assert batch.n_chunks_quarantined >= 1
-        # inline execution committed onto the authoritative map/log
-        assert ex.jumps.n_jumps == batch.n_jumps > 0
-        assert ex.epoch == len(ex.jumps.log) > 0
+        # inline execution committed onto the coordinator's map
+        assert jumps.n_jumps == batch.n_jumps > 0
 
 
 class TestCleanRunRegressions:

@@ -134,10 +134,6 @@ class TestLocalExecutor:
         runner = ParallelCFL(b, runtime=rt, store=store)
         runner.run()
         assert runner.resident_jumps() is None
-        shared = IncrementalAnalysis(b.pag, cfg)
-        shared.run_units(units)
-        assert shared.jumps.export_log()
-        assert runner.warm_from(shared.jumps.export_log()) == 0
         assert len(store.jumps) == 0
 
     def test_empty_batch(self, fig2):

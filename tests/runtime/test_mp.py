@@ -11,7 +11,9 @@ import pytest
 
 from repro.core import CFLEngine, EngineConfig, Query
 from repro.errors import RuntimeConfigError
+from repro.obs import MetricsRecorder
 from repro.runtime import MPExecutor, ParallelCFL, RuntimeConfig
+from repro.runtime.mp import JournalingJumpMap
 from repro.core.jumpmap import JumpMap
 from repro.pag.extended import FinishedJump
 
@@ -62,15 +64,19 @@ class TestMPBackend:
     def test_jump_map_collected_at_coordinator(self, fig2):
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 3
+        rec = MetricsRecorder()
         ex = MPExecutor(
             b.pag,
             RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
             engine_config=EngineConfig(tau_f=0, tau_u=0),
+            recorder=rec,
         )
-        batch = ex.run_units([[q] for q in queries])
+        jumps = JumpMap()
+        batch = ex.run_units([[q] for q in queries], jumps)
         assert batch.n_jumps > 0
-        assert ex.jumps.n_jumps == batch.n_jumps
-        assert ex.epoch == len(ex.jumps.log) > 0
+        assert jumps.n_jumps == batch.n_jumps
+        # every entry of the coordinator map came from a merge
+        assert rec.snapshot()["mp.delta_entries_merged"] == len(jumps) > 0
 
     def test_broadcast_deltas_reach_workers(self, fig2):
         # Repeat the same workload many times through single-unit
@@ -174,54 +180,40 @@ class TestDeltaProtocol:
         assert base.unfinished(key) is None
         assert base.finished(key) is not None
 
-    def test_merge_appends_only_accepted(self, fig2):
-        b, _ = fig2
-        ex = MPExecutor(
-            b.pag,
-            RuntimeConfig(mode="D", n_threads=1, backend="mp"),
-        )
+    def test_merge_appends_only_accepted(self):
+        jumps = JournalingJumpMap()
         key = (1, (), False)
         edges = (FinishedJump(2, (), 5),)
-        assert ex.jumps.replay([("fin", key, edges)]) == [("fin", key, edges)]
+        assert jumps.replay([("fin", key, edges)]) == [("fin", key, edges)]
         # a duplicate from a second worker loses the race — no log growth
-        assert ex.jumps.replay([("fin", key, edges)]) == []
-        assert ex.epoch == 1
-        assert ex.jumps.log == [("fin", key, edges)]
+        assert jumps.replay([("fin", key, edges)]) == []
+        assert jumps.log == [("fin", key, edges)]
 
 
 class TestWarmStart:
     def test_warm_executor_reuses_prior_session(self, fig2):
-        # First session fills the coordinator's map; a brand-new
-        # executor warmed from its exported log must answer the same
-        # batch byte-identically and with shortcut hits from unit one.
+        # A first batch fills one map; a brand-new executor handed a map
+        # warmed from its exported log ships those entries to its
+        # workers as the epoch-0 delta, and must answer the same batch
+        # byte-identically and with shortcut hits from unit one.
         b, _ = fig2
         queries = [Query(v) for v in b.pag.app_locals()] * 2
         cfg = EngineConfig(tau_f=0, tau_u=0)
-        first = MPExecutor(
-            b.pag,
-            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
-            engine_config=cfg,
+        rt = RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1)
+        first = JumpMap()
+        cold = MPExecutor(b.pag, rt, engine_config=cfg).run_units(
+            [[q] for q in queries], first
         )
-        cold = first.run_units([[q] for q in queries])
-        log = first.jumps.export_log()
+        log = first.export_log()
         assert log
 
-        warm_ex = MPExecutor(
-            b.pag,
-            RuntimeConfig(mode="D", n_threads=2, backend="mp", chunk_size=1),
-            engine_config=cfg,
+        rec = MetricsRecorder()
+        warm_map = JumpMap()
+        assert warm_map.warm_from(log) == len(log)
+        warm = MPExecutor(b.pag, rt, engine_config=cfg, recorder=rec).run_units(
+            [[q] for q in queries], warm_map
         )
-        assert warm_ex.warm_from(log) == len(log)
-        assert warm_ex.epoch == len(log)  # warm entries are the epoch-0 delta
-        warm = warm_ex.run_units([[q] for q in queries])
         assert warm.points_to_map() == cold.points_to_map()
         assert sum(e.result.costs.jmp_taken for e in warm.executions) > 0
-
-    def test_warm_from_requires_sharing(self, fig2):
-        b, _ = fig2
-        ex = MPExecutor(
-            b.pag,
-            RuntimeConfig(mode="naive", n_threads=1, backend="mp"),
-        )
-        with pytest.raises(RuntimeConfigError, match="sharing"):
-            ex.warm_from([("unf", (1, (), False), 40)])
+        # each of the two workers' first chunk carries the whole log
+        assert rec.snapshot()["mp.delta_entries_shipped"] >= 2 * len(log)

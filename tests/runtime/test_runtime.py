@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from repro.core import CFLEngine, EngineConfig, IncrementalAnalysis, Query
+from repro.core import CFLEngine, EngineConfig, IncrementalAnalysis, JumpMap, Query
 from repro.core.engine import POINTS_TO
 from repro.errors import RuntimeConfigError
 from repro.pag.extended import FinishedJump
@@ -129,9 +129,10 @@ class TestSimulatedExecutor:
             RuntimeConfig(mode="D", n_threads=2),
             engine_config=EngineConfig(tau_f=0, tau_u=0),
         )
-        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()])
+        jumps = JumpMap()
+        batch = ex.run_units([[Query(v)] for v in b.pag.app_locals()], jumps)
         assert batch.n_jumps > 0
-        assert ex.jumps.n_jumps == batch.n_jumps
+        assert jumps.n_jumps == batch.n_jumps
 
     def test_sharing_reduces_total_work(self, fig2):
         b, _ = fig2
@@ -315,7 +316,8 @@ class TestParallelCFL:
             runtime=RuntimeConfig(mode="D", n_threads=2, backend=backend),
             engine=cfg,
         )
-        assert runner.warm_from(log) == len(log) > 0
+        # A runner's one map is its demand store's, warmed through it.
+        assert runner.executor("local").warm_from(log) == len(log) > 0
         keys = {(tag, key) for tag, key, _ in log}
         held = runner.resident_jumps().export_log()
         assert {(tag, key) for tag, key, _ in held} == keys

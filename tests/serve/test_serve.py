@@ -31,12 +31,15 @@ import pytest
 
 from repro.api import (
     EngineConfig,
+    FaultPlan,
     InputError,
     MetricsRecorder,
     Query,
     RuntimeConfig,
     Session,
+    load_benchmark,
     run_checkers,
+    spec_of,
 )
 from repro.serve import (
     DEFAULT_BACKEND,
@@ -517,6 +520,51 @@ class TestNoFanOut:
         monkeypatch.undo()
         assert bool(started) == fans_out
         assert svc.drain(10.0)
+
+
+class TestMPWorkerKills:
+    def test_served_answers_survive_killed_workers(self, tmp_path):
+        # A warm-booted mp session served through the dispatcher, with
+        # worker 0 killed on its second unit of every incarnation: the
+        # batches requeue and respawn (or run inline) and lose nothing.
+        name = "_200_check"
+        build = load_benchmark(name)
+        engine = spec_of(name).engine_config(budget=10**9)
+        app = Session.from_build(build, engine=engine).app_locals()
+        cold = Session.from_build(build, engine=engine)
+        for var in app[::3]:
+            cold.points_to(var)
+        snap = tmp_path / "check.snap"
+        cold.snapshot(snap)
+
+        rec = MetricsRecorder()
+        warm = Session.from_build(
+            build,
+            runtime=RuntimeConfig(
+                mode="DQ", n_threads=2, backend="mp",
+                faults=FaultPlan.parse("kill@0:after1"),
+            ),
+            engine=engine,
+            recorder=rec,
+        )
+        assert warm.warm_from_snapshot(snap) > 0
+        svc = AnalysisService(warm, ServeConfig(port=0))
+        jobs = [app[i::4] for i in range(4)]
+        try:
+            answers = [
+                svc.submit_queries("drill", [Query(v) for v in job])
+                for job in jobs
+            ]
+        finally:
+            assert svc.drain(30.0)
+        oneshot = Session.from_build(build, engine=engine)
+        for job, results in zip(jobs, answers):
+            assert len(results) == len(job)
+            for var, got in zip(job, results):
+                want = oneshot.points_to(var)
+                assert not got.exhausted
+                assert got.points_to == want.points_to, warm.name(var)
+        assert rec.snapshot()["mp.crashes"] >= 1
 
 
 class TestConcurrentClients:

@@ -41,6 +41,7 @@ RUFF_TARGETS = [
     "src/repro/runtime/executor.py",
     "src/repro/runtime/config.py",
     "src/repro/runtime/simclock.py",
+    "src/repro/runtime/threaded.py",
     "src/repro/api.py",
     "src/repro/serve.py",
 ]
