@@ -14,6 +14,14 @@ Five configurations are pinned: the suite's own, field-based
 insensitive (``ci``: call edges keep the call string), field-
 insensitive (``none``: no alias round) and both (``ci+none``).  An
 intended change re-records the table from :func:`engine_digest`.
+
+``JUMP_LOG`` pins what ``GOLDEN`` does not: the shared map's entries in
+the order the rounds published them, with each finished entry's
+targets in the order its round found them.  That order sets the
+sweep's worklist order after a shortcut, where a finite budget cuts
+off, and the rounds :class:`~repro.core.tracing.TracingEngine`
+replays.  Per sample suite (its own configuration), the digest is the
+sha256 of ``repr(jumps.export_log())`` after the standard workload.
 """
 
 import dataclasses
@@ -51,8 +59,17 @@ GOLDEN = {
     ("luindex", "ci+none"): "5a260b391ca67a88ac05a7a6dc960bada5202e1661ee809553d552e09239d954",
 }
 
+JUMP_LOG = {
+    "_200_check": "7f5632bee28cf2c4ae6fe9d87da6f23ac0965d20b02da803c2d42e965a2029b1",
+    "_209_db": "226383a41d48bef64ac8abae970b146554b854fc42537bdd3fca23a289d7817d",
+    "batik": "e482606107bf054da1aecd7af100094a9636a34bca95098b7041aece6d286615",
+    "luindex": "503959c84106d80495a3677bac30dbfba15e524419bd522b5338e96fc777732e",
+}
 
-def engine_digest(name, variant):
+
+def run_workload(name, variant):
+    """The standard workload of ``name`` on one engine over a shared
+    :class:`JumpMap`, in ``variant``: the engine and its results."""
     spec = spec_of(name)
     pag = load_benchmark(name).pag
     config = spec.engine_config()
@@ -63,9 +80,13 @@ def engine_digest(name, variant):
     if variant in ("none", "ci+none"):
         config = config.with_(field_mode="none")
     engine = CFLEngine(pag, config, jumps=JumpMap())
+    return engine, [engine.points_to(q.var, q.ctx) for q in spec.workload()]
+
+
+def engine_digest(name, variant):
+    _engine, results = run_workload(name, variant)
     h = hashlib.sha256()
-    for query in spec.workload():
-        r = engine.points_to(query.var, query.ctx)
+    for r in results:
         row = (
             r.query.var,
             r.query.ctx,
@@ -78,7 +99,17 @@ def engine_digest(name, variant):
     return h.hexdigest()
 
 
+def jump_log_digest(name):
+    engine, _results = run_workload(name, "suite")
+    return hashlib.sha256(repr(engine.jumps.export_log()).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", SAMPLE)
 def test_engine_matches_golden(name, variant):
     assert engine_digest(name, variant) == GOLDEN[(name, variant)]
+
+
+@pytest.mark.parametrize("name", SAMPLE)
+def test_jump_log_matches_golden(name):
+    assert jump_log_digest(name) == JUMP_LOG[name]
