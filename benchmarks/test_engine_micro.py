@@ -54,6 +54,30 @@ def test_bench_query_batch_shared(benchmark):
     assert len(results) == 100
 
 
+def alias_rounds(result):
+    """The alias rounds a query ran or cut short (lookups that found no
+    finished shortcut)."""
+    return result.costs.jmp_lookups - result.costs.jmp_taken
+
+
+def test_bench_alias_round(benchmark):
+    """Tomcat's query with the most alias rounds in its standard
+    workload, run in order on one engine over a shared JumpMap.  Each
+    timed run starts from an empty map, so it does its rounds rather
+    than take the shortcuts an earlier run published."""
+    spec = spec_of("tomcat")
+    pag = load_benchmark("tomcat").pag
+    config = spec.engine_config()
+    engine = CFLEngine(pag, config, jumps=JumpMap())
+    heavy = max(spec.workload(), key=lambda q: alias_rounds(engine.run_query(q)))
+
+    def fresh_engine():
+        return (CFLEngine(pag, config, jumps=JumpMap()), heavy), {}
+
+    result = benchmark.pedantic(CFLEngine.run_query, setup=fresh_engine, rounds=50)
+    assert alias_rounds(result) > 0
+
+
 def test_bench_andersen(benchmark):
     build = load_benchmark(BENCH)
     result = benchmark(lambda: AndersenSolver(build.pag).solve())

@@ -163,8 +163,9 @@ class CFLEngine:
     view of one; read and written directly) to
     enable the data-sharing scheme; ``jumps=None`` is the share-nothing
     baseline (the paper's ``SeqCFL`` / naive-parallel configuration).
-    Each alias round matches a heap edge against every store or load
-    of its field (Algorithm 1 lines 17-25).
+    Each alias round matches a heap edge against the stores or loads
+    of its field whose base aliases its own (Algorithm 1 lines 17-25),
+    found through the PAG's field index.
     """
 
     def __init__(
@@ -446,8 +447,18 @@ class CFLEngine:
     ) -> List[Tuple[int, Context]]:
         """The alias round of ``x``'s round-row ``(base, f)`` entries:
         ``x = p.f`` matched against every ``q.f = y`` backwards, ``q.f =
-        x`` against every ``t = p.f`` forwards."""
-        by_field = getattr(self.pag, MATCHED_BY_FIELD[direction])
+        x`` against every ``t = p.f`` forwards.
+
+        A full round visits only the matched pairs whose base aliases
+        ``base``: the PAG's field index (:meth:`PAG.field_bases`) gives
+        each aliasing base's positions in ``by_field[f]``, and the round
+        visits them sorted.  So ``rch`` comes out as a scan of the whole
+        list would give it: in list order, then in first-witness context
+        order.  That order is the sweep's worklist order, where a finite
+        budget cuts off, and the order of the published entry's
+        targets."""
+        matched_by = MATCHED_BY_FIELD[direction]
+        by_field = getattr(self.pag, matched_by)
         fp = self.footprint
         if fp is not None:
             # The round's answer depends on every store/load of these
@@ -503,6 +514,7 @@ class CFLEngine:
         q.frames.append((x, c, s0, direction))
         reads_at_entry = q.partial_reads
         tracer = self.tracer
+        field_bases = self.pag.field_bases(matched_by)
         rch: List[Tuple[Tuple[int, Context], int]] = []
         seen: Set[Tuple[int, Context]] = set()
         try:
@@ -510,9 +522,13 @@ class CFLEngine:
                 matched = by_field.get(f)
                 if not matched:
                     continue
-                alias = self._alias_map(base, c, q)
-                for other, y in matched:
-                    for cv, witness_obj in alias.get(other, {}).items():
+                at = field_bases[f]
+                alias = self._alias_map(base, c, q, at)
+                hits = [p for other in alias for p in at[other]]
+                hits.sort()
+                for p in hits:
+                    other, y = matched[p]
+                    for cv, witness_obj in alias[other].items():
                         item = (y, cv)
                         if item not in seen:
                             seen.add(item)
@@ -541,18 +557,23 @@ class CFLEngine:
         return [item for item, _s in rch]
 
     def _alias_map(
-        self, base: int, c: Context, q: QueryState
+        self, base: int, c: Context, q: QueryState, bases: Dict[int, List[int]]
     ) -> Dict[int, Dict[Context, Tuple[int, Context]]]:
-        """Aliases of ``(base, c)``: variable -> {context: witness
-        object}, computed as ``FLOWSTO(o, c0)`` for every ``(o, c0)`` in
-        ``POINTSTO(base, c)`` (Algorithm 1 lines 20-22).  The witness
-        object ``(o, c0)`` establishing each alias pair is retained for
-        the tracing facility (first witness wins).
+        """Aliases of ``(base, c)`` among ``bases`` (the round's field
+        index entry): variable -> {context: witness object}, computed as
+        ``FLOWSTO(o, c0)`` for every ``(o, c0)`` in ``POINTSTO(base,
+        c)`` (Algorithm 1 lines 20-22).  A variable that is no base of
+        the field gets no entry, since the round cannot match it.  The
+        witness object ``(o, c0)`` establishing each alias pair is
+        retained for the tracing facility (first witness wins).
         """
         alias: Dict[int, Dict[Context, Tuple[int, Context]]] = {}
         for o, c0 in list(self._traverse(POINTS_TO, base, c, q)):
-            for v, cv in list(self._traverse(FLOWS_TO, o, c0, q)):
-                alias.setdefault(v, {}).setdefault(cv, (o, c0))
+            # Nothing below sweeps, so the memo set cannot change while
+            # it is read: no copy.
+            for v, cv in self._traverse(FLOWS_TO, o, c0, q):
+                if v in bases:
+                    alias.setdefault(v, {}).setdefault(cv, (o, c0))
         return alias
 
     # ------------------------------------------------------------------

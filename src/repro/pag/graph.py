@@ -22,6 +22,13 @@ Design notes
 * ``stores_by_field``/``loads_by_field`` are the global indexes used by
   ``REACHABLENODES`` to match a load ``x = p.f`` against *every* store
   ``q.f = y`` in the program (Algorithm 1, lines 18-19).
+* The **field index** (:meth:`PAG.field_bases`) maps, for each of those
+  two, a field to ``{base: positions of its pairs in the field's
+  list}``, so an alias round visits only the pairs whose base aliases
+  its own, still in list order.  It has the leg index's lifecycle:
+  built on first use, extended by every later ``add_load_edge``/
+  ``add_store_edge``, dropped by SCC collapse, and carried by a
+  pickled PAG.
 * *Points-to cycle elimination* (Section IV-A, following Sridharan &
   Bodík): strongly connected components of context-free ``assign``
   edges are collapsed onto a representative node via a union-find; all
@@ -55,6 +62,13 @@ _ADJACENCIES = tuple(
 #: path.
 Row = Tuple[Tuple[int, List[Any]], ...]
 
+#: One field's entry in the field index: base -> the ascending positions
+#: of its ``(base, other)`` pairs in the field's list.
+FieldBases = Dict[int, List[int]]
+
+#: The global field indexes the field index covers.
+_BY_FIELD = ("stores_by_field", "loads_by_field")
+
 
 def _leg_index(graph: PAG) -> Tuple[Dict[int, Row], Dict[int, Row]]:
     """Build the leg index of ``graph``, inbound then outbound."""
@@ -67,6 +81,21 @@ def _leg_index(graph: PAG) -> Tuple[Dict[int, Row], Dict[int, Row]]:
                     rows.setdefault(node, []).append((kind, entries))
         index.append({node: tuple(row) for node, row in rows.items()})
     return index[0], index[1]
+
+
+def _field_index(graph: PAG) -> Dict[str, Dict[str, FieldBases]]:
+    """Build the field index of ``graph``: per global field index name,
+    field -> :data:`FieldBases`."""
+    index: Dict[str, Dict[str, FieldBases]] = {}
+    for name in _BY_FIELD:
+        fields: Dict[str, FieldBases] = {}
+        index[name] = fields
+        for field, pairs in getattr(graph, name).items():
+            bases: FieldBases = {}
+            fields[field] = bases
+            for pos, (base, _other) in enumerate(pairs):
+                bases.setdefault(base, []).append(pos)
+    return index
 
 
 class PAG:
@@ -119,6 +148,9 @@ class PAG:
         #: The leg index per direction (see :meth:`rows`); None until
         #: first use.
         self._rows: Optional[Tuple[Dict[int, Row], Dict[int, Row]]] = None
+        #: The field index per global field index name (see
+        #: :meth:`field_bases`); None until first use.
+        self._field_bases: Optional[Dict[str, Dict[str, FieldBases]]] = None
 
         self._n_edges = 0
         self._edge_set: Set[Tuple[int, int, int, Optional[Union[str, int]]]] = set()
@@ -231,6 +263,17 @@ class PAG:
             rows = self._rows = _leg_index(self)
         return rows[outgoing]
 
+    def field_bases(self, by_field: str) -> Dict[str, FieldBases]:
+        """The field index of the global field index named ``by_field``
+        (``"stores_by_field"`` or ``"loads_by_field"``): field ->
+        {base: ascending positions of its pairs in that field's list}.
+        Built on first use and kept current by every later edge add;
+        read it, never write it."""
+        index = self._field_bases
+        if index is None:
+            index = self._field_bases = _field_index(self)
+        return index[by_field]
+
     def info(self, nid: int) -> NodeInfo:
         return NodeInfo(
             nid,
@@ -310,6 +353,15 @@ class PAG:
                 if (entries := getattr(self, name).get(node))
             )
 
+    def _index_field(self, by_field: str, field: str, base: int) -> None:
+        """Add the pair just appended to ``by_field[field]`` to the field
+        index (no-op before the index is built)."""
+        index = self._field_bases
+        if index is None:
+            return
+        position = len(getattr(self, by_field)[field]) - 1
+        index[by_field].setdefault(field, {}).setdefault(base, []).append(position)
+
     def add_new_edge(self, var: int, obj: int) -> None:
         """``var <-new- obj``."""
         self._check(var, "new dst", want_var=True)
@@ -348,6 +400,7 @@ class PAG:
             self.load_in.setdefault(target, []).append((base, field))
             self.load_out.setdefault(base, []).append((target, field))
             self.loads_by_field.setdefault(field, []).append((base, target))
+            self._index_field("loads_by_field", field, base)
             self._reindex(target, base)
 
     def add_store_edge(self, base: int, field: str, value: int) -> None:
@@ -358,6 +411,7 @@ class PAG:
             self.store_in.setdefault(base, []).append((value, field))
             self.store_out.setdefault(value, []).append((base, field))
             self.stores_by_field.setdefault(field, []).append((base, value))
+            self._index_field("stores_by_field", field, base)
             self._reindex(base, value)
 
     def add_param_edge(self, formal: int, actual: int, site: int) -> None:
@@ -444,10 +498,11 @@ class PAG:
 
     def _rewrite_edges(self) -> None:
         """Re-index all adjacency through representatives, dropping
-        duplicate and self-loop assign edges (and the leg index, which
-        holds the old lists)."""
+        duplicate and self-loop assign edges (and the leg and field
+        indexes, which describe the old lists)."""
         rep = self.rep
         self._rows = None
+        self._field_bases = None
 
         def remap_pairs_int(index: Dict[int, List[int]], drop_self: bool) -> Dict[int, List[int]]:
             out: Dict[int, List[int]] = {}

@@ -295,9 +295,11 @@ class MPExecutor:
         recorder=None,
     ) -> None:
         self.pag = pag
-        # Build the engine's leg index once here, so fork-started
-        # workers inherit it instead of each building their own.
+        # Build the engine's leg and field indexes once here, so
+        # fork-started workers inherit them (and spawn-started ones
+        # unpickle them) instead of each building their own.
         pag.rows(False)
+        pag.field_bases("stores_by_field")
         self.runtime = runtime
         self.engine_config = engine_config or EngineConfig()
         #: Optional :class:`repro.obs.Recorder`.  When set, workers run

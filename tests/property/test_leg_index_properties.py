@@ -1,4 +1,5 @@
-"""The PAG's leg index (:meth:`PAG.rows`) stays equal to a rebuild.
+"""The PAG's leg index (:meth:`PAG.rows`) and field index
+(:meth:`PAG.field_bases`) stay equal to a rebuild.
 
 The engine's sweep reads every adjacency row of a node through the leg
 index, so the index must track the per-kind dicts exactly: after any
@@ -7,6 +8,11 @@ points-to cycle collapse.  The reference rebuild below reads the dicts
 through the rule table's adjacency names, in table order; each entry
 must be the very list the dict holds, and a pickled graph's index must
 hold the same rows.
+
+An alias round visits the matched pairs the field index names, so that
+index must give, per field of ``stores_by_field``/``loads_by_field``,
+every base's positions in the field's list, ascending, under the same
+edits, and keep doing so on a pickled graph that is edited further.
 """
 
 import pickle
@@ -14,7 +20,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rules import RULES
+from repro.core.rules import MATCHED_BY_FIELD, RULES
 
 from .test_properties import COMMON, build_from, small_params
 
@@ -36,6 +42,16 @@ def rebuilt(pag, direction):
     return rows
 
 
+def rebuilt_field_bases(pag, by_field):
+    """The field index of ``by_field``, rebuilt from its pair lists."""
+    index = {}
+    for field, pairs in getattr(pag, by_field).items():
+        bases = index[field] = {}
+        for pos, (base, _other) in enumerate(pairs):
+            bases.setdefault(base, []).append(pos)
+    return index
+
+
 def assert_index_current(pag):
     for direction in (False, True):
         got, want = pag.rows(direction), rebuilt(pag, direction)
@@ -43,6 +59,8 @@ def assert_index_current(pag):
         for node, row in want.items():
             for (_k, mine), (_k2, theirs) in zip(got[node], row):
                 assert mine is theirs
+    for by_field in MATCHED_BY_FIELD:
+        assert pag.field_bases(by_field) == rebuilt_field_bases(pag, by_field)
 
 
 def add_random(pag, data):
@@ -86,7 +104,13 @@ def test_leg_index_tracks_edits(params, data):
         add_random(pag, data)
         assert_index_current(pag)
     if data.draw(st.booleans(), label="close an assign cycle"):
-        a, b = data.draw(st.lists(st.sampled_from(list(pag.variables())),
+        # Between two bases of heap edges where there are two, so the
+        # collapse rewrites the pair lists the field index describes.
+        bases = sorted({base for by_field in MATCHED_BY_FIELD
+                        for pairs in getattr(pag, by_field).values()
+                        for base, _other in pairs})
+        pool = bases if len(bases) >= 2 else list(pag.variables())
+        a, b = data.draw(st.lists(st.sampled_from(pool),
                                   min_size=2, max_size=2, unique=True))
         pag.add_assign_edge(a, b)
         pag.add_assign_edge(b, a)
@@ -99,3 +123,8 @@ def test_leg_index_tracks_edits(params, data):
     assert_index_current(thawed)
     for direction in (False, True):
         assert thawed.rows(direction) == pag.rows(direction)
+    for by_field in MATCHED_BY_FIELD:
+        assert thawed.field_bases(by_field) == pag.field_bases(by_field)
+    for _ in range(data.draw(st.integers(0, 4), label="adds after thaw")):
+        add_random(thawed, data)
+        assert_index_current(thawed)
