@@ -3,6 +3,7 @@ not simulated).  These are throughput regressions guards for the
 engine, Andersen solver, scheduler, and PAG construction."""
 
 from repro.andersen import AndersenSolver
+from repro.api import RuntimeConfig, Session
 from repro.benchgen import SynthesisParams, synthesize_program
 from repro.benchgen.suites import load_benchmark, spec_of
 from repro.core import CFLEngine, JumpMap
@@ -76,6 +77,25 @@ def test_bench_alias_round(benchmark):
 
     result = benchmark.pedantic(CFLEngine.run_query, setup=fresh_engine, rounds=50)
     assert alias_rounds(result) > 0
+
+
+def test_bench_local_batch(benchmark):
+    """A cold ``local`` DQ batch of tomcat's application locals (the
+    runner's default batch) on a fresh Session: the batch path that
+    ``repro serve`` and ``hybrid``'s demand route take."""
+    spec = spec_of("tomcat")
+    build = load_benchmark("tomcat")
+
+    def fresh_session():
+        session = Session.from_build(
+            build,
+            runtime=RuntimeConfig(mode="DQ", backend="local"),
+            engine=spec.engine_config(),
+        )
+        return (session,), {}
+
+    batch = benchmark.pedantic(Session.batch, setup=fresh_session, rounds=3)
+    assert batch.n_queries == len(list(build.pag.app_locals()))
 
 
 def test_bench_andersen(benchmark):

@@ -34,21 +34,20 @@ through ``pag.rep()`` because sweeps visit representatives.  The
 property tests compare every post-edit answer against a from-scratch
 engine.
 
-The store also runs the ``local`` backend's batches
-(:meth:`IncrementalAnalysis.run_units`) on the same engine and map,
-indexing what they publish, so a session's points-to queries, batches
-and edits share one store.  A batch leaves the answer cache alone: it
-reports each query's own costs.  The ``sim``, ``threads`` and ``mp``
-backends run their batches on the store's map too
-(:class:`repro.runtime.executor.ParallelCFL`), but their engines record
-no footprint.
+Only the store's own queries (``points_to``, ``flows_to``,
+``may_alias``) record footprints.  Batches of every backend run on the
+store's map and record none: the ``local`` backend's batches
+(:meth:`IncrementalAnalysis.run_units`) on an engine of their own over
+the map, the ``sim``, ``threads`` and ``mp`` backends' through
+:class:`repro.runtime.executor.ParallelCFL`.  A batch leaves the answer
+cache alone: it reports each query's own costs.
 
 So an edge edit also drops every finished entry the reverse index holds
-no record for (written by a ``sim``, ``threads`` or ``mp`` engine, or
-warmed without a footprint), with its transitive consumers: any edge
-may reach such an entry.  While every finished entry has a record, as
-in a store that only queries and ``local`` batches wrote, an edit does
-not scan the map.
+no record for (written by a batch, or warmed without a footprint), with
+its transitive consumers: any edge may reach such an entry.  While
+every finished entry has a record, as in a store that only single
+queries wrote, an edit does not scan the map.  A session that is never
+edited thus pays for footprints only on its single queries.
 
 Warm starts (:mod:`repro.core.snapshot`): :meth:`IncrementalAnalysis.warm_from`
 replays a commit log with its :meth:`~IncrementalAnalysis.footprints`,
@@ -123,8 +122,12 @@ class FootprintCollector:
 
     :meth:`add_nodes` keeps each visited set by reference, which the
     engine never writes again, and :meth:`record` reads the node ids
-    out of them, so a query that publishes and caches nothing (most of
-    a batch's) never pays for them.
+    out of them, so an exhausted query that publishes nothing never
+    pays for them.  Reading the ids when each sweep ends instead, so
+    the sets die early, was measured over 7 alternating
+    ``edit_session`` pairs: ``ops_per_s`` rose by a median of 4.5%
+    (6 of 7 pairs), but ``setup_s`` rose by a median of 2.7% (worse in
+    5 of 7, up to +37%), a trade that was not taken.
     """
 
     __slots__ = ("fields", "consumed", "published", "sweeps")
@@ -362,34 +365,27 @@ class IncrementalAnalysis:
         times are real, relative to the batch start.
 
         In a sharing mode (``runtime=None`` reads as mode ``D``) the
-        queries run on this store's engine and map, and the entries a
-        query publishes are indexed under its footprint.  The answer
-        cache is neither read nor written.  A share-nothing mode runs a
-        map-less engine and leaves the store as it was."""
+        queries run on an engine over this store's map and record no
+        footprint, so the next edge edit drops what they published.
+        The answer cache is neither read nor written.  A share-nothing
+        mode runs a map-less engine and leaves the store as it was."""
         # Imported here: repro.runtime imports this module.
         from repro.runtime.results import BatchResult, QueryExecution
 
         share = runtime is None or runtime.sharing
         rec = self.recorder
-        engine = (
-            self._engine if share
-            else CFLEngine(self.pag, self.cfg, recorder=rec)
+        engine = CFLEngine(
+            self.pag, self.cfg, jumps=self.jumps if share else None,
+            recorder=rec,
         )
-        collector = self._collector
-        register = self._index.register
         perf = time.perf_counter
         executions: List[QueryExecution] = []
         t0 = perf()
         for unit in units:
             for query in unit:
-                collector.reset()
                 start = perf() - t0
                 result = engine.run_query(query)
                 finish = perf() - t0
-                if collector.published:
-                    record = collector.record()
-                    for key in collector.published:
-                        register(("jmp", key), record)
                 executions.append(QueryExecution(result, 0, start, finish))
                 if rec:
                     rec.span_abs(

@@ -286,10 +286,14 @@ class TestEditsKeepRunners:
         _apply_edits(fresh, edits)
         assert _answers(after) == _answers(fresh.batch())
 
-    def test_edge_edit_drops_only_unrecorded_and_reached_entries(self):
+    @pytest.mark.parametrize("backend", ["sim", "local"])
+    def test_edge_edit_drops_only_unrecorded_and_reached_entries(
+        self, backend
+    ):
         # Two disjoint heap islands.  Single queries on island a index
-        # their entries; a sim batch over island b writes entries with
-        # no footprint; an exhausting query plants unfinished markers.
+        # their entries; a batch over island b, on either backend,
+        # writes entries with no footprint; an exhausting query plants
+        # unfinished markers.
         pag = PAG()
         nodes = {}
         for tag in ("a", "b"):
@@ -303,7 +307,7 @@ class TestEditsKeepRunners:
             nodes[tag] = (p, v, x)
         session = Session.from_pag(
             pag,
-            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend="sim"),
+            runtime=RuntimeConfig(mode="DQ", n_threads=2, backend=backend),
             engine=EngineConfig(tau_f=0, tau_u=0),
         )
         seq = session.seq
@@ -315,7 +319,7 @@ class TestEditsKeepRunners:
         written = {
             key for key, _ in jumps.finished_items() if key not in indexed
         }
-        assert written  # the sim engines' entries, without a footprint
+        assert written  # the batch's entries, without a footprint
         jumps.insert_unfinished((nodes["b"][0], (), False), 7)
         markers = dict(jumps.unfinished_items())
         runner = session.runner()

@@ -173,11 +173,16 @@ class TestLocalExecutor:
         assert started == []
 
     def test_runs_on_the_store_it_is_given(self, fig2):
-        # A batch publishes into the store's own map and indexes what it
-        # publishes, so an edit can invalidate it; the answer cache is
-        # left alone (a batch reports each query's own costs).
+        # A batch publishes into the store's own map and records no
+        # footprint, like every batch backend, so the next edge edit
+        # drops its finished entries; the answer cache is left alone (a
+        # batch reports each query's own costs).  At budget 20 some of
+        # fig2's queries exhaust, so the batch also writes unfinished
+        # markers, which every edit keeps.
         b, n = fig2
-        store = IncrementalAnalysis(b.pag, EngineConfig(tau_f=0, tau_u=0))
+        store = IncrementalAnalysis(
+            b.pag, EngineConfig(budget=20, tau_f=0, tau_u=0)
+        )
         jumps = store.jumps
         runner = ParallelCFL(
             b, runtime=RuntimeConfig(mode="D", backend="local"), store=store
@@ -186,11 +191,17 @@ class TestLocalExecutor:
         runner.run()
         assert runner.resident_jumps() is jumps
         assert jumps.n_finished_edges > 0
-        assert store.n_tracked_entries > 0
+        assert store.n_tracked_entries == 0
         assert store.n_cached_queries == 0
         again = runner.run()
         assert sum(e.result.costs.jmp_taken for e in again.executions) > 0
         assert store.n_cached_queries == 0
+        markers = dict(jumps.unfinished_items())
+        assert markers
+        # An edge between two fresh locals, which no batch query visited.
+        store.add_assign_edge(store.add_local("fresh"), store.add_local("other"))
+        assert jumps.n_finished_edges == 0
+        assert dict(jumps.unfinished_items()) == markers
 
 
 class TestHybridDemandRoute:
