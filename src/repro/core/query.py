@@ -112,7 +112,6 @@ class QueryState:
         "frames",
         "memo",
         "complete",
-        "onstack",
         "pass_done",
         "partial_reads",
         "changed",
@@ -139,12 +138,12 @@ class QueryState:
         self.memo: Dict[Tuple[bool, int, Context], Set[Tuple[int, Context]]] = {}
         #: Memo keys whose sets are final.
         self.complete: Set[Tuple[bool, int, Context]] = set()
-        #: Memo keys currently being computed (cycle detection).
-        self.onstack: Set[Tuple[bool, int, Context]] = set()
-        #: Memo keys already (re)computed in the current fixpoint pass.
+        #: Memo keys already (re)computed in the current fixpoint pass,
+        #: those still being computed included.
         self.pass_done: Set[Tuple[bool, int, Context]] = set()
-        #: Bumped whenever an on-stack (partial) memo entry is read;
-        #: frames observing a bump are provisional, not final.
+        #: Bumped whenever a memo entry in ``pass_done`` but not
+        #: ``complete`` is read; frames observing a bump are
+        #: provisional, not final.
         self.partial_reads = 0
         #: Did any memo set grow during the current fixpoint pass?
         self.changed = False

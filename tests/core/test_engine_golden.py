@@ -44,17 +44,17 @@ GOLDEN = {
     ("_200_check", "ci+none"): "d4b6eff929ad8e6d1d039976ef4c347d31684f985a1a418312b67c4e208cef9f",
     ("_209_db", "suite"): "840d2e3c0415af26038c4a04b1c990628cd907ef3cf98d9a8657ec4b498ada04",
     ("_209_db", "match"): "a1713930a51446d05bb8dfb30b1c913c520cfb870b51a4e7e52227766d7b10d3",
-    ("_209_db", "ci"): "f046f1f8e69a1061c602223eac4c64b7b9ab05f5e54cbd97bb504db6d69c6085",
+    ("_209_db", "ci"): "f7b135ecc76cf76c1fcf3dd68268173b5beed63c91af3b368480cb7271b31c7f",
     ("_209_db", "none"): "7f0013acdf3b69fdf6510c6d6b7b916ee735410a9057b2a2c5c7097378ce7c88",
     ("_209_db", "ci+none"): "86462fb8e5c0ae5e0ba8e79c0136534d5057cc81447f6ffe8e35139453cd1ffa",
-    ("batik", "suite"): "b5e6ef6667f194b746fe1799ea94d87a290907fa9004cda27b0c922d8d0311bb",
+    ("batik", "suite"): "59b031b55822e06ecfea03ac67578d76a16009366aa8529ab0c8df8fc48fe319",
     ("batik", "match"): "ab193a3b6c423eaf10be04fbfbb127d36a42600b36690b9663865d0a6a841223",
     ("batik", "ci"): "89e385c58c8cc052266da8025f9deea0d10e3f3a1adb7208b46870003cb8c1e4",
     ("batik", "none"): "2751117cbb091e01b8abb3b2ffea9931a14c5c7686acdd845587008a1e7d183d",
     ("batik", "ci+none"): "2fd9b40f282c00bff898cda83d3576dd8a2f2ae231bd5fa7d6f33c2fb3f6b9b3",
-    ("luindex", "suite"): "3347a611b08c2b307edcd30a0b51ffb82aed1b0299c1e01999c0e85c60584794",
+    ("luindex", "suite"): "7c7c29664a8ec028607aa04a84be8c6679d865ffe3c5d904cedf2282c2617e86",
     ("luindex", "match"): "4740865cade16c669e43e4ad1453a2a7af09931f8c0e560dd2f9a692936e6a47",
-    ("luindex", "ci"): "3b28cb7e7064e65ad7608745c90ac0f49e23685f3618481049f9fa96d485890f",
+    ("luindex", "ci"): "9053929a9e6f677c439de7d946886ff42f7862d6be602cc913e537321805bb1b",
     ("luindex", "none"): "0fad03bbd7cba6db2a99594b370baef6675f0e8a72c38651ac2f5db45f22d9f0",
     ("luindex", "ci+none"): "5a260b391ca67a88ac05a7a6dc960bada5202e1661ee809553d552e09239d954",
 }

@@ -1,7 +1,5 @@
 """Tests for the data-sharing scheme (Algorithm 2 / Section III-B)."""
 
-import pytest
-
 from repro.core import CFLEngine, EngineConfig, JumpMap, Query
 from repro.core.engine import POINTS_TO
 from repro.pag.extended import FinishedJump
@@ -165,15 +163,10 @@ class TestJumpMapSemantics:
 
 
 class TestProvisionalRounds:
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "known engine defect: after an edit adds a flow between "
-            "methods, a round that read a sweep left provisional earlier "
-            "in the same pass is still published, and a later query takes "
-            "the incomplete shortcut"
-        ),
-    )
+    # After an edit adds a flow between methods, a round can read a sweep
+    # left provisional earlier in the same pass; that read is partial, so
+    # the round is not published and a later query takes no incomplete
+    # shortcut.
     def test_round_after_a_cross_method_edit_publishes_the_full_answer(self):
         from repro.benchgen import SynthesisParams, synthesize_program
         from repro.pag import build_pag

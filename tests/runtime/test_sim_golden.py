@@ -33,10 +33,10 @@ GOLDEN = {
     ("_200_check", "D x4"): "2633a554a3aea713cb6300f1c8780391aa9271c39ce1ecec8259579f6b76ca1d",
     ("_209_db", "DQ x16"): "1cf26c5b222549f1befaccd3d4ea8eb90f2016c890a91d15d801ec1a9e9d643c",
     ("_209_db", "D x4"): "f19f2f2024a76a1dfcc959ffba67c7e046d15d6c8d758e33e5ed0708193e5887",
-    ("batik", "DQ x16"): "63182160602653041c7fc393925eaa0f85367e97cafcda59eee49909d97f164d",
-    ("batik", "D x4"): "3ae3a4625ecb2e8741bb213409e3d3d08bef71a4b38446ea5ce3db71df751b27",
-    ("luindex", "DQ x16"): "28bf366f7e611d33ff61de297b1d08aa2b0ce5c376664f4a7fee55de6b2972fa",
-    ("luindex", "D x4"): "33c93790cfb9038be364539b2c55428ecdc303106a5fed4984278a2209ecf45c",
+    ("batik", "DQ x16"): "79b5b8609c3fb8f8d81676d1e7ea44919d4728764167a0de7a94b2e8abec00eb",
+    ("batik", "D x4"): "03b2fb560b41457efa639eef034c23c6a91a1b897eeeae62fa03e756c2391623",
+    ("luindex", "DQ x16"): "934b934b7904244eade79277d30c7c59ee1e8c980448aef0f2e1b19de620cc71",
+    ("luindex", "D x4"): "8344462a72d757ea6252737e593d816a92598b3da9c35a58afefccd300dc7a5c",
 }
 
 
