@@ -1,16 +1,27 @@
 """Wall-clock micro-benchmarks of the core components (real timings,
 not simulated).  These are throughput regressions guards for the
-engine, Andersen solver, scheduler, and PAG construction."""
+engine, Andersen solver, scheduler, text front end and PAG
+construction."""
 
 from repro.andersen import AndersenSolver
-from repro.api import RuntimeConfig, Session
+from repro.api import RuntimeConfig, Session, parse_program
 from repro.benchgen import SynthesisParams, synthesize_program
 from repro.benchgen.suites import load_benchmark, spec_of
 from repro.core import CFLEngine, JumpMap
 from repro.core.scheduling import schedule_queries
+from repro.ir.printer import program_to_source
 from repro.pag import build_pag
 
 BENCH = "_205_raytrace"
+
+
+def test_bench_parse(benchmark):
+    """The mini-Java front end on tomcat's printed text, validation on:
+    the parse every ``Session.from_source`` runs."""
+    program = load_benchmark("tomcat").program
+    text = program_to_source(program)
+    result = benchmark(parse_program, text)
+    assert result.counts() == program.counts()
 
 
 def test_bench_build_pag(benchmark):

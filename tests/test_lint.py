@@ -33,6 +33,7 @@ RUFF_TARGETS = [
     "src/repro/core/incremental.py",
     "src/repro/core/jumpmap.py",
     "src/repro/core/scheduling.py",
+    "src/repro/ir/parser.py",
     "src/repro/pag/graph.py",
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
