@@ -108,14 +108,14 @@ def _recursive_sites(program: CProgram) -> FrozenSet[int]:
     )
 
 
-def lower_c(program: CProgram, collapse_recursion: bool = True) -> CBuildResult:
+def lower_c(program: CProgram) -> CBuildResult:
     """Lower a sealed mini-C program to its PAG."""
     if not getattr(program, "_sealed", False):
         raise PAGError("program must be sealed before lowering")
     pag = PAG()
     result = CBuildResult(pag, program)
     taken = _address_taken(program)
-    recursive = _recursive_sites(program) if collapse_recursion else frozenset()
+    recursive = _recursive_sites(program)
     result.n_collapsed_recursive_sites = len(recursive)
     result.address_taken = frozenset(
         name if owner is None else f"{name}@{owner}" for owner, name in taken

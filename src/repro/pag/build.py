@@ -14,7 +14,13 @@ The lowering implements the paper's conventions:
 * per Section IV-A, call sites inside a call-graph recursion cycle are
   lowered as plain ``assign`` edges (recursion collapsing), and
   strongly connected ``assign`` components are merged (points-to cycle
-  elimination) — both optional via keyword flags.
+  elimination); both always run.
+
+Every edge enters the graph through the ``add_*_edge`` methods of
+:class:`~repro.pag.graph.PAG`, which resolve its endpoints through
+``rep()`` and record it once.  The merge re-inserts every edge through
+the same code, so afterwards ``pag.n_edges`` counts the distinct edges
+in representative terms, without ``assign``/``gassign`` self-loops.
 """
 
 from __future__ import annotations
@@ -61,27 +67,22 @@ class BuildResult:
         return nid
 
 
-def build_pag(
-    program: Program,
-    collapse_recursion: bool = True,
-    collapse_pt_cycles: bool = True,
-) -> BuildResult:
+def build_pag(program: Program) -> BuildResult:
     """Lower a sealed program to its PAG.
 
-    ``collapse_recursion`` demotes ``param``/``ret`` edges of recursive
-    call sites to ``assign``; ``collapse_pt_cycles`` merges ``assign``
-    SCCs.  Both default on, matching the paper's configuration.
+    ``param``/``ret`` edges of recursive call sites are demoted to
+    ``assign``, then ``assign`` SCCs are merged, as the paper
+    configures it.
     """
     if not program.is_sealed:
         raise PAGError("program must be sealed before lowering")
     cg = build_call_graph(program)
-    recursive_sites = cg.recursive_sites() if collapse_recursion else frozenset()
+    recursive_sites = cg.recursive_sites()
     lowering = _Lowering(program, cg, recursive_sites)
     lowering.run()
     result = lowering.result
     result.n_collapsed_recursive_sites = len(recursive_sites)
-    if collapse_pt_cycles:
-        result.n_merged_assign_nodes = result.pag.collapse_assign_sccs()
+    result.n_merged_assign_nodes = result.pag.collapse_assign_sccs()
     return result
 
 

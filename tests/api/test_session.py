@@ -416,6 +416,44 @@ class TestCrossMethodEdit:
             assert got.objects <= oracle.points_to(var), session.name(var)
 
 
+class TestEditThroughMergedMember:
+    """An edit naming a node that points-to cycle elimination merged
+    away lands on its representative, where the traversal reads it."""
+
+    PROGRAM = """
+        class A { }
+        class Main { static method main() {
+            var a: A
+            var b: A
+            var c: A
+            var d: A
+            a = b
+            b = a
+            c = new A
+            d = a
+            %s
+        } }
+    """
+
+    @staticmethod
+    def answer(session, var):
+        result = session.points_to(f"{var}@Main.main")
+        assert not result.exhausted
+        return sorted(session.name(o) for o in result.objects)
+
+    def test_edit_matches_the_rebuilt_program(self):
+        cfg = EngineConfig(budget=10**9)
+        session = Session.from_source(self.PROGRAM % "", engine=cfg)
+        assert session.build.n_merged_assign_nodes == 1
+        raw_b = session.build.var_ids["b@Main.main"]
+        assert session.rep(raw_b) != raw_b
+        assert self.answer(session, "d") == []
+        session.seq.add_assign_edge(raw_b, session.resolve("c@Main.main"))
+        rebuilt = Session.from_source(self.PROGRAM % "b = c", engine=cfg)
+        assert self.answer(rebuilt, "d") == ["o:Main.main:0"]
+        assert self.answer(session, "d") == self.answer(rebuilt, "d")
+
+
 class TestEditPathCounters:
     def test_engine_counters_survive_edits(self):
         # The resident sequential session's engine reports to the
