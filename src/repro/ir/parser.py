@@ -42,6 +42,10 @@ Grammar (EBNF)::
                 | "return" NAME
     type       := NAME ["[]"]
 
+Only a type takes the ``[]`` suffix: a class, field, method, local,
+parameter, global, operand or argument name ending in ``[]`` is a
+:class:`~repro.errors.ParseError` at its line.
+
 ``//`` and ``#`` start comments that run to end of line.  A class marked
 ``library`` contributes no queries (Table I's app/library distinction).
 
@@ -169,7 +173,16 @@ class _Parser:
         return i + 1
 
     def name(self, i: int, what: str = "identifier") -> str:
-        """Word ``i``, which must be a name and not a keyword."""
+        """Word ``i``, which must be a name, not a keyword, without a
+        ``[]`` suffix."""
+        word = self.words[i]
+        if word[0] in _NOT_NAME_START or word in _KEYWORDS or word[-1] == "]":
+            raise self.error(i, f"expected {what}, got {word!r}")
+        return word
+
+    def type_name(self, i: int, what: str = "type name") -> str:
+        """Word ``i``, which must be a name and not a keyword; only a
+        type may carry ``[]`` suffixes."""
         word = self.words[i]
         if word[0] in _NOT_NAME_START or word in _KEYWORDS:
             raise self.error(i, f"expected {what}, got {word!r}")
@@ -195,7 +208,7 @@ class _Parser:
             if word == "global":
                 name = self.name(i + 1, "global name")
                 i = self.expect(i + 2, ":")
-                builder.global_var(name, self.name(i, "type name"), annotations=annos)
+                builder.global_var(name, self.type_name(i), annotations=annos)
                 i += 1
             elif word in ("class", "library"):
                 if annos:
@@ -229,7 +242,7 @@ class _Parser:
             if word == "field":
                 f_name = self.name(i + 1, "field name")
                 i = self.expect(i + 2, ":")
-                cb.field(f_name, self.name(i, "type name"))
+                cb.field(f_name, self.type_name(i))
                 i += 1
             elif word in ("method", "static"):
                 i = self.method(i, cb)
@@ -259,7 +272,7 @@ class _Parser:
                     p_annos, i = self.annotations(i)
                 p_name = self.name(i, "parameter name")
                 i = self.expect(i + 1, ":")
-                params.append((p_name, self.name(i, "type name"), p_annos))
+                params.append((p_name, self.type_name(i), p_annos))
                 i += 1
                 if words[i] == ")":
                     i += 1
@@ -267,7 +280,7 @@ class _Parser:
                 i = self.expect(i, ",")
         returns = "void"
         if words[i] == ":":
-            returns = self.name(i + 1, "return type")
+            returns = self.type_name(i + 1, "return type")
             i += 2
         mb = cb.method(name, params=params, returns=returns, static=static)
         i = self.expect(i, "{")
@@ -287,7 +300,7 @@ class _Parser:
         if word == "var":
             name = self.name(i + 1, "local name")
             i = self.expect(i + 2, ":")
-            mb.local(name, self.name(i, "type name"), annotations=annos)
+            mb.local(name, self.type_name(i), annotations=annos)
             return i + 1
         if annos:
             raise ParseError(
@@ -329,10 +342,10 @@ class _Parser:
         words = self.words
         word = words[i]
         if word == "new":
-            mb.alloc(target, self.name(i + 1, "type name"), loc=line)
+            mb.alloc(target, self.type_name(i + 1), loc=line)
             return i + 2
         if word == "(":
-            type_name = self.name(i + 1, "cast type name")
+            type_name = self.type_name(i + 1, "cast type name")
             i = self.expect(i + 2, ")")
             mb.cast(target, type_name, self.name(i, "cast operand"), loc=line)
             return i + 1

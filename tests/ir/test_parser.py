@@ -180,6 +180,32 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_program("class A @ { }")
 
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("class A[] { }", "expected class name, got 'A[]'"),
+            ("class A extends B[] { }", "expected superclass name, got 'B[]'"),
+            ("class A { field f[]: A }", "expected field name, got 'f[]'"),
+            ("class A { method m[]() { } }", "expected method name, got 'm[]'"),
+            ("class A { method m(p[]: A) { } }", "expected parameter name, got 'p[]'"),
+            ("class A { method m() { var x[]: A } }", "expected local name, got 'x[]'"),
+            ("global G[]: A", "expected global name, got 'G[]'"),
+            ("class A { method m() {\n x[] = new A } }", "expected identifier, got 'x[]'"),
+            ("class A { method m() {\n x = y[] } }", "expected source expression, got 'y[]'"),
+            ("class A { method m() {\n x = y.f[] } }", "expected member name, got 'f[]'"),
+            ("class A { method m() {\n x.f = y[] } }", "expected stored value, got 'y[]'"),
+            ("class A { method m() {\n x = (A) y[] } }", "expected cast operand, got 'y[]'"),
+            ("class A { method m() {\n x.m(y[]) } }", "expected argument, got 'y[]'"),
+            ("class A { method m() {\n return x[] } }", "expected return value, got 'x[]'"),
+        ],
+    )
+    def test_only_types_take_an_array_suffix(self, src, message):
+        with pytest.raises(ParseError) as info:
+            parse_program(src, validate=False)
+        line = src.count("\n") + 1
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line == line
+
 
 class TestValidator:
     def test_undeclared_variable(self):
