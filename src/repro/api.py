@@ -93,7 +93,6 @@ from repro.ir import parse_program
 from repro.obs import (
     COUNTER_DOCS,
     MetricsRecorder,
-    NullRecorder,
     Recorder,
     SpanRecorder,
     TimelineRecorder,
@@ -171,7 +170,6 @@ __all__ = [
     "suite_names",
     # observability
     "Recorder",
-    "NullRecorder",
     "MetricsRecorder",
     "SpanRecorder",
     "TimelineRecorder",

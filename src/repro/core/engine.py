@@ -183,7 +183,7 @@ class CFLEngine:
         #: Optional :class:`repro.obs.Recorder`.  The engine's only
         #: instrumentation point is a single per-query bulk flush in
         #: ``_query`` — the traversal loops are never touched, so a
-        #: ``None``/``NullRecorder`` run is the exact pre-obs code path.
+        #: ``None`` run is the exact pre-obs code path.
         self.recorder = recorder
         #: Optional witness recorder (see repro.core.tracing); set by
         #: TracingEngine.  Handed each sweep's visited set and each

@@ -1,10 +1,10 @@
 """repro.obs — zero-cost-when-off observability.
 
-Four recorders behind one protocol (:class:`Recorder`):
+Three recorders behind one protocol (:class:`Recorder`); the off value
+is ``None``, and instrumented hot paths guard every hook behind one
+truthiness check, so a recorder-off run executes the exact
+pre-instrumentation code path:
 
-* :class:`NullRecorder` — the falsy default; instrumented hot paths
-  guard every hook behind one truthiness check, so a recorder-off run
-  executes the exact pre-instrumentation code path;
 * :class:`MetricsRecorder` — thread-safe monotonic counters (engine
   steps/sweeps, jump-map hits/misses, τ-suppressed publishes, scheduler
   groups/merges, mp epoch ships / delta bytes / merge conflicts /
@@ -28,7 +28,6 @@ event log, and ``repro bench --profile trace.json`` for Chrome traces.
 from repro.obs.recorder import (
     COUNTER_DOCS,
     MetricsRecorder,
-    NullRecorder,
     Recorder,
     SIM_PID,
     SpanRecorder,
@@ -48,7 +47,6 @@ __all__ = [
     "COUNTER_DOCS",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "MetricsRecorder",
-    "NullRecorder",
     "Recorder",
     "SIM_PID",
     "SpanRecorder",

@@ -4,8 +4,8 @@ The contract instrumented code must follow (and the tests enforce):
 
 * the recorder is held in a local and every use is guarded by a single
   truthiness check — ``rec = self.recorder`` then ``if rec: ...``;
-  both ``None`` and :class:`NullRecorder` short-circuit that guard, so
-  an un-instrumented run executes exactly the pre-obs code path;
+  the off value ``None`` short-circuits that guard, so an
+  un-instrumented run executes exactly the pre-obs code path;
 * the engine's traversal loops are never touched per step.  Per-query
   counters accumulate in the existing :class:`~repro.core.query.QueryState`
   slots and are flushed **once per query** via :meth:`Recorder.record_query`;
@@ -34,7 +34,6 @@ from typing import Dict, List, Mapping, Optional, Union
 
 __all__ = [
     "Recorder",
-    "NullRecorder",
     "MetricsRecorder",
     "SpanRecorder",
     "COUNTER_DOCS",
@@ -125,8 +124,6 @@ class Recorder:
     base class also documents the full instrumentation surface.
     """
 
-    enabled = True
-
     #: Heartbeat cadence in seconds requested from executors, or
     #: ``None`` when this recorder does not consume heartbeats.  The mp
     #: coordinator and the threaded sampler read this to decide whether
@@ -210,17 +207,6 @@ class Recorder:
         """Like :meth:`span` but with absolute ``time.perf_counter()``
         stamps — rebased onto the recorder's zero so spans recorded by
         different components share one timeline."""
-
-
-class NullRecorder(Recorder):
-    """The default: collects nothing, and is *falsy* so the single
-    ``if rec:`` guard in instrumented code skips every hook call —
-    recorder-off runs execute the exact pre-instrumentation path."""
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
 
 
 class MetricsRecorder(Recorder):

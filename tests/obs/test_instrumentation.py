@@ -3,9 +3,9 @@ engine, scheduler and executors.
 
 The two contracts under test:
 
-* **zero-cost-when-off** — a run with no recorder, a ``NullRecorder``
-  and a ``MetricsRecorder`` all produce byte-identical answers (the
-  recorder only observes, never steers);
+* **zero-cost-when-off** — a run with no recorder (``None``) and runs
+  with each recorder all produce byte-identical answers (the recorder
+  only observes, never steers);
 * **attribution** — counters land where the paper's figures need them:
   jump-map hits only in sharing modes, scheduler counters only with
   scheduling, mp transport counters only on the mp backend, and worker
@@ -17,7 +17,6 @@ import pytest
 from repro.core import EngineConfig, Query
 from repro.obs import (
     MetricsRecorder,
-    NullRecorder,
     SIM_PID,
     SpanRecorder,
     TimelineRecorder,
@@ -48,8 +47,7 @@ class TestRecorderOffIdentity:
     def test_answers_identical_with_and_without_recorder(self, fig2):
         b, _ = fig2
         baseline = run_batch(b).points_to_map()
-        for rec in (NullRecorder(), MetricsRecorder(), SpanRecorder(),
-                    TimelineRecorder()):
+        for rec in (MetricsRecorder(), SpanRecorder(), TimelineRecorder()):
             assert run_batch(b, recorder=rec).points_to_map() == baseline
 
     @pytest.mark.parametrize("backend", ["sim", "threads", "mp"])
@@ -66,13 +64,6 @@ class TestRecorderOffIdentity:
         ) as rec:
             observed = run_batch(b, backend=backend, recorder=rec)
         assert observed.points_to_map() == baseline
-
-    def test_null_recorder_collects_nothing(self, fig2):
-        b, _ = fig2
-        rec = NullRecorder()
-        batch = run_batch(b, recorder=rec)
-        assert rec.snapshot() == {}
-        assert batch.metrics == {}
 
 
 class TestCounterAttribution:
