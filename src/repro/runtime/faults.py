@@ -32,9 +32,8 @@ reproducibly-crashy host while ``after_units`` models one-off failures.
 A :class:`FaultPlan` is an immutable, picklable bundle of specs.  It
 reaches workers one way: the ``faults`` field of
 :class:`~repro.runtime.config.RuntimeConfig` (the facade hands it to
-:class:`~repro.runtime.mp.MPExecutor`'s ``faults=`` argument).
-:meth:`FaultPlan.parse` reads the text form ``mode[@worker][:afterN]``,
-comma-separated — e.g. ``"kill@0:after2,garbage@1"``.
+:class:`~repro.runtime.mp.MPExecutor`'s ``faults=`` argument), built
+from :class:`FaultSpec` values or with :meth:`FaultPlan.single`.
 """
 
 from __future__ import annotations
@@ -89,34 +88,6 @@ class FaultSpec:
         if self.hang_s <= 0:
             raise RuntimeConfigError(f"hang_s must be > 0, got {self.hang_s}")
 
-    @classmethod
-    def parse(cls, token: str) -> "FaultSpec":
-        """Parse one token: ``mode[@worker][:afterN]``."""
-        text = token.strip()
-        after = 0
-        if ":" in text:
-            text, _, suffix = text.partition(":")
-            if not suffix.startswith("after"):
-                raise RuntimeConfigError(
-                    f"bad fault token {token!r}: expected ':afterN' suffix"
-                )
-            try:
-                after = int(suffix[len("after"):])
-            except ValueError:
-                raise RuntimeConfigError(
-                    f"bad fault token {token!r}: ':after' needs an integer"
-                ) from None
-        worker: Optional[int] = None
-        if "@" in text:
-            text, _, wtext = text.partition("@")
-            try:
-                worker = int(wtext)
-            except ValueError:
-                raise RuntimeConfigError(
-                    f"bad fault token {token!r}: '@' needs a worker id"
-                ) from None
-        return cls(mode=text, worker=worker, after_units=after)
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -138,14 +109,6 @@ class FaultPlan:
                after_units: int = 0, **kw) -> "FaultPlan":
         """Convenience: a one-spec plan."""
         return cls((FaultSpec(mode, worker=worker, after_units=after_units, **kw),))
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultPlan":
-        """Parse a comma-separated list of :meth:`FaultSpec.parse` tokens."""
-        tokens = [t for t in text.split(",") if t.strip()]
-        if not tokens:
-            raise RuntimeConfigError(f"empty fault plan: {text!r}")
-        return cls(tuple(FaultSpec.parse(t) for t in tokens))
 
 
 class FaultInjector:

@@ -101,7 +101,7 @@ class TestParallelCFLConfigAPI:
             {"backend": "threads"},
             {"chunk_size": 2},
             {"cost_model": CostModel()},
-            {"faults": FaultPlan.parse("exc@0")},
+            {"faults": FaultPlan.single("exc", worker=0)},
             {"unit_timeout": 1.5},
             {"mode": "naive"},
             {"n_threads": 2},
@@ -126,7 +126,7 @@ class TestParallelCFLConfigAPI:
         # ...and the supported spelling reaches the runner's runtime
         # config.
         b, _ = fig2
-        plan = FaultPlan.parse("exc@0")
+        plan = FaultPlan.single("exc", worker=0)
         runner = ParallelCFL(
             b,
             runtime=RuntimeConfig(
@@ -166,7 +166,7 @@ class TestEngineConfigPostShims:
 
     def test_faults_ctor_is_a_type_error(self):
         with pytest.raises(TypeError, match="faults"):
-            EngineConfig(faults=FaultPlan.parse("exc@0"))
+            EngineConfig(faults=FaultPlan.single("exc", worker=0))
 
     def test_field_sensitive_attribute_is_gone(self):
         with pytest.raises(AttributeError):

@@ -47,17 +47,6 @@ def assert_recovered(batch, queries, expected):
 
 
 class TestFaultPlan:
-    def test_parse_tokens(self):
-        plan = FaultPlan.parse("kill@0:after2, garbage@1, hang")
-        assert plan.specs[0] == FaultSpec("kill", worker=0, after_units=2)
-        assert plan.specs[1] == FaultSpec("garbage", worker=1)
-        assert plan.specs[2] == FaultSpec("hang", worker=None)
-
-    def test_parse_rejects_bad_tokens(self):
-        for text in ("explode", "kill@x", "kill:2", "kill:afterx", ""):
-            with pytest.raises(RuntimeConfigError):
-                FaultPlan.parse(text)
-
     def test_spec_validation(self):
         with pytest.raises(RuntimeConfigError):
             FaultSpec("kill", after_units=-1)
@@ -67,7 +56,7 @@ class TestFaultPlan:
             FaultSpec("frobnicate")
 
     def test_for_worker_filters(self):
-        plan = FaultPlan.parse("kill@0,garbage")
+        plan = FaultPlan((FaultSpec("kill", worker=0), FaultSpec("garbage")))
         assert [s.mode for s in plan.for_worker(0)] == ["kill", "garbage"]
         assert [s.mode for s in plan.for_worker(3)] == ["garbage"]
 

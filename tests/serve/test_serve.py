@@ -542,7 +542,7 @@ class TestMPWorkerKills:
             build,
             runtime=RuntimeConfig(
                 mode="DQ", n_threads=2, backend="mp",
-                faults=FaultPlan.parse("kill@0:after1"),
+                faults=FaultPlan.single("kill", worker=0, after_units=1),
             ),
             engine=engine,
             recorder=rec,
