@@ -35,6 +35,7 @@ RUFF_TARGETS = [
     "src/repro/core/scheduling.py",
     "src/repro/ir/parser.py",
     "src/repro/pag/graph.py",
+    "src/repro/pag/build.py",
     "src/repro/analyses/taint.py",
     "src/repro/analyses/escape.py",
     "src/repro/runtime/matrix.py",
