@@ -489,12 +489,14 @@ class Session:
         n_threads: Optional[int],
         backend: Optional[str],
     ) -> RuntimeConfig:
-        """The session's runtime with a configuration's overrides."""
-        return self.runtime.with_(**{
+        """The session's runtime with a configuration's overrides; with
+        none, the session's runtime itself (no copy per lookup)."""
+        changes = {
             k: v for k, v in
             (("mode", mode), ("n_threads", n_threads), ("backend", backend))
             if v is not None
-        })
+        }
+        return self.runtime.with_(**changes) if changes else self.runtime
 
     @staticmethod
     def _runner_key(rt: RuntimeConfig) -> Tuple[str, int, str]:

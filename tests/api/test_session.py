@@ -149,6 +149,18 @@ class TestBatchesAndResidency:
         assert r1 is r2
         assert r1 is not r3
 
+    def test_lookup_without_override_keeps_the_session_runtime(self, box):
+        # No override, no copy: the runner runs on the session's own
+        # (frozen) runtime, and an explicit override equal to it finds
+        # the same runner.
+        runner = box.runner()
+        assert runner.runtime is box.runtime
+        assert box.runner() is runner
+        rt = box.runtime
+        assert box.runner(
+            mode=rt.mode, n_threads=rt.n_threads, backend=rt.backend
+        ) is runner
+
     def test_runners_are_keyed_by_effective_threads(self):
         # local runs on the calling thread whatever n_threads says, so
         # both batches share one runner and one committed map.
